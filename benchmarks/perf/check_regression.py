@@ -1,56 +1,34 @@
-"""Perf-regression gate for the datapath, cluster DES, faults, and overload.
+"""Perf-regression gate for the wall-clock benches.
 
-Each gate is one row in the declarative ``GATES`` table below, keyed by
-the committed baseline file it reads (``--list`` prints the table):
+Each gate is one row in the declarative ``GATES`` table below (``--list``
+prints the table).  Six rows:
 
-* ``BENCH_datapath.json`` — datapath throughput (``datapath_bench``): the
-  ``after``-path MB/s per (section, size) must not drop more than
+* ``datapath`` — ``BENCH_datapath.json`` throughput (``datapath_bench``):
+  the ``after``-path MB/s per (section, size) must not drop more than
   ``--tolerance`` (default 20%).
-* ``BENCH_cluster.json`` — cluster-simulator speed (``cluster_bench``):
-  kernel events/sec must not drop, and end-to-end scenario wall time must
-  not grow, by more than the same tolerance.
-* compcpy5x (machine-relative, no baseline): the 64 KB ``compcpy_e2e``
-  point must stay >= ``--compcpy-speedup-floor`` (default 5x) above the
-  recorded pre-fast-path seed throughput.
-* fleetvec (machine-relative, no baseline): the vector fleet tier must
-  stay >= ``--fleetvec-speedup-floor`` (default 20x) faster than the
+* ``cluster`` — ``BENCH_cluster.json`` simulator speed
+  (``cluster_bench``): kernel events/sec must not drop, and end-to-end
+  scenario wall time must not grow, by more than the same tolerance.
+* ``compcpy5x`` (machine-relative, no baseline): the 64 KB
+  ``compcpy_e2e`` point must stay >= ``--compcpy-speedup-floor``
+  (default 5x) above the recorded pre-fast-path seed throughput.
+* ``fleetvec`` (machine-relative, no baseline): the vector fleet tier
+  must stay >= ``--fleetvec-speedup-floor`` (default 20x) faster than the
   event kernel on the fleet-scale spill scenario, and its replay-stream
   crosscheck against the kernel must pass.
-* fault hooks (``faults_bench``, machine-relative, no baseline): the
+* ``faults`` (``faults_bench``, machine-relative, no baseline): the
   measured cost of the ``plan is not None`` guards on a plan-less session
   must stay under ``--faults-tolerance`` (default 2%) of one offload —
   the disabled fault path is required to be essentially free.
-* ``BENCH_overload.json`` — overload control (``overload_bench``): the
-  controlled goodput at 2x offered load must stay >= 70% of peak, the
-  uncontrolled curve must still demonstrate collapse, and capacity /
-  goodput must stay within tolerance of the baseline.
-* ``BENCH_replication.json`` — replicated storage (``replication_bench``):
-  the consistency checker must report zero violations, SmartDIMM hop
-  placement must beat CPU onload on goodput under fault at 16 KB values,
-  and the headline goodput figures must stay within tolerance of the
-  baseline.
-* ``BENCH_qos.json`` — multi-tenant QoS (``qos_bench``): the fairness
-  sweep's own gate (victim goodput >= 85% of isolated with and without
-  chaos, aggressor capped near fair share, surge p99 bounded, zero
-  cross-tenant retry-budget exhaustion), the FIFO contrast arm must
-  still demonstrate interference, and capacity / victim ratios must
-  stay within tolerance of the baseline.
-* ``BENCH_ras.json`` — memory RAS / integrity (``ras_bench``): the
-  sweep's own gate (zero undetected corruption wherever verification is
-  on, verify-off contrast arm still leaks, patrol-scrub overhead under
-  its ceiling, scrubbing shrinks the at-risk line count, quarantine
-  trips and re-admits), plus detection-coverage / retired-row floors
-  and a scrub-overhead ceiling against the baseline.
-
-* matrix3x (machine-relative, no baseline): the experiment-matrix
+* ``matrix3x`` (machine-relative, no baseline): the experiment-matrix
   run-pool (``matrix_bench``) must keep the pooled quick matrix >=
   ``--matrix-speedup-floor`` (default 3x) faster than the serial run
   with byte-identical payloads; auto-skips below 4 cores.
 
-Rows marked ``optional`` in the ``GATES`` table (replication, qos, ras)
-share one skip path: when their committed baseline file is absent the
-row is skipped with a note instead of failing — run with ``--update``
-to create the baseline and arm the row.
+The simulated results of every figure family are not timed here: they
+are deterministic, so ``python -m repro matrix --check`` compares them
+byte-for-byte against their committed ``BENCH_*.json`` baselines and
+each matrix target's own gate rows judge them.
 
 ``--jobs N`` evaluates gate rows concurrently in N threads (output stays
 in table order); the wall-clock-sensitive rows get noisier as N grows,
@@ -78,10 +56,6 @@ import cluster_bench
 import datapath_bench
 import faults_bench
 import matrix_bench
-import overload_bench
-import qos_bench
-import ras_bench
-import replication_bench
 
 #: Datapath sections whose `after_mbps` is guarded per record size.
 GUARDED_SECTIONS = ("aes_gcm_encrypt", "ghash", "deflate", "compcpy_e2e")
@@ -231,7 +205,6 @@ class Gate:
     run: callable        # args -> fresh results dict
     verdict: callable    # (baseline, fresh, args) -> list of regressions
     points: callable     # baseline -> number of guarded values
-    optional: bool = False  # missing baseline = skip with a note, not exit 2
 
     @property
     def baseline_dest(self):
@@ -283,48 +256,6 @@ GATES = (
          verdict=lambda base, fresh, args: compare_faults(
              fresh, args.faults_tolerance),
          points=lambda base: 1),
-    Gate("overload", "overload control: goodput >= 70% of peak at 2x + floors",
-         "--overload-baseline", overload_bench,
-         run=lambda args: overload_bench.bench_all(repeats=args.repeats),
-         verdict=lambda base, fresh, args: overload_bench.compare(
-             base, fresh, args.tolerance),
-         points=lambda base: 2 + sum(
-             1 for m in overload_bench.GUARDED_METRICS
-             if m in base.get("sweep", {}).get("summary", {}))),
-    Gate("replication",
-         "replicated storage: zero violations + smartdimm beats cpu "
-         "goodput under fault + floors",
-         "--replication-baseline", replication_bench,
-         run=lambda args: replication_bench.bench_all(repeats=args.repeats),
-         verdict=lambda base, fresh, args: replication_bench.compare(
-             base, fresh, args.tolerance),
-         points=lambda base: 2 + sum(
-             1 for m in replication_bench.GUARDED_METRICS
-             if m in base.get("summary", {})),
-         optional=True),
-    Gate("qos",
-         "multi-tenant fairness: victim >= 85% isolated goodput, aggressor "
-         "capped, no cross-tenant budget drain",
-         "--qos-baseline", qos_bench,
-         run=lambda args: qos_bench.bench_all(repeats=args.repeats),
-         verdict=lambda base, fresh, args: qos_bench.compare(
-             base, fresh, args.tolerance),
-         points=lambda base: 7 + sum(
-             1 for m in qos_bench.GUARDED_METRICS
-             if m in base.get("fairness", {}).get("summary", {})),
-         optional=True),
-    Gate("ras",
-         "memory RAS/integrity: zero undetected corruption with verify on, "
-         "scrub overhead under ceiling, quarantine trips + re-admits",
-         "--ras-baseline", ras_bench,
-         run=lambda args: ras_bench.bench_all(repeats=args.repeats),
-         verdict=lambda base, fresh, args: ras_bench.compare(
-             base, fresh, args.tolerance),
-         points=lambda base: 9 + sum(
-             1 for m in (ras_bench.GUARDED_METRICS
-                         + ras_bench.GUARDED_CEILINGS)
-             if m in base.get("summary", {})),
-         optional=True),
     Gate("matrix3x",
          "experiment matrix: pooled quick run >= 3x serial wall clock, "
          "byte-identical payloads (auto-skips below 4 cores)",
@@ -358,10 +289,6 @@ def _evaluate(gate: Gate, args) -> tuple:
         return gate.verdict(None, gate.run(args), args), gate.points(None), \
             notes, None
     path = getattr(args, gate.baseline_dest)
-    if gate.optional and not args.update and not os.path.exists(path):
-        notes.append("no %s baseline at %s; gate auto-skipped "
-                     "(run with --update to create one)" % (gate.name, path))
-        return [], 0, notes, None
     fresh = gate.run(args)
     if args.update:
         notes.append("%s baseline updated: %s"
@@ -451,11 +378,8 @@ def main(argv=None) -> int:
     if args.list:
         print("perf gates (--skip-<name> to skip one):")
         for gate in GATES:
-            print("  %-9s %-22s %s%s"
-                  % (gate.name, gate.baseline_name, gate.describe,
-                     " [optional]" if gate.optional else ""))
-        print("[optional] rows auto-skip with a note when their committed "
-              "baseline is absent; --update creates it and arms the row.")
+            print("  %-9s %-22s %s"
+                  % (gate.name, gate.baseline_name, gate.describe))
         return 0
 
     if args.jobs > 1:

@@ -12,42 +12,25 @@ Commands:
   storms, wedged DSAs, DRAM flips, packet loss, lost completions, a node
   failure) with MTTR/availability/goodput accounting; byte-identical
   reports per seed.
-* ``overload`` — goodput-vs-offered-load sweep (0.5x-3x capacity) with the
-  overload-control stack (deadlines, CoDel admission, bounded queues,
-  retry budgets) on vs off; byte-identical reports per seed, exits
-  non-zero if goodput at 2x falls below 70% of peak.
-* ``qos`` — multi-tenant noisy-neighbor sweep: an aggressor tenant at 3x
-  its fair share (plus chaos) against well-behaved latency/standard
-  tenants under DRR weighted-fair stations, strict-priority classes, and
-  per-tenant overload isolation; byte-identical reports per seed, exits
-  non-zero if any fairness gate fails (victim goodput, aggressor cap,
-  surge p99, cross-tenant retry-budget exhaustion).
+* ``replicate`` — one replicated-storage scenario on the fleet: ABD quorum
+  or chain replication with SmartDIMM-priced compress+encrypt hops,
+  optional node_down/channel_wedge chaos, and a post-run consistency
+  audit (exits non-zero on any violation).
 * ``profile`` — cProfile one warmed TLS offload through the
   micro-simulation (the instrument behind the batched fast path);
   ``--reference`` profiles the per-line path for comparison.
-* ``replicate`` — replicated storage on the fleet: ABD quorum or chain
-  replication with SmartDIMM-priced compress+encrypt hops, optional
-  node_down/channel_wedge chaos, and a post-run consistency audit
-  (exits non-zero on any violation); ``--sweep`` runs the placement
-  comparison behind ``BENCH_replication.json``.
-* ``ras`` — memory RAS + end-to-end integrity sweep: scrub-rate x
-  SDC-rate grid (patrol scrub priced against goodput, CE->UE poison
-  escalation, row retirement), per-lane DSA quarantine with probation
-  re-admission, and fleet SDC storms; byte-identical reports per seed,
-  exits non-zero if any integrity gate fails (undetected corruption,
-  scrub overhead ceiling, quarantine liveness).
-
-* ``matrix`` — the whole experiment matrix: every target's grid of
-  (instance, seed) points fanned across a process pool (``--jobs N``)
-  with a content-addressed result cache; reassembles each target's
-  serial payload byte-identically, rolls up cross-target statistics,
-  and evaluates every acceptance gate.
-
-The sweep commands (``overload``, ``qos``, ``ras``) accept ``--check``:
-re-run the sweep and require the payload to match the committed
-``BENCH_*.json`` baseline byte-for-byte (missing or corrupt baselines
-exit non-zero with a one-line error, no traceback).  ``matrix --check``
-does the same for every target with a committed baseline in one run.
+* ``matrix`` — the experiment matrix, the one way to run every figure
+  family: each target's grid of (instance, seed) points fanned across a
+  process pool (``--jobs N``) with a content-addressed result cache.  It
+  prints each target's report, rolls up cross-target statistics, and
+  exits non-zero if any acceptance gate fails.  ``--only X`` restricts
+  it to one family (``datapath``, ``cluster``, ``faults``, ``overload``,
+  ``replication``, ``qos``, ``ras``; see ``--list``) and ``--quick``
+  shrinks every grid.  ``--check`` re-runs the full grid and requires
+  each rollup to match its committed ``BENCH_*.json`` byte-for-byte,
+  printing the headline metrics as baseline -> fresh on a mismatch;
+  ``--update`` rewrites those baselines instead.  Missing or corrupt
+  baselines exit non-zero with a one-line error, no traceback.
 """
 
 from __future__ import annotations
@@ -72,6 +55,11 @@ def write_json_report(path: str, payload: str, label: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(payload)
+        # mkstemp creates the file owner-only; give the report the mode a
+        # plain open() would, or every baseline comes out 0600.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -86,8 +74,7 @@ def _load_baseline(path: str, name: str) -> dict:
     """Load a committed ``BENCH_*.json`` baseline or die with one line.
 
     Missing or corrupt baselines are operator errors, not bugs worth a
-    traceback: raise :class:`SystemExit` with a single-line message so
-    every subcommand fails the same way (non-zero, stderr, no stack).
+    traceback: raise :class:`SystemExit` with a single-line message.
     """
     import json
 
@@ -96,32 +83,42 @@ def _load_baseline(path: str, name: str) -> dict:
             return json.load(handle)
     except FileNotFoundError:
         raise SystemExit(
-            "error: no committed %s baseline at %s "
-            "(generate one with --json-out %s)" % (name, path, path))
+            "error: no committed %s baseline at %s (generate one with "
+            "python -m repro matrix --only %s --update)" % (name, path, name))
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         raise SystemExit(
             "error: committed %s baseline %s is unreadable: %s"
             % (name, path, exc))
 
 
-def _check_baseline(fresh_payload: str, path: str, name: str) -> int:
-    """Compare a fresh sweep payload against the committed baseline.
+def _check_baseline(target, result) -> int:
+    """Compare a matrix run's rollup against the target's committed baseline.
 
     Both sides are canonicalised through the same JSON encoding, so the
     comparison is exact: any drift (different seed, different mode, or a
-    genuine behaviour change) fails with one line.
+    genuine behaviour change) fails, and the headline metrics are
+    printed as baseline -> fresh to show where it moved.
     """
     import json
 
-    baseline = _load_baseline(path, name)
-    canonical = json.dumps(baseline, indent=2, sort_keys=True) + "\n"
-    if canonical != fresh_payload:
-        print("FAIL: fresh %s run differs from committed %s "
-              "(was it generated with the same seed and mode?)"
-              % (name, path))
-        return 1
-    print("baseline check passed: fresh run matches %s" % path)
-    return 0
+    from repro.exp.matrix import target_payload_json
+    from repro.exp.targets import format_value
+
+    path = target.baseline_path()
+    baseline = _load_baseline(path, target.name)
+    fresh = result.payload["targets"][target.name]
+    if (json.dumps(baseline, indent=2, sort_keys=True) + "\n"
+            == target_payload_json(result, target.name)):
+        print("baseline check passed: fresh run matches %s" % path)
+        return 0
+    print("FAIL: fresh %s run differs from committed %s "
+          "(was it generated with the same seed and mode?)"
+          % (target.name, path))
+    before, after = target.headline(baseline), target.headline(fresh)
+    for metric in sorted(after):
+        print("  %s: %s -> %s" % (metric, format_value(before[metric]),
+                                  format_value(after[metric])))
+    return 1
 
 
 def _cmd_demo(_args) -> int:
@@ -280,81 +277,11 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-def _cmd_overload(args) -> int:
-    from repro.overload import sweep
-
-    report = sweep.run_overload(seed=args.seed, quick=args.quick)
-    print(sweep.render(report))
-    if args.json_out:
-        write_json_report(args.json_out, sweep.to_json(report),
-                          "overload report")
-    if args.check is not None:
-        return _check_baseline(sweep.to_json(report), args.check, "overload")
-    summary = report["sweep"]["summary"]
-    ratio = summary["shed_2x_over_peak"] or 0.0
-    if ratio < 0.70:
-        print("FAIL: goodput at 2x offered load is %.0f%% of peak (< 70%%)"
-              % (100.0 * ratio))
-        return 1
-    return 0
-
-
-def _cmd_qos(args) -> int:
-    from repro.qos import sweep
-
-    report = sweep.run_qos(seed=args.seed, quick=args.quick)
-    print(sweep.render(report))
-    if args.json_out:
-        write_json_report(args.json_out, sweep.to_json(report), "qos report")
-    if args.check is not None:
-        return _check_baseline(sweep.to_json(report), args.check, "qos")
-    failures = sweep.gate_failures(report)
-    if failures:
-        for failure in failures:
-            print("FAIL: %s" % failure)
-        return 1
-    return 0
-
-
-def _cmd_ras(args) -> int:
-    from repro.ras import sweep
-
-    report = sweep.run_ras(seed=args.seed, quick=args.quick)
-    print(sweep.render(report))
-    if args.json_out:
-        write_json_report(args.json_out, sweep.to_json(report), "ras report")
-    if args.check is not None:
-        return _check_baseline(sweep.to_json(report), args.check, "ras")
-    failures = sweep.gate_failures(report)
-    if failures:
-        for failure in failures:
-            print("FAIL: %s" % failure)
-        return 1
-    return 0
-
-
 def _cmd_replicate(args) -> int:
     from repro.cluster.chaos import FleetFaultInjector
     from repro.replication import sweep
     from repro.replication.scenario import run_replication
 
-    if args.sweep:
-        report = sweep.run_replication_suite(seed=args.seed, quick=args.quick)
-        print(sweep.render(report))
-        if args.json_out:
-            write_json_report(args.json_out, sweep.to_json(report),
-                              "replication report")
-        summary = report["summary"]
-        if summary["total_violations"]:
-            print("FAIL: %d consistency violations"
-                  % summary["total_violations"])
-            return 1
-        ratio = summary["smartdimm_over_cpu_goodput_fault"] or 0.0
-        if ratio <= 1.0:
-            print("FAIL: smartdimm goodput under fault is %.2fx cpu (<= 1x)"
-                  % ratio)
-            return 1
-        return 0
     scenario = sweep.replication_scenario(
         args.placement, args.protocol, args.seed,
         value_bytes=args.value_bytes,
@@ -394,12 +321,14 @@ def _cmd_matrix(args) -> int:
             raise SystemExit(
                 "error: unknown matrix target(s): %s (known: %s)"
                 % (", ".join(unknown), ", ".join(target_names())))
-    if args.check and args.quick:
-        raise SystemExit(
-            "error: --check compares full-mode baselines; drop --quick")
-    if args.check and args.seed is not None:
-        raise SystemExit(
-            "error: --check requires each target's default seed; drop --seed")
+    baseline_mode = "--check" if args.check else (
+        "--update" if args.update else None)
+    if baseline_mode and args.quick:
+        raise SystemExit("error: %s works on the full-mode baselines; "
+                         "drop --quick" % baseline_mode)
+    if baseline_mode and args.seed is not None:
+        raise SystemExit("error: %s requires each target's default seed; "
+                         "drop --seed" % baseline_mode)
     specs = build_matrix(only=only, quick=args.quick, seed=args.seed)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     result = run_matrix(specs, jobs=args.jobs, cache=cache,
@@ -409,13 +338,16 @@ def _cmd_matrix(args) -> int:
         write_json_report(args.json_out, matrix_to_json(result),
                           "matrix report")
     status = 0
-    if args.check:
-        for name in sorted(result.payload["targets"]):
-            baseline = TARGETS[name].baseline
-            if baseline is None:
-                continue
-            status |= _check_baseline(
-                target_payload_json(result, name), baseline, name)
+    for name in sorted(result.payload["targets"]):
+        target = TARGETS[name]
+        if baseline_mode is None or target.baseline is None:
+            continue
+        if args.update:
+            write_json_report(target.baseline_path(),
+                              target_payload_json(result, name),
+                              "%s baseline" % name)
+        else:
+            status |= _check_baseline(target, result)
     if result.gate_failures:
         for failure in result.gate_failures:
             print("FAIL: %s" % failure)
@@ -512,54 +444,10 @@ def main(argv=None) -> int:
     chaos.add_argument("--json-out", default=None,
                        help="write the machine-readable report here "
                             "(default: print it after the summary)")
-    overload = sub.add_parser(
-        "overload",
-        help="goodput-vs-offered-load sweep: overload control on vs off",
-    )
-    overload.add_argument("--seed", type=int, default=11,
-                          help="drives arrivals and fault draws (default 11)")
-    overload.add_argument("--quick", action="store_true",
-                          help="reduced sweep (3 load factors, short window)")
-    overload.add_argument("--json-out", default=None,
-                          help="write the BENCH_overload.json payload here")
-    overload.add_argument("--check", nargs="?", const="BENCH_overload.json",
-                          default=None, metavar="BASELINE",
-                          help="require the payload to match the committed "
-                               "baseline byte-for-byte (default path "
-                               "BENCH_overload.json)")
-    qos = sub.add_parser(
-        "qos",
-        help="multi-tenant fairness sweep: noisy neighbor vs DRR isolation",
-    )
-    qos.add_argument("--seed", type=int, default=11,
-                     help="drives arrivals and fault draws (default 11)")
-    qos.add_argument("--quick", action="store_true",
-                     help="short measurement window (smoke-test speed)")
-    qos.add_argument("--json-out", default=None,
-                     help="write the BENCH_qos.json payload here")
-    qos.add_argument("--check", nargs="?", const="BENCH_qos.json",
-                     default=None, metavar="BASELINE",
-                     help="require the payload to match the committed "
-                          "baseline byte-for-byte (default path "
-                          "BENCH_qos.json)")
-    ras = sub.add_parser(
-        "ras",
-        help="memory RAS + integrity sweep: scrub x SDC grid, quarantine",
-    )
-    ras.add_argument("--seed", type=int, default=11,
-                     help="drives flip, SDC, and arrival draws (default 11)")
-    ras.add_argument("--quick", action="store_true",
-                     help="short grid and windows (smoke-test speed)")
-    ras.add_argument("--json-out", default=None,
-                     help="write the BENCH_ras.json payload here")
-    ras.add_argument("--check", nargs="?", const="BENCH_ras.json",
-                     default=None, metavar="BASELINE",
-                     help="require the payload to match the committed "
-                          "baseline byte-for-byte (default path "
-                          "BENCH_ras.json)")
     replicate = sub.add_parser(
         "replicate",
-        help="replicated storage on the fleet: ABD/chain with SmartDIMM hops",
+        help="one replicated-storage scenario: ABD/chain with SmartDIMM "
+             "hops",
     )
     replicate.add_argument("--protocol", choices=["abd", "chain"],
                            default="abd")
@@ -572,11 +460,6 @@ def main(argv=None) -> int:
     replicate.add_argument("--chaos", action="store_true",
                            help="inject the standard node_down + "
                                 "channel_wedge windows")
-    replicate.add_argument("--sweep", action="store_true",
-                           help="run the full placement x protocol sweep "
-                                "(the BENCH_replication.json payload)")
-    replicate.add_argument("--quick", action="store_true",
-                           help="shorter sweep window")
     replicate.add_argument("--duration", type=float, default=0.03,
                            help="simulated seconds (default 0.03)")
     replicate.add_argument("--warmup", type=float, default=0.005)
@@ -607,10 +490,14 @@ def main(argv=None) -> int:
                         help="run without reading or writing the cache")
     matrix.add_argument("--json-out", default=None,
                         help="write the full matrix payload JSON here")
-    matrix.add_argument("--check", action="store_true",
-                        help="require every target with a committed "
-                             "BENCH_*.json baseline to match it "
-                             "byte-for-byte")
+    baselines = matrix.add_mutually_exclusive_group()
+    baselines.add_argument("--check", action="store_true",
+                           help="require every selected target with a "
+                                "committed BENCH_*.json baseline to match "
+                                "it byte-for-byte")
+    baselines.add_argument("--update", action="store_true",
+                           help="rewrite every selected target's committed "
+                                "BENCH_*.json baseline from this run")
     matrix.add_argument("--list", action="store_true",
                         help="list targets and point counts, then exit")
     profile = sub.add_parser(
@@ -633,9 +520,6 @@ def main(argv=None) -> int:
         "power": _cmd_power,
         "cluster": _cmd_cluster,
         "chaos": _cmd_chaos,
-        "overload": _cmd_overload,
-        "qos": _cmd_qos,
-        "ras": _cmd_ras,
         "replicate": _cmd_replicate,
         "matrix": _cmd_matrix,
         "profile": _cmd_profile,

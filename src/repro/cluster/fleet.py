@@ -598,7 +598,7 @@ class Fleet:
 
         Per-tenant goodput counts deadline-met completions; the spread
         between tenants under an aggressor is the fairness metric the
-        `python -m repro qos` sweep gates on.  Arbiter grant seconds are
+        `qos` matrix target gates on.  Arbiter grant seconds are
         summed over every station so the DRR shares are auditable.
         """
         tenants = {}

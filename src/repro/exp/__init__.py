@@ -7,11 +7,12 @@ matrix of :class:`~repro.exp.spec.RunSpec` points:
 
 * :mod:`repro.exp.spec` — the frozen, hashable description of one
   experiment point (target x instance x seed x params).
-* :mod:`repro.exp.targets` — the target registry: each target enumerates
-  its points, runs one point purely (``run_point(spec) -> dict``), and
-  rolls the point results back up into the exact payload its legacy CLI
-  writes (``BENCH_overload.json`` et al.), so ``matrix --check`` can
-  compare roll-ups byte-for-byte against the committed baselines.
+* :mod:`repro.exp.targets` — the target registry, one owner per figure
+  family: each target enumerates its points, runs one point purely
+  (``run_point(spec) -> dict``), rolls the point results up into the
+  exact payload its committed baseline stores (``BENCH_overload.json``
+  et al.), renders it, and declares its headline metrics and gate
+  thresholds as data.
 * :mod:`repro.exp.pool` — the ``multiprocessing`` run-pool that fans
   points out across cores.  Workers share no RNG state: every point
   derives everything from its spec, so ``--jobs N`` output is
@@ -23,6 +24,10 @@ matrix of :class:`~repro.exp.spec.RunSpec` points:
 * :mod:`repro.exp.matrix` — orchestration: build the matrix, consult the
   cache, run the misses through the pool, roll up per-target payloads and
   the cross-target geomean statistics.
+
+``python -m repro matrix --only X`` runs and gates one family;
+``--quick`` shrinks its grid, ``--check`` byte-compares its rollup with
+the committed baseline, and ``--update`` rewrites that baseline.
 """
 
 from repro.exp.cache import ResultCache, code_digest

@@ -6,22 +6,22 @@
 content-addressed :class:`~repro.exp.cache.ResultCache` (key = spec +
 per-target code digest), the rest fan out across a ``multiprocessing``
 pool, and each target's point results are reassembled by its ``rollup``
-into exactly the payload its serial CLI writes.  The deterministic payload
-and the wall-clock/cache accounting are kept strictly apart so parallel
-and serial runs stay byte-identical.
+into exactly the payload its committed baseline stores.  The deterministic
+payload and the wall-clock/cache accounting are kept strictly apart so
+parallel and serial runs stay byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 
 from repro.exp.cache import ResultCache, code_digest
 from repro.exp.pool import run_points
 from repro.exp.spec import RunSpec
-from repro.exp.targets import TARGETS, get_target, target_names
+from repro.exp.targets import (TARGETS, format_value, geomean, get_target,
+                               target_names)
 
 
 @dataclass
@@ -52,13 +52,6 @@ def build_matrix(only=None, quick: bool = False, seed: int = None) -> list:
     return specs
 
 
-def _geomean(values) -> float:
-    values = [v for v in values if v and v > 0.0]
-    if not values:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
 def _statistics(rollups: dict, headlines: dict, specs: list) -> dict:
     """Cross-target rollup: the one-number summaries of the whole matrix."""
     ratios = {
@@ -72,7 +65,7 @@ def _statistics(rollups: dict, headlines: dict, specs: list) -> dict:
     return {
         "points": len(specs),
         "targets": sorted(rollups),
-        "geomean_smartdimm_over_cpu": _geomean(ratios.values()),
+        "geomean_smartdimm_over_cpu": geomean(ratios.values()),
         "smartdimm_over_cpu_by_target": ratios,
     }
 
@@ -133,8 +126,7 @@ def run_matrix(specs, jobs: int = 1, cache: ResultCache = None,
         quick = target_specs[0].quick
         rollups[name] = target.rollup(per_instance, seed, quick)
         headlines[name] = target.headline(rollups[name])
-        if target.gate is not None:
-            failures.extend(target.gate(rollups[name]))
+        failures.extend(target.gate(rollups[name]))
 
     payload = {
         "quick": bool(specs and specs[0].quick),
@@ -168,14 +160,18 @@ def target_payload_json(result: MatrixResult, name: str) -> str:
 
 
 def render(result: MatrixResult) -> str:
-    """Human-readable matrix summary for the CLI."""
+    """Human-readable matrix report for the CLI: each target's own
+    rendering of its payload, then the cross-target summary."""
     payload, timing = result.payload, result.timing
-    lines = ["experiment matrix: %d points, %d targets%s"
-             % (timing["points_total"], len(payload["targets"]),
-                ", quick" if payload["quick"] else "")]
+    lines = [get_target(name).render(rollup)
+             for name, rollup in sorted(payload["targets"].items())
+             if get_target(name).render is not None]
+    lines.append("experiment matrix: %d points, %d targets%s"
+                 % (timing["points_total"], len(payload["targets"]),
+                    ", quick" if payload["quick"] else ""))
     for name in sorted(payload["headlines"]):
         metrics = ", ".join(
-            "%s=%s" % (key, _fmt(value))
+            "%s=%s" % (key, format_value(value))
             for key, value in sorted(payload["headlines"][name].items()))
         lines.append("  %-12s %s" % (name, metrics))
     stats = payload["statistics"]
@@ -194,14 +190,6 @@ def render(result: MatrixResult) -> str:
     else:
         lines.append("  gates: all passed")
     return "\n".join(lines)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return "%.4g" % value
-    return str(value)
 
 
 __all__ = [

@@ -1,11 +1,14 @@
 """The experiment-matrix target registry.
 
-A :class:`Target` is one figure family: it enumerates its points
-(``points``), runs one point purely (``run_point``), reassembles point
-results into the payload its legacy CLI writes (``rollup``), distils the
-headline numbers the cross-target statistics roll up (``headline``), and
-names the *code-relevant* source prefixes its cache digest covers
+A :class:`Target` is one figure family and the only place that family is
+defined: it enumerates its points (``points``), runs one point purely
+(``run_point``), reassembles point results into the payload its committed
+baseline stores (``rollup``), prints that payload for people (``render``),
+and names the *code-relevant* source prefixes its cache digest covers
 (``code_deps`` — an edit outside them keeps every cached point valid).
+Its headline numbers and acceptance gates are data, not code: a
+``{metric: dotted path}`` map and ``(path, op, bound, why)`` rows, both
+read through :func:`lookup`.
 
 Seven targets mirror the seven sweeps:
 
@@ -18,14 +21,17 @@ Seven targets mirror the seven sweeps:
 * ``faults`` — whole-stack chaos (``python -m repro chaos``) across
   several seeds; the rollup requires zero escaped corruption.
 * ``overload`` / ``replication`` / ``qos`` / ``ras`` — the extension
-  sweeps, delegating to their sweep modules' ``run_point``/``rollup``
-  (the CLIs wrap the very same functions serially).
+  sweeps, whose point/rollup/render functions live in their sweep
+  modules and are imported only when first called.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
-from dataclasses import dataclass, field
+import operator
+import os
+from dataclasses import dataclass
 
 from repro.exp.spec import RunSpec
 
@@ -35,10 +41,51 @@ _MICRO_DEPS = ("repro.core", "repro.ulp", "repro.dram", "repro.cache",
 _FLEET_DEPS = ("repro.cluster", "repro.sim", "repro.overload", "repro.qos",
                "repro.accel", "repro.net", "repro.apps")
 
+#: The checkout root the committed ``BENCH_*.json`` baselines live in.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))))
+
+#: Comparison operators a gate row may name.
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+        ">=": operator.ge, "==": operator.eq}
+
+
+def lookup(payload, path: str):
+    """The value at dotted ``path`` in a nested dict; None if absent."""
+    value = payload
+    for key in path.split("."):
+        if not isinstance(value, dict):
+            return None
+        value = value.get(key)
+    return value
+
+
+def format_value(value) -> str:
+    """Compact text for one payload value (4 significant digits)."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return "%.4g" % value
+    return str(value)
+
+
+def geomean(values) -> float:
+    """Geometric mean of the positive values (0.0 when there are none)."""
+    values = [v for v in values if v and v > 0.0]
+    if not values:
+        return 0.0
+    return math.exp(sum(math.log(v) for v in values) / len(values))
+
 
 @dataclass(frozen=True)
 class Target:
-    """One figure family of the experiment matrix."""
+    """One figure family of the experiment matrix.
+
+    ``headlines`` maps each headline metric to a dotted path into the
+    rollup.  Each ``gates`` row is ``(path, op, bound, why)``: the value
+    at ``path`` must satisfy ``op`` against ``bound`` — a number, a bool,
+    or another dotted path.  A missing (None) value fails its row.
+    """
 
     name: str
     description: str
@@ -47,9 +94,10 @@ class Target:
     points: callable          # (seed, quick) -> [instance, ...]
     run_point: callable       # RunSpec -> result dict
     rollup: callable          # ({instance: result}, seed, quick) -> payload
-    headline: callable        # rollup payload -> {metric: value}
-    gate: callable = None     # rollup payload -> [failure, ...] (or None)
-    baseline: str = None      # committed BENCH file the rollup must match
+    headlines: dict           # metric -> dotted path into the rollup
+    gates: tuple              # (path, op, bound, why) rows
+    render: callable = None   # rollup payload -> text (or None)
+    baseline: str = None      # committed BENCH file, relative to REPO_ROOT
 
     def specs(self, seed: int = None, quick: bool = False) -> list:
         """This target's full point grid as RunSpecs (None = default seed)."""
@@ -57,12 +105,31 @@ class Target:
         return [RunSpec.make(self.name, instance, seed, quick=quick)
                 for instance in self.points(seed, quick)]
 
+    def headline(self, payload: dict) -> dict:
+        """The headline metrics of a rollup payload."""
+        return {key: lookup(payload, path)
+                for key, path in self.headlines.items()}
 
-def _geomean(values) -> float:
-    values = [v for v in values if v and v > 0.0]
-    if not values:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+    def gate(self, payload: dict) -> list:
+        """One ``"<target>: ..."`` message per failed gate row."""
+        failures = []
+        for path, op, bound, why in self.gates:
+            value = lookup(payload, path)
+            relative = isinstance(bound, str)
+            limit = lookup(payload, bound) if relative else bound
+            if value is None or limit is None or not _OPS[op](value, limit):
+                shown = ("%s = %s" % (bound, format_value(limit))
+                         if relative else format_value(limit))
+                failures.append("%s: %s is %s, need %s %s (%s)"
+                                % (self.name, path, format_value(value), op,
+                                   shown, why))
+        return failures
+
+    def baseline_path(self) -> str:
+        """Absolute path of the committed baseline (None without one)."""
+        if self.baseline is None:
+            return None
+        return os.path.join(REPO_ROOT, self.baseline)
 
 
 # -- datapath: placement crossover + co-runner interference --------------------------
@@ -142,7 +209,7 @@ def _datapath_rollup(results: dict, seed: int, quick: bool) -> dict:
         crossover[ulp][size_key]["smartdimm"]["speedup_vs_cpu"]
         for ulp in crossover for size_key in crossover[ulp]]
     summary = {
-        "geomean_smartdimm_speedup_vs_cpu": _geomean(smartdimm_speedups),
+        "geomean_smartdimm_speedup_vs_cpu": geomean(smartdimm_speedups),
         "corun_best_isolation": min(
             corun_rows, key=lambda p: corun_rows[p]["nginx_slowdown"]),
         "corun_smartdimm_nginx_slowdown": (
@@ -152,31 +219,6 @@ def _datapath_rollup(results: dict, seed: int, quick: bool) -> dict:
     }
     return {"seed": seed, "quick": quick, "crossover": crossover,
             "corun": corun_rows, "summary": summary}
-
-
-def _datapath_headline(payload: dict) -> dict:
-    return {
-        "smartdimm_speedup_vs_cpu": (
-            payload["summary"]["geomean_smartdimm_speedup_vs_cpu"]),
-        "corun_nginx_slowdown": (
-            payload["summary"]["corun_smartdimm_nginx_slowdown"]),
-    }
-
-
-def _datapath_gate(payload: dict) -> list:
-    failures = []
-    summary = payload["summary"]
-    if summary["geomean_smartdimm_speedup_vs_cpu"] <= 1.0:
-        failures.append(
-            "datapath: smartdimm geomean speedup vs cpu is %.2fx (<= 1x)"
-            % summary["geomean_smartdimm_speedup_vs_cpu"])
-    if summary["corun_smartdimm_nginx_slowdown"] >= (
-            payload["corun"]["cpu"]["nginx_slowdown"]):
-        failures.append(
-            "datapath: smartdimm co-run slowdown %.1f%% is not below cpu's "
-            "%.1f%%" % (100 * summary["corun_smartdimm_nginx_slowdown"],
-                        100 * payload["corun"]["cpu"]["nginx_slowdown"]))
-    return failures
 
 
 # -- cluster: rack-scale DES ---------------------------------------------------------
@@ -232,19 +274,6 @@ def _cluster_rollup(results: dict, seed: int, quick: bool) -> dict:
             "open_spill": results["open/spill"], "summary": summary}
 
 
-def _cluster_headline(payload: dict) -> dict:
-    return {"smartdimm_over_cpu_rps":
-            payload["summary"]["smartdimm_over_cpu_rps"]}
-
-
-def _cluster_gate(payload: dict) -> list:
-    ratio = payload["summary"]["smartdimm_over_cpu_rps"] or 0.0
-    if ratio <= 1.0:
-        return ["cluster: smartdimm closed-loop rps is %.2fx cpu (<= 1x)"
-                % ratio]
-    return []
-
-
 # -- faults: whole-stack chaos -------------------------------------------------------
 
 #: Seed offsets of the chaos arms (spec.seed + offset drives each run).
@@ -270,7 +299,7 @@ def _faults_rollup(results: dict, seed: int, quick: bool) -> dict:
             results["chaos/seed%d" % (seed + offset)] for offset in arms}
     corruption = sum(run["micro"]["corruption_observed"]
                      for run in runs.values())
-    availability = _geomean(
+    availability = geomean(
         [run["cluster"]["chaos"]["availability"] for run in runs.values()])
     summary = {
         "corruption_observed_default_seed": (
@@ -282,115 +311,28 @@ def _faults_rollup(results: dict, seed: int, quick: bool) -> dict:
     return {"seed": seed, "quick": quick, "runs": runs, "summary": summary}
 
 
-def _faults_headline(payload: dict) -> dict:
-    return {
-        "corruption_observed_default_seed": (
-            payload["summary"]["corruption_observed_default_seed"]),
-        "corruption_observed_total": (
-            payload["summary"]["corruption_observed_total"]),
-        "geomean_availability": payload["summary"]["geomean_availability"],
-    }
-
-
-def _faults_gate(payload: dict) -> list:
-    # The zero-corruption contract (`python -m repro chaos`'s docstring)
-    # is pinned at the default seed.  Extra arms are exploratory: they
-    # report corruption_observed_total as telemetry but do not gate —
-    # the matrix already surfaced one real finding this way (seed 9
-    # escapes via a 2-bit source-page flip that deflate's output-only
-    # device CRC cannot see; see the ROADMAP input-integrity item).
-    corrupted = payload["summary"]["corruption_observed_default_seed"]
-    if corrupted:
-        return ["faults: %d corrupted outputs escaped recovery at the "
-                "default chaos seed (must be 0)" % corrupted]
-    return []
-
-
 # -- the extension sweeps delegate to their modules ----------------------------------
 
 
+def _forward(module_path: str, attr: str):
+    """``module_path.attr``, imported on the first call rather than here."""
+
+    def call(*args):
+        return getattr(importlib.import_module(module_path), attr)(*args)
+
+    return call
+
+
 def _sweep_target(name, module_path, description, deps, default_seed,
-                  headline, gate, baseline):
-    """Build a Target whose point/rollup functions live in a sweep module."""
-    import importlib
-
-    def points(seed, quick):
-        return importlib.import_module(module_path).matrix_points(seed, quick)
-
-    def run_point(spec):
-        return importlib.import_module(module_path).run_point(spec)
-
-    def rollup(results, seed, quick):
-        return importlib.import_module(module_path).rollup(results, seed,
-                                                           quick)
-
+                  headlines, gates, baseline):
+    """Build a Target whose functions live in a sweep module."""
     return Target(name=name, description=description, code_deps=deps,
-                  default_seed=default_seed, points=points,
-                  run_point=run_point, rollup=rollup, headline=headline,
-                  gate=gate, baseline=baseline)
-
-
-def _overload_headline(payload: dict) -> dict:
-    summary = payload["sweep"]["summary"]
-    return {"shed_2x_over_peak": summary["shed_2x_over_peak"],
-            "capacity_rps": summary["capacity_rps"]}
-
-
-def _overload_gate(payload: dict) -> list:
-    ratio = payload["sweep"]["summary"]["shed_2x_over_peak"] or 0.0
-    if ratio < 0.70:
-        return ["overload: goodput at 2x offered load is %.0f%% of peak "
-                "(< 70%%)" % (100.0 * ratio)]
-    return []
-
-
-def _replication_headline(payload: dict) -> dict:
-    summary = payload["summary"]
-    return {
-        "smartdimm_over_cpu_goodput_fault": (
-            summary["smartdimm_over_cpu_goodput_fault"]),
-        "total_violations": summary["total_violations"],
-    }
-
-
-def _replication_gate(payload: dict) -> list:
-    summary = payload["summary"]
-    failures = []
-    if summary["total_violations"]:
-        failures.append("replication: %d consistency violations (must be 0)"
-                        % summary["total_violations"])
-    ratio = summary["smartdimm_over_cpu_goodput_fault"] or 0.0
-    if ratio <= 1.0:
-        failures.append(
-            "replication: smartdimm goodput under fault is %.2fx cpu (<= 1x)"
-            % ratio)
-    return failures
-
-
-def _qos_headline(payload: dict) -> dict:
-    summary = payload["fairness"]["summary"]
-    return {"victim_goodput_ratio": summary["victim_goodput_ratio"],
-            "aggressor_capped": summary["aggressor_capped"]}
-
-
-def _qos_gate(payload: dict) -> list:
-    from repro.qos import sweep
-
-    return ["qos: " + failure for failure in sweep.gate_failures(payload)]
-
-
-def _ras_headline(payload: dict) -> dict:
-    summary = payload["summary"]
-    return {
-        "grid_undetected": summary["grid_undetected"],
-        "scrub_overhead_default": summary["scrub_overhead_default"],
-    }
-
-
-def _ras_gate(payload: dict) -> list:
-    from repro.ras import sweep
-
-    return ["ras: " + failure for failure in sweep.gate_failures(payload)]
+                  default_seed=default_seed,
+                  points=_forward(module_path, "matrix_points"),
+                  run_point=_forward(module_path, "run_point"),
+                  rollup=_forward(module_path, "rollup"),
+                  render=_forward(module_path, "render"),
+                  headlines=headlines, gates=gates, baseline=baseline)
 
 
 # -- the registry --------------------------------------------------------------------
@@ -406,8 +348,19 @@ TARGETS = {
             points=_datapath_points,
             run_point=_datapath_run_point,
             rollup=_datapath_rollup,
-            headline=_datapath_headline,
-            gate=_datapath_gate,
+            headlines={
+                "smartdimm_speedup_vs_cpu":
+                    "summary.geomean_smartdimm_speedup_vs_cpu",
+                "corun_nginx_slowdown":
+                    "summary.corun_smartdimm_nginx_slowdown",
+            },
+            gates=(
+                ("summary.geomean_smartdimm_speedup_vs_cpu", ">", 1.0,
+                 "smartdimm beats cpu rps on the crossover geomean"),
+                ("summary.corun_smartdimm_nginx_slowdown", "<",
+                 "corun.cpu.nginx_slowdown",
+                 "smartdimm slows a co-running nginx less than cpu does"),
+            ),
         ),
         Target(
             name="cluster",
@@ -418,8 +371,13 @@ TARGETS = {
             points=_cluster_points,
             run_point=_cluster_run_point,
             rollup=_cluster_rollup,
-            headline=_cluster_headline,
-            gate=_cluster_gate,
+            headlines={
+                "smartdimm_over_cpu_rps": "summary.smartdimm_over_cpu_rps",
+            },
+            gates=(
+                ("summary.smartdimm_over_cpu_rps", ">", 1.0,
+                 "smartdimm beats cpu closed-loop rps"),
+            ),
         ),
         Target(
             name="faults",
@@ -430,32 +388,131 @@ TARGETS = {
             points=_faults_points,
             run_point=_faults_run_point,
             rollup=_faults_rollup,
-            headline=_faults_headline,
-            gate=_faults_gate,
+            headlines={
+                "corruption_observed_default_seed":
+                    "summary.corruption_observed_default_seed",
+                "corruption_observed_total":
+                    "summary.corruption_observed_total",
+                "geomean_availability": "summary.geomean_availability",
+            },
+            # The zero-corruption contract (`python -m repro chaos`'s
+            # docstring) is pinned at the default seed.  Extra arms are
+            # exploratory: they report corruption_observed_total as
+            # telemetry but do not gate — the matrix already surfaced one
+            # real finding this way (seed 9 escapes via a 2-bit
+            # source-page flip that deflate's output-only device CRC
+            # cannot see; see the ROADMAP input-integrity item).
+            gates=(
+                ("summary.corruption_observed_default_seed", "==", 0,
+                 "no corrupted output escapes recovery at the default "
+                 "chaos seed"),
+            ),
         ),
         _sweep_target(
             "overload", "repro.overload.sweep",
             "goodput-vs-offered-load: control on vs off, retry "
             "amplification, chaos composition",
             ("repro.overload",) + _FLEET_DEPS + _MICRO_DEPS, 11,
-            _overload_headline, _overload_gate, "BENCH_overload.json"),
+            headlines={
+                "shed_2x_over_peak": "sweep.summary.shed_2x_over_peak",
+                "capacity_rps": "sweep.summary.capacity_rps",
+            },
+            gates=(
+                ("sweep.summary.shed_2x_over_peak", ">=", 0.70,
+                 "controlled goodput at 2x offered load holds 70% of peak"),
+                ("sweep.summary.noshed_2x_over_peak", "<=", 0.35,
+                 "uncontrolled goodput collapses at 2x, so the sweep "
+                 "exercises overload"),
+            ),
+            baseline="BENCH_overload.json"),
         _sweep_target(
             "replication", "repro.replication.sweep",
             "replicated storage: protocol x placement under chaos",
             ("repro.replication",) + _FLEET_DEPS + _MICRO_DEPS, 7,
-            _replication_headline, _replication_gate,
-            "BENCH_replication.json"),
+            headlines={
+                "smartdimm_over_cpu_goodput_fault":
+                    "summary.smartdimm_over_cpu_goodput_fault",
+                "total_violations": "summary.total_violations",
+            },
+            gates=(
+                ("summary.total_violations", "==", 0,
+                 "the consistency checker finds no violation"),
+                ("summary.smartdimm_over_cpu_goodput_fault", ">", 1.0,
+                 "smartdimm hops beat cpu onload on goodput under fault"),
+            ),
+            baseline="BENCH_replication.json"),
         _sweep_target(
             "qos", "repro.qos.sweep",
             "multi-tenant fairness: noisy neighbor vs DRR isolation",
             ("repro.qos",) + _FLEET_DEPS + _MICRO_DEPS, 11,
-            _qos_headline, _qos_gate, "BENCH_qos.json"),
+            headlines={
+                "victim_goodput_ratio":
+                    "fairness.summary.victim_goodput_ratio",
+                "aggressor_capped": "fairness.summary.aggressor_capped",
+            },
+            gates=(
+                ("fairness.summary.victim_goodput_ratio", ">=", 0.85,
+                 "the victim keeps 85% of its isolated goodput under "
+                 "attack"),
+                ("fairness.summary.steady_goodput_ratio", ">=", 0.85,
+                 "the steady tenant keeps 85% of its isolated goodput "
+                 "under attack"),
+                ("fairness.summary.victim_goodput_ratio_chaos", ">=", 0.85,
+                 "the victim keeps 85% of its isolated goodput under "
+                 "attack plus chaos"),
+                ("fairness.summary.aggressor_goodput_rps", "<=",
+                 "fairness.summary.aggressor_cap_rps",
+                 "the aggressor is capped at fair share plus the victims' "
+                 "leftover"),
+                ("fairness.summary.surge_latency_p99_us", "<=",
+                 "fairness.summary.surge_latency_deadline_us",
+                 "the latency class meets its deadline under 2x aggregate "
+                 "load"),
+                ("retry_isolation.victim_isolated", "==", True,
+                 "the aggressor's retry storm never drains the shared "
+                 "budget under the victim"),
+                ("fairness.summary.victim_goodput_ratio_fifo", "<=", 0.75,
+                 "without QoS the victim loses goodput, so the sweep "
+                 "exercises interference"),
+            ),
+            baseline="BENCH_qos.json"),
         _sweep_target(
             "ras", "repro.ras.sweep",
             "memory RAS + integrity: scrub x SDC grid, quarantine, fleet "
             "storms",
             ("repro.ras",) + _MICRO_DEPS + _FLEET_DEPS, 11,
-            _ras_headline, _ras_gate, "BENCH_ras.json"),
+            headlines={
+                "grid_undetected": "summary.grid_undetected",
+                "scrub_overhead_default": "summary.scrub_overhead_default",
+            },
+            gates=(
+                ("summary.grid_undetected", "==", 0,
+                 "no corruption escapes end-to-end verification in the "
+                 "scrub x SDC grid"),
+                ("summary.sdc_undetected_verify_on", "==", 0,
+                 "no SDC corruption escapes with verification on"),
+                ("summary.sdc_undetected_verify_off", ">", 0,
+                 "the verify-off arm leaks, so the SDC personality "
+                 "corrupts results"),
+                ("summary.scrub_overhead_default", "<=",
+                 "summary.scrub_overhead_ceiling",
+                 "patrol scrub at the default rate stays under its cycle "
+                 "ceiling"),
+                ("summary.at_risk_scrub_default", "<",
+                 "summary.at_risk_scrub_off",
+                 "scrubbing reduces the lines exposed to an uncorrectable "
+                 "error"),
+                ("summary.quarantine_trips", ">", 0,
+                 "a lane quarantine trips during the SDC storm"),
+                ("summary.quarantine_readmissions", ">", 0,
+                 "a quarantined lane is re-admitted after probation"),
+                ("summary.fleet_undetected_full_coverage", "==", 0,
+                 "no fleet SDC corruption escapes at full verify "
+                 "coverage"),
+                ("summary.fleet_detected_full_coverage", ">", 0,
+                 "the fleet sdc_storm is detected"),
+            ),
+            baseline="BENCH_ras.json"),
     )
 }
 

@@ -16,7 +16,8 @@ the request path end to end (see DESIGN.md, "Overload control"):
   cap aggregate retry traffic so retry storms cannot amplify overload.
 
 :mod:`repro.overload.sweep` drives the goodput-vs-offered-load sweep
-behind ``python -m repro overload`` and ``BENCH_overload.json``.
+behind ``BENCH_overload.json``; run it with
+``python -m repro matrix --only overload [--quick|--check|--update]``.
 """
 
 from repro.overload.codel import CoDelController

@@ -1,7 +1,8 @@
-"""The goodput-vs-offered-load sweep behind ``python -m repro overload``.
+"""The goodput-vs-offered-load sweep behind the ``overload`` matrix target.
 
-Three deterministic sections, written to ``BENCH_overload.json`` and gated
-by ``benchmarks/perf/check_regression.py``:
+Three deterministic sections, committed as ``BENCH_overload.json`` and run
+with ``python -m repro matrix --only overload [--quick|--check|--update]``
+(the target in :mod:`repro.exp.targets` owns the gate thresholds):
 
 * **sweep** — open-loop Poisson TLS traffic against a 2-server rack at
   0.5x-3x the analytic fixed-point capacity, once with the full overload
@@ -24,13 +25,11 @@ by ``benchmarks/perf/check_regression.py``:
   still meet deadlines).
 
 Determinism contract: every number derives from seeded simulation — two
-runs with the same seed produce byte-identical :func:`to_json` payloads
+runs with the same seed produce byte-identical payloads
 (``tests/overload/test_overload_smoke.py``).
 """
 
 from __future__ import annotations
-
-import json
 
 from repro.cluster.chaos import FaultWindow, FleetFaultInjector
 from repro.cluster.scenario import ClusterScenario, run_scenario
@@ -143,7 +142,7 @@ def sweep_rollup(curves: dict, capacity: float) -> dict:
         "peak_goodput_noshed_rps": peak_noshed,
         "goodput_2x_shed_rps": at2x_shed,
         "goodput_2x_noshed_rps": at2x_noshed,
-        # The acceptance ratios check_regression.py gates on.
+        # The acceptance ratios the overload target gates on.
         "shed_2x_over_peak": (
             at2x_shed / peak_shed if at2x_shed is not None and peak_shed else None),
         "noshed_2x_over_peak": (
@@ -151,17 +150,6 @@ def sweep_rollup(curves: dict, capacity: float) -> dict:
             if at2x_noshed is not None and peak_noshed else None),
     }
     return {"curves": curves, "summary": summary}
-
-
-def run_sweep(seed: int = 11, load_factors=LOAD_FACTORS,
-              duration_s: float = 0.02, warmup_s: float = 0.005) -> dict:
-    """Goodput-vs-offered-load, shedding on and off."""
-    curves = {
-        name: [run_sweep_point(factor, control, seed, duration_s, warmup_s)
-               for factor in load_factors]
-        for name, control in (("shed", True), ("noshed", False))
-    }
-    return sweep_rollup(curves, fleet_capacity_rps(seed))
 
 
 # -- retry amplification (micro) -----------------------------------------------------
@@ -297,31 +285,6 @@ def rollup(results: dict, seed: int, quick: bool) -> dict:
     if not quick:
         report["chaos_composition"] = results["chaos_composition"]
     return report
-
-
-# -- the full report -----------------------------------------------------------------
-
-
-def run_overload(seed: int = 11, quick: bool = False) -> dict:
-    """The complete ``python -m repro overload`` payload.
-
-    A thin serial wrapper over the same pure points the experiment-matrix
-    harness fans out: each instance runs in submission order in this
-    process, then :func:`rollup` assembles the payload.
-    """
-    from repro.exp.spec import RunSpec
-
-    results = {
-        instance: run_point(RunSpec.make("overload", instance, seed,
-                                         quick=quick))
-        for instance in matrix_points(seed, quick)
-    }
-    return rollup(results, seed, quick)
-
-
-def to_json(report: dict) -> str:
-    """The deterministic serialisation written to BENCH_overload.json."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def render(report: dict) -> str:

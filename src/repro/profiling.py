@@ -2,9 +2,8 @@
 
 The batched line-op fast path was tuned off exactly this view: one warmed
 ``tls_encrypt`` call profiled end to end, sorted by cumulative or internal
-time.  Exposed as ``python -m repro profile`` and
-``benchmarks/perf/profile_micro.py`` so the next optimisation round starts
-from the same instrument instead of re-deriving it.
+time.  Exposed as ``python -m repro profile`` so the next optimisation
+round starts from the same instrument instead of re-deriving it.
 """
 
 from __future__ import annotations
@@ -40,36 +39,3 @@ def run_profile(
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats(sort).print_stats(top)
     return stream.getvalue()
-
-
-def main(argv=None) -> int:
-    """CLI entry shared by ``python -m repro profile`` and profile_micro.py."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="profile one TLS offload through the micro-simulation"
-    )
-    parser.add_argument("--size", type=int, default=65536,
-                        help="record bytes (default 65536)")
-    parser.add_argument("--top", type=int, default=25,
-                        help="rows to print (default 25)")
-    parser.add_argument("--sort", default="cumulative",
-                        help="pstats sort key (default cumulative)")
-    parser.add_argument("--reference", action="store_true",
-                        help="profile the per-line reference path instead")
-    args = parser.parse_args(argv)
-    print(
-        run_profile(
-            size=args.size,
-            top=args.top,
-            sort=args.sort,
-            fast_path=not args.reference,
-        )
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -4,8 +4,9 @@ Tenant identity rides every request from load generation to completion;
 the fleet's cpu and channel stations arbitrate per-tenant deficit round
 robin under strict-priority classes, overload control keeps per-tenant
 CoDel/brownout state, and retry budgets are hierarchical so one tenant's
-storm cannot drain the shared pool.  ``python -m repro qos`` runs the
-noisy-neighbor sweep that gates all of it (BENCH_qos.json).
+storm cannot drain the shared pool.  The noisy-neighbor sweep that gates
+all of it (BENCH_qos.json) runs with
+``python -m repro matrix --only qos [--quick|--check|--update]``.
 """
 
 from repro.qos.drr import (

@@ -1,10 +1,11 @@
-"""The noisy-neighbor fairness sweep behind ``python -m repro qos``.
+"""The noisy-neighbor fairness sweep behind the ``qos`` matrix target.
 
 One aggressive tenant against two well-behaved ones, on a DEFLATE-16KB
 SmartDIMM rack with the full QoS stack (DRR stations, strict-priority
 classes, per-tenant CoDel/brownout, per-tenant queue bounds).  Sections,
-written to ``BENCH_qos.json`` and gated by
-``benchmarks/perf/check_regression.py``:
+committed as ``BENCH_qos.json`` and run with
+``python -m repro matrix --only qos [--quick|--check|--update]`` (the
+target in :mod:`repro.exp.targets` owns the gate thresholds):
 
 * **isolated** — each tenant alone at exactly the offered rate it will
   use in the shared runs: its no-interference baseline goodput.
@@ -14,7 +15,8 @@ written to ``BENCH_qos.json`` and gated by
   capped near its fair share of capacity.
 * **attack_fifo** — the contrast arm: same tenants, FIFO stations and
   shared (non-isolated) overload state.  Shows what the DRR/isolation
-  machinery buys; not gated, just reported.
+  machinery buys; gated only to show the interference is real (the
+  victim must lose goodput here).
 * **attack_chaos** — the attack plus a ``node_down`` + ``channel_wedge``
   composition from :mod:`repro.cluster.chaos`: isolation must survive
   component failure too (victim goodput ratio gated against the same
@@ -33,13 +35,11 @@ a lower effort level, so the effective compression ratio worsens by
 :data:`BROWNOUT_RATIO_PENALTY` on the browned-out fraction of traffic —
 the "quality delta" the ISSUE's degraded-mode accounting asks for.
 
-Determinism contract: identical seeds produce byte-identical
-:func:`to_json` payloads (``tests/qos/test_qos_smoke.py``).
+Determinism contract: identical seeds produce byte-identical payloads
+(``tests/qos/test_qos_smoke.py``).
 """
 
 from __future__ import annotations
-
-import json
 
 from repro.cluster.chaos import FaultWindow, FleetFaultInjector
 from repro.cluster.loadgen import measured_deflate_ratio
@@ -406,81 +406,6 @@ def rollup(results: dict, seed: int, quick: bool) -> dict:
     }
 
 
-# -- the full report -----------------------------------------------------------------
-
-
-def run_fairness(seed: int, duration_s: float, warmup_s: float) -> dict:
-    """Isolated baselines, the attack, the FIFO contrast, and chaos."""
-    isolated = {
-        name: run_isolated_point(name, seed, duration_s, warmup_s)
-        for name in TENANT_NAMES
-    }
-    return fairness_rollup(
-        isolated,
-        run_attack_point(seed, duration_s, warmup_s),
-        run_fifo_point(seed, duration_s, warmup_s),
-        run_chaos_point(seed, duration_s, warmup_s),
-        run_surge_point(seed, duration_s, warmup_s))
-
-
-def run_qos(seed: int = 11, quick: bool = False) -> dict:
-    """The complete ``python -m repro qos`` payload.
-
-    A thin serial wrapper over the same pure points the experiment-matrix
-    harness fans out across cores.
-    """
-    from repro.exp.spec import RunSpec
-
-    results = {
-        instance: run_point(RunSpec.make("qos", instance, seed, quick=quick))
-        for instance in matrix_points(seed, quick)
-    }
-    return rollup(results, seed, quick)
-
-
-def to_json(report: dict) -> str:
-    """The deterministic serialisation written to BENCH_qos.json."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def gate_failures(report: dict) -> list:
-    """Why this report fails the fairness gate (empty = pass)."""
-    summary = report["fairness"]["summary"]
-    retry = report["retry_isolation"]
-    failures = []
-    if summary["victim_goodput_ratio"] < 0.85:
-        failures.append(
-            "victim goodput under attack is %.1f%% of isolated baseline "
-            "(need >= 85%%)" % (100.0 * summary["victim_goodput_ratio"]))
-    if summary["steady_goodput_ratio"] < 0.85:
-        failures.append(
-            "steady-tenant goodput under attack is %.1f%% of isolated "
-            "baseline (need >= 85%%)"
-            % (100.0 * summary["steady_goodput_ratio"]))
-    if summary["victim_goodput_ratio_chaos"] < 0.85:
-        failures.append(
-            "victim goodput under attack+chaos is %.1f%% of isolated "
-            "baseline (need >= 85%%)"
-            % (100.0 * summary["victim_goodput_ratio_chaos"]))
-    if not summary["aggressor_capped"]:
-        failures.append(
-            "aggressor goodput %.0f rps exceeds the %.0f rps cap "
-            "(fair share + victims' leftover, +%.0f%% tolerance)"
-            % (summary["aggressor_goodput_rps"], summary["aggressor_cap_rps"],
-               100.0 * (AGGRESSOR_CAP_TOLERANCE - 1.0)))
-    if not summary["surge_latency_bounded"]:
-        failures.append(
-            "latency-class p99 %.1fus exceeds its %.1fus deadline under "
-            "2x aggregate load"
-            % (summary["surge_latency_p99_us"],
-               summary["surge_latency_deadline_us"]))
-    if not retry["victim_isolated"]:
-        failures.append(
-            "victim denied %d retries because the shared pool was drained "
-            "(cross-tenant budget exhaustion)" % retry["victim_denied_parent"])
-    return failures
-
-
 def render(report: dict) -> str:
     """Human-readable CLI summary."""
     fairness = report["fairness"]
@@ -518,10 +443,4 @@ def render(report: dict) -> str:
            + retry["aggressor"]["budget"]["denied_parent"],
            retry["aggressor"]["ops"], retry["victim"]["ok"],
            retry["victim"]["ops"], retry["victim_denied_parent"]))
-    failures = gate_failures(report)
-    if failures:
-        lines.append("GATE FAILURES:")
-        lines.extend("  - " + failure for failure in failures)
-    else:
-        lines.append("fairness gate: PASS")
     return "\n".join(lines)

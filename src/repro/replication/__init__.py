@@ -21,7 +21,10 @@ QuickAssist lookaside).
   ``workload="replication"`` dispatch target of
   :func:`repro.cluster.scenario.run_scenario`).
 * :mod:`~repro.replication.sweep` — the placement sweep behind
-  ``python -m repro replicate`` and ``BENCH_replication.json``.
+  ``BENCH_replication.json``, run with
+  ``python -m repro matrix --only replication [--quick|--check|--update]``,
+  plus the scenario and chaos schedule ``python -m repro replicate``
+  runs once.
 """
 
 from repro.replication.checker import (

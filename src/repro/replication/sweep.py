@@ -1,4 +1,4 @@
-"""The placement sweep behind ``python -m repro replicate --sweep``.
+"""The placement sweep behind the ``replication`` matrix target.
 
 Runs the same replicated-storage workload — 3-replica group on a 3-server
 rack, 16 KB values, 50/50 read/write, closed-loop clients, a ``node_down``
@@ -7,7 +7,7 @@ placement (``smartdimm``, ``cpu``, ``quickassist``) and per protocol
 (``abd``, ``chain``), and distills the PR's headline comparison:
 
 * **goodput under fault** — completed operations per second inside the
-  fault windows, the metric the regression gate compares across
+  fault windows, the metric the target's gate compares across
   placements (SmartDIMM must beat CPU onload at 16 KB values);
 * **failover latency** — fault onset to the first operation that
   completed by working around the dead replica;
@@ -16,13 +16,14 @@ placement (``smartdimm``, ``cpu``, ``quickassist``) and per protocol
 * **consistency** — the checker's violation count, which must be zero
   everywhere.
 
-Every run is seeded; the payload written to ``BENCH_replication.json`` is
-byte-identical across runs with the same seed.
+Every run is seeded; the payload committed as ``BENCH_replication.json``
+is byte-identical across runs with the same seed.  Run it with
+``python -m repro matrix --only replication [--quick|--check|--update]``;
+``python -m repro replicate`` runs one scenario of it with chosen
+parameters.
 """
 
 from __future__ import annotations
-
-import json
 
 from repro.cluster.chaos import FaultWindow, FleetFaultInjector
 from repro.replication.scenario import ReplicationScenario, run_replication
@@ -101,19 +102,6 @@ def run_sweep_point(protocol: str, placement: str, seed: int,
     return _point(run_replication(scenario, fault_injector=injector))
 
 
-def run_placement_sweep(seed: int = 7, protocol: str = "abd",
-                        placements=PLACEMENTS, chaos: bool = True,
-                        value_bytes: int = 16384,
-                        duration_s: float = 0.03,
-                        warmup_s: float = 0.005) -> dict:
-    """One protocol across every placement, identical workload and chaos."""
-    return {
-        placement: run_sweep_point(protocol, placement, seed, chaos,
-                                   value_bytes, duration_s, warmup_s)
-        for placement in placements
-    }
-
-
 # -- experiment-matrix points --------------------------------------------------------
 
 
@@ -146,7 +134,7 @@ def rollup(results: dict, seed: int, quick: bool) -> dict:
     summary = {
         "value_bytes": 16384,
         "total_violations": total_violations,
-        # The acceptance ratio check_regression.py gates on: SmartDIMM
+        # The acceptance ratio the replication target gates on: SmartDIMM
         # hop acceleration must translate into more completed operations
         # per second *while the fault windows are active*.
         "smartdimm_over_cpu_goodput_fault": (
@@ -168,27 +156,6 @@ def rollup(results: dict, seed: int, quick: bool) -> dict:
         "protocols": protocols,
         "summary": summary,
     }
-
-
-def run_replication_suite(seed: int = 7, quick: bool = False) -> dict:
-    """The complete ``BENCH_replication.json`` payload.
-
-    A thin serial wrapper over the same pure points the experiment-matrix
-    harness fans out across cores.
-    """
-    from repro.exp.spec import RunSpec
-
-    results = {
-        instance: run_point(RunSpec.make("replication", instance, seed,
-                                         quick=quick))
-        for instance in matrix_points(seed, quick)
-    }
-    return rollup(results, seed, quick)
-
-
-def to_json(report: dict) -> str:
-    """The deterministic serialisation written to BENCH_replication.json."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def render(report: dict) -> str:

@@ -1,4 +1,4 @@
-"""Deterministic overload-smoke: the ``python -m repro overload`` sweep.
+"""Deterministic overload-smoke: ``python -m repro matrix --only overload``.
 
 Tier-2 regression gate for the whole overload-control stack — the reduced
 (quick) sweep must show graceful degradation with the control stack on,
@@ -9,14 +9,25 @@ byte-identically under the same seed.  Runs in a few seconds; select with
 
 import pytest
 
-from repro.overload.sweep import DEADLINE_S, run_overload, to_json
+from repro.exp import build_matrix, run_matrix
+from repro.exp.matrix import target_payload_json
+from repro.overload.sweep import DEADLINE_S
 
 pytestmark = pytest.mark.overload
 
 
+def run_quick(seed=None):
+    return run_matrix(build_matrix(only=["overload"], quick=True, seed=seed))
+
+
 @pytest.fixture(scope="module")
-def report():
-    return run_overload(seed=11, quick=True)
+def result():
+    return run_quick()
+
+
+@pytest.fixture(scope="module")
+def report(result):
+    return result.payload["targets"]["overload"]
 
 
 def curve_point(report, curve, factor):
@@ -69,9 +80,10 @@ class TestRetryAmplification:
 
 
 class TestDeterminism:
-    def test_same_seed_byte_identical_payload(self, report):
-        again = run_overload(seed=11, quick=True)
-        assert to_json(again) == to_json(report)
+    def test_same_seed_byte_identical_payload(self, result):
+        assert (target_payload_json(run_quick(seed=11), "overload")
+                == target_payload_json(result, "overload"))
 
-    def test_different_seed_differs(self, report):
-        assert to_json(run_overload(seed=12, quick=True)) != to_json(report)
+    def test_different_seed_differs(self, result):
+        assert (target_payload_json(run_quick(seed=12), "overload")
+                != target_payload_json(result, "overload"))

@@ -1,4 +1,4 @@
-"""Deterministic QoS smoke: the ``python -m repro qos`` sweep.
+"""Deterministic QoS smoke: ``python -m repro matrix --only qos``.
 
 Tier-2 regression gate for the whole multi-tenant stack — the reduced
 (quick) sweep must pass its own fairness gate, demonstrate the FIFO
@@ -8,19 +8,29 @@ Runs in tens of seconds; select with ``-m qos``.
 
 import pytest
 
-from repro.qos.sweep import gate_failures, run_qos, to_json
+from repro.exp import build_matrix, get_target, run_matrix
+from repro.exp.matrix import target_payload_json
 
 pytestmark = pytest.mark.qos
 
 
+def run_quick(seed=None):
+    return run_matrix(build_matrix(only=["qos"], quick=True, seed=seed))
+
+
 @pytest.fixture(scope="module")
-def report():
-    return run_qos(seed=11, quick=True)
+def result():
+    return run_quick()
+
+
+@pytest.fixture(scope="module")
+def report(result):
+    return result.payload["targets"]["qos"]
 
 
 class TestFairnessGate:
     def test_sweep_passes_its_own_gate(self, report):
-        assert gate_failures(report) == []
+        assert get_target("qos").gate(report) == []
 
     def test_victim_keeps_isolated_goodput(self, report):
         summary = report["fairness"]["summary"]
@@ -58,9 +68,10 @@ class TestRetryIsolation:
 
 
 class TestDeterminism:
-    def test_same_seed_byte_identical_payload(self, report):
-        again = run_qos(seed=11, quick=True)
-        assert to_json(again) == to_json(report)
+    def test_same_seed_byte_identical_payload(self, result):
+        assert (target_payload_json(run_quick(seed=11), "qos")
+                == target_payload_json(result, "qos"))
 
-    def test_different_seed_differs(self, report):
-        assert to_json(run_qos(seed=12, quick=True)) != to_json(report)
+    def test_different_seed_differs(self, result):
+        assert (target_payload_json(run_quick(seed=12), "qos")
+                != target_payload_json(result, "qos"))

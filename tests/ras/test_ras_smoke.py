@@ -1,4 +1,4 @@
-"""Deterministic RAS smoke: the ``python -m repro ras`` sweep.
+"""Deterministic RAS smoke: ``python -m repro matrix --only ras``.
 
 Tier-2 regression gate for the whole RAS/integrity stack — the reduced
 (quick) sweep must pass its own gate (zero undetected corruption with
@@ -9,20 +9,30 @@ Runs in seconds; select with ``-m ras``.
 
 import pytest
 
-from repro.ras.sweep import (SCRUB_OVERHEAD_CEILING, gate_failures, run_ras,
-                             to_json)
+from repro.exp import build_matrix, get_target, run_matrix
+from repro.exp.matrix import target_payload_json
+from repro.ras.sweep import SCRUB_OVERHEAD_CEILING
 
 pytestmark = pytest.mark.ras
 
 
+def run_quick(seed=None):
+    return run_matrix(build_matrix(only=["ras"], quick=True, seed=seed))
+
+
 @pytest.fixture(scope="module")
-def report():
-    return run_ras(seed=11, quick=True)
+def result():
+    return run_quick()
+
+
+@pytest.fixture(scope="module")
+def report(result):
+    return result.payload["targets"]["ras"]
 
 
 class TestIntegrityGate:
     def test_sweep_passes_its_own_gate(self, report):
-        assert gate_failures(report) == []
+        assert get_target("ras").gate(report) == []
 
     def test_no_undetected_corruption_with_verify_on(self, report):
         summary = report["summary"]
@@ -74,9 +84,10 @@ class TestIntegrityGate:
 
 
 class TestDeterminism:
-    def test_same_seed_byte_identical_payload(self, report):
-        again = run_ras(seed=11, quick=True)
-        assert to_json(again) == to_json(report)
+    def test_same_seed_byte_identical_payload(self, result):
+        assert (target_payload_json(run_quick(seed=11), "ras")
+                == target_payload_json(result, "ras"))
 
-    def test_different_seed_differs(self, report):
-        assert to_json(run_ras(seed=12, quick=True)) != to_json(report)
+    def test_different_seed_differs(self, result):
+        assert (target_payload_json(run_quick(seed=12), "ras")
+                != target_payload_json(result, "ras"))

@@ -1,20 +1,28 @@
-"""The placement sweep behind the regression gate: structure, gate
-properties, and determinism of the BENCH_replication.json payload."""
+"""The placement sweep behind the ``replication`` matrix target:
+structure, gate properties, and determinism of the
+BENCH_replication.json payload."""
 
 import json
 
 import pytest
 
+from repro.exp import build_matrix, run_matrix
+from repro.exp.matrix import target_payload_json
 from repro.replication import sweep
 
 pytestmark = [pytest.mark.replication, pytest.mark.perf]
 
 
 @pytest.fixture(scope="module")
-def suite():
-    # Short windows: the gate runs the full durations; here we only need
-    # enough simulated time for every sweep cell to complete real ops.
-    return sweep.run_replication_suite(seed=7, quick=True)
+def result():
+    # Short windows: the baseline runs the full durations; here we only
+    # need enough simulated time for every sweep cell to complete real ops.
+    return run_matrix(build_matrix(only=["replication"], quick=True))
+
+
+@pytest.fixture(scope="module")
+def suite(result):
+    return result.payload["targets"]["replication"]
 
 
 class TestSuiteShape:
@@ -44,7 +52,7 @@ class TestGateProperties:
         assert suite["summary"]["total_violations"] == 0
 
     def test_smartdimm_beats_cpu_goodput_under_fault(self, suite):
-        # The acceptance criterion check_regression.py enforces.
+        # The acceptance criterion the replication target's gate enforces.
         assert suite["summary"]["smartdimm_over_cpu_goodput_fault"] > 1.0
 
     def test_failover_was_observed_and_bounded(self, suite):
@@ -57,8 +65,8 @@ class TestGateProperties:
 
 
 class TestSerialisation:
-    def test_to_json_round_trips_and_sorts(self, suite):
-        text = sweep.to_json(suite)
+    def test_to_json_round_trips_and_sorts(self, result, suite):
+        text = target_payload_json(result, "replication")
         assert text.endswith("\n")
         assert json.loads(text) == suite
 
@@ -72,8 +80,8 @@ class TestSerialisation:
 class TestDeterminism:
     def test_single_cell_sweep_is_byte_identical(self):
         def go():
-            return json.dumps(sweep.run_placement_sweep(
-                seed=11, placements=("smartdimm",),
+            return json.dumps(sweep.run_sweep_point(
+                "abd", "smartdimm", seed=11,
                 duration_s=0.008, warmup_s=0.002), sort_keys=True)
 
         assert go() == go()
