@@ -238,7 +238,6 @@ def _cmd_cluster(args) -> int:
         trace_path=args.trace_out,
         tier=args.tier,
         epoch_s=args.epoch_s,
-        vector_backend=args.vector_backend,
         arrival_stream=args.arrival_stream,
     )
     if args.crosscheck:
@@ -418,9 +417,6 @@ def main(argv=None) -> int:
     cluster.add_argument("--epoch-s", type=float, default=None,
                          help="vector-tier epoch length in seconds "
                               "(default: duration / 50)")
-    cluster.add_argument("--vector-backend",
-                         choices=["auto", "numpy", "python"], default="auto",
-                         help="vector-tier array backend (default auto)")
     cluster.add_argument("--arrival-stream", choices=["replay", "batch"],
                          default="replay",
                          help="vector-tier open-loop arrivals: replay the "

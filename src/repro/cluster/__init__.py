@@ -33,7 +33,7 @@ Modules:
 * :mod:`repro.cluster.chaos` — scheduled node/channel fault windows,
   per-channel circuit breakers, MTTR/availability/goodput accounting.
 * :mod:`repro.cluster.epoch` — struct-of-arrays max-plus scan primitives
-  (numpy-optional) behind the batched-epoch fleet tier.
+  (numpy columns) behind the batched-epoch fleet tier.
 * :mod:`repro.cluster.vector` — the vector fleet tier: the same scenarios
   at ~10^6-connection scale, crosschecked against the event kernel.
 
@@ -77,7 +77,7 @@ from repro.cluster.metrics import (
     Timeline,
     TraceRecorder,
 )
-from repro.cluster.epoch import Station, fifo_scan, make_ops, resolve_backend
+from repro.cluster.epoch import Station, fifo_scan
 from repro.cluster.scenario import ClusterReport, ClusterScenario, run_scenario
 from repro.cluster.vector import crosscheck_tiers, run_vector_scenario
 from repro.cluster.sched import (
@@ -109,7 +109,6 @@ __all__ = [
     "ClusterScenario", "ClusterReport", "run_scenario",
     # vector tier
     "run_vector_scenario", "crosscheck_tiers", "Station", "fifo_scan",
-    "make_ops", "resolve_backend",
     # chaos
     "FaultWindow", "FleetFaultInjector", "ChaosCounters", "reroute_down",
     "live_quorum",

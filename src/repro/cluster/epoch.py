@@ -34,20 +34,15 @@ is solved as a fixpoint: shed flags are causal per chain, so iterating
 cohorts that do not converge within the iteration cap fall back to the
 exact sequential recursion.
 
-Everything here has a numpy backend and a pure-Python twin
-(:func:`make_ops`); numpy is optional, never required.
+Columns are numpy arrays: float64 times, int64 indices, bool masks.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 
-try:  # the vector tier's fast path; every primitive has a Python twin
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the forced fallback
-    _np = None
+import numpy as np
 
 #: Fixpoint iteration cap before the shed solver falls back to the exact
 #: sequential recursion (convergence needs one pass per causal "layer" of
@@ -55,299 +50,27 @@ except ImportError:  # pragma: no cover - exercised via the forced fallback
 MAX_SHED_PASSES = 32
 
 
-def have_numpy() -> bool:
-    """Whether the accelerated backend is importable."""
-    return _np is not None
-
-
-def resolve_backend(name: str = "auto") -> str:
-    """Normalise a backend request: 'auto' picks numpy when available."""
-    if name in (None, "auto"):
-        return "numpy" if _np is not None else "python"
-    if name == "numpy":
-        if _np is None:
-            raise ValueError("numpy backend requested but numpy is not importable")
-        return "numpy"
-    if name == "python":
-        return "python"
-    raise ValueError("unknown backend %r (auto | numpy | python)" % (name,))
-
-
-# -- columnar ops -------------------------------------------------------------------
-#
-# The minimal array algebra the vector tier needs, with interchangeable
-# numpy / list implementations.  Columns are numpy float64/int64/bool
-# arrays under _NumpyOps and plain Python lists under _PythonOps; the two
-# implementations are drop-in equivalent (same results, different speed).
-
-
-class _NumpyOps:
-    """Columns as numpy arrays."""
-
-    name = "numpy"
-
-    @staticmethod
-    def asarray(values, kind: str = "f"):
-        dtype = {"f": _np.float64, "i": _np.int64, "b": _np.bool_}[kind]
-        return _np.asarray(values, dtype=dtype)
-
-    @staticmethod
-    def full(n: int, value, kind: str = "f"):
-        dtype = {"f": _np.float64, "i": _np.int64, "b": _np.bool_}[kind]
-        return _np.full(n, value, dtype=dtype)
-
-    @staticmethod
-    def arange(n: int):
-        return _np.arange(n, dtype=_np.int64)
-
-    @staticmethod
-    def take(column, indices):
-        return column[indices]
-
-    @staticmethod
-    def put(column, indices, values) -> None:
-        column[indices] = values
-
-    @staticmethod
-    def where(mask, a, b):
-        return _np.where(mask, a, b)
-
-    @staticmethod
-    def maximum(a, b):
-        return _np.maximum(a, b)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def ge(a, b):
-        return a >= b
-
-    @staticmethod
-    def le(a, b):
-        return a <= b
-
-    @staticmethod
-    def gt(a, b):
-        return a > b
-
-    @staticmethod
-    def and_(a, b):
-        return _np.logical_and(a, b)
-
-    @staticmethod
-    def not_(a):
-        return _np.logical_not(a)
-
-    @staticmethod
-    def nonzero(mask):
-        return _np.nonzero(mask)[0]
-
-    @staticmethod
-    def count(mask) -> int:
-        return int(_np.count_nonzero(mask))
-
-    @staticmethod
-    def total(column) -> float:
-        return float(_np.sum(column))
-
-    @staticmethod
-    def argsort(column):
-        return _np.argsort(column, kind="stable")
-
-    @staticmethod
-    def cumsum(column):
-        return _np.cumsum(column)
-
-    @staticmethod
-    def searchsorted(column, value) -> int:
-        """Count of entries <= `value` in ascending-sorted `column`."""
-        return int(_np.searchsorted(column, value, side="right"))
-
-    @staticmethod
-    def concat(columns):
-        return _np.concatenate(columns)
-
-    @staticmethod
-    def tolist(column) -> list:
-        return column.tolist()
-
-
-class _PythonOps:
-    """Columns as plain lists — the numpy-free twin."""
-
-    name = "python"
-
-    @staticmethod
-    def asarray(values, kind: str = "f"):
-        cast = {"f": float, "i": int, "b": bool}[kind]
-        return [cast(v) for v in values]
-
-    @staticmethod
-    def full(n: int, value, kind: str = "f"):
-        cast = {"f": float, "i": int, "b": bool}[kind]
-        return [cast(value)] * n
-
-    @staticmethod
-    def arange(n: int):
-        return list(range(n))
-
-    @staticmethod
-    def take(column, indices):
-        return [column[i] for i in indices]
-
-    @staticmethod
-    def put(column, indices, values) -> None:
-        for i, v in zip(indices, values):
-            column[i] = v
-
-    @staticmethod
-    def _pair(a, b):
-        """Broadcast scalars against lists for elementwise helpers."""
-        if isinstance(a, list) and not isinstance(b, list):
-            return a, [b] * len(a)
-        if isinstance(b, list) and not isinstance(a, list):
-            return [a] * len(b), b
-        return a, b
-
-    @classmethod
-    def where(cls, mask, a, b):
-        if not isinstance(a, list) and not isinstance(b, list):
-            return [a if m else b for m in mask]
-        a, b = cls._pair(a, b)
-        return [x if m else y for m, x, y in zip(mask, a, b)]
-
-    @classmethod
-    def maximum(cls, a, b):
-        a, b = cls._pair(a, b)
-        return [x if x > y else y for x, y in zip(a, b)]
-
-    @classmethod
-    def add(cls, a, b):
-        a, b = cls._pair(a, b)
-        return [x + y for x, y in zip(a, b)]
-
-    @classmethod
-    def sub(cls, a, b):
-        a, b = cls._pair(a, b)
-        return [x - y for x, y in zip(a, b)]
-
-    @classmethod
-    def mul(cls, a, b):
-        a, b = cls._pair(a, b)
-        return [x * y for x, y in zip(a, b)]
-
-    @classmethod
-    def ge(cls, a, b):
-        a, b = cls._pair(a, b)
-        return [x >= y for x, y in zip(a, b)]
-
-    @classmethod
-    def le(cls, a, b):
-        a, b = cls._pair(a, b)
-        return [x <= y for x, y in zip(a, b)]
-
-    @classmethod
-    def gt(cls, a, b):
-        a, b = cls._pair(a, b)
-        return [x > y for x, y in zip(a, b)]
-
-    @staticmethod
-    def and_(a, b):
-        return [x and y for x, y in zip(a, b)]
-
-    @staticmethod
-    def not_(a):
-        return [not x for x in a]
-
-    @staticmethod
-    def nonzero(mask):
-        return [i for i, m in enumerate(mask) if m]
-
-    @staticmethod
-    def count(mask) -> int:
-        return sum(1 for m in mask if m)
-
-    @staticmethod
-    def total(column) -> float:
-        return float(sum(column))
-
-    @staticmethod
-    def argsort(column):
-        return sorted(range(len(column)), key=column.__getitem__)
-
-    @staticmethod
-    def searchsorted(column, value) -> int:
-        """Count of entries <= `value` in ascending-sorted `column`."""
-        return bisect.bisect_right(column, value)
-
-    @staticmethod
-    def cumsum(column):
-        out = []
-        running = 0.0
-        for value in column:
-            running += value
-            out.append(running)
-        return out
-
-    @staticmethod
-    def concat(columns):
-        out = []
-        for column in columns:
-            out.extend(column)
-        return out
-
-    @staticmethod
-    def tolist(column) -> list:
-        return list(column)
-
-
-def make_ops(backend: str = "auto"):
-    """The columnar-ops implementation for `backend` (see resolve_backend)."""
-    return _NumpyOps if resolve_backend(backend) == "numpy" else _PythonOps
-
-
 # -- max-plus FIFO scans ------------------------------------------------------------
 
 
-def fifo_scan(arrive, service, carry: float, ops=None):
+def fifo_scan(arrive, service, carry: float):
     """Advance one capacity-1 FIFO over a cohort: (start, depart, carry').
 
     `arrive` must be sorted in grant (FIFO) order; `carry` is the previous
     cohort's last departure.  Exact — this *is* the Lindley recursion,
-    evaluated as cumsum + running max on the numpy backend.
+    evaluated as cumsum + running max.
     """
-    ops = ops or make_ops()
     n = len(arrive)
     if n == 0:
         return arrive, arrive, carry
-    if ops.name == "numpy":
-        service = _np.asarray(service, dtype=_np.float64)
-        cumulative = _np.cumsum(service)
-        shifted = cumulative - service  # C_{j-1}
-        level = _np.maximum.accumulate(
-            _np.asarray(arrive, dtype=_np.float64) - shifted)
-        start = shifted + _np.maximum(level, carry)
-        depart = start + service
-        return start, depart, float(depart[-1])
-    start = [0.0] * n
-    depart = [0.0] * n
-    previous = carry
-    for j in range(n):
-        begin = arrive[j] if arrive[j] > previous else previous
-        previous = begin + service[j]
-        start[j] = begin
-        depart[j] = previous
-    return start, depart, previous
+    service = np.asarray(service, dtype=np.float64)
+    cumulative = np.cumsum(service)
+    shifted = cumulative - service  # C_{j-1}
+    level = np.maximum.accumulate(
+        np.asarray(arrive, dtype=np.float64) - shifted)
+    start = shifted + np.maximum(level, carry)
+    depart = start + service
+    return start, depart, float(depart[-1])
 
 
 #: Sentinel: this station has granted heterogeneous service times, so the
@@ -384,12 +107,11 @@ class Station:
     slot for zero seconds (acquire-and-release) and departs immediately.
     """
 
-    __slots__ = ("ops", "capacity", "count", "carries", "_uniform")
+    __slots__ = ("capacity", "count", "carries", "_uniform")
 
-    def __init__(self, capacity: int = 1, backend: str = "auto"):
+    def __init__(self, capacity: int = 1):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.ops = make_ops(backend)
         self.capacity = capacity
         self.count = 0
         self.carries = [0.0] * capacity
@@ -398,64 +120,51 @@ class Station:
     # -- internal: one full-cohort scan against trial carries ----------------------
 
     def _scan(self, arrive, service, carries):
-        ops = self.ops
         n = len(arrive)
         if self.capacity == 1:
-            start, depart, carry = fifo_scan(arrive, service, carries[0], ops)
+            start, depart, carry = fifo_scan(arrive, service, carries[0])
             return start, depart, [carry]
-        if ops.name == "numpy":
-            # All chains at once: pad the cohort to a multiple of `capacity`
-            # and reshape row-major — element (i, j) is cohort position
-            # ``i*c + j``, whose chain ``(count + i*c + j) % c`` is constant
-            # down each column.  One 2-D Lindley scan (cumsum + running max
-            # along axis 0) then advances every chain together.  Padded
-            # tail jobs carry arrive=0, service=0: their start clamps to
-            # the chain's prior departure and adds nothing, so the last row
-            # is exactly each chain's new carry.
-            c = self.capacity
-            pad = (-n) % c
-            arrive_v = _np.asarray(arrive, dtype=_np.float64)
-            service_v = _np.asarray(service, dtype=_np.float64)
-            if pad:
-                arrive_v = _np.concatenate([arrive_v, _np.zeros(pad)])
-                service_v = _np.concatenate([service_v, _np.zeros(pad)])
-            arrive_2d = arrive_v.reshape(-1, c)
-            service_2d = service_v.reshape(-1, c)
-            carry_row = _np.asarray(
-                [carries[(self.count + j) % c] for j in range(c)])
-            cumulative = _np.cumsum(service_2d, axis=0)
-            shifted = cumulative - service_2d  # C_{j-1} per chain
-            level = _np.maximum.accumulate(arrive_2d - shifted, axis=0)
-            start_2d = shifted + _np.maximum(level, carry_row)
-            depart_2d = start_2d + service_2d
-            out = [0.0] * c
-            last_row = depart_2d[-1, :]
-            for j in range(c):
-                out[(self.count + j) % c] = float(last_row[j])
-            return (start_2d.reshape(-1)[:n], depart_2d.reshape(-1)[:n], out)
-        start = [0.0] * n
-        depart = [0.0] * n
-        out = list(carries)
-        for j in range(n):
-            chain = (self.count + j) % self.capacity
-            begin = arrive[j] if arrive[j] > out[chain] else out[chain]
-            out[chain] = begin + service[j]
-            start[j] = begin
-            depart[j] = out[chain]
-        return start, depart, out
+        # All chains at once: pad the cohort to a multiple of `capacity` and
+        # reshape row-major — element (i, j) is cohort position ``i*c + j``,
+        # whose chain ``(count + i*c + j) % c`` is constant down each
+        # column.  One 2-D Lindley scan (cumsum + running max along axis 0)
+        # then advances every chain together.  Padded tail jobs carry
+        # arrive=0, service=0: their start clamps to the chain's prior
+        # departure and adds nothing, so the last row is exactly each
+        # chain's new carry.
+        c = self.capacity
+        pad = (-n) % c
+        arrive_v = np.asarray(arrive, dtype=np.float64)
+        service_v = np.asarray(service, dtype=np.float64)
+        if pad:
+            arrive_v = np.concatenate([arrive_v, np.zeros(pad)])
+            service_v = np.concatenate([service_v, np.zeros(pad)])
+        arrive_2d = arrive_v.reshape(-1, c)
+        service_2d = service_v.reshape(-1, c)
+        carry_row = np.asarray(
+            [carries[(self.count + j) % c] for j in range(c)])
+        cumulative = np.cumsum(service_2d, axis=0)
+        shifted = cumulative - service_2d  # C_{j-1} per chain
+        level = np.maximum.accumulate(arrive_2d - shifted, axis=0)
+        start_2d = shifted + np.maximum(level, carry_row)
+        depart_2d = start_2d + service_2d
+        out = [0.0] * c
+        last_row = depart_2d[-1, :]
+        for j in range(c):
+            out[(self.count + j) % c] = float(last_row[j])
+        return (start_2d.reshape(-1)[:n], depart_2d.reshape(-1)[:n], out)
 
     def _scan_exact(self, arrive, service, deadline=None):
         """First-free dispatch over `capacity` slots — the event kernel's
         ``Resource`` grant order, exact for heterogeneous service.  Handles
         deadline shedding inline (no fixpoint needed: the recursion is
         causal job-by-job)."""
-        ops = self.ops
         n = len(arrive)
         avail = list(self.carries)
         heapq.heapify(avail)
-        arrive_l = ops.tolist(arrive)
-        service_l = ops.tolist(service)
-        deadline_l = None if deadline is None else ops.tolist(deadline)
+        arrive_l = arrive.tolist()
+        service_l = service.tolist()
+        deadline_l = None if deadline is None else deadline.tolist()
         start = [0.0] * n
         depart = [0.0] * n
         shed = None if deadline is None else [False] * n
@@ -471,21 +180,14 @@ class Station:
             heapq.heapreplace(avail, held)
             start[j] = begin
             depart[j] = held
-        if ops.name == "numpy":
-            start = _np.asarray(start)
-            depart = _np.asarray(depart)
-            if shed is not None:
-                shed = _np.asarray(shed, dtype=_np.bool_)
-        return start, depart, shed, avail
+        if shed is not None:
+            shed = np.asarray(shed, dtype=np.bool_)
+        return np.asarray(start), np.asarray(depart), shed, avail
 
     def _cohort_uniform(self, service):
         """The cohort's single service time, or None if it mixes values."""
-        ops = self.ops
-        if ops.name == "numpy":
-            column = _np.asarray(service, dtype=_np.float64)
-            low, high = float(column.min()), float(column.max())
-        else:
-            low, high = min(service), max(service)
+        column = np.asarray(service, dtype=np.float64)
+        low, high = float(column.min()), float(column.max())
         return low if low == high else None
 
     def _drain_sequential(self, arrive, service, deadline):
@@ -506,12 +208,8 @@ class Station:
             carries[chain] = held
             start[j] = begin
             depart[j] = held
-        ops = self.ops
-        if ops.name == "numpy":
-            start = _np.asarray(start)
-            depart = _np.asarray(depart)
-            shed = _np.asarray(shed, dtype=_np.bool_)
-        return start, depart, shed, carries
+        return (np.asarray(start), np.asarray(depart),
+                np.asarray(shed, dtype=np.bool_), carries)
 
     # -- public ---------------------------------------------------------------------
 
@@ -523,7 +221,6 @@ class Station:
         expired at their grant instant are shed with zero service and
         ``shed`` marks them; otherwise ``shed`` is None.
         """
-        ops = self.ops
         n = len(arrive)
         if n == 0:
             return arrive, arrive, (None if deadline is None else arrive)
@@ -545,16 +242,15 @@ class Station:
             self.carries = carries
             self.count += n
             return start, depart, None
-        shed = ops.full(n, False, "b")
+        shed = np.zeros(n, dtype=np.bool_)
         start = depart = None
         carries = self.carries
         converged = False
         for _ in range(MAX_SHED_PASSES):
-            effective = ops.where(shed, 0.0, service)
+            effective = np.where(shed, 0.0, service)
             start, depart, carries = self._scan(arrive, effective, self.carries)
-            flagged = ops.ge(start, deadline)
-            if ops.count(flagged) == ops.count(ops.and_(flagged, shed)) \
-                    and ops.count(shed) == ops.count(flagged):
+            flagged = start >= deadline
+            if np.array_equal(flagged, shed):
                 converged = True
                 break
             shed = flagged
@@ -569,35 +265,26 @@ class Station:
 # -- busy-time integrals ------------------------------------------------------------
 
 
-def overlap_sum(start, depart, lo: float, hi: float, ops=None) -> float:
+def overlap_sum(start, depart, lo: float, hi: float) -> float:
     """Total overlap of the busy intervals [start_j, depart_j) with [lo, hi).
 
     The vector tier's replacement for :meth:`Resource.utilisation`'s
     continuous integral: utilisation over a window is this sum divided by
     ``window * capacity``.  Exact for any interval set.
     """
-    ops = ops or make_ops()
     if len(start) == 0:
         return 0.0
-    if ops.name == "numpy":
-        clipped = _np.minimum(depart, hi) - _np.maximum(start, lo)
-        return float(_np.sum(_np.maximum(clipped, 0.0)))
-    total = 0.0
-    for s, d in zip(start, depart):
-        span = min(d, hi) - max(s, lo)
-        if span > 0.0:
-            total += span
-    return total
+    clipped = np.minimum(depart, hi) - np.maximum(start, lo)
+    return float(np.sum(np.maximum(clipped, 0.0)))
 
 
-def window_overlaps(start, depart, lo: float, hi: float, windows: int,
-                    ops=None) -> list:
+def window_overlaps(start, depart, lo: float, hi: float, windows: int) -> list:
     """Per-window busy overlap across `windows` equal slices of [lo, hi)."""
     if windows < 1 or hi <= lo:
         raise ValueError("need hi > lo and windows >= 1")
     width = (hi - lo) / windows
     return [
-        overlap_sum(start, depart, lo + w * width, lo + (w + 1) * width, ops)
+        overlap_sum(start, depart, lo + w * width, lo + (w + 1) * width)
         for w in range(windows)
     ]
 
@@ -647,7 +334,7 @@ def water_fill(backlogs, jobs: int, per_job_s: float) -> list:
     return counts
 
 
-def interleave_targets(counts, ops=None):
+def interleave_targets(counts):
     """Expand per-target counts into an interleaved assignment column.
 
     ``counts = [2, 1]`` yields ``[0, 1, 0]`` — each target's jobs spread
@@ -655,39 +342,13 @@ def interleave_targets(counts, ops=None):
     split across servers arrives interleaved the way a per-request
     scheduler would send it, not in contiguous runs.
     """
-    ops = ops or make_ops()
     total = sum(counts)
     if total == 0:
-        return ops.asarray([], "i")
-    if ops.name == "numpy":
-        sizes = _np.asarray(counts, dtype=_np.int64)
-        targets = _np.repeat(_np.arange(len(counts), dtype=_np.int64), sizes)
-        group = _np.repeat(sizes, sizes)
-        offsets = _np.repeat(_np.cumsum(sizes) - sizes, sizes)
-        within = _np.arange(total, dtype=_np.int64) - offsets
-        position = (within + 0.5) / group
-        return targets[_np.argsort(position, kind="stable")]
-    slots = []
-    for target, n in enumerate(counts):
-        for j in range(n):
-            slots.append(((j + 0.5) / n, target, j))
-    slots.sort()
-    return [target for _, target, _ in slots]
-
-
-def spread_mask(n: int, picks: int, ops=None):
-    """A boolean column with `picks` of `n` slots True, evenly spread.
-
-    Bresenham spacing: slot ``i`` is picked iff ``(i * picks) % n < picks``.
-    Used to choose *which* jobs of a server's cohort spill to the CPU —
-    spread through the cohort like the per-request rule would, not a
-    contiguous tail.
-    """
-    ops = ops or make_ops()
-    if n <= 0:
-        return ops.asarray([], "b")
-    picks = max(0, min(picks, n))
-    if ops.name == "numpy":
-        index = _np.arange(n, dtype=_np.int64)
-        return (index * picks) % n < picks
-    return [(i * picks) % n < picks for i in range(n)]
+        return np.asarray([], dtype=np.int64)
+    sizes = np.asarray(counts, dtype=np.int64)
+    targets = np.repeat(np.arange(len(counts), dtype=np.int64), sizes)
+    group = np.repeat(sizes, sizes)
+    offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    within = np.arange(total, dtype=np.int64) - offsets
+    position = (within + 0.5) / group
+    return targets[np.argsort(position, kind="stable")]

@@ -30,6 +30,8 @@ import math
 import zlib
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.workloads.corpus import CorpusKind, generate_corpus
 
 #: Ratio of the DSA's fixed-Huffman banked matcher to zlib -6 output size
@@ -104,33 +106,20 @@ class RequestMix:
         """Draw one entry, weighted, from the supplied seeded RNG."""
         return self.entries[self.sample_index(rng)]
 
-    def sample_indices_batch(self, uniforms) -> list:
+    def sample_indices_batch(self, uniforms):
         """Map pre-drawn uniforms in [0, 1) to entry indices (inverse CDF).
 
-        `uniforms` may be a numpy array (vectorized ``searchsorted``) or any
-        iterable of floats; both produce the same indices the scalar
-        :meth:`sample_index` would for the same draws.  Used by the closed-
-        loop vector tier, whose per-connection draw interleaving cannot (and
-        need not) match the event tier's.
+        `uniforms` is a numpy array or a sequence of floats; the result is
+        an int64 column holding the same indices the scalar
+        :meth:`sample_index` would pick for the same draws (one vectorized
+        ``searchsorted``).  Used by the closed-loop vector tier, whose
+        per-connection draw interleaving cannot (and need not) match the
+        event tier's.
         """
-        try:
-            import numpy as np
-        except ImportError:
-            np = None
-        if np is not None and hasattr(uniforms, "__len__"):
-            points = np.asarray(uniforms, dtype=np.float64)
-            edges = np.asarray(self._cumulative, dtype=np.float64)
-            indices = np.searchsorted(edges, points, side="left")
-            return np.minimum(indices, len(self.entries) - 1)
-        out = []
-        for point in uniforms:
-            for index, cumulative in enumerate(self._cumulative):
-                if point <= cumulative:
-                    out.append(index)
-                    break
-            else:
-                out.append(len(self.entries) - 1)
-        return out
+        points = np.asarray(uniforms, dtype=np.float64)
+        edges = np.asarray(self._cumulative, dtype=np.float64)
+        indices = np.searchsorted(edges, points, side="left")
+        return np.minimum(indices, len(self.entries) - 1)
 
 
 @dataclass

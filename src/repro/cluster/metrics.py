@@ -20,10 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-try:  # numpy accelerates bulk ingest; every path has a pure-Python twin
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the forced fallback
-    _np = None
+import numpy as np
 
 
 class Counter:
@@ -114,16 +111,12 @@ class LogHistogram:
 
         Bucket assignment, count, min, and max are exactly what `len(values)`
         individual :meth:`record` calls would produce; only the float ``sum``
-        may differ in the last bits (numpy sums pairwise, the scalar path
+        may differ in the last bits (numpy sums pairwise, :meth:`record`
         left-to-right), which percentiles never read.  This is the vector
         fleet tier's ingest path: one call per epoch cohort instead of one
         per request.
         """
-        if _np is None:
-            for value in values:
-                self.record(value)
-            return
-        samples = _np.asarray(values, dtype=_np.float64)
+        samples = np.asarray(values, dtype=np.float64)
         if samples.size == 0:
             return
         # Bucket i covers (bound[i-1], bound[i]]; searchsorted against
@@ -136,11 +129,11 @@ class LogHistogram:
         if top > self.base:
             edge = max(1, int(math.ceil(
                 math.log(top / self.base) / self._log_growth))) + 2
-        bounds = _np.asarray(
+        bounds = np.asarray(
             [self.base * self.growth ** i for i in range(edge + 1)])
-        indices = _np.searchsorted(bounds, samples, side="left")
-        counts = _np.bincount(indices)
-        for index in _np.nonzero(counts)[0].tolist():
+        indices = np.searchsorted(bounds, samples, side="left")
+        counts = np.bincount(indices)
+        for index in np.nonzero(counts)[0].tolist():
             self.buckets[index] = self.buckets.get(index, 0) + int(counts[index])
         self.count += int(samples.size)
         self.total += float(samples.sum())

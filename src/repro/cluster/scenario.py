@@ -92,7 +92,6 @@ class ClusterScenario:
     # fidelity tier: "event" (DES kernel) | "vector" (batched-epoch columns)
     tier: str = "event"
     epoch_s: float = None  # vector tier epoch length; None -> duration / 50
-    vector_backend: str = "auto"  # "auto" | "numpy" | "python"
     # vector-tier open-loop arrivals: "replay" consumes the RNG draw-for-draw
     # like the event tier (crosscheckable); "batch" generates the same
     # process with bulk numpy draws (fast, statistically equivalent)

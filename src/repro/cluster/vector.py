@@ -32,17 +32,16 @@ seconds (see ``benchmarks/perf/cluster_bench.py``).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import replace
+
+import numpy as np
 
 from repro.cluster.chaos import epoch_fault_state, reroute_down
 from repro.cluster.epoch import (
     Station,
     interleave_targets,
-    make_ops,
     overlap_sum,
-    resolve_backend,
     water_fill,
     window_overlaps,
 )
@@ -51,11 +50,6 @@ from repro.cluster.kernel import Simulator
 from repro.cluster.loadgen import OpenArrivalBatcher
 from repro.cluster.metrics import MetricsRegistry
 from repro.overload.policy import OverloadConfig, OverloadPolicy
-
-try:  # optional acceleration; the 'python' backend never touches numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the forced fallback
-    _np = None
 
 #: Closed-loop connection stagger, matching ClosedLoopLoad's default.
 STAGGER_S = 1e-4
@@ -79,6 +73,8 @@ def _unsupported(scenario) -> None:
         raise ValueError("servers, channels, and threads must all be >= 1")
     if scenario.warmup_s >= scenario.duration_s:
         raise ValueError("warmup must be shorter than the run")
+    if scenario.epoch_s is not None and not scenario.epoch_s > 0:
+        raise ValueError("epoch_s must be > 0 (None picks duration / 50)")
 
 
 class _RouteTable:
@@ -89,32 +85,32 @@ class _RouteTable:
     event tier uses.
     """
 
-    def __init__(self, profile: ServiceProfile, mix, ops):
-        def column(attr, spill, kind="f"):
-            return ops.asarray(
+    def __init__(self, profile: ServiceProfile, mix):
+        def column(attr, spill, dtype=np.float64):
+            return np.asarray(
                 [getattr(profile.route(e.size, e.kind, spill=spill), attr)
-                 for e in mix.entries], kind)
+                 for e in mix.entries], dtype=dtype)
 
         self.cpu = (column("cpu_seconds", False), column("cpu_seconds", True))
         self.mem = (column("mem_seconds", False), column("mem_seconds", True))
         self.link = (column("link_seconds", False), column("link_seconds", True))
-        self.bytes = (column("output_bytes", False, "i"),
-                      column("output_bytes", True, "i"))
+        self.bytes = (column("output_bytes", False, np.int64),
+                      column("output_bytes", True, np.int64))
         self.dsa = column("dsa_seconds", False)  # spill route never queues DSA
         # Stacked [offload-rows | spill-rows] twins: one gather with index
         # ``entry + nclasses * spill`` replaces a where() + two takes per
         # column in the hot cohort path.
         self.nclasses = len(mix.entries)
-        self.cpu2 = ops.concat([self.cpu[0], self.cpu[1]])
-        self.mem2 = ops.concat([self.mem[0], self.mem[1]])
-        self.link2 = ops.concat([self.link[0], self.link[1]])
-        self.bytes2 = ops.concat([self.bytes[0], self.bytes[1]])
-        self.dsa2 = ops.concat([self.dsa, ops.full(self.nclasses, 0.0)])
+        self.cpu2 = np.concatenate(self.cpu)
+        self.mem2 = np.concatenate(self.mem)
+        self.link2 = np.concatenate(self.link)
+        self.bytes2 = np.concatenate(self.bytes)
+        self.dsa2 = np.concatenate([self.dsa, np.zeros(self.nclasses)])
         total = sum(e.weight for e in mix.entries)
         weights = [e.weight / total for e in mix.entries]
 
         def mean(col):
-            return sum(w * v for w, v in zip(weights, ops.tolist(col)))
+            return sum(w * v for w, v in zip(weights, col.tolist()))
 
         self.mean_cpu_off = mean(self.cpu[0])
         self.mean_cpu_on = mean(self.cpu[1])
@@ -138,10 +134,9 @@ class _Backlog:
     a per-job heap would make: for a boundary t, ``depart <= t`` iff the
     first boundary >= depart is itself <= t."""
 
-    __slots__ = ("ops", "_grid", "_bins", "_cursor", "_total")
+    __slots__ = ("_grid", "_bins", "_cursor", "_total")
 
-    def __init__(self, ops):
-        self.ops = ops
+    def __init__(self):
         self._grid = []  # ascending epoch boundaries (set before first add)
         self._bins = []  # cost landing in each boundary (+1 overflow slot)
         self._cursor = 0
@@ -149,12 +144,8 @@ class _Backlog:
 
     def set_grid(self, grid) -> None:
         """Install the run's epoch-boundary times (ascending floats)."""
-        if self.ops.name == "numpy":
-            self._grid = _np.asarray(grid, dtype=_np.float64)
-            self._bins = _np.zeros(len(grid) + 1)
-        else:
-            self._grid = list(grid)
-            self._bins = [0.0] * (len(grid) + 1)
+        self._grid = np.asarray(grid, dtype=np.float64)
+        self._bins = np.zeros(len(grid) + 1)
         self._cursor = 0
         self._total = 0.0
 
@@ -162,19 +153,10 @@ class _Backlog:
         n = len(departs)
         if n == 0:
             return
-        if self.ops.name == "numpy":
-            index = _np.searchsorted(self._grid, departs, side="left")
-            self._bins += _np.bincount(index, weights=costs,
-                                       minlength=len(self._bins))
-            self._total += float(_np.sum(costs))
-        else:
-            bins = self._bins
-            total = 0.0
-            grid = self._grid
-            for depart, cost in zip(departs, costs):
-                bins[bisect.bisect_left(grid, depart)] += cost
-                total += cost
-            self._total += total
+        index = np.searchsorted(self._grid, departs, side="left")
+        self._bins += np.bincount(index, weights=costs,
+                                  minlength=len(self._bins))
+        self._total += float(np.sum(costs))
 
     def at(self, t: float) -> float:
         """Backlog seconds still outstanding at time `t` (prunes the past)."""
@@ -195,13 +177,13 @@ class _VectorServer:
     moment the station scan produces it, so deferring the overlap integrals
     removes thousands of tiny per-epoch reductions from the hot loop."""
 
-    def __init__(self, threads: int, channels: int, windows: int, backend, ops):
-        self.cpu = Station(threads, backend)
-        self.membus = Station(1, backend)
-        self.link = Station(1, backend)
-        self.dsa = [Station(1, backend) for _ in range(channels)]
-        self.cpu_backlog = _Backlog(ops)
-        self.chan_backlog = [_Backlog(ops) for _ in range(channels)]
+    def __init__(self, threads: int, channels: int):
+        self.cpu = Station(threads)
+        self.membus = Station(1)
+        self.link = Station(1)
+        self.dsa = [Station(1) for _ in range(channels)]
+        self.cpu_backlog = _Backlog()
+        self.chan_backlog = [_Backlog() for _ in range(channels)]
         self.cpu_intervals = []  # (start, depart) column pairs
         self.chan_intervals = [[] for _ in range(channels)]
 
@@ -209,12 +191,11 @@ class _VectorServer:
 class _VectorFleet:
     """Counters, histograms, and the per-wave cohort pipeline."""
 
-    def __init__(self, scenario, profile: ServiceProfile, mix, ops, backend,
+    def __init__(self, scenario, profile: ServiceProfile, mix,
                  registry: MetricsRegistry):
-        self.ops = ops
         self.profile = profile
         self.mix = mix
-        self.table = _RouteTable(profile, mix, ops)
+        self.table = _RouteTable(profile, mix)
         self.nservers = scenario.servers
         self.nchannels = scenario.channels
         self.threads = scenario.threads
@@ -222,15 +203,13 @@ class _VectorFleet:
         self.spill_factor = scenario.spill_factor
         self.warmup = scenario.warmup_s
         self.duration = scenario.duration_s
-        self.windows = scenario.timeline_windows
         self.deadline_s = scenario.deadline_s
         self.shed_on = scenario.deadline_s is not None and scenario.shed_expired
         self.can_spill = (profile.can_spill
                           and profile.placement in DSA_PLACEMENTS
                           and self.scheduler == "adaptive-spill")
         self.servers = [
-            _VectorServer(scenario.threads, scenario.channels, self.windows,
-                          backend, ops)
+            _VectorServer(scenario.threads, scenario.channels)
             for _ in range(scenario.servers)
         ]
         self.registry = registry
@@ -267,29 +246,22 @@ class _VectorFleet:
                 backlog.set_grid(grid)
 
     def _in_window(self, times):
-        ops = self.ops
-        return ops.and_(ops.ge(times, self.warmup), ops.le(times, self.duration))
+        return np.logical_and(times >= self.warmup, times <= self.duration)
 
     def _place_servers(self, t0: float, n: int, keys, down):
         """The server column for a cohort (and the channel column, static)."""
-        ops = self.ops
         total = self.nservers * self.nchannels
         if self.scheduler == "static":
             # Exactly StaticScheduler.assign: hash the connection (closed
             # loop) or request id (open loop) to a fixed (server, channel).
-            if ops.name == "numpy":
-                slot = keys % total
-                server_col = slot // self.nchannels
-                channel_col = slot % self.nchannels
-            else:
-                slot = [k % total for k in keys]
-                server_col = [s // self.nchannels for s in slot]
-                channel_col = [s % self.nchannels for s in slot]
+            slot = keys % total
+            server_col = slot // self.nchannels
+            channel_col = slot % self.nchannels
             if down:
-                remap = ops.asarray(
+                remap = np.asarray(
                     [reroute_down(s, down, self.nservers)
-                     for s in range(self.nservers)], "i")
-                server_col = ops.take(remap, server_col)
+                     for s in range(self.nservers)], dtype=np.int64)
+                server_col = remap[server_col]
             return server_col, channel_col
         # least-loaded / adaptive-spill: cohort water-fill over the same
         # backlog-seconds signal the per-request schedulers race on.
@@ -302,7 +274,7 @@ class _VectorFleet:
                             + sum(b.at(t0) for b in server.chan_backlog))
         per_job = self.table.mean_cpu_off + self.table.mean_dsa
         counts = water_fill(backlogs, n, per_job)
-        return interleave_targets(counts, ops), None
+        return interleave_targets(counts), None
 
     def _spill_plan(self, server: _VectorServer, t0: float, horizon: float,
                     entries):
@@ -328,41 +300,34 @@ class _VectorFleet:
         still exceeds its own ``spill_factor * delta_k``; the first job
         that declines ends the prefix, exactly as the per-request rule
         stops firing once the gap closes."""
-        ops = self.ops
         table = self.table
         m = len(entries)
         cpu_b = server.cpu_backlog.at(t0)
         dsa_b = sum(b.at(t0) for b in server.chan_backlog)
-        off = ops.take(table.cpu[0], entries)
-        on = ops.take(table.cpu[1], entries)
-        dsa = ops.take(table.dsa, entries)
-        delta = ops.maximum(ops.sub(on, off), 0.0)
+        off = table.cpu[0][entries]
+        on = table.cpu[1][entries]
+        dsa = table.dsa[entries]
+        delta = np.maximum(on - off, 0.0)
         # Jobs whose offload route never queues the DSA can't spill; an
         # infinite delta parks them at the end of the sort and the gap
         # test can never pick them.
-        delta = ops.where(ops.gt(dsa, 0.0), delta, math.inf)
-        order = ops.argsort(delta)
-        d_sorted = ops.take(delta, order)
-        dsa_sorted = ops.take(dsa, order)
-        removed = ops.sub(ops.cumsum(dsa_sorted), dsa_sorted)  # exclusive
-        added = ops.sub(ops.cumsum(d_sorted), d_sorted)
-        base_dsa = dsa_b + ops.total(dsa)
-        base_cpu = cpu_b + ops.total(off)
-        dsa_wait = ops.maximum(
-            ops.sub(ops.mul(ops.sub(base_dsa, removed), 1.0 / self.nchannels),
-                    horizon), 0.0)
-        cpu_wait = ops.mul(
-            ops.maximum(ops.sub(ops.add(base_cpu, added),
-                                horizon * self.threads), 0.0),
-            1.0 / self.threads)
-        fire = ops.gt(dsa_wait,
-                      ops.add(cpu_wait, ops.mul(d_sorted, self.spill_factor)))
-        declined = ops.nonzero(ops.not_(fire))
+        delta = np.where(dsa > 0.0, delta, math.inf)
+        order = np.argsort(delta, kind="stable")
+        d_sorted = delta[order]
+        dsa_sorted = dsa[order]
+        removed = np.cumsum(dsa_sorted) - dsa_sorted  # exclusive
+        added = np.cumsum(d_sorted) - d_sorted
+        base_dsa = dsa_b + float(np.sum(dsa))
+        base_cpu = cpu_b + float(np.sum(off))
+        dsa_wait = np.maximum(
+            (base_dsa - removed) * (1.0 / self.nchannels) - horizon, 0.0)
+        cpu_wait = (np.maximum(base_cpu + added - horizon * self.threads, 0.0)
+                    * (1.0 / self.threads))
+        fire = dsa_wait > cpu_wait + d_sorted * self.spill_factor
+        declined = np.nonzero(np.logical_not(fire))[0]
         picks = int(declined[0]) if len(declined) else m
-        spill = ops.full(m, False, "b")
-        if picks:
-            chosen = ops.take(order, ops.arange(picks))
-            ops.put(spill, chosen, ops.full(picks, True, "b"))
+        spill = np.zeros(m, dtype=np.bool_)
+        spill[order[:picks]] = True
         return spill
 
     # -- the cohort pipeline -----------------------------------------------------
@@ -372,20 +337,13 @@ class _VectorFleet:
         """Run one arrival cohort through the rack; returns per-job finish
         times (completion, or the instant the job was shed).  ``t1`` is the
         epoch's end — the drain horizon the spill planner projects over."""
-        ops = self.ops
         n = len(arrive)
-        finish = ops.full(n, math.inf)
+        finish = np.full(n, math.inf)
         server_col, channel_col = self._place_servers(t0, n, keys, down)
         # Group by server with one stable sort; within a group the cohort
         # stays in arrival order (= station grant order).
-        if ops.name == "numpy":
-            counts = _np.bincount(server_col, minlength=self.nservers).tolist()
-            order = _np.argsort(server_col, kind="stable")
-        else:
-            counts = [0] * self.nservers
-            for s in server_col:
-                counts[s] += 1
-            order = sorted(range(n), key=server_col.__getitem__)
+        counts = np.bincount(server_col, minlength=self.nservers).tolist()
+        order = np.argsort(server_col, kind="stable")
         offset = 0
         for index in range(self.nservers):
             m = counts[index]
@@ -393,88 +351,75 @@ class _VectorFleet:
                 continue
             cohort = order[offset:offset + m]
             offset += m
-            done = self._serve_cohort(
-                index, t0, t1,
-                ops.take(arrive, cohort),
-                ops.take(entries, cohort),
-                None if channel_col is None else ops.take(channel_col, cohort),
+            finish[cohort] = self._serve_cohort(
+                index, t0, t1, arrive[cohort], entries[cohort],
+                None if channel_col is None else channel_col[cohort],
                 wedged)
-            ops.put(finish, cohort, done)
         return finish
 
     def _serve_cohort(self, index: int, t0: float, t1: float, arrive,
                       entries, channel_col, wedged):
         """One server's four-station pipeline over its cohort slice."""
-        ops = self.ops
         server = self.servers[index]
         table = self.table
         m = len(arrive)
         # -- routes + spill split
-        spill = ops.full(m, False, "b")
+        spill = np.zeros(m, dtype=np.bool_)
         if self.can_spill and table.mean_dsa > 0.0:
             spill = self._spill_plan(server, t0, t1 - t0, entries)
-        row = ops.add(entries, ops.where(spill, table.nclasses, 0))
-        cpu_s = ops.take(table.cpu2, row)
-        mem_s = ops.take(table.mem2, row)
-        link_s = ops.take(table.link2, row)
-        out_b = ops.take(table.bytes2, row)
-        dsa_s = ops.take(table.dsa2, row)
+        row = entries + np.where(spill, table.nclasses, 0)
+        cpu_s = table.cpu2[row]
+        mem_s = table.mem2[row]
+        link_s = table.link2[row]
+        out_b = table.bytes2[row]
+        dsa_s = table.dsa2[row]
         deadline = None
         if self.deadline_s is not None:
-            deadline = ops.add(arrive, self.deadline_s)
+            deadline = arrive + self.deadline_s
         shed_deadline = deadline if self.shed_on else None
         measured = self._in_window(arrive)
-        self.submitted.inc(ops.count(measured))
-        self.spilled.inc(ops.count(ops.and_(spill, measured)))
+        self.submitted.inc(int(np.count_nonzero(measured)))
+        self.spilled.inc(int(np.count_nonzero(np.logical_and(spill, measured))))
         # -- CPU pool
         start_cpu, dep_cpu, shed_cpu = server.cpu.drain(
             arrive, cpu_s, shed_deadline)
         self.events += m
         server.cpu_intervals.append((start_cpu, dep_cpu))
         server.cpu_backlog.add(dep_cpu, cpu_s)
-        finish = ops.add(dep_cpu, 0.0)
+        finish = dep_cpu.copy()
         if shed_cpu is not None:
-            self.shed["cpu"].inc(ops.count(ops.and_(
-                shed_cpu, self._in_window(start_cpu))))
-            alive = ops.nonzero(ops.not_(shed_cpu))
+            self.shed["cpu"].inc(int(np.count_nonzero(np.logical_and(
+                shed_cpu, self._in_window(start_cpu)))))
+            alive = np.nonzero(np.logical_not(shed_cpu))[0]
         else:
-            alive = ops.arange(m)
+            alive = np.arange(m)
         # -- memory bus (grant order = CPU departure order)
-        dep_alive = ops.take(dep_cpu, alive)
-        pos = ops.take(alive, ops.argsort(dep_alive))
-        _, dep_mem, _ = server.membus.drain(
-            ops.take(dep_cpu, pos), ops.take(mem_s, pos), None)
+        pos = alive[np.argsort(dep_cpu[alive], kind="stable")]
+        _, dep_mem, _ = server.membus.drain(dep_cpu[pos], mem_s[pos], None)
         self.events += len(pos)
-        ops.put(finish, pos, dep_mem)
+        finish[pos] = dep_mem
         # -- DSA channels (dep_mem is already non-decreasing: grant order)
-        routed = ops.gt(ops.take(dsa_s, pos), 0.0)
-        dsa_pick = ops.nonzero(routed)
-        dsa_wait = ops.full(m, 0.0)
-        link_pos = [ops.take(pos, ops.nonzero(ops.not_(routed)))]
-        link_arrive = [ops.take(dep_mem, ops.nonzero(ops.not_(routed)))]
+        routed = dsa_s[pos] > 0.0
+        dsa_pick = np.nonzero(routed)[0]
+        direct = np.nonzero(np.logical_not(routed))[0]
+        dsa_wait = np.zeros(m)
+        link_pos = [pos[direct]]
+        link_arrive = [dep_mem[direct]]
         if len(dsa_pick) > 0:
-            dsa_pos = ops.take(pos, dsa_pick)
-            dsa_arrive = ops.take(dep_mem, dsa_pick)
+            dsa_pos = pos[dsa_pick]
+            dsa_arrive = dep_mem[dsa_pick]
             if channel_col is not None:
-                assigned = ops.take(channel_col, dsa_pos)
+                assigned = channel_col[dsa_pos]
             else:
                 chan_counts = water_fill(
                     [b.at(t0) for b in server.chan_backlog],
                     len(dsa_pick), table.mean_dsa)
-                assigned = interleave_targets(chan_counts, ops)
+                assigned = interleave_targets(chan_counts)
             # Group by channel with one stable sort instead of an
             # equality scan per channel.
-            if ops.name == "numpy":
-                assigned_col = _np.asarray(assigned, dtype=_np.int64)
-                chan_order = _np.argsort(assigned_col, kind="stable")
-                chan_counts_all = _np.bincount(
-                    assigned_col, minlength=self.nchannels).tolist()
-            else:
-                chan_order = sorted(range(len(assigned)),
-                                    key=assigned.__getitem__)
-                chan_counts_all = [0] * self.nchannels
-                for a in assigned:
-                    chan_counts_all[a] += 1
+            chan_order = np.argsort(assigned, kind="stable")
+            chan_counts_all = np.bincount(
+                assigned, minlength=self.nchannels).tolist()
             chan_offset = 0
             for chan in range(self.nchannels):
                 span = chan_counts_all[chan]
@@ -482,97 +427,94 @@ class _VectorFleet:
                     continue
                 sel = chan_order[chan_offset:chan_offset + span]
                 chan_offset += span
-                c_pos = ops.take(dsa_pos, sel)
-                c_arrive = ops.take(dsa_arrive, sel)
-                service = ops.take(dsa_s, c_pos)
+                c_pos = dsa_pos[sel]
+                c_arrive = dsa_arrive[sel]
+                service = dsa_s[c_pos]
                 factor = wedged.get((index, chan), 1.0)
                 if factor != 1.0:
-                    service = ops.mul(service, factor)
+                    service = service * factor
                 c_deadline = (None if shed_deadline is None
-                              else ops.take(shed_deadline, c_pos))
+                              else shed_deadline[c_pos])
                 start_d, dep_d, shed_d = server.dsa[chan].drain(
                     c_arrive, service, c_deadline)
                 self.events += len(sel)
-                ops.put(dsa_wait, c_pos, ops.sub(start_d, c_arrive))
-                ops.put(finish, c_pos, dep_d)
+                dsa_wait[c_pos] = start_d - c_arrive
+                finish[c_pos] = dep_d
                 server.chan_intervals[chan].append((start_d, dep_d))
                 server.chan_backlog[chan].add(dep_d, service)
                 if shed_d is not None:
-                    self.shed["dsa"].inc(ops.count(ops.and_(
-                        shed_d, self._in_window(start_d))))
-                    ok = ops.nonzero(ops.not_(shed_d))
+                    self.shed["dsa"].inc(int(np.count_nonzero(np.logical_and(
+                        shed_d, self._in_window(start_d)))))
+                    ok = np.nonzero(np.logical_not(shed_d))[0]
                 else:
-                    ok = ops.arange(len(sel))
-                dep_ok = ops.take(dep_d, ok)
-                self.dsa_served.inc(ops.count(self._in_window(dep_ok)))
-                link_pos.append(ops.take(c_pos, ok))
+                    ok = np.arange(len(sel))
+                dep_ok = dep_d[ok]
+                self.dsa_served.inc(
+                    int(np.count_nonzero(self._in_window(dep_ok))))
+                link_pos.append(c_pos[ok])
                 link_arrive.append(dep_ok)
         # -- link / NIC (merge direct + per-channel survivors by time)
-        l_pos = ops.concat(link_pos)
-        l_arrive = ops.concat(link_arrive)
-        merge = ops.argsort(l_arrive)
-        l_pos = ops.take(l_pos, merge)
-        l_arrive = ops.take(l_arrive, merge)
+        l_pos = np.concatenate(link_pos)
+        l_arrive = np.concatenate(link_arrive)
+        merge = np.argsort(l_arrive, kind="stable")
+        l_pos = l_pos[merge]
+        l_arrive = l_arrive[merge]
         l_deadline = (None if shed_deadline is None
-                      else ops.take(shed_deadline, l_pos))
+                      else shed_deadline[l_pos])
         start_l, dep_l, shed_l = server.link.drain(
-            l_arrive, ops.take(link_s, l_pos), l_deadline)
+            l_arrive, link_s[l_pos], l_deadline)
         self.events += len(l_pos)
-        ops.put(finish, l_pos, dep_l)
+        finish[l_pos] = dep_l
         if shed_l is not None:
-            self.shed["link"].inc(ops.count(ops.and_(
-                shed_l, self._in_window(start_l))))
-            served = ops.nonzero(ops.not_(shed_l))
+            self.shed["link"].inc(int(np.count_nonzero(np.logical_and(
+                shed_l, self._in_window(start_l)))))
+            served = np.nonzero(np.logical_not(shed_l))[0]
         else:
-            served = ops.arange(len(l_pos))
+            served = np.arange(len(l_pos))
         # -- completion accounting, identical window semantics to Fleet
-        dep_served = ops.take(dep_l, served)
-        done = ops.nonzero(self._in_window(dep_served))
-        comp_pos = ops.take(ops.take(l_pos, served), done)
-        comp_t = ops.take(dep_served, done)
+        dep_served = dep_l[served]
+        done = np.nonzero(self._in_window(dep_served))[0]
+        comp_pos = l_pos[served][done]
+        comp_t = dep_served[done]
         if len(comp_pos) > 0:
             self.completed.inc(len(comp_pos))
-            self.bytes_out.inc(int(ops.total(ops.take(out_b, comp_pos))))
-            comp_arrive = ops.take(arrive, comp_pos)
-            self._samples["latency"].append(ops.sub(comp_t, comp_arrive))
-            self._samples["wait_cpu"].append(
-                ops.sub(ops.take(start_cpu, comp_pos), comp_arrive))
-            spilled = ops.nonzero(ops.take(spill, comp_pos))
+            self.bytes_out.inc(int(np.sum(out_b[comp_pos])))
+            comp_arrive = arrive[comp_pos]
+            latency = comp_t - comp_arrive
+            self._samples["latency"].append(latency)
+            self._samples["wait_cpu"].append(start_cpu[comp_pos] - comp_arrive)
+            spilled = np.nonzero(spill[comp_pos])[0]
             if len(spilled) > 0:
-                self._samples["spill_latency"].append(ops.take(
-                    ops.sub(comp_t, comp_arrive), spilled))
-            with_dsa = ops.nonzero(ops.gt(ops.take(dsa_s, comp_pos), 0.0))
+                self._samples["spill_latency"].append(latency[spilled])
+            with_dsa = np.nonzero(dsa_s[comp_pos] > 0.0)[0]
             if len(with_dsa) > 0:
-                self._samples["wait_dsa"].append(
-                    ops.take(ops.take(dsa_wait, comp_pos), with_dsa))
+                self._samples["wait_dsa"].append(dsa_wait[comp_pos][with_dsa])
             if self.deadline_s is not None:
-                met = ops.count(ops.le(comp_t, ops.take(deadline, comp_pos)))
+                met = int(np.count_nonzero(comp_t <= deadline[comp_pos]))
                 self.deadline_met.inc(met)
                 self.deadline_missed.inc(len(comp_pos) - met)
         return finish
 
     def flush_samples(self) -> None:
         """Bulk-ingest every deferred histogram sample column (idempotent)."""
-        ops = self.ops
         sinks = {"latency": self.latency, "spill_latency": self.spill_latency,
                  "wait_cpu": self.wait_cpu, "wait_dsa": self.wait_dsa}
         for name, parts in self._samples.items():
             if parts:
-                sinks[name].record_many(ops.concat(parts))
+                sinks[name].record_many(np.concatenate(parts))
                 parts.clear()
 
 
-def _station_busy(ops, pairs, warmup: float, duration: float,
-                  windows: int = 0):
+def _station_busy(pairs, warmup: float, duration: float, windows: int = 0):
     """Busy seconds (and optional per-window split) for logged intervals."""
     if not pairs:
         return 0.0, [0.0] * windows
-    start = ops.concat([p[0] for p in pairs])
-    depart = ops.concat([p[1] for p in pairs])
-    busy = overlap_sum(start, depart, warmup, duration, ops)
+    start = np.concatenate([p[0] for p in pairs])
+    depart = np.concatenate([p[1] for p in pairs])
+    busy = overlap_sum(start, depart, warmup, duration)
     if windows <= 0:
         return busy, []
-    return busy, window_overlaps(start, depart, warmup, duration, windows, ops)
+    return busy, window_overlaps(start, depart, warmup, duration, windows)
 
 
 def _batch_open_arrivals(scenario, arrivals, mix, load_rng, duration: float):
@@ -589,10 +531,10 @@ def _batch_open_arrivals(scenario, arrivals, mix, load_rng, duration: float):
     from repro.cluster.loadgen import (BurstyArrivals, PoissonArrivals,
                                        TraceArrivals)
 
-    rng = _np.random.default_rng(load_rng.getrandbits(64))
+    rng = np.random.default_rng(load_rng.getrandbits(64))
     if isinstance(arrivals, TraceArrivals):
-        times = _np.asarray(
-            [t for t in arrivals.times if t <= duration], dtype=_np.float64)
+        times = np.asarray(
+            [t for t in arrivals.times if t <= duration], dtype=np.float64)
     else:
         if isinstance(arrivals, PoissonArrivals):
             peak = arrivals.rate_rps
@@ -606,19 +548,17 @@ def _batch_open_arrivals(scenario, arrivals, mix, load_rng, duration: float):
         now = 0.0
         size = max(1024, int(peak * duration * 0.6))
         while now <= duration:
-            t = now + _np.cumsum(rng.exponential(1.0 / peak, size=size))
+            t = now + np.cumsum(rng.exponential(1.0 / peak, size=size))
             chunks.append(t)
             now = float(t[-1])
-        times = _np.concatenate(chunks)
+        times = np.concatenate(chunks)
         times = times[times <= duration]
         if isinstance(arrivals, BurstyArrivals):
             phase = times % (arrivals.base_s + arrivals.burst_s)
-            rate = _np.where(phase < arrivals.base_s,
-                             arrivals.base_rps, arrivals.burst_rps)
+            rate = np.where(phase < arrivals.base_s,
+                            arrivals.base_rps, arrivals.burst_rps)
             times = times[rng.random(times.size) * peak < rate]
-    entries = _np.asarray(mix.sample_indices_batch(rng.random(times.size)),
-                          dtype=_np.int64)
-    return times, entries
+    return times, mix.sample_indices_batch(rng.random(times.size))
 
 
 # -- the runner ---------------------------------------------------------------------
@@ -629,7 +569,7 @@ def run_vector_scenario(scenario, fault_windows=None,
     """Simulate `scenario` on the vector tier; returns a ClusterReport.
 
     `fault_windows` takes :class:`repro.cluster.chaos.FaultWindow`-style
-    entries (node_down / dsa_wedge), applied per epoch via
+    entries (node_down / channel_wedge), applied per epoch via
     :func:`epoch_fault_state`.  `registry` (optional) receives the raw
     histograms/counters — the crosscheck uses it to compare bucket-level
     distributions, not just summaries.
@@ -637,8 +577,6 @@ def run_vector_scenario(scenario, fault_windows=None,
     from repro.cluster.scenario import ClusterReport, _build_arrivals
 
     _unsupported(scenario)
-    backend = resolve_backend(getattr(scenario, "vector_backend", "auto"))
-    ops = make_ops(backend)
     profile = scenario.build_profile()
     mix = scenario.resolved_mix()
     registry = registry if registry is not None else MetricsRegistry()
@@ -648,9 +586,9 @@ def run_vector_scenario(scenario, fault_windows=None,
     seed_source = Simulator(scenario.seed)
     seed_source.fork_rng("sched")
     load_rng = seed_source.fork_rng("loadgen")
-    fleet = _VectorFleet(scenario, profile, mix, ops, backend, registry)
+    fleet = _VectorFleet(scenario, profile, mix, registry)
     duration = scenario.duration_s
-    epoch = getattr(scenario, "epoch_s", None) or duration / 50.0
+    epoch = scenario.epoch_s or duration / 50.0  # 0 fails _unsupported
     fault_windows = fault_windows or ()
     # Pre-walk the epoch grid with the loop's own arithmetic so backlog
     # bucketing compares against the exact floats `at` will be called with.
@@ -663,15 +601,12 @@ def run_vector_scenario(scenario, fault_windows=None,
 
     if scenario.mode == "open":
         capacity = profile.model_metrics.rps * scenario.servers
-        stream = getattr(scenario, "arrival_stream", "replay")
+        stream = scenario.arrival_stream
         if stream not in ("replay", "batch"):
             raise ValueError("arrival_stream must be 'replay' or 'batch'")
         batcher = all_times = all_entries = None
         cursor = 0
         if stream == "batch":
-            if ops.name != "numpy":
-                raise ValueError(
-                    "arrival_stream='batch' needs the numpy backend")
             all_times, all_entries = _batch_open_arrivals(
                 scenario, _build_arrivals(scenario, capacity), mix,
                 load_rng, duration)
@@ -685,15 +620,15 @@ def run_vector_scenario(scenario, fault_windows=None,
             down, wedged = epoch_fault_state(fault_windows, t0, t1)
             if batcher is not None:
                 times, entry_ids = batcher.next_batch(t1)
-                arrive = ops.asarray(times)
-                entries = ops.asarray(entry_ids, "i")
+                arrive = np.asarray(times, dtype=np.float64)
+                entries = np.asarray(entry_ids, dtype=np.int64)
             else:
-                hi = int(_np.searchsorted(all_times, t1, side="right"))
+                hi = int(np.searchsorted(all_times, t1, side="right"))
                 arrive = all_times[cursor:hi]
                 entries = all_entries[cursor:hi]
                 cursor = hi
             if len(arrive):
-                keys = ops.add(ops.arange(len(arrive)), next_id)
+                keys = np.arange(len(arrive), dtype=np.int64) + next_id
                 next_id += len(arrive)
                 fleet.serve_wave(t0, t1, arrive, entries, keys, down, wedged)
             t0 = t1
@@ -701,12 +636,8 @@ def run_vector_scenario(scenario, fault_windows=None,
         count = scenario.connections
         if count < 1:
             raise ValueError("need at least one connection")
-        if ops.name == "numpy":
-            next_arrival = STAGGER_S * _np.arange(count, dtype=_np.float64) / count
-            draw = _np.random.default_rng(load_rng.getrandbits(64))
-        else:
-            next_arrival = [STAGGER_S * c / count for c in range(count)]
-            draw = None
+        next_arrival = STAGGER_S * np.arange(count, dtype=np.float64) / count
+        draw = np.random.default_rng(load_rng.getrandbits(64))
         single = len(mix.entries) == 1
         think = scenario.think_s
         t0 = 0.0
@@ -714,30 +645,23 @@ def run_vector_scenario(scenario, fault_windows=None,
             t1 = min(duration, t0 + epoch)
             down, wedged = epoch_fault_state(fault_windows, t0, t1)
             while True:
-                ready = ops.nonzero(ops.le(next_arrival, t1))
+                ready = np.nonzero(next_arrival <= t1)[0]
                 if len(ready) == 0:
                     break
-                times = ops.take(next_arrival, ready)
-                order = ops.argsort(times)
-                ready = ops.take(ready, order)
-                times = ops.take(times, order)
+                times = next_arrival[ready]
+                order = np.argsort(times, kind="stable")
+                ready = ready[order]
+                times = times[order]
                 m = len(ready)
                 if single:
-                    entries = ops.full(m, 0, "i")
-                elif draw is not None:
-                    entries = ops.asarray(
-                        mix.sample_indices_batch(draw.random(m)), "i")
+                    entries = np.zeros(m, dtype=np.int64)
                 else:
-                    entries = [mix.sample_index(load_rng) for _ in range(m)]
+                    entries = mix.sample_indices_batch(draw.random(m))
                 finish = fleet.serve_wave(t0, t1, times, entries, ready,
                                           down, wedged)
                 if think > 0.0:
-                    if draw is not None:
-                        finish = finish + draw.exponential(think, m)
-                    else:
-                        finish = [f + load_rng.expovariate(1.0 / think)
-                                  for f in finish]
-                ops.put(next_arrival, ready, finish)
+                    finish = finish + draw.exponential(think, m)
+                next_arrival[ready] = finish
             t0 = t1
 
     # -- report (field-for-field the event tier's shape)
@@ -750,13 +674,13 @@ def run_vector_scenario(scenario, fault_windows=None,
         row_util, row_timeline = [], []
         for chan in range(scenario.channels):
             busy, per_window = _station_busy(
-                ops, server.chan_intervals[chan], scenario.warmup_s,
+                server.chan_intervals[chan], scenario.warmup_s,
                 scenario.duration_s, scenario.timeline_windows)
             row_util.append(busy / window)
             row_timeline.append([b / width for b in per_window])
         chan_util.append(row_util)
         chan_timeline.append(row_timeline)
-        cpu_busy, _ = _station_busy(ops, server.cpu_intervals,
+        cpu_busy, _ = _station_busy(server.cpu_intervals,
                                     scenario.warmup_s, scenario.duration_s)
         cpu_util.append(cpu_busy / (window * scenario.threads))
     overload = None
@@ -793,7 +717,6 @@ def run_vector_scenario(scenario, fault_windows=None,
             "seed": scenario.seed,
             "tier": "vector",
             "epoch_s": epoch,
-            "backend": backend,
         },
         rps=fleet.completed.value / window,
         completed=fleet.completed.value,
@@ -822,7 +745,10 @@ def crosscheck_tiers(scenario, count_rel_tol: float = 0.05,
                      bucket_frac_tol: float = 0.15) -> dict:
     """Run `scenario` on both tiers and compare their telemetry.
 
-    Counters (submitted / completed / spilled / dsa_served, plus total
+    The vector side always draws the "replay" arrival stream, whatever
+    ``scenario.arrival_stream`` says: only replay consumes the event
+    tier's RNG draw-for-draw, so only replay compares one arrival process
+    against itself.  Counters (submitted / completed / spilled / dsa_served, plus total
     shed when deadlines are on) must agree within
     ``count_abs_tol + count_rel_tol * max``; the latency histograms must
     agree bucket-for-bucket within an L1 distance of ``bucket_frac_tol``
@@ -833,8 +759,9 @@ def crosscheck_tiers(scenario, count_rel_tol: float = 0.05,
     from repro.cluster.scenario import run_scenario
 
     event = run_scenario(replace(scenario, tier="event"), registry=event_reg)
-    vector = run_vector_scenario(replace(scenario, tier="vector"),
-                                 registry=vector_reg)
+    vector = run_vector_scenario(
+        replace(scenario, tier="vector", arrival_stream="replay"),
+        registry=vector_reg)
     counts = {}
     passed = True
     names = ["submitted", "completed", "spilled", "dsa_served"]

@@ -69,7 +69,8 @@ def weighted_tag_reference(h: bytes, contributions: list, total_blocks: int) -> 
     counts every GHASH input block (AAD + ciphertext + length).  Because the
     weighted products commute, arrival order is irrelevant — this is the
     property that lets the hardware process cachelines as their rdCAS
-    commands arrive.
+    commands arrive.  ``tests/core/test_tls_dsa.py`` checks it against the
+    serial GHASH over shuffled arrival orders.
     """
     h_int = int.from_bytes(h, "big")
     accumulator = 0

@@ -155,7 +155,9 @@ class AddressMapping:
         )
 
     def decode_reference(self, address: int) -> DramCoordinate:
-        """Reference decoder: the original sequential shift chain."""
+        """Reference decoder: the original sequential shift chain, kept as
+        the oracle ``tests/core/test_batch_fast_path.py`` checks
+        :meth:`decode` against."""
         if not 0 <= address < self.total_capacity:
             raise ValueError("address 0x%x out of range" % address)
         bits = address >> self._offset_bits

@@ -12,10 +12,7 @@ irreducible polynomial x^8 + x^4 + x^3 + x + 1 (0x11B).
 
 from __future__ import annotations
 
-try:  # optional vector backend for the batched CTR fast path
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
+import numpy as np
 
 _SBOX = [0] * 256
 _INV_SBOX = [0] * 256
@@ -92,13 +89,12 @@ _build_ttables()
 
 # Vector-form tables for the batched CTR path: the same T-tables and S-box,
 # held as uint32 arrays so one fancy-indexing op substitutes a whole batch of
-# scalar lookups.  Built once at import when numpy is available.
-if _np is not None:
-    _NP_T0 = _np.array(_T0, dtype=_np.uint32)
-    _NP_T1 = _np.array(_T1, dtype=_np.uint32)
-    _NP_T2 = _np.array(_T2, dtype=_np.uint32)
-    _NP_T3 = _np.array(_T3, dtype=_np.uint32)
-    _NP_SBOX = _np.array(_SBOX, dtype=_np.uint32)
+# scalar lookups.  Built once at import.
+_NP_T0 = np.array(_T0, dtype=np.uint32)
+_NP_T1 = np.array(_T1, dtype=np.uint32)
+_NP_T2 = np.array(_T2, dtype=np.uint32)
+_NP_T3 = np.array(_T3, dtype=np.uint32)
+_NP_SBOX = np.array(_SBOX, dtype=np.uint32)
 
 # Below this many blocks the per-call overhead of the vector path exceeds the
 # scalar T-table loop; measured crossover is ~16-32 blocks on CPython.
@@ -249,14 +245,14 @@ class AES:
         Counter values are ``(start_counter + i) mod 2^32`` — GCM's inc32
         semantics.  Large batches run through the vectorised T-table path
         (one numpy gather per table per round for the whole batch); small
-        batches and numpy-less environments fall back to the scalar loop.
+        batches take the scalar loop.
         Output is bit-identical either way.
         """
         if len(prefix) != 12:
             raise ValueError("counter prefix must be 12 bytes, got %d" % len(prefix))
         if nblocks <= 0:
             return b""
-        if _np is None or nblocks < CTR_BATCH_MIN_BLOCKS:
+        if nblocks < CTR_BATCH_MIN_BLOCKS:
             out = bytearray()
             for i in range(nblocks):
                 counter = (start_counter + i) & 0xFFFFFFFF
@@ -270,39 +266,39 @@ class AES:
         w1 = int.from_bytes(prefix[4:8], "big")
         w2 = int.from_bytes(prefix[8:12], "big")
         counters = (
-            (_np.arange(nblocks, dtype=_np.uint64) + (start_counter & 0xFFFFFFFF))
+            (np.arange(nblocks, dtype=np.uint64) + (start_counter & 0xFFFFFFFF))
             & 0xFFFFFFFF
-        ).astype(_np.uint32)
-        x0 = _np.full(nblocks, (w0 ^ rk[0][0]) & 0xFFFFFFFF, dtype=_np.uint32)
-        x1 = _np.full(nblocks, (w1 ^ rk[0][1]) & 0xFFFFFFFF, dtype=_np.uint32)
-        x2 = _np.full(nblocks, (w2 ^ rk[0][2]) & 0xFFFFFFFF, dtype=_np.uint32)
-        x3 = counters ^ _np.uint32(rk[0][3])
+        ).astype(np.uint32)
+        x0 = np.full(nblocks, (w0 ^ rk[0][0]) & 0xFFFFFFFF, dtype=np.uint32)
+        x1 = np.full(nblocks, (w1 ^ rk[0][1]) & 0xFFFFFFFF, dtype=np.uint32)
+        x2 = np.full(nblocks, (w2 ^ rk[0][2]) & 0xFFFFFFFF, dtype=np.uint32)
+        x3 = counters ^ np.uint32(rk[0][3])
         for r in range(1, self.rounds):
             k = rk[r]
             y0 = (_NP_T0[x0 >> 24] ^ _NP_T1[(x1 >> 16) & 0xFF]
-                  ^ _NP_T2[(x2 >> 8) & 0xFF] ^ _NP_T3[x3 & 0xFF] ^ _np.uint32(k[0]))
+                  ^ _NP_T2[(x2 >> 8) & 0xFF] ^ _NP_T3[x3 & 0xFF] ^ np.uint32(k[0]))
             y1 = (_NP_T0[x1 >> 24] ^ _NP_T1[(x2 >> 16) & 0xFF]
-                  ^ _NP_T2[(x3 >> 8) & 0xFF] ^ _NP_T3[x0 & 0xFF] ^ _np.uint32(k[1]))
+                  ^ _NP_T2[(x3 >> 8) & 0xFF] ^ _NP_T3[x0 & 0xFF] ^ np.uint32(k[1]))
             y2 = (_NP_T0[x2 >> 24] ^ _NP_T1[(x3 >> 16) & 0xFF]
-                  ^ _NP_T2[(x0 >> 8) & 0xFF] ^ _NP_T3[x1 & 0xFF] ^ _np.uint32(k[2]))
+                  ^ _NP_T2[(x0 >> 8) & 0xFF] ^ _NP_T3[x1 & 0xFF] ^ np.uint32(k[2]))
             y3 = (_NP_T0[x3 >> 24] ^ _NP_T1[(x0 >> 16) & 0xFF]
-                  ^ _NP_T2[(x1 >> 8) & 0xFF] ^ _NP_T3[x2 & 0xFF] ^ _np.uint32(k[3]))
+                  ^ _NP_T2[(x1 >> 8) & 0xFF] ^ _NP_T3[x2 & 0xFF] ^ np.uint32(k[3]))
             x0, x1, x2, x3 = y0, y1, y2, y3
         k = rk[self.rounds]
-        out = _np.empty((nblocks, 4), dtype=_np.uint32)
+        out = np.empty((nblocks, 4), dtype=np.uint32)
         out[:, 0] = ((_NP_SBOX[x0 >> 24] << 24) | (_NP_SBOX[(x1 >> 16) & 0xFF] << 16)
-                     | (_NP_SBOX[(x2 >> 8) & 0xFF] << 8) | _NP_SBOX[x3 & 0xFF]) ^ _np.uint32(k[0])
+                     | (_NP_SBOX[(x2 >> 8) & 0xFF] << 8) | _NP_SBOX[x3 & 0xFF]) ^ np.uint32(k[0])
         out[:, 1] = ((_NP_SBOX[x1 >> 24] << 24) | (_NP_SBOX[(x2 >> 16) & 0xFF] << 16)
-                     | (_NP_SBOX[(x3 >> 8) & 0xFF] << 8) | _NP_SBOX[x0 & 0xFF]) ^ _np.uint32(k[1])
+                     | (_NP_SBOX[(x3 >> 8) & 0xFF] << 8) | _NP_SBOX[x0 & 0xFF]) ^ np.uint32(k[1])
         out[:, 2] = ((_NP_SBOX[x2 >> 24] << 24) | (_NP_SBOX[(x3 >> 16) & 0xFF] << 16)
-                     | (_NP_SBOX[(x0 >> 8) & 0xFF] << 8) | _NP_SBOX[x1 & 0xFF]) ^ _np.uint32(k[2])
+                     | (_NP_SBOX[(x0 >> 8) & 0xFF] << 8) | _NP_SBOX[x1 & 0xFF]) ^ np.uint32(k[2])
         out[:, 3] = ((_NP_SBOX[x3 >> 24] << 24) | (_NP_SBOX[(x0 >> 16) & 0xFF] << 16)
-                     | (_NP_SBOX[(x1 >> 8) & 0xFF] << 8) | _NP_SBOX[x2 & 0xFF]) ^ _np.uint32(k[3])
+                     | (_NP_SBOX[(x1 >> 8) & 0xFF] << 8) | _NP_SBOX[x2 & 0xFF]) ^ np.uint32(k[3])
         return out.astype(">u4").tobytes()
 
     def encrypt_block_reference(self, block: bytes) -> bytes:
-        """Round-primitive reference path (cross-checked against the
-        T-table path in the test suite)."""
+        """Round-primitive reference path: the test oracle that
+        ``tests/ulp/test_aes.py`` checks the T-table path against."""
         if len(block) != self.BLOCK_SIZE:
             raise ValueError("AES block must be 16 bytes, got %d" % len(block))
         state = self._add_round_key(list(block), self._round_keys[0])

@@ -35,12 +35,9 @@ equivalence tests and the perf-regression baseline in ``benchmarks/perf``.
 
 from __future__ import annotations
 
-from repro.ulp.aes import AES
+import numpy as np
 
-try:  # optional vector backend for bulk GHASH
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
+from repro.ulp.aes import AES
 
 # The reduction polynomial R = 11100001 || 0^120, as an integer with bit 0
 # being the *leftmost* (most significant in GCM's reflected convention).
@@ -213,26 +210,6 @@ def ghash_int(mul_h: GF128Multiplier, data: bytes, y: int = 0) -> int:
     return y
 
 
-def h_powers(h: bytes, count: int) -> list:
-    """Return [H^1, H^2, ..., H^count] as integers.
-
-    The TLS DSA precomputes these "in strides of 4" (Sec. V-A) to break the
-    serial GHASH dependency chain between 64-byte cachelines: a cacheline of
-    four 16-byte blocks contributes ``b0*H^4 + b1*H^3 + b2*H^2 + b3*H`` and
-    these per-cacheline partial products commute once weighted by the right
-    power of H.
-
-    Built with a prepared :class:`GF128Multiplier` (32 lookups per power)
-    rather than the 128-step bitwise multiply.
-    """
-    h_int = _block_to_int(h)
-    mul = GF128Multiplier(h_int).mul
-    powers = [h_int]
-    for _ in range(count - 1):
-        powers.append(mul(powers[-1]))
-    return powers
-
-
 def _inc32(counter_block: bytes) -> bytes:
     """Increment the rightmost 32 bits of a 16-byte counter block."""
     prefix, counter = counter_block[:12], int.from_bytes(counter_block[12:], "big")
@@ -382,7 +359,7 @@ class AESGCM:
         that lets the TLS DSA fold out-of-order cachelines (Sec. V-A).
         """
         nblocks = (len(data) + 15) // 16
-        if _np is None or nblocks < _VEC_MIN_BLOCKS:
+        if nblocks < _VEC_MIN_BLOCKS:
             return ghash_int(self.mul_h, data, y)
         lanes = _VEC_LANES
         steps = nblocks // lanes
@@ -392,23 +369,23 @@ class AESGCM:
         if len(body) % 16:
             body = body + bytes(16 - len(body) % 16)
         arr = (
-            _np.frombuffer(body, dtype=">u4")
-            .astype(_np.uint32)
+            np.frombuffer(body, dtype=">u4")
+            .astype(np.uint32)
             .reshape(steps, lanes, 4)
         )
         acc = arr[0].copy()
         if y:
-            acc[0] ^= _np.array(
+            acc[0] ^= np.array(
                 [(y >> 96) & 0xFFFFFFFF, (y >> 64) & 0xFFFFFFFF,
                  (y >> 32) & 0xFFFFFFFF, y & 0xFFFFFFFF],
-                dtype=_np.uint32,
+                dtype=np.uint32,
             )
         table = self._vec_mul_tables()
         for s in range(1, steps):
-            z = _np.zeros_like(acc)
+            z = np.zeros_like(acc)
             for pos in range(16):
                 limb = acc[:, pos >> 2]
-                idx = (limb >> _np.uint32(24 - 8 * (pos & 3))) & _np.uint32(0xFF)
+                idx = (limb >> np.uint32(24 - 8 * (pos & 3))) & np.uint32(0xFF)
                 z ^= table[pos, idx]
             acc = z ^ arr[s]
         # Lane combine: y = sum_j acc_j * H^(lanes - j), Horner in H.
@@ -433,8 +410,8 @@ class AESGCM:
                     row[value] = row[value ^ low] ^ products[base + 7 - (low.bit_length() - 1)]
                 rows += b"".join(entry.to_bytes(16, "big") for entry in row)
             self._vec_tables = (
-                _np.frombuffer(bytes(rows), dtype=">u4")
-                .astype(_np.uint32)
+                np.frombuffer(bytes(rows), dtype=">u4")
+                .astype(np.uint32)
                 .reshape(16, 256, 4)
             )
         return self._vec_tables
@@ -472,7 +449,8 @@ class AESGCM:
 
     def keystream_reference(self, iv: bytes, length: int, start_block: int = 0) -> bytes:
         """Scalar keystream exactly as the seed computed it: J0 rebuilt and
-        one block-cipher call dispatched per 16-byte block."""
+        one block-cipher call dispatched per 16-byte block.  Oracle for
+        ``tests/ulp/test_fast_path.py``."""
         blocks_needed = (length + 15) // 16
         out = bytearray()
         for i in range(blocks_needed):
@@ -484,7 +462,8 @@ class AESGCM:
 
     def tag_reference(self, iv: bytes, ciphertext: bytes, aad: bytes) -> bytes:
         """Serial nibble-window GHASH over one concatenated padded buffer
-        (the seed formulation), with per-byte EIV masking."""
+        (the seed formulation), with per-byte EIV masking.  Oracle for
+        ``tests/ulp/test_fast_path.py`` via the two methods below."""
         padded = (
             aad
             + bytes((16 - len(aad) % 16) % 16)
@@ -498,14 +477,15 @@ class AESGCM:
 
     def encrypt_reference(self, iv: bytes, plaintext: bytes, aad: bytes = b"") -> tuple:
         """The seed encrypt datapath (per-block J0, per-byte XOR, serial
-        GHASH); kept as the equivalence-test ground truth and the "before"
-        measurement of ``benchmarks/perf``."""
+        GHASH); the oracle of ``tests/ulp/test_fast_path.py`` and the
+        "before" measurement of ``benchmarks/perf/datapath_bench.py``."""
         stream = self.keystream_reference(iv, len(plaintext))
         ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
         return ciphertext, self.tag_reference(iv, ciphertext, aad)
 
     def decrypt_reference(self, iv: bytes, ciphertext: bytes, aad: bytes, tag: bytes) -> bytes:
-        """The seed decrypt datapath; raises ValueError on tag mismatch."""
+        """The seed decrypt datapath; raises ValueError on tag mismatch.
+        Oracle for ``tests/ulp/test_fast_path.py``."""
         expected = self.tag_reference(iv, ciphertext, aad)
         if not _constant_time_eq(expected, tag):
             raise ValueError("GCM authentication tag mismatch")

@@ -1,64 +1,27 @@
 """Batched-epoch primitive tests: scans, stations, planners, integrals.
 
-Everything in ``repro.cluster.epoch`` has a numpy backend and a
-pure-Python twin; the tests here run both and assert they agree with
-each other and with brute-force sequential references.
+Every primitive in ``repro.cluster.epoch`` runs on numpy columns; the
+tests here check it against brute-force sequential references.
 """
 
 import heapq
 import math
 
+import numpy as np
 import pytest
 
 from repro.cluster.epoch import (
     Station,
     fifo_scan,
-    have_numpy,
     interleave_targets,
-    make_ops,
     overlap_sum,
-    resolve_backend,
-    spread_mask,
     water_fill,
     window_overlaps,
 )
 
-BACKENDS = ["python"] + (["numpy"] if have_numpy() else [])
 
-
-# -- backend resolution ------------------------------------------------------------
-
-
-def test_resolve_backend():
-    assert resolve_backend("python") == "python"
-    if have_numpy():
-        assert resolve_backend("auto") == "numpy"
-        assert resolve_backend("numpy") == "numpy"
-    with pytest.raises(ValueError):
-        resolve_backend("cuda")
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_ops_basics_agree(backend):
-    ops = make_ops(backend)
-    col = ops.asarray([3.0, 1.0, 2.0])
-    order = ops.argsort(col)
-    assert ops.tolist(order) == [1, 2, 0]
-    assert ops.tolist(ops.cumsum(ops.asarray([1.0, 2.0, 3.0]))) == [1.0, 3.0, 6.0]
-    assert ops.tolist(ops.take(col, ops.nonzero(ops.gt(col, 1.5)))) == [3.0, 2.0]
-    assert ops.count(ops.le(col, 2.0)) == 2
-    assert ops.total(col) == pytest.approx(6.0)
-    merged = ops.concat([ops.asarray([1.0]), ops.asarray([2.0, 3.0])])
-    assert ops.tolist(merged) == [1.0, 2.0, 3.0]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_ops_searchsorted_counts_leq(backend):
-    ops = make_ops(backend)
-    col = ops.asarray([1.0, 2.0, 2.0, 5.0])
-    assert ops.searchsorted(col, 0.5) == 0
-    assert ops.searchsorted(col, 2.0) == 3  # ties count (side='right')
-    assert ops.searchsorted(col, 9.0) == 4
+def _col(values):
+    return np.asarray(values, dtype=np.float64)
 
 
 # -- fifo_scan ---------------------------------------------------------------------
@@ -74,24 +37,19 @@ def _lindley(arrive, service, carry):
     return start, depart, prev
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fifo_scan_matches_sequential_recursion(backend):
-    ops = make_ops(backend)
+def test_fifo_scan_matches_sequential_recursion():
     arrive = [0.0, 0.1, 0.15, 0.9, 0.91]
     service = [0.2, 0.05, 0.3, 0.01, 0.5]
     want_start, want_depart, want_carry = _lindley(arrive, service, 0.05)
-    start, depart, carry = fifo_scan(
-        ops.asarray(arrive), ops.asarray(service), 0.05, ops)
-    assert ops.tolist(start) == pytest.approx(want_start)
-    assert ops.tolist(depart) == pytest.approx(want_depart)
+    start, depart, carry = fifo_scan(_col(arrive), _col(service), 0.05)
+    assert start.tolist() == pytest.approx(want_start)
+    assert depart.tolist() == pytest.approx(want_depart)
     assert carry == pytest.approx(want_carry)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fifo_scan_empty_cohort(backend):
-    ops = make_ops(backend)
-    empty = ops.asarray([])
-    start, depart, carry = fifo_scan(empty, empty, 1.5, ops)
+def test_fifo_scan_empty_cohort():
+    empty = _col([])
+    start, depart, carry = fifo_scan(empty, empty, 1.5)
     assert len(start) == 0 and len(depart) == 0
     assert carry == 1.5
 
@@ -112,92 +70,77 @@ def _first_free(arrive, service, carries):
     return start, depart
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_station_uniform_service_chains_are_first_free(backend):
+def test_station_uniform_service_chains_are_first_free():
     """With uniform service, round-robin chains == first-free dispatch."""
-    ops = make_ops(backend)
     arrive = [0.0, 0.0, 0.01, 0.02, 0.02, 0.5, 0.5, 0.5]
     service = [0.1] * len(arrive)
-    station = Station(3, backend)
-    start, depart, shed = station.drain(
-        ops.asarray(arrive), ops.asarray(service))
+    station = Station(3)
+    start, depart, shed = station.drain(_col(arrive), _col(service))
     want_start, want_depart = _first_free(arrive, service, [0.0] * 3)
     assert shed is None
-    assert ops.tolist(start) == pytest.approx(want_start)
-    assert ops.tolist(depart) == pytest.approx(want_depart)
+    assert start.tolist() == pytest.approx(want_start)
+    assert depart.tolist() == pytest.approx(want_depart)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_station_chain_carries_persist_across_cohorts(backend):
+def test_station_chain_carries_persist_across_cohorts():
     """Splitting one uniform stream into two drains must not change it."""
-    ops = make_ops(backend)
     arrive = [0.01 * j for j in range(10)]
     service = [0.07] * 10
-    whole = Station(2, backend)
-    d_whole = whole.drain(ops.asarray(arrive), ops.asarray(service))[1]
-    split = Station(2, backend)
-    d_a = split.drain(ops.asarray(arrive[:6]), ops.asarray(service[:6]))[1]
-    d_b = split.drain(ops.asarray(arrive[6:]), ops.asarray(service[6:]))[1]
-    assert ops.tolist(d_whole) == pytest.approx(
-        ops.tolist(d_a) + ops.tolist(d_b))
+    whole = Station(2)
+    d_whole = whole.drain(_col(arrive), _col(service))[1]
+    split = Station(2)
+    d_a = split.drain(_col(arrive[:6]), _col(service[:6]))[1]
+    d_b = split.drain(_col(arrive[6:]), _col(service[6:]))[1]
+    assert d_whole.tolist() == pytest.approx(d_a.tolist() + d_b.tolist())
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_station_mixed_service_uses_exact_first_free(backend):
+def test_station_mixed_service_uses_exact_first_free():
     """Heterogeneous cohorts switch to the heap path — exact, not chains."""
-    ops = make_ops(backend)
     arrive = [0.0, 0.0, 0.0, 0.0, 0.2]
     service = [1.0, 0.01, 0.01, 0.01, 0.01]
-    station = Station(2, backend)
-    start, depart, _ = station.drain(ops.asarray(arrive), ops.asarray(service))
+    station = Station(2)
+    start, depart, _ = station.drain(_col(arrive), _col(service))
     want_start, want_depart = _first_free(arrive, service, [0.0] * 2)
-    assert ops.tolist(start) == pytest.approx(want_start)
-    assert ops.tolist(depart) == pytest.approx(want_depart)
+    assert start.tolist() == pytest.approx(want_start)
+    assert depart.tolist() == pytest.approx(want_depart)
     # ...and the station stays on the exact path for later uniform cohorts.
-    start2, depart2, _ = station.drain(
-        ops.asarray([2.0, 2.0]), ops.asarray([0.5, 0.5]))
-    assert ops.tolist(depart2) == pytest.approx([2.5, 2.5])
+    start2, depart2, _ = station.drain(_col([2.0, 2.0]), _col([0.5, 0.5]))
+    assert depart2.tolist() == pytest.approx([2.5, 2.5])
 
 
-def test_station_capacity_gt_one_numpy_matches_python():
-    """The 2-D batched chain scan must equal the sequential python twin."""
-    if not have_numpy():
-        pytest.skip("numpy backend unavailable")
+def test_station_capacity_gt_one_chain_scan_is_first_free():
+    """The padded 2-D chain scan must equal brute-force first-free dispatch."""
     arrive = [0.003 * j for j in range(23)]  # 23 jobs: pads a 4-chain scan
     service = [0.02] * 23
-    np_ops, py_ops = make_ops("numpy"), make_ops("python")
-    np_station, py_station = Station(4, "numpy"), Station(4, "python")
-    np_out = np_station.drain(np_ops.asarray(arrive), np_ops.asarray(service))
-    py_out = py_station.drain(py_ops.asarray(arrive), py_ops.asarray(service))
-    assert np_ops.tolist(np_out[0]) == pytest.approx(py_out[0])
-    assert np_ops.tolist(np_out[1]) == pytest.approx(py_out[1])
-    assert np_station.carries == pytest.approx(py_station.carries)
+    station = Station(4)
+    start, depart, _ = station.drain(_col(arrive), _col(service))
+    want_start, want_depart = _first_free(arrive, service, [0.0] * 4)
+    assert start.tolist() == pytest.approx(want_start)
+    assert depart.tolist() == pytest.approx(want_depart)
+    # Each chain's carry is the departure of the last job it served.
+    assert sorted(station.carries) == pytest.approx(sorted(want_depart[-4:]))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_station_deadline_shedding_zero_service(backend):
+def test_station_deadline_shedding_zero_service():
     """An expired job holds its slot for zero seconds and departs at grant."""
-    ops = make_ops(backend)
-    arrive = ops.asarray([0.0, 0.0, 0.0])
-    service = ops.asarray([1.0, 1.0, 1.0])
-    deadline = ops.asarray([10.0, 0.5, 10.0])  # job 1 expires while queued
-    station = Station(1, backend)
+    arrive = _col([0.0, 0.0, 0.0])
+    service = _col([1.0, 1.0, 1.0])
+    deadline = _col([10.0, 0.5, 10.0])  # job 1 expires while queued
+    station = Station(1)
     start, depart, shed = station.drain(arrive, service, deadline)
-    assert ops.tolist(shed) == [False, True, False]
-    assert ops.tolist(start) == pytest.approx([0.0, 1.0, 1.0])
-    assert ops.tolist(depart) == pytest.approx([1.0, 1.0, 2.0])
+    assert shed.tolist() == [False, True, False]
+    assert start.tolist() == pytest.approx([0.0, 1.0, 1.0])
+    assert depart.tolist() == pytest.approx([1.0, 1.0, 2.0])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_station_shed_fixpoint_matches_sequential(backend):
+def test_station_shed_fixpoint_matches_sequential():
     """The scan/re-flag fixpoint equals the exact per-job recursion."""
-    ops = make_ops(backend)
     arrive = [0.01 * j for j in range(40)]
     service = [0.05] * 40
     deadline = [a + 0.12 for a in arrive]
-    station = Station(1, backend)
+    station = Station(1)
     start, depart, shed = station.drain(
-        ops.asarray(arrive), ops.asarray(service), ops.asarray(deadline))
+        _col(arrive), _col(service), _col(deadline))
     prev, want_shed, want_depart = 0.0, [], []
     for a, s, d in zip(arrive, service, deadline):
         begin = max(a, prev)
@@ -206,8 +149,8 @@ def test_station_shed_fixpoint_matches_sequential(backend):
         want_shed.append(expired)
         want_depart.append(prev)
     assert any(want_shed)  # the config must actually shed something
-    assert ops.tolist(shed) == want_shed
-    assert ops.tolist(depart) == pytest.approx(want_depart)
+    assert shed.tolist() == want_shed
+    assert depart.tolist() == pytest.approx(want_depart)
 
 
 def test_station_rejects_zero_capacity():
@@ -218,26 +161,22 @@ def test_station_rejects_zero_capacity():
 # -- busy-time integrals -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_overlap_sum_clips_to_window(backend):
-    ops = make_ops(backend)
-    start = ops.asarray([0.0, 2.0, 9.5])
-    depart = ops.asarray([1.5, 3.0, 12.0])
+def test_overlap_sum_clips_to_window():
+    start = _col([0.0, 2.0, 9.5])
+    depart = _col([1.5, 3.0, 12.0])
     # window [1, 10): 0.5 from the first, 1.0 from the second, 0.5 tail
-    assert overlap_sum(start, depart, 1.0, 10.0, ops) == pytest.approx(2.0)
-    assert overlap_sum(ops.asarray([]), ops.asarray([]), 0.0, 1.0, ops) == 0.0
+    assert overlap_sum(start, depart, 1.0, 10.0) == pytest.approx(2.0)
+    assert overlap_sum(_col([]), _col([]), 0.0, 1.0) == 0.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_window_overlaps_partition_the_total(backend):
-    ops = make_ops(backend)
-    start = ops.asarray([0.1, 0.4, 0.85])
-    depart = ops.asarray([0.3, 0.6, 1.4])
-    per = window_overlaps(start, depart, 0.0, 1.0, 4, ops)
+def test_window_overlaps_partition_the_total():
+    start = _col([0.1, 0.4, 0.85])
+    depart = _col([0.3, 0.6, 1.4])
+    per = window_overlaps(start, depart, 0.0, 1.0, 4)
     assert len(per) == 4
-    assert sum(per) == pytest.approx(overlap_sum(start, depart, 0.0, 1.0, ops))
+    assert sum(per) == pytest.approx(overlap_sum(start, depart, 0.0, 1.0))
     with pytest.raises(ValueError):
-        window_overlaps(start, depart, 0.0, 1.0, 0, ops)
+        window_overlaps(start, depart, 0.0, 1.0, 0)
 
 
 # -- cohort planners ---------------------------------------------------------------
@@ -261,20 +200,8 @@ def test_water_fill_is_deterministic():
     assert water_fill(backlogs, 11, 0.05) == water_fill(backlogs, 11, 0.05)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_interleave_targets_spreads_assignments(backend):
-    ops = make_ops(backend)
-    out = ops.tolist(interleave_targets([2, 1], ops))
+def test_interleave_targets_spreads_assignments():
+    out = interleave_targets([2, 1]).tolist()
     assert sorted(out) == [0, 0, 1]
     assert out != [0, 0, 1]  # interleaved, not contiguous runs
-    assert len(interleave_targets([0, 0], ops)) == 0
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_spread_mask_picks_evenly(backend):
-    ops = make_ops(backend)
-    mask = ops.tolist(spread_mask(10, 3, ops))
-    assert sum(mask) == 3
-    assert mask[0]  # Bresenham spacing always picks slot 0
-    assert ops.tolist(spread_mask(4, 9, ops)) == [True] * 4  # clamped
-    assert len(spread_mask(0, 2, ops)) == 0
+    assert len(interleave_targets([0, 0])) == 0

@@ -4,6 +4,7 @@ timelines, and Chrome-trace JSON schema validity."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.cluster.metrics import (
@@ -171,33 +172,11 @@ def test_record_many_matches_one_at_a_time():
         assert bulk.percentile(q) == one_by_one.percentile(q)
 
 
-def test_record_many_pure_python_fallback_matches(monkeypatch):
-    # Force the ImportError arm: with numpy "absent", record_many must
-    # degrade to per-sample record calls with identical state.
-    import repro.cluster.metrics as metrics_module
-
-    monkeypatch.setattr(metrics_module, "_np", None)
-    samples = _mixed_samples()
-    bulk = LogHistogram(base=1e-6, growth=2 ** 0.25)
-    bulk.record_many(samples)
-    bulk.record_many([])  # empty batch is a no-op on this path too
-    reference = LogHistogram(base=1e-6, growth=2 ** 0.25)
-    for value in samples:
-        reference.record(value)
-    assert bulk.buckets == reference.buckets
-    assert bulk.count == reference.count
-    assert bulk.min == reference.min and bulk.max == reference.max
-    assert bulk.total == reference.total  # same left-to-right summation
-    for q in (0.0, 0.5, 0.99, 1.0):
-        assert bulk.percentile(q) == reference.percentile(q)
-
-
 def test_record_many_accepts_numpy_arrays_and_accumulates():
-    numpy = pytest.importorskip("numpy")
     hist = LogHistogram(base=1e-6, growth=2 ** 0.25)
     hist.record(5e-5)  # pre-existing scalar sample
-    hist.record_many(numpy.asarray([1e-5, 2e-5, 5e-5, 5e-5]))
-    hist.record_many(numpy.asarray([], dtype=float))  # empty batch is a no-op
+    hist.record_many(np.asarray([1e-5, 2e-5, 5e-5, 5e-5]))
+    hist.record_many(np.asarray([], dtype=float))  # empty batch is a no-op
     reference = LogHistogram(base=1e-6, growth=2 ** 0.25)
     for value in (5e-5, 1e-5, 2e-5, 5e-5, 5e-5):
         reference.record(value)
