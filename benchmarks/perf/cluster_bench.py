@@ -7,8 +7,9 @@ datapath throughput:
 
 * ``kernel_timeout`` — raw event-loop throughput: a self-rescheduling
   callback chain (one heap push + pop + dispatch per event).
-* ``kernel_process`` — process-machinery throughput: coroutines yielding
-  timeouts (timeout event + resume post per iteration).
+* ``kernel_process`` — process-machinery throughput: a coroutine yielding
+  delays (two events per sleep: the heap entry at the wake-up instant,
+  then the resume from the ready lane; no ``Event`` allocated).
 * ``scenario_closed_tls`` — end-to-end wall time of a closed-loop TLS
   scenario (the CLI's default shape, scaled down).
 * ``scenario_open_spill`` — end-to-end wall time of the saturated-DSA
@@ -72,7 +73,9 @@ def bench_kernel_timeout(events: int = KERNEL_EVENTS) -> dict:
 
 
 def bench_kernel_process(iterations: int = KERNEL_EVENTS // 2) -> dict:
-    """Coroutine machinery: each loop is a timeout fire + process resume."""
+    """Coroutine machinery: each loop is one sleep, which is two events —
+    the heap entry firing at the wake-up instant, which posts the resume
+    onto the ready lane, then the process resume itself."""
     sim = Simulator(seed=0)
 
     def worker(count):

@@ -470,7 +470,7 @@ class Fleet:
     def _acquire(resource, request: Request, cost_s: float):
         """Station acquire: DRR stations take the (tenant, class, cost)
         triple; FIFO stations take nothing."""
-        if getattr(resource, "arbiter", None) is not None:
+        if resource.arbiter is not None:
             return resource.acquire(request.tenant, request.klass, cost_s)
         return resource.acquire()
 
@@ -634,7 +634,7 @@ class Fleet:
         for server in self.servers:
             stations = [server.cpu] + [c.resource for c in server.channels]
             for station in stations:
-                arbiter = getattr(station, "arbiter", None)
+                arbiter = station.arbiter
                 if arbiter is None:
                     continue
                 for tenant, seconds in arbiter.served_seconds.items():

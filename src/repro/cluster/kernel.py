@@ -1,15 +1,36 @@
 """Deterministic discrete-event simulation kernel.
 
 A minimal process-style DES engine in the simpy idiom, purpose-built for
-the cluster layer: an event heap keyed by ``(time, sequence)``, a simulated
-clock, one seeded :class:`random.Random`, and coroutine processes that
-``yield`` timeouts, events, or resource grants.
+the cluster layer: a simulated clock, one seeded :class:`random.Random`,
+coroutine processes that ``yield`` delays, events, or resource grants, and
+two lanes of pending callbacks:
+
+* the **heap** holds callbacks due at a later instant, keyed by
+  ``(time, sequence)`` with a strictly increasing sequence number;
+* the **ready lane** (:attr:`Simulator._ready`) is a FIFO deque of
+  callbacks due at the current instant ``now``: a triggered event's
+  waiters, a new process's first step, and every push whose time equals
+  ``now`` append there instead of paying two heap operations.
+
+:meth:`Simulator.run` first pops heap entries whose time is ``<= now``,
+then the ready lane, and advances the clock to the next heap entry only
+once the lane is empty.  This fires every callback in exactly the order
+one ``(time, sequence)`` heap would: at any instant ``t``, every heap
+entry at ``t`` was pushed while the clock was still below ``t``, so it
+carries a smaller sequence number than anything pushed at ``t`` and runs
+first; the pushes made at ``t`` then run in FIFO order, which is their
+sequence order.
+
+A process sleep (``yield <seconds>``) allocates no :class:`Event`: it is
+one heap entry whose callback posts the process's resume onto the ready
+lane.  It counts as two events (the instant, then the resume), exactly
+like yielding ``timeout(d)``; ``events_processed`` is part of reported
+scenario results.
 
 Determinism is the design constraint, not an afterthought:
 
-* every callback runs through the same heap, tie-broken by a monotonically
-  increasing sequence number, so simultaneous events fire in the order they
-  were scheduled;
+* callbacks fire in ``(time, sequence)`` order as argued above, so
+  simultaneous events fire in the order they were scheduled;
 * all randomness flows through ``Simulator.rng`` (or children derived from
   it via :meth:`Simulator.fork_rng`) — no module-level ``random`` anywhere
   in the cluster layer;
@@ -18,7 +39,8 @@ Determinism is the design constraint, not an afterthought:
 
 Two runs with the same seed therefore produce byte-identical event
 sequences and, downstream, byte-identical metrics (see
-``tests/cluster/test_determinism.py``).
+``tests/cluster/test_determinism.py``).  ``tests/cluster/test_kernel.py``
+checks the order against a heap-only reference scheduler.
 """
 
 from __future__ import annotations
@@ -51,14 +73,16 @@ class Event:
         self.triggered = True
         self.value = value
         callbacks, self._callbacks = self._callbacks, None
-        for callback in callbacks:
-            self.sim._post(callback, self)
+        if callbacks:
+            post = self.sim._ready.append
+            for callback in callbacks:
+                post((callback, self))
         return self
 
     def wait(self, callback) -> None:
         """Run `callback(event)` once the event has triggered."""
         if self.triggered:
-            self.sim._post(callback, self)
+            self.sim._ready.append((callback, self))
         else:
             self._callbacks.append(callback)
 
@@ -68,7 +92,9 @@ class Process(Event):
 
     The wrapped generator may ``yield``:
 
-    * a number — sleep that many simulated seconds;
+    * a number — sleep that many simulated seconds (one heap entry that
+      posts the resume, no :class:`Event`; any delay not ``>= 0``,
+      NaN included, raises :class:`ValueError`);
     * an :class:`Event` (including another process or a resource grant) —
       resume when it triggers, receiving the event's value.
 
@@ -80,22 +106,26 @@ class Process(Event):
     def __init__(self, sim: "Simulator", generator):
         super().__init__(sim)
         self._generator = generator
-        sim._post(self._step, None)
+        sim._ready.append((self._step, None))
 
     def _step(self, fired: Event) -> None:
-        value = fired.value if fired is not None else None
         try:
-            target = self._generator.send(value)
+            target = self._generator.send(
+                fired.value if fired is not None else None)
         except StopIteration as stop:
-            self.succeed(getattr(stop, "value", None))
+            self.succeed(stop.value)
             return
         if isinstance(target, (int, float)):
-            target = self.sim.timeout(target)
-        elif not isinstance(target, Event):
+            if not target >= 0:
+                raise ValueError("cannot sleep for %r seconds" % (target,))
+            sim = self.sim
+            sim._push(sim.now + target, sim._ready.append, (self._step, None))
+        elif isinstance(target, Event):
+            target.wait(self._step)
+        else:
             raise TypeError(
                 "process yielded %r; expected a delay or an Event" % (target,)
             )
-        target.wait(self._step)
 
 
 class Resource:
@@ -117,6 +147,10 @@ class Resource:
     __slots__ = ("sim", "name", "capacity", "busy", "max_queue", "_waiters",
                  "_busy_integral", "_last_change", "timeline")
 
+    #: A FIFO station has no arbiter; :class:`repro.qos.drr.QosResource`
+    #: overrides this with its :class:`~repro.qos.drr.DrrArbiter`.
+    arbiter = None
+
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "",
                  timeline=None, max_queue: int = None):
         if capacity < 1:
@@ -134,20 +168,24 @@ class Resource:
         self.timeline = timeline
 
     def _account(self) -> None:
-        self._busy_integral += self.busy * (self.sim.now - self._last_change)
-        self._last_change = self.sim.now
+        now = self.sim.now
+        self._busy_integral += self.busy * (now - self._last_change)
+        self._last_change = now
         if self.timeline is not None:
-            self.timeline.add(self.sim.now, self.busy / self.capacity)
+            self.timeline.add(now, self.busy / self.capacity)
+
+    def _grant_free_slot(self) -> Event:
+        """Take a free slot; the grant comes back already triggered."""
+        self._account()
+        self.busy += 1
+        return Event(self.sim).succeed()
 
     def acquire(self) -> Event:
         """Request a slot; the returned event triggers when it is granted."""
-        grant = Event(self.sim)
         if self.busy < self.capacity:
-            self._account()
-            self.busy += 1
-            grant.succeed()
-        else:
-            self._waiters.append(grant)
+            return self._grant_free_slot()
+        grant = Event(self.sim)
+        self._waiters.append(grant)
         return grant
 
     def release(self) -> None:
@@ -183,18 +221,24 @@ class Resource:
 
 
 class Simulator:
-    """The event loop: heap, clock, seeded RNG, process spawner."""
+    """The event loop: heap, ready lane, clock, seeded RNG, process spawner."""
 
     def __init__(self, seed: int = 0):
         self.now = 0.0
         self.rng = random.Random(seed)
         self._heap = []
+        self._ready = deque()  # (callback, argument) pairs due at `now`
         self._sequence = 0
         self.events_processed = 0
 
     # -- scheduling -------------------------------------------------------------
 
     def _push(self, time: float, callback, argument) -> None:
+        if time == self.now:
+            # Due this instant: after everything already due, which is
+            # where a fresh heap sequence number would have put it.
+            self._ready.append((callback, argument))
+            return
         # Heap entries are (time, sequence, callback, argument).  The
         # sequence is strictly monotonic and unique per push, so heapq's
         # tuple comparison NEVER reaches the callback/argument slots: events
@@ -204,20 +248,16 @@ class Simulator:
         self._sequence += 1
         heapq.heappush(self._heap, (time, self._sequence, callback, argument))
 
-    def _post(self, callback, argument) -> None:
-        """Schedule `callback(argument)` at the current instant (FIFO)."""
-        self._push(self.now, callback, argument)
-
     def schedule(self, delay: float, callback, argument=None) -> None:
         """Run `callback(argument)` after `delay` simulated seconds."""
-        if delay < 0:
-            raise ValueError("cannot schedule into the past")
+        if not delay >= 0:  # negative or NaN
+            raise ValueError("cannot schedule into the past: %r" % (delay,))
         self._push(self.now + delay, callback, argument)
 
     def timeout(self, delay: float, value=None) -> Event:
         """An event that triggers `delay` seconds from now."""
-        if delay < 0:
-            raise ValueError("negative timeout")
+        if not delay >= 0:  # negative or NaN
+            raise ValueError("timeout must be >= 0, got %r" % (delay,))
         event = Event(self)
         self._push(self.now + delay, self._fire, (event, value))
         return event
@@ -243,20 +283,43 @@ class Simulator:
     # -- running ----------------------------------------------------------------
 
     def run(self, until: float = None) -> int:
-        """Process events until the heap drains or the clock passes `until`.
+        """Process events until both lanes drain or the clock would pass
+        `until`.
 
         Returns the number of events processed by this call.  With `until`
         given, the clock is left exactly at `until` even if the last event
         fired earlier (so back-to-back windows tile perfectly).
         """
+        if until is not None and until < self.now:
+            return 0  # everything pending is due at `now` or later
         processed = 0
         heap = self._heap
-        while heap:
+        ready = self._ready
+        pop = heapq.heappop
+        popleft = ready.popleft
+        now = self.now
+        while True:
+            # Heap entries due now were pushed before the clock got here,
+            # so they precede the whole lane.
+            while heap and heap[0][0] <= now:
+                _, _, callback, argument = pop(heap)
+                callback(argument)
+                processed += 1
+            # Nothing can join the heap at `now` any more: a push due now
+            # lands on the lane.
+            while ready:
+                callback, argument = popleft()
+                callback(argument)
+                processed += 1
+            if not heap:
+                break
+            # Both lanes are done with `now`: the earliest heap entry
+            # opens the next instant.
             time, _, callback, argument = heap[0]
             if until is not None and time > until:
                 break
-            heapq.heappop(heap)
-            self.now = time
+            pop(heap)
+            self.now = now = time
             callback(argument)
             processed += 1
         if until is not None and self.now < until:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,10 @@ class LogHistogram:
     Exact min/max/sum/count are tracked alongside, and percentile results
     are clamped to ``[min, max]`` so degenerate distributions (one sample,
     all-equal samples) report exactly.
+
+    Bucket lookup bisects one table of upper bounds, the python floats
+    ``base * growth**i``, grown on demand to cover the largest sample seen.
+    NaN samples raise :class:`ValueError`.
     """
 
     def __init__(self, name: str = "", base: float = 1e-6, growth: float = 2 ** 0.25):
@@ -68,6 +73,8 @@ class LogHistogram:
         self.base = base
         self.growth = growth
         self._log_growth = math.log(growth)
+        self._bounds = [base]  # upper bounds base * growth**i, see _cover
+        self._bounds_array = None  # numpy copy of _bounds for record_many
         self.buckets = {}  # index -> count
         self.count = 0
         self.total = 0.0
@@ -76,18 +83,23 @@ class LogHistogram:
 
     # -- recording -------------------------------------------------------------
 
+    def _cover(self, top: float) -> None:
+        """Grow the bound table until its last bound is ``>= top``."""
+        # Float log can land one off right at a boundary; two spare bounds
+        # past the estimate absorb that.
+        edge = int(math.ceil(math.log(top / self.base) / self._log_growth)) + 2
+        self._bounds.extend(self.base * self.growth ** i
+                            for i in range(len(self._bounds), edge + 1))
+        self._bounds_array = None
+
     def bucket_index(self, value: float) -> int:
         """The bucket holding `value`, exact at boundaries."""
-        if value <= self.base:
-            return 0
-        index = max(1, int(math.ceil(math.log(value / self.base) / self._log_growth)))
-        # Float log can land one off right at a boundary; nudge until the
-        # invariant lower < value <= upper holds exactly.
-        while self.base * self.growth ** (index - 1) >= value:
-            index -= 1
-        while self.base * self.growth ** index < value:
-            index += 1
-        return max(index, 0)
+        if value != value:
+            raise ValueError("cannot bucket a NaN sample")
+        bounds = self._bounds
+        if value > bounds[-1]:
+            self._cover(value)
+        return bisect_left(bounds, value)
 
     def bucket_bounds(self, index: int) -> tuple:
         """(lower, upper] bounds of bucket `index` (lower 0.0 for bucket 0)."""
@@ -125,24 +137,23 @@ class LogHistogram:
         # the bucket :meth:`record` would pick — numpy's pow rounds
         # differently in the last bit, so the bounds must not come from it.
         top = float(samples.max())
-        edge = 1
-        if top > self.base:
-            edge = max(1, int(math.ceil(
-                math.log(top / self.base) / self._log_growth))) + 2
-        bounds = np.asarray(
-            [self.base * self.growth ** i for i in range(edge + 1)])
-        indices = np.searchsorted(bounds, samples, side="left")
+        if top != top:
+            raise ValueError("cannot bucket a NaN sample")
+        if top > self._bounds[-1]:
+            self._cover(top)
+        if self._bounds_array is None:
+            self._bounds_array = np.asarray(self._bounds)
+        indices = np.searchsorted(self._bounds_array, samples, side="left")
         counts = np.bincount(indices)
         for index in np.nonzero(counts)[0].tolist():
             self.buckets[index] = self.buckets.get(index, 0) + int(counts[index])
         self.count += int(samples.size)
         self.total += float(samples.sum())
         low = float(samples.min())
-        high = float(samples.max())
         if low < self.min:
             self.min = low
-        if high > self.max:
-            self.max = high
+        if top > self.max:
+            self.max = top
 
     # -- queries ---------------------------------------------------------------
 

@@ -198,13 +198,10 @@ class QosResource(Resource):
     def acquire(self, tenant: str = "", klass: str = DEFAULT_CLASS,
                 cost_s: float = 0.0) -> Event:
         """Request a slot; queued under (tenant, klass) when all are busy."""
-        grant = Event(self.sim)
         if self.busy < self.capacity:
-            self._account()
-            self.busy += 1
-            grant.succeed()
-        else:
-            self.arbiter.enqueue(tenant, klass, cost_s, grant)
+            return self._grant_free_slot()
+        grant = Event(self.sim)
+        self.arbiter.enqueue(tenant, klass, cost_s, grant)
         return grant
 
     def release(self) -> None:

@@ -1,6 +1,13 @@
-"""DES kernel unit tests: ordering, processes, resources, determinism."""
+"""DES kernel unit tests: ordering, processes, resources, determinism,
+and the kernel's order against a heap-only reference scheduler."""
+
+import heapq
+import math
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.kernel import Event, Resource, Simulator
 
@@ -41,8 +48,32 @@ def test_run_until_clips_and_advances_clock():
 
 def test_cannot_schedule_into_the_past():
     sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.schedule(-1.0, lambda _: None)
+    for delay in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            sim.schedule(delay, lambda _: None)
+        with pytest.raises(ValueError):
+            sim.timeout(delay)
+    # A NaN delay admitted among ordinary ones would break the heap order
+    # (0.2 fired before 0.1); rejected, it leaves the order intact.
+    log = []
+    for delay in (0.5, 0.2, float("nan"), 0.9, 0.1):
+        try:
+            sim.schedule(delay, lambda _, d=delay: log.append(d))
+        except ValueError:
+            assert math.isnan(delay)
+    sim.run()
+    assert log == [0.1, 0.2, 0.5, 0.9]
+    # A process sleep is held to the same rule, and the clock stays valid.
+    for delay in (-1.0, float("nan")):
+        sim = Simulator()
+
+        def sleeper(delay=delay):
+            yield delay
+
+        sim.spawn(sleeper())
+        with pytest.raises(ValueError):
+            sim.run(until=2.0)
+        assert sim.now == 0.0
 
 
 # -- processes ---------------------------------------------------------------------
@@ -224,3 +255,231 @@ def test_events_processed_counter():
         sim.schedule(0.1, lambda _: None)
     sim.run()
     assert sim.events_processed == 7
+
+    # The cluster target's payload carries events_processed, so the
+    # accounting is pinned: spawning is one event, and a sleep is two
+    # (the instant, then the resume).
+    def sleeper(count):
+        for _ in range(count):
+            yield 0.5
+
+    for sleeps, events in ((0, 1), (1, 3), (3, 7), (5, 11)):
+        sim = Simulator()
+        sim.spawn(sleeper(sleeps))
+        assert sim.run() == events == 2 * sleeps + 1
+
+    # Two holders of a capacity-1 resource, one sleep each: 8.
+    sim = Simulator()
+    resource = sim.resource(1)
+
+    def holder():
+        yield resource.acquire()
+        yield 0.5
+        resource.release()
+
+    sim.spawn(holder())
+    sim.spawn(holder())
+    sim.run()
+    assert sim.events_processed == 8
+
+    # Waiting on a 2-sleep process: its 5 plus the waiter's 2.
+    sim = Simulator()
+
+    def waiter():
+        yield sim.spawn(sleeper(2))
+
+    sim.spawn(waiter())
+    sim.run()
+    assert sim.events_processed == 7
+
+
+# -- the kernel against its oracle -------------------------------------------------
+
+
+class ReferenceSimulator:
+    """Heap-only reference scheduler: the oracle for the kernel's order.
+
+    Every callback, one due at the current instant included, is a push
+    onto one heap keyed by ``(time, sequence)``, and a process sleep is a
+    timeout :class:`ReferenceEvent` that fires and then posts the resume.
+    :class:`~repro.cluster.kernel.Simulator` must fire the same callbacks
+    in the same order and count the same events
+    (``test_kernel_matches_reference_scheduler``).
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.heap = []
+        self.sequence = 0
+        self.events_processed = 0
+
+    def push(self, time, callback, argument):
+        self.sequence += 1
+        heapq.heappush(self.heap, (time, self.sequence, callback, argument))
+
+    def post(self, callback, argument):
+        self.push(self.now, callback, argument)
+
+    def schedule(self, delay, callback, argument=None):
+        self.push(self.now + delay, callback, argument)
+
+    def timeout(self, delay, value=None):
+        event = ReferenceEvent(self)
+        self.push(self.now + delay, lambda _: event.succeed(value), None)
+        return event
+
+    def spawn(self, generator):
+        return ReferenceProcess(self, generator)
+
+    def resource(self, capacity):
+        return ReferenceResource(self, capacity)
+
+    def run(self, until=None):
+        processed = 0
+        while self.heap:
+            time, _, callback, argument = self.heap[0]
+            if until is not None and time > until:
+                break
+            heapq.heappop(self.heap)
+            self.now = time
+            callback(argument)
+            processed += 1
+        if until is not None and self.now < until:
+            self.now = until
+        self.events_processed += processed
+        return processed
+
+
+class ReferenceEvent:
+    def __init__(self, sim):
+        self.sim = sim
+        self.value = None
+        self.triggered = False
+        self.callbacks = []
+
+    def succeed(self, value=None):
+        assert not self.triggered
+        self.triggered = True
+        self.value = value
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            self.sim.post(callback, self)
+        return self
+
+    def wait(self, callback):
+        if self.triggered:
+            self.sim.post(callback, self)
+        else:
+            self.callbacks.append(callback)
+
+
+class ReferenceProcess(ReferenceEvent):
+    def __init__(self, sim, generator):
+        super().__init__(sim)
+        self.generator = generator
+        sim.post(self.step, None)
+
+    def step(self, fired):
+        try:
+            target = self.generator.send(None if fired is None else fired.value)
+        except StopIteration as stop:
+            self.succeed(stop.value)
+            return
+        if not isinstance(target, ReferenceEvent):
+            target = self.sim.timeout(target)
+        target.wait(self.step)
+
+
+class ReferenceResource:
+    def __init__(self, sim, capacity):
+        self.sim = sim
+        self.capacity = capacity
+        self.busy = 0
+        self.waiters = deque()
+
+    def acquire(self):
+        grant = ReferenceEvent(self.sim)
+        if self.busy < self.capacity:
+            self.busy += 1
+            grant.succeed()
+        else:
+            self.waiters.append(grant)
+        return grant
+
+    def release(self):
+        if self.waiters:
+            self.waiters.popleft().succeed()
+        else:
+            self.busy -= 1
+
+
+#: Few distinct delays, 0.0 among them, so instants collide often.
+_DELAYS = st.sampled_from((0.0, 0.25, 0.5, 1.0))
+
+_STEP = st.one_of(
+    st.tuples(st.just("sleep"), _DELAYS),
+    st.tuples(st.just("hold"), st.integers(0, 1), _DELAYS),
+    st.tuples(st.just("join"), st.integers(0, 4)),
+    st.tuples(st.just("side"), _DELAYS),
+    st.tuples(st.just("timeout"), _DELAYS),
+)
+
+
+def _run_program(sim, programs, windows):
+    """Run generated processes on `sim`; return everything observable."""
+    log = []
+    resources = [sim.resource(1), sim.resource(2)]
+    processes = []
+
+    def body(index, steps):
+        for position, step in enumerate(steps):
+            tag = (index, position, step[0])
+            if step[0] == "sleep":
+                yield step[1]
+                log.append((sim.now, tag))
+            elif step[0] == "hold":
+                resource = resources[step[1]]
+                yield resource.acquire()
+                log.append((sim.now, tag, "granted"))
+                yield step[2]
+                resource.release()
+                log.append((sim.now, tag, "released"))
+            elif step[0] == "join" and len(programs) > 1:
+                other = (index + 1 + step[1] % (len(programs) - 1)) \
+                    % len(programs)
+                value = yield processes[other]
+                log.append((sim.now, tag, value))
+            elif step[0] == "side":
+                sim.schedule(step[1],
+                             lambda _, tag=tag: log.append((sim.now, tag)))
+            elif step[0] == "timeout":
+                # Two waiters: a callback and this process.
+                event = sim.timeout(step[1], tag)
+                event.wait(lambda fired, tag=tag: log.append(
+                    (sim.now, tag, "callback", fired.value)))
+                value = yield event
+                log.append((sim.now, tag, value))
+        return (index, sim.now)
+
+    for index, steps in enumerate(programs):
+        processes.append(sim.spawn(body(index, steps)))
+    runs = [(until, sim.run(until=until), sim.now) for until in windows]
+    runs.append((None, sim.run(), sim.now))
+    return {
+        "log": log,
+        "runs": runs,
+        "results": [(p.triggered, p.value) for p in processes],
+        "events": sim.events_processed,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    programs=st.lists(st.lists(_STEP, max_size=6), min_size=1, max_size=6),
+    windows=st.lists(st.sampled_from((0.0, 0.25, 0.3, 0.5, 1.0, 1.75, 2.5)),
+                     min_size=1, max_size=3),
+)
+def test_kernel_matches_reference_scheduler(programs, windows):
+    kernel = _run_program(Simulator(), programs, windows)
+    reference = _run_program(ReferenceSimulator(), programs, windows)
+    assert kernel == reference

@@ -57,6 +57,56 @@ def test_bucket_bounds_tile_the_axis():
         previous_upper = upper
 
 
+def _reference_bucket_index(hist, value):
+    """Oracle for the bound table: the log estimate nudged against
+    ``base * growth**i`` until ``lower < value <= upper`` holds."""
+    if value <= hist.base:
+        return 0
+    index = max(1, int(math.ceil(math.log(value / hist.base)
+                                 / math.log(hist.growth))))
+    while hist.base * hist.growth ** (index - 1) >= value:
+        index -= 1
+    while hist.base * hist.growth ** index < value:
+        index += 1
+    return max(index, 0)
+
+
+def _boundary_samples(hist, top=200):
+    """Every bound ``base * growth**i`` for i in 0..top and its float
+    neighbours on both sides."""
+    samples = []
+    for i in range(top + 1):
+        bound = hist.base * hist.growth ** i
+        samples += [math.nextafter(bound, -math.inf), bound,
+                    math.nextafter(bound, math.inf)]
+    return samples
+
+
+@pytest.mark.parametrize("base, growth", [(1e-6, 2 ** 0.25), (1.0, 2.0)])
+def test_bound_table_matches_log_and_nudge(base, growth):
+    top = base * growth ** 240
+    samples = _boundary_samples(LogHistogram(base=base, growth=growth)) + [
+        0.0, -0.0, -1e-9, -1.0, -math.inf, base / 3, top, top * 1.5, top * 1e3]
+    # A fresh histogram grows its table from the one-entry start straight
+    # to the sample; a shared one, fed up then down, also answers from a
+    # table grown by earlier samples.
+    for value in samples:
+        fresh = LogHistogram(base=base, growth=growth)
+        assert fresh.bucket_index(value) == _reference_bucket_index(fresh, value), value
+    shared = LogHistogram(base=base, growth=growth)
+    for value in samples + samples[::-1]:
+        assert shared.bucket_index(value) == _reference_bucket_index(shared, value), value
+
+
+def test_nan_samples_are_rejected():
+    hist = LogHistogram()
+    with pytest.raises(ValueError):
+        hist.record(float("nan"))
+    with pytest.raises(ValueError):
+        hist.record_many([1e-3, float("nan")])
+    assert hist.count == 0 and hist.buckets == {}
+
+
 # -- percentile edge cases ---------------------------------------------------------
 
 
@@ -155,6 +205,9 @@ def _mixed_samples():
 
 def test_record_many_matches_one_at_a_time():
     samples = _mixed_samples()
+    # Every bound to i = 200 and its neighbours, which both paths reach by
+    # growing their bound tables.
+    samples += _boundary_samples(LogHistogram(base=1e-6, growth=2 ** 0.25))
     one_by_one = LogHistogram(base=1e-6, growth=2 ** 0.25)
     for value in samples:
         one_by_one.record(value)
