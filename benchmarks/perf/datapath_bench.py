@@ -14,6 +14,14 @@ Sections:
   stride-4 H-power hardware attacks.
 * ``deflate`` — LZ77 tokenisation with the seed's byte-at-a-time matcher
   vs the chunked-compare matcher (identical token streams).
+* ``deflate_dsa`` — the deflate DSA's kernels: ``HardwareMatcher().tokenize``
+  plus ``write_fixed_block`` on a 4 KB page of each corpus kind, current
+  path only (report-only, not gated).
+* ``inflate`` — ``deflate_decompress`` on those fixed-Huffman streams and on
+  one 16 KB zlib level-6 (dynamic-Huffman) stream, current path only
+  (report-only, not gated).  Both sections call only APIs that predate the
+  table-driven kernels, so running this file on an older checkout gives
+  the "before" figures.
 * ``compcpy_e2e`` — a whole TLS record pushed through the SmartDIMM
   CompCpy pipeline (cache + DRAM micro-simulation included), current path
   only: the seed path at 64 KB takes minutes, so the committed baseline is
@@ -168,6 +176,60 @@ def bench_deflate(sizes=SIZES, repeats=3) -> dict:
     return results
 
 
+def _corpus_pages() -> dict:
+    """One 4 KB page of each corpus kind, by kind name."""
+    from repro.workloads.corpus import CorpusKind, generate_corpus
+
+    return {kind.value: generate_corpus(kind, 4096, seed=1) for kind in CorpusKind}
+
+
+def _dsa_stream(page: bytes) -> bytes:
+    """The deflate DSA's fixed-Huffman stream for one page."""
+    from repro.core.dsa.deflate_dsa import HardwareMatcher
+    from repro.ulp.bitstream import BitWriter
+    from repro.ulp.deflate import write_fixed_block
+
+    writer = BitWriter()
+    write_fixed_block(writer, HardwareMatcher().tokenize(page), final=True)
+    return writer.getvalue()
+
+
+def _after_entry(size: int, elapsed: float) -> dict:
+    return {"size_bytes": size, "after_s": elapsed, "after_mbps": size / elapsed / 1e6}
+
+
+def bench_deflate_dsa(repeats=3) -> dict:
+    """Deflate DSA kernels per corpus kind: banked matcher + fixed writer."""
+    from repro.ulp.deflate import deflate_decompress
+
+    results = {}
+    for kind, page in _corpus_pages().items():
+        if deflate_decompress(_dsa_stream(page)) != page:
+            raise AssertionError("DSA stream does not round-trip for %s" % kind)
+        results[kind] = _after_entry(len(page), _best_of(lambda: _dsa_stream(page), repeats))
+    return results
+
+
+def bench_inflate(repeats=3) -> dict:
+    """Inflate per DSA stream (fixed Huffman) plus one 16 KB zlib level-6
+    stream (dynamic Huffman); MB/s counts decompressed bytes."""
+    import zlib
+
+    from repro.ulp.deflate import deflate_decompress
+    from repro.workloads.corpus import CorpusKind, generate_corpus
+
+    cases = {kind: (_dsa_stream(page), page) for kind, page in _corpus_pages().items()}
+    html = generate_corpus(CorpusKind.HTML, 16384, seed=1)
+    compressor = zlib.compressobj(6, zlib.DEFLATED, -15)
+    cases["zlib6_16k"] = (compressor.compress(html) + compressor.flush(), html)
+    results = {}
+    for name, (stream, data) in cases.items():
+        if deflate_decompress(stream) != data:
+            raise AssertionError("inflate diverged on %s" % name)
+        results[name] = _after_entry(len(data), _best_of(lambda: deflate_decompress(stream), repeats))
+    return results
+
+
 #: compcpy_e2e throughput recorded before the batched line-op fast path
 #: (per-line LLC/controller/DIMM simulation, per-block GHASH folding).
 #: These figures were measured on the same class of machine as the
@@ -240,6 +302,8 @@ def bench_all(sizes=SIZES, repeats=3) -> dict:
         "aes_gcm_encrypt": bench_aes_gcm(sizes, repeats),
         "ghash": bench_ghash(sizes, repeats),
         "deflate": bench_deflate(sizes, repeats),
+        "deflate_dsa": bench_deflate_dsa(repeats),
+        "inflate": bench_inflate(repeats),
         "compcpy_e2e": bench_compcpy(sizes, max(1, repeats - 1)),
         "slots_alloc": bench_slots_alloc(repeats=repeats),
     }
@@ -280,6 +344,12 @@ def main() -> None:
                 entry.get("speedup_vs_seed", 0.0),
             )
         )
+    for section in ("deflate_dsa", "inflate"):
+        for name, entry in results[section].items():
+            print(
+                "%-16s %-10s %6d B  after %8.3f ms  %8.2f MB/s"
+                % (section, name, entry["size_bytes"], 1e3 * entry["after_s"], entry["after_mbps"])
+            )
     for name, entry in sorted(results.get("slots_alloc", {}).items()):
         print("%-16s %6d objs  %8.1f ns/object" % (name, entry["objects"], entry["ns_per_object"]))
     print("wrote", path)

@@ -26,10 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.dram.commands import CACHELINE_SIZE, PAGE_SIZE
 from repro.ulp.bitstream import BitWriter
 from repro.ulp.deflate import write_fixed_block
-from repro.ulp.lz77 import MIN_MATCH, Literal, Match
+from repro.ulp.lz77 import LITERALS, MAX_MATCH, MIN_MATCH, Match, common_prefix_length
 from repro.core.dsa.base import DSA, Offload, ScratchpadWriter
 
 OVERFLOW_MARKER = 0xFFFFFFFF
@@ -55,10 +57,14 @@ class HardwareMatcher:
         banks: int = 8,
         bucket_depth: int = 4,
         hash_buckets: int = 512,
-        max_match: int = 258,
+        max_match: int = MAX_MATCH,
     ):
         if banks < 1 or window_bytes < 1:
             raise ValueError("banks and window_bytes must be positive")
+        if hash_buckets < 1 or bucket_depth < 1:
+            raise ValueError("hash_buckets and bucket_depth must be positive")
+        if not MIN_MATCH <= max_match <= MAX_MATCH:
+            raise ValueError("max_match must lie in [%d, %d]" % (MIN_MATCH, MAX_MATCH))
         self.window_bytes = window_bytes
         self.banks = banks
         self.bucket_depth = bucket_depth
@@ -67,79 +73,93 @@ class HardwareMatcher:
         self.bank_conflicts = 0
         self.lookups = 0
 
-    @staticmethod
-    def _hash(data, pos: int) -> int:
-        return ((data[pos] << 6) ^ (data[pos + 1] << 3) ^ data[pos + 2]) & 0x7FFFFFFF
-
     def tokenize(self, data: bytes) -> list:
-        """Tokenize up to one page of input under hardware constraints."""
-        if len(data) > PAGE_SIZE:
-            raise ValueError("deflate DSA operates at 4KB page granularity")
-        table = [[] for _ in range(self.hash_buckets)]  # FIFO buckets
-        tokens = []
-        pos = 0
-        n = len(data)
-        while pos < n:
-            # One pipeline step: examine window_bytes positions with
-            # single-ported banks — same-bank collisions discard the later
-            # position's candidates.
-            window_end = min(pos + self.window_bytes, n)
-            banks_used = set()
-            best_per_position = {}
-            for p in range(pos, window_end):
-                if p + MIN_MATCH > n:
-                    break
-                bucket = self._hash(data, p) % self.hash_buckets
-                bank = bucket % self.banks
-                self.lookups += 1
-                if bank in banks_used:
-                    self.bank_conflicts += 1
-                    candidates = []
-                else:
-                    banks_used.add(bank)
-                    candidates = table[bucket]
-                best = None
-                for candidate in candidates:
-                    length = self._match_length(data, candidate, p, n)
-                    if length >= MIN_MATCH and (best is None or length > best[0]):
-                        best = (length, p - candidate)
-                if best is not None:
-                    best_per_position[p] = best
-            # Insert the window's positions into the candidate memory
-            # (port-limited: one insert per bank per step).
-            insert_banks = set()
-            for p in range(pos, window_end):
-                if p + MIN_MATCH > n:
-                    break
-                bucket = self._hash(data, p) % self.hash_buckets
-                bank = bucket % self.banks
-                if bank in insert_banks:
-                    continue
-                insert_banks.add(bank)
-                fifo = table[bucket]
-                fifo.append(p)
-                if len(fifo) > self.bucket_depth:
-                    fifo.pop(0)  # oldest substring replaced (Sec. V-B)
-            # Selection stage: commit matches left-to-right.
-            p = pos
-            while p < window_end:
-                best = best_per_position.get(p)
-                if best is not None:
-                    length = min(best[0], n - p)
-                    tokens.append(Match(length=length, distance=best[1]))
-                    p += length
-                else:
-                    tokens.append(Literal(data[p]))
-                    p += 1
-            pos = max(p, window_end)
-        return tokens
+        """Tokenize up to one page of input under hardware constraints.
 
-    def _match_length(self, data, candidate: int, pos: int, n: int) -> int:
-        limit = min(self.max_match, n - pos)
-        length = 0
-        while length < limit and data[candidate + length] == data[pos + length]:
-            length += 1
-        return length
+        One pipeline step examines ``window_bytes`` positions through
+        single-ported banks: only the first position per bank in the window
+        reads its bucket's candidates (a later same-bank position is a bank
+        conflict and finds nothing), and only those positions are inserted,
+        after the probes.  Matches then commit left to right.
+        """
+        n = len(data)
+        if n > PAGE_SIZE:
+            raise ValueError("deflate DSA operates at 4KB page granularity")
+        hash_buckets = self.hash_buckets
+        banks = self.banks
+        depth = self.bucket_depth
+        max_match = self.max_match
+        window_bytes = self.window_bytes
+        # Per position with MIN_MATCH bytes left, computed once: its first
+        # three bytes as one integer (a candidate that differs there cannot
+        # match), its bucket and its bank as a bit.
+        codes = np.frombuffer(data, dtype=np.uint8).astype(np.intp)
+        first, second, third = codes[:-2], codes[1:-1], codes[2:]
+        heads = (first << 16 | second << 8 | third).tolist()
+        buckets = (first << 6 ^ second << 3 ^ third) % hash_buckets
+        bank_bit = [1 << bank for bank in range(banks)]
+        bank_bits = list(map(bank_bit.__getitem__, (buckets % banks).tolist()))
+        buckets = buckets.tolist()
+        last = len(heads)
+        table = [[] for _ in range(hash_buckets)]  # FIFO buckets, oldest first
+        literal_at = LITERALS.__getitem__
+        tokens = []
+        lookups = conflicts = 0
+        pos = 0
+        while pos < n:
+            window_end = pos + window_bytes
+            if window_end > n:
+                window_end = n
+            probe_end = window_end if window_end < last else last
+            if probe_end > pos:
+                lookups += probe_end - pos
+            found = []  # (position, length, distance), by position
+            used = 0
+            for p in range(pos, probe_end):
+                bit = bank_bits[p]
+                if used & bit:
+                    conflicts += 1  # no candidates, no insert
+                    continue
+                used |= bit
+                # Distinct banks mean distinct buckets, so inserting p right
+                # after its own probe is the same as after the window's.
+                fifo = table[buckets[p]]
+                if fifo:
+                    head = heads[p]
+                    limit = n - p
+                    if limit > max_match:
+                        limit = max_match
+                    best_length = MIN_MATCH - 1
+                    for candidate in fifo:
+                        if heads[candidate] != head:
+                            continue
+                        if best_length >= MIN_MATCH:
+                            if best_length == limit:
+                                break
+                            if data[candidate + best_length] != data[p + best_length]:
+                                continue  # cannot be longer than the best
+                        length = common_prefix_length(data, candidate, p, limit)
+                        if length > best_length:
+                            best_length = length
+                            best_distance = p - candidate
+                    if best_length >= MIN_MATCH:
+                        found.append((p, best_length, best_distance))
+                fifo.append(p)
+                if len(fifo) > depth:
+                    del fifo[0]  # oldest substring replaced (Sec. V-B)
+            # Selection stage: commit matches left to right.
+            p = pos
+            for start, length, distance in found:
+                if start >= p:
+                    tokens += map(literal_at, data[p:start])
+                    tokens.append(Match(length=length, distance=distance))
+                    p = start + length
+            if p < window_end:
+                tokens += map(literal_at, data[p:window_end])
+            pos = max(p, window_end)
+        self.lookups += lookups
+        self.bank_conflicts += conflicts
+        return tokens
 
 
 @dataclass

@@ -9,6 +9,16 @@ here hide that asymmetry from the LZ/Huffman layers.
 from __future__ import annotations
 
 
+def reverse_bits(value: int, length: int) -> int:
+    """The low `length` bits of `value` in reverse order (0 if `length` < 1).
+
+    A Huffman code reversed once is the value to write LSB-first.
+    """
+    if length < 1:
+        return 0
+    return int(format(value & ((1 << length) - 1), "0%db" % length)[::-1], 2)
+
+
 class BitWriter:
     """Accumulates bits LSB-first and yields the packed byte string."""
 
@@ -21,20 +31,19 @@ class BitWriter:
         """Write `count` bits of `value`, least significant bit first."""
         if count < 0:
             raise ValueError("negative bit count")
-        self._bit_buffer |= (value & ((1 << count) - 1)) << self._bit_count
-        self._bit_count += count
-        while self._bit_count >= 8:
-            self._bytes.append(self._bit_buffer & 0xFF)
-            self._bit_buffer >>= 8
-            self._bit_count -= 8
+        bit_buffer = self._bit_buffer | (value & ((1 << count) - 1)) << self._bit_count
+        bit_count = self._bit_count + count
+        if bit_count >= 8:
+            whole = bit_count >> 3
+            self._bytes += (bit_buffer & ((1 << 8 * whole) - 1)).to_bytes(whole, "little")
+            bit_buffer >>= 8 * whole
+            bit_count &= 7
+        self._bit_buffer = bit_buffer
+        self._bit_count = bit_count
 
     def write_huffman_code(self, code: int, length: int) -> None:
         """Write a Huffman code (codes are bit-reversed on the wire)."""
-        reversed_code = 0
-        for _ in range(length):
-            reversed_code = (reversed_code << 1) | (code & 1)
-            code >>= 1
-        self.write_bits(reversed_code, length)
+        self.write_bits(reverse_bits(code, length), length)
 
     def align_to_byte(self) -> None:
         """Pad with zero bits to the next byte boundary."""
@@ -62,23 +71,30 @@ class BitWriter:
 
 
 class BitReader:
-    """Reads bits LSB-first from a byte string."""
+    """Reads bits LSB-first from a byte string.
+
+    ``data``, ``position`` (the offset of the next unread bit) and ``end``
+    (the stream length in bits) are public because
+    :meth:`repro.ulp.huffman.HuffmanDecoder.decode` peeks and advances
+    them directly, which saves a method call per symbol.
+    """
 
     def __init__(self, data: bytes):
-        self._data = data
-        self._position = 0  # bit position
+        self.data = data
+        self.position = 0
+        self.end = 8 * len(data)
 
     def read_bits(self, count: int) -> int:
         """Read `count` bits, least significant bit first."""
-        value = 0
-        for i in range(count):
-            byte_index, bit_index = divmod(self._position, 8)
-            if byte_index >= len(self._data):
-                raise EOFError("bit stream exhausted")
-            bit = (self._data[byte_index] >> bit_index) & 1
-            value |= bit << i
-            self._position += 1
-        return value
+        if count < 0:
+            raise ValueError("negative bit count")
+        position = self.position
+        stop = position + count
+        if stop > self.end:
+            raise EOFError("bit stream exhausted")
+        self.position = stop
+        covering = self.data[position >> 3 : (stop + 7) >> 3]
+        return (int.from_bytes(covering, "little") >> (position & 7)) & ((1 << count) - 1)
 
     def read_bit(self) -> int:
         """Read a single bit."""
@@ -86,18 +102,18 @@ class BitReader:
 
     def align_to_byte(self) -> None:
         """Skip to the next byte boundary."""
-        self._position = (self._position + 7) // 8 * 8
+        self.position = (self.position + 7) // 8 * 8
 
     def read_bytes(self, count: int) -> bytes:
         """Read whole bytes; the stream must be byte-aligned."""
-        if self._position % 8:
+        if self.position % 8:
             raise ValueError("read_bytes requires byte alignment")
-        start = self._position // 8
-        if start + count > len(self._data):
+        start = self.position // 8
+        if start + count > len(self.data):
             raise EOFError("bit stream exhausted")
-        self._position += 8 * count
-        return self._data[start : start + count]
+        self.position += 8 * count
+        return self.data[start : start + count]
 
     @property
     def bits_remaining(self) -> int:
-        return 8 * len(self._data) - self._position
+        return self.end - self.position

@@ -26,8 +26,8 @@ from repro.ulp.huffman import (
     HuffmanEncoder,
     distance_to_symbol,
     encode_code_lengths,
-    fixed_distance_lengths,
-    fixed_literal_lengths,
+    fixed_decoders,
+    fixed_encoders,
     length_to_symbol,
     package_merge_lengths,
 )
@@ -67,16 +67,20 @@ def _symbol_stream(tokens: list) -> list:
 
 def _write_symbols(writer: BitWriter, stream: list, literal_encoder: HuffmanEncoder,
                    distance_encoder: HuffmanEncoder) -> None:
+    """One write per symbol tuple: the literal/length code, its extra bits,
+    the distance code and its extra bits, packed LSB-first."""
+    literal_codes = literal_encoder.wire
+    distance_codes = distance_encoder.wire
+    write_bits = writer.write_bits
     for lsym, lextra, lbits, dsym, dextra, dbits in stream:
-        code, length = literal_encoder.encode(lsym)
-        writer.write_huffman_code(code, length)
-        if lbits:
-            writer.write_bits(lextra, lbits)
-        if dsym is not None:
-            code, length = distance_encoder.encode(dsym)
-            writer.write_huffman_code(code, length)
-            if dbits:
-                writer.write_bits(dextra, dbits)
+        value, count = literal_codes[lsym]
+        if dsym is None:
+            write_bits(value, count)
+            continue
+        value |= lextra << count
+        count += lbits
+        code, length = distance_codes[dsym]
+        write_bits(value | (code | dextra << length) << count, count + length + dbits)
 
 
 def _dynamic_block_cost(stream: list, literal_lengths: dict, distance_lengths: dict,
@@ -90,8 +94,9 @@ def _dynamic_block_cost(stream: list, literal_lengths: dict, distance_lengths: d
 
 
 def _fixed_block_cost(stream: list) -> int:
-    literal_lengths = fixed_literal_lengths()
-    distance_lengths = fixed_distance_lengths()
+    literal_encoder, distance_encoder = fixed_encoders()
+    literal_lengths = literal_encoder.lengths
+    distance_lengths = distance_encoder.lengths
     bits = 3
     for lsym, _, lbits, dsym, _, dbits in stream:
         bits += literal_lengths[lsym] + lbits
@@ -134,9 +139,7 @@ def deflate_compress(data: bytes, level: int = 6, window_size: int = 32768) -> b
         # Empty final fixed block: just the end-of-block symbol.
         writer.write_bits(1, 1)
         writer.write_bits(BLOCK_FIXED, 2)
-        encoder = HuffmanEncoder(fixed_literal_lengths())
-        code, length = encoder.encode(END_OF_BLOCK)
-        writer.write_huffman_code(code, length)
+        writer.write_bits(*fixed_encoders()[0].wire[END_OF_BLOCK])
         return writer.getvalue()
 
     matcher = HashChainMatcher(window_size=window_size, **_LEVEL_PARAMS[level])
@@ -165,12 +168,7 @@ def deflate_compress(data: bytes, level: int = 6, window_size: int = 32768) -> b
     elif best == fixed_bits:
         writer.write_bits(1, 1)
         writer.write_bits(BLOCK_FIXED, 2)
-        _write_symbols(
-            writer,
-            stream,
-            HuffmanEncoder(fixed_literal_lengths()),
-            HuffmanEncoder(fixed_distance_lengths()),
-        )
+        _write_symbols(writer, stream, *fixed_encoders())
     else:
         writer.write_bits(1, 1)
         writer.write_bits(BLOCK_DYNAMIC, 2)
@@ -180,10 +178,8 @@ def deflate_compress(data: bytes, level: int = 6, window_size: int = 32768) -> b
         for symbol in CODE_LENGTH_ORDER[:hclen]:
             writer.write_bits(cl_encoder.lengths.get(symbol, 0), 3)
         for symbol, extra_value, extra_bits in cl_entries:
-            code, length = cl_encoder.encode(symbol)
-            writer.write_huffman_code(code, length)
-            if extra_bits:
-                writer.write_bits(extra_value, extra_bits)
+            code, length = cl_encoder.wire[symbol]
+            writer.write_bits(code | extra_value << length, length + extra_bits)
         _write_symbols(
             writer,
             stream,
@@ -217,12 +213,7 @@ def write_fixed_block(writer: BitWriter, tokens: list, final: bool = True) -> No
     """
     writer.write_bits(1 if final else 0, 1)
     writer.write_bits(BLOCK_FIXED, 2)
-    _write_symbols(
-        writer,
-        _symbol_stream(tokens),
-        HuffmanEncoder(fixed_literal_lengths()),
-        HuffmanEncoder(fixed_distance_lengths()),
-    )
+    _write_symbols(writer, _symbol_stream(tokens), *fixed_encoders())
 
 
 def deflate_decompress(data: bytes, max_output: int = 1 << 30) -> bytes:
@@ -230,7 +221,7 @@ def deflate_decompress(data: bytes, max_output: int = 1 << 30) -> bytes:
     reader = BitReader(data)
     out = bytearray()
     while True:
-        final = reader.read_bit()
+        final = reader.read_bits(1)
         block_type = reader.read_bits(2)
         if block_type == BLOCK_STORED:
             reader.align_to_byte()
@@ -241,8 +232,7 @@ def deflate_decompress(data: bytes, max_output: int = 1 << 30) -> bytes:
             out.extend(reader.read_bytes(length))
         elif block_type in (BLOCK_FIXED, BLOCK_DYNAMIC):
             if block_type == BLOCK_FIXED:
-                literal_decoder = HuffmanDecoder(fixed_literal_lengths())
-                distance_decoder = HuffmanDecoder(fixed_distance_lengths())
+                literal_decoder, distance_decoder = fixed_decoders()
             else:
                 literal_decoder, distance_decoder = _read_dynamic_header(reader)
             _inflate_block(reader, out, literal_decoder, distance_decoder, max_output)
@@ -289,26 +279,34 @@ def _read_dynamic_header(reader: BitReader) -> tuple:
 
 
 def _inflate_block(reader, out, literal_decoder, distance_decoder, max_output) -> None:
+    decode_literal = literal_decoder.decode
+    decode_distance = distance_decoder.decode
+    read_bits = reader.read_bits
     while True:
-        symbol = literal_decoder.decode(reader)
-        if symbol == END_OF_BLOCK:
-            return
-        if symbol < 256:
+        symbol = decode_literal(reader)
+        if symbol < END_OF_BLOCK:
             out.append(symbol)
+        elif symbol == END_OF_BLOCK:
+            return
         else:
             index = symbol - 257
             if index >= len(LENGTH_BASE):
                 raise ValueError("invalid length symbol %d" % symbol)
-            length = LENGTH_BASE[index] + reader.read_bits(LENGTH_EXTRA[index])
-            dsym = distance_decoder.decode(reader)
+            length = LENGTH_BASE[index] + read_bits(LENGTH_EXTRA[index])
+            dsym = decode_distance(reader)
             if dsym >= len(DISTANCE_BASE):
                 raise ValueError("invalid distance symbol %d" % dsym)
-            distance = DISTANCE_BASE[dsym] + reader.read_bits(DISTANCE_EXTRA[dsym])
+            distance = DISTANCE_BASE[dsym] + read_bits(DISTANCE_EXTRA[dsym])
             if distance > len(out):
                 raise ValueError("distance reaches before stream start")
             start = len(out) - distance
-            for i in range(length):
-                out.append(out[start + i])
+            if length <= distance:
+                out += out[start : start + length]
+            else:
+                # An overlapping copy repeats the last `distance` bytes.
+                repeats, rest = divmod(length, distance)
+                chunk = out[start:]
+                out += chunk * repeats + chunk[:rest]
         if len(out) > max_output:
             raise ValueError("output exceeds max_output")
 

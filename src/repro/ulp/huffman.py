@@ -9,6 +9,11 @@ decompressor, and the deflate DSA.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
+from functools import lru_cache
+
+from repro.ulp.bitstream import reverse_bits
+from repro.ulp.lz77 import MAX_DISTANCE, MAX_MATCH, MIN_MATCH
 
 MAX_CODE_LENGTH = 15
 
@@ -38,20 +43,32 @@ END_OF_BLOCK = 256
 CODE_LENGTH_ORDER = [16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15]
 
 
+# Symbol index per match length, and per distance slot: a distance d takes
+# slot d - 1 up to 256 and slot 256 + ((d - 1) >> 7) above, where every
+# code's base is 1 more than a multiple of 128 (zlib's two-level split).
+_LENGTH_INDEX = bytes(
+    bisect_right(LENGTH_BASE, length) - 1 for length in range(MIN_MATCH, MAX_MATCH + 1)
+)
+_DISTANCE_INDEX = bytes(
+    bisect_right(DISTANCE_BASE, slot + 1 if slot < 256 else ((slot - 256) << 7) + 1) - 1
+    for slot in range(512)
+)
+
+
 def length_to_symbol(length: int) -> tuple:
     """Map a match length (3..258) to (symbol, extra_bits_value, extra_bits)."""
-    for i in range(len(LENGTH_BASE) - 1, -1, -1):
-        if length >= LENGTH_BASE[i]:
-            return 257 + i, length - LENGTH_BASE[i], LENGTH_EXTRA[i]
-    raise ValueError("invalid match length %d" % length)
+    if not MIN_MATCH <= length <= MAX_MATCH:
+        raise ValueError("invalid match length %d" % length)
+    index = _LENGTH_INDEX[length - MIN_MATCH]
+    return 257 + index, length - LENGTH_BASE[index], LENGTH_EXTRA[index]
 
 
 def distance_to_symbol(distance: int) -> tuple:
     """Map a match distance (1..32768) to (symbol, extra_bits_value, extra_bits)."""
-    for i in range(len(DISTANCE_BASE) - 1, -1, -1):
-        if distance >= DISTANCE_BASE[i]:
-            return i, distance - DISTANCE_BASE[i], DISTANCE_EXTRA[i]
-    raise ValueError("invalid match distance %d" % distance)
+    if not 1 <= distance <= MAX_DISTANCE:
+        raise ValueError("invalid match distance %d" % distance)
+    index = _DISTANCE_INDEX[distance - 1 if distance <= 256 else 256 + ((distance - 1) >> 7)]
+    return index, distance - DISTANCE_BASE[index], DISTANCE_EXTRA[index]
 
 
 def package_merge_lengths(frequencies: dict, limit: int = MAX_CODE_LENGTH) -> dict:
@@ -118,13 +135,21 @@ def validate_kraft(lengths: dict) -> bool:
 
 
 class HuffmanEncoder:
-    """Symbol -> (code, length) encoder built from code lengths."""
+    """Symbol -> (code, length) encoder built from code lengths.
+
+    ``wire`` maps each symbol to its code bit-reversed, as
+    :meth:`repro.ulp.bitstream.BitWriter.write_bits` takes it, and its length.
+    """
 
     def __init__(self, lengths: dict):
         if not validate_kraft(lengths):
             raise ValueError("code lengths violate the Kraft inequality")
         self.lengths = dict(lengths)
         self.codes = canonical_codes(lengths)
+        self.wire = {
+            symbol: (reverse_bits(code, self.lengths[symbol]), self.lengths[symbol])
+            for symbol, code in self.codes.items()
+        }
 
     @classmethod
     def from_frequencies(cls, frequencies: dict, limit: int = MAX_CODE_LENGTH):
@@ -139,24 +164,64 @@ class HuffmanEncoder:
 
 
 class HuffmanDecoder:
-    """Bit-serial canonical Huffman decoder."""
+    """Table-driven canonical Huffman decoder.
+
+    One lookup list covers every value of the next ``max_length`` stream
+    bits.  An entry is ``symbol << 4 | length`` for the code those bits
+    start with, or -1 where no code starts.  A code whose value does not
+    fit its length is left out: an over-subscribed set, which a corrupt
+    dynamic header can carry, numbers some codes past their length, and a
+    bit-serial walk never matches those.  Canonical numbering starts each
+    length above every shorter code, so no two codes that fit are prefixes
+    of one another and no entry is claimed twice.  The bit-serial walk is
+    kept in ``tests/ulp/test_inflate_oracle.py`` as this decoder's oracle.
+    """
 
     def __init__(self, lengths: dict):
         codes = canonical_codes(lengths)
-        self._table = {
-            (lengths[symbol], code): symbol for symbol, code in codes.items()
-        }
-        self._max_length = max((L for L in lengths.values() if L), default=0)
+        self._max_length = max_length = max((L for L in lengths.values() if L), default=0)
+        self._mask = (1 << max_length) - 1
+        table = [-1] * (1 << max_length)
+        for symbol, code in codes.items():
+            length = lengths[symbol]
+            if code >> length:
+                continue
+            # Every index whose low `length` bits are the code as read.
+            table[reverse_bits(code, length) :: 1 << length] = [symbol << 4 | length] * (
+                1 << (max_length - length)
+            )
+        self._table = table
 
     def decode(self, reader) -> int:
         """Decode one symbol from a :class:`repro.ulp.bitstream.BitReader`."""
-        code = 0
-        for length in range(1, self._max_length + 1):
-            code = (code << 1) | reader.read_bit()
-            symbol = self._table.get((length, code))
-            if symbol is not None:
-                return symbol
-        raise ValueError("invalid Huffman code in stream")
+        position = reader.position
+        start = position >> 3
+        # Three bytes hold the longest code (15 bits) at any bit offset.
+        entry = self._table[
+            int.from_bytes(reader.data[start : start + 3], "little") >> (position & 7) & self._mask
+        ]
+        available = reader.end - position
+        if entry < 0:
+            if available < self._max_length:
+                raise EOFError("bit stream exhausted")
+            raise ValueError("invalid Huffman code in stream")
+        length = entry & 15
+        if length > available:
+            raise EOFError("bit stream exhausted")
+        reader.position = position + length
+        return entry >> 4
+
+
+@lru_cache(maxsize=None)
+def fixed_encoders() -> tuple:
+    """The fixed literal/length and distance encoders, built once."""
+    return HuffmanEncoder(fixed_literal_lengths()), HuffmanEncoder(fixed_distance_lengths())
+
+
+@lru_cache(maxsize=None)
+def fixed_decoders() -> tuple:
+    """The fixed literal/length and distance decoders, built once."""
+    return HuffmanDecoder(fixed_literal_lengths()), HuffmanDecoder(fixed_distance_lengths())
 
 
 def fixed_literal_lengths() -> dict:

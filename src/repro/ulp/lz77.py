@@ -20,14 +20,18 @@ MAX_MATCH = 258
 MAX_DISTANCE = 32768
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A single uncompressed byte."""
 
     value: int
 
 
-@dataclass(frozen=True)
+#: The 256 literal tokens, shared by every matcher instead of built per byte.
+LITERALS = tuple(Literal(value) for value in range(256))
+
+
+@dataclass(frozen=True, slots=True)
 class Match:
     """A back-reference: copy `length` bytes from `distance` bytes back."""
 
@@ -39,6 +43,24 @@ class Match:
             raise ValueError("match length %d out of range" % self.length)
         if not 1 <= self.distance <= MAX_DISTANCE:
             raise ValueError("match distance %d out of range" % self.distance)
+
+
+def common_prefix_length(data, a: int, b: int, limit: int) -> int:
+    """Length of the common prefix of ``data[a:]`` and ``data[b:]``, at most
+    `limit`, compared in 32-byte slabs; the first differing byte of a slab
+    is found from the XOR of the two slabs as integers."""
+    length = 0
+    while length < limit:
+        stop = length + 32
+        if stop > limit:
+            stop = limit
+        left = data[a + length : a + stop]
+        right = data[b + length : b + stop]
+        if left != right:
+            diff = int.from_bytes(left, "little") ^ int.from_bytes(right, "little")
+            return length + (((diff & -diff).bit_length() - 1) >> 3)
+        length = stop
+    return length
 
 
 def tokens_to_bytes(tokens: list) -> bytes:
@@ -128,23 +150,7 @@ class HashChainMatcher:
             ):
                 candidate = prev.get(candidate, -1)
                 continue
-            # Common-prefix scan in 32-byte slabs, dropping to bytes only in
-            # the slab containing the first mismatch.
-            length = 0
-            while length < max_length:
-                span = min(32, max_length - length)
-                if (
-                    data[candidate + length : candidate + length + span]
-                    == data[pos + length : pos + length + span]
-                ):
-                    length += span
-                    continue
-                while (
-                    length < max_length
-                    and data[candidate + length] == data[pos + length]
-                ):
-                    length += 1
-                break
+            length = common_prefix_length(data, candidate, pos, max_length)
             if length > best_length:
                 best_length = length
                 best_distance = pos - candidate
@@ -182,7 +188,7 @@ class HashChainMatcher:
                 insert(pos)
                 next_match = self._longest_match(data, pos + 1, head, prev)
                 if next_match is not None and next_match.length > match.length:
-                    tokens.append(Literal(data[pos]))
+                    tokens.append(LITERALS[data[pos]])
                     pos += 1
                     match = next_match
                 else:
@@ -192,7 +198,7 @@ class HashChainMatcher:
                 insert(pos)
             if match is None:
                 insert(pos)
-                tokens.append(Literal(data[pos]))
+                tokens.append(LITERALS[data[pos]])
                 pos += 1
             else:
                 tokens.append(match)

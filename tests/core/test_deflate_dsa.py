@@ -180,10 +180,21 @@ def test_wider_window_with_scaled_ports_does_not_hurt_ratio():
 
 
 def test_matcher_validates_geometry():
-    with pytest.raises(ValueError):
-        HardwareMatcher(banks=0)
-    with pytest.raises(ValueError):
-        HardwareMatcher(window_bytes=0)
+    for geometry in (
+        dict(banks=0),
+        dict(window_bytes=0),
+        dict(hash_buckets=0),
+        dict(bucket_depth=0),
+        dict(max_match=2),
+        dict(max_match=259),
+        dict(max_match=300),
+    ):
+        with pytest.raises(ValueError):
+            HardwareMatcher(**geometry)
+    for max_match in (3, 258):
+        data = b"abcabcabc" * 40
+        matcher = HardwareMatcher(max_match=max_match)
+        assert tokens_to_bytes(matcher.tokenize(data)) == data
 
 
 def test_context_declares_full_slot():

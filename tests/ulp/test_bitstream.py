@@ -46,6 +46,10 @@ def test_write_bytes_requires_alignment():
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
         BitWriter().write_bits(0, -1)
+    reader = BitReader(b"\xa5")
+    with pytest.raises(ValueError):
+        reader.read_bits(-3)
+    assert reader.read_bits(8) == 0xA5
 
 
 def test_reader_round_trip_mixed():

@@ -57,8 +57,9 @@ def test_length_symbol_boundaries():
     assert length_to_symbol(10) == (264, 0, 0)
     assert length_to_symbol(11) == (265, 0, 1)
     assert length_to_symbol(258) == (285, 0, 0)
-    with pytest.raises(ValueError):
-        length_to_symbol(2)
+    for length in (2, 259, 1000):
+        with pytest.raises(ValueError):
+            length_to_symbol(length)
 
 
 def test_distance_symbol_boundaries():
@@ -66,18 +67,22 @@ def test_distance_symbol_boundaries():
     assert distance_to_symbol(4) == (3, 0, 0)
     assert distance_to_symbol(5) == (4, 0, 1)
     assert distance_to_symbol(32768) == (29, 8191, 13)
-    with pytest.raises(ValueError):
-        distance_to_symbol(0)
+    for distance in (0, 32769, 40000):
+        with pytest.raises(ValueError):
+            distance_to_symbol(distance)
 
 
 def test_symbol_tables_invert():
-    """Every length/distance reconstructs from (base + extra)."""
+    """Every length/distance reconstructs from (base + extra), with the
+    extra value fitting its bit count."""
     for length in range(3, 259):
-        symbol, extra, _ = length_to_symbol(length)
+        symbol, extra, bits = length_to_symbol(length)
         assert LENGTH_BASE[symbol - 257] + extra == length
-    for distance in (1, 2, 7, 100, 1024, 32768):
-        symbol, extra, _ = distance_to_symbol(distance)
+        assert 0 <= extra < 1 << bits
+    for distance in range(1, 32769):
+        symbol, extra, bits = distance_to_symbol(distance)
         assert DISTANCE_BASE[symbol] + extra == distance
+        assert 0 <= extra < 1 << bits
 
 
 def test_package_merge_single_symbol():
