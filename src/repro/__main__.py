@@ -3,8 +3,6 @@
 Commands:
 
 * ``demo`` — run the quickstart offloads and print device statistics.
-* ``compare [sizes...]`` — the Figs. 11/12 placement comparison tables.
-* ``report [-o FILE]`` — aggregate benchmarks/results into one document.
 * ``power [utilisation]`` — the Sec. VII-D power/area estimate.
 * ``cluster`` — rack-scale discrete-event simulation: RPS, p50/p99/p999
   tail latency, and per-channel DSA utilisation under a chosen scheduler.
@@ -16,9 +14,6 @@ Commands:
   or chain replication with SmartDIMM-priced compress+encrypt hops,
   optional node_down/channel_wedge chaos, and a post-run consistency
   audit (exits non-zero on any violation).
-* ``profile`` — cProfile one warmed TLS offload through the
-  micro-simulation (the instrument behind the batched fast path);
-  ``--reference`` profiles the per-line path for comparison.
 * ``matrix`` — the experiment matrix, the one way to run every figure
   family: each target's grid of (instance, seed) points fanned across a
   process pool (``--jobs N``) with a content-addressed result cache.  It
@@ -155,47 +150,6 @@ def _cmd_demo(_args) -> int:
             stats.alerts,
         )
     )
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    from repro.sim.server import Placement, ServerModel, Ulp, WorkloadSpec
-
-    sizes = [int(s) for s in args.sizes] or [4096, 16384]
-    for message_bytes in sizes:
-        for ulp, placements in (
-            (Ulp.TLS, [Placement.CPU, Placement.SMARTNIC, Placement.QUICKASSIST,
-                       Placement.SMARTDIMM]),
-            (Ulp.DEFLATE, [Placement.CPU, Placement.QUICKASSIST, Placement.SMARTDIMM]),
-        ):
-            base = ServerModel(
-                WorkloadSpec(ulp=ulp, placement=Placement.CPU, message_bytes=message_bytes)
-            ).solve()
-            print(f"\n{ulp.value.upper()} {message_bytes}B "
-                  f"(CPU: {base.rps:,.0f} req/s)")
-            for placement in placements:
-                metrics = ServerModel(
-                    WorkloadSpec(ulp=ulp, placement=placement, message_bytes=message_bytes)
-                ).solve()
-                print(
-                    f"  {placement.value:<12} rps={metrics.rps / base.rps:5.2f}x "
-                    f"cpu={metrics.cycles_per_request / base.cycles_per_request:5.2f}x "
-                    f"bw={metrics.membw_bytes_per_request / base.membw_bytes_per_request:5.2f}x"
-                )
-    return 0
-
-
-def _cmd_report(args) -> int:
-    from repro.analysis.report import build_report, coverage
-
-    text = build_report()
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        present, total = coverage()
-        print("wrote %s (%d/%d sections)" % (args.output, present, total))
-    else:
-        print(text)
     return 0
 
 
@@ -354,20 +308,6 @@ def _cmd_matrix(args) -> int:
     return status
 
 
-def _cmd_profile(args) -> int:
-    from repro.profiling import run_profile
-
-    print(
-        run_profile(
-            size=args.size,
-            top=args.top,
-            sort=args.sort,
-            fast_path=not args.reference,
-        )
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -375,10 +315,6 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("demo", help="run the quickstart offloads")
-    compare = sub.add_parser("compare", help="placement comparison tables")
-    compare.add_argument("sizes", nargs="*", help="message sizes in bytes")
-    report = sub.add_parser("report", help="aggregate benchmark results")
-    report.add_argument("-o", "--output", help="write to a file")
     power = sub.add_parser("power", help="power/area estimate")
     power.add_argument("utilisation", nargs="?", type=float, default=0.3)
     cluster = sub.add_parser(
@@ -496,29 +432,14 @@ def main(argv=None) -> int:
                                 "BENCH_*.json baseline from this run")
     matrix.add_argument("--list", action="store_true",
                         help="list targets and point counts, then exit")
-    profile = sub.add_parser(
-        "profile",
-        help="cProfile one TLS offload through the micro-simulation",
-    )
-    profile.add_argument("--size", type=int, default=65536,
-                         help="record bytes (default 65536)")
-    profile.add_argument("--top", type=int, default=25,
-                         help="rows to print (default 25)")
-    profile.add_argument("--sort", default="cumulative",
-                         help="pstats sort key (default cumulative)")
-    profile.add_argument("--reference", action="store_true",
-                         help="profile the per-line reference path")
     args = parser.parse_args(argv)
     return {
         "demo": _cmd_demo,
-        "compare": _cmd_compare,
-        "report": _cmd_report,
         "power": _cmd_power,
         "cluster": _cmd_cluster,
         "chaos": _cmd_chaos,
         "replicate": _cmd_replicate,
         "matrix": _cmd_matrix,
-        "profile": _cmd_profile,
     }[args.command](args)
 
 

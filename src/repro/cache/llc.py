@@ -530,8 +530,7 @@ class LLC:
         """Reference flush: the original per-line clflush loop.
 
         Runs under ``SessionConfig(fast_path=False)``, the oracle side of
-        ``tests/core/test_batch_fast_path.py`` and of ``python -m repro
-        profile --reference``."""
+        ``tests/core/test_batch_fast_path.py``."""
         start = address & ~(CACHELINE_SIZE - 1)
         dirty = 0
         for line_address in range(start, address + length, CACHELINE_SIZE):

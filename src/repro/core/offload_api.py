@@ -94,7 +94,7 @@ class SessionConfig:
     trace: bool = False
     # Range-granular fast path through LLC/controller/DIMM; False runs the
     # retained per-line reference path (command-stream/stats-identical), the
-    # oracle of tests/core/test_batch_fast_path.py and `profile --reference`.
+    # oracle of tests/core/test_batch_fast_path.py.
     fast_path: bool = True
     # Fault-injection plan threaded through the device (None = no injection,
     # zero overhead) and the SEC-DED model toggle for injected DRAM flips.

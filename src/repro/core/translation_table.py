@@ -10,7 +10,7 @@ cuckoo moves happen off the critical path (Sec. IV-C).
 This model implements real cuckoo semantics — three hash functions,
 displacement chains, failure on cycle — plus the CAM staging array, and
 exposes the statistics the paper's sizing argument rests on (probed in
-`benchmarks/test_claim_cuckoo.py`).
+`tests/paper/test_claim_cuckoo.py`).
 """
 
 from __future__ import annotations

@@ -144,7 +144,10 @@ CROSSOVER_PLACEMENTS = {
     "deflate": ("cpu", "quickassist", "smartdimm"),
 }
 
+#: Table I's co-run placements, each serving secure Nginx at
+#: ``CORUN_BYTES`` beside mcf.
 CORUN_PLACEMENTS = ("cpu", "smartnic", "quickassist", "smartdimm")
+CORUN_BYTES = 4096
 
 
 def _datapath_points(seed: int, quick: bool) -> list:
@@ -179,7 +182,7 @@ def _datapath_run_point(spec: RunSpec) -> dict:
             "bottleneck": metrics.bottleneck,
         }
     if kind == "corun":
-        result = corun(_server_spec("tls", rest, 4096))
+        result = corun(_server_spec("tls", rest, CORUN_BYTES))
         return {
             "nginx_solo_rps": result.nginx_solo.rps,
             "nginx_corun_rps": result.nginx_corun.rps,
@@ -219,6 +222,36 @@ def _datapath_rollup(results: dict, seed: int, quick: bool) -> dict:
     }
     return {"seed": seed, "quick": quick, "crossover": crossover,
             "corun": corun_rows, "summary": summary}
+
+
+def _datapath_render(payload: dict) -> str:
+    """Figs. 11/12 at every message size the payload holds, normalised to
+    cpu, then the Table I co-run rows."""
+    crossover = payload["crossover"]
+    lines = ["datapath: rps, cpu cycles and memory bytes per request, "
+             "normalised to cpu (Figs. 11/12)"]
+    for size in sorted(crossover["tls"], key=int):
+        for ulp in ("tls", "deflate"):
+            row = crossover[ulp][size]
+            base = row["cpu"]
+            lines.append("  %s %sB (cpu: %s req/s)"
+                         % (ulp.upper(), size, format(base["rps"], ",.0f")))
+            for placement in CROSSOVER_PLACEMENTS[ulp]:
+                point = row[placement]
+                lines.append("    %-12s rps=%5.2fx cpu=%5.2fx bw=%5.2fx" % (
+                    placement, point["rps"] / base["rps"],
+                    point["cycles_per_request"] / base["cycles_per_request"],
+                    point["membw_bytes_per_request"]
+                    / base["membw_bytes_per_request"]))
+    lines.append("  Table I: TLS %dB co-run with mcf, slowdown vs solo"
+                 % CORUN_BYTES)
+    for placement in CORUN_PLACEMENTS:
+        point = payload["corun"][placement]
+        lines.append("    %-12s nginx=%5.1f%% mcf=%5.1f%% corun=%s req/s" % (
+            placement, 100 * point["nginx_slowdown"],
+            100 * point["corunner_slowdown"],
+            format(point["nginx_corun_rps"], ",.0f")))
+    return "\n".join(lines)
 
 
 # -- cluster: rack-scale DES ---------------------------------------------------------
@@ -348,6 +381,7 @@ TARGETS = {
             points=_datapath_points,
             run_point=_datapath_run_point,
             rollup=_datapath_rollup,
+            render=_datapath_render,
             headlines={
                 "smartdimm_speedup_vs_cpu":
                     "summary.geomean_smartdimm_speedup_vs_cpu",

@@ -1,31 +1,9 @@
-"""Report aggregation and CLI."""
+"""The command-line reports: demo, power and the datapath tables."""
 
-import os
+import json
+import re
 
-import pytest
-
-from repro.analysis.report import SECTIONS, build_report, coverage
-
-
-def test_build_report_with_empty_dir(tmp_path):
-    text = build_report(results_dir=str(tmp_path))
-    assert "missing sections" in text
-    for _, title in SECTIONS:
-        assert title in text
-
-
-def test_build_report_includes_present_sections(tmp_path):
-    name, title = SECTIONS[0]
-    (tmp_path / (name + ".txt")).write_text("ROW-ONE\nROW-TWO\n")
-    text = build_report(results_dir=str(tmp_path))
-    assert "ROW-ONE" in text and "ROW-TWO" in text
-
-
-def test_coverage_counts(tmp_path):
-    assert coverage(results_dir=str(tmp_path)) == (0, len(SECTIONS))
-    for name, _ in SECTIONS[:3]:
-        (tmp_path / (name + ".txt")).write_text("x\n")
-    assert coverage(results_dir=str(tmp_path)) == (3, len(SECTIONS))
+from repro.exp.targets import CORUN_PLACEMENTS, CROSSOVER_PLACEMENTS
 
 
 def test_cli_demo_runs():
@@ -34,12 +12,50 @@ def test_cli_demo_runs():
     assert main(["demo"]) == 0
 
 
-def test_cli_compare_runs(capsys):
+def test_cli_matrix_renders_the_datapath_tables(tmp_path, capsys):
     from repro.__main__ import main
 
-    assert main(["compare", "4096"]) == 0
+    path = tmp_path / "matrix.json"
+    assert main(["matrix", "--only", "datapath", "--no-cache",
+                 "--json-out", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "smartdimm" in out and "TLS 4096B" in out
+    payload = json.loads(path.read_text())["targets"]["datapath"]
+
+    crossover, corun, heading = {}, {}, None
+    for line in out.splitlines():
+        match = re.fullmatch(r"  (TLS|DEFLATE) (\d+)B \(cpu: [\d,]+ req/s\)",
+                             line)
+        if match:
+            heading = (match.group(1).lower(), match.group(2))
+        match = re.fullmatch(
+            r"    (\w+) +rps= *([\d.]+)x cpu= *([\d.]+)x bw= *([\d.]+)x", line)
+        if match:
+            crossover[heading + (match.group(1),)] = tuple(
+                float(value) for value in match.groups()[1:])
+        match = re.fullmatch(r"    (\w+) +nginx= *([\d.]+)% mcf= *([\d.]+)% "
+                             r"corun=([\d,]+) req/s", line)
+        if match:
+            corun[match.group(1)] = (float(match.group(2)),
+                                     float(match.group(3)),
+                                     int(match.group(4).replace(",", "")))
+
+    expected = {}
+    for ulp, placements in CROSSOVER_PLACEMENTS.items():
+        for size in ("4096", "16384", "65536"):
+            row = payload["crossover"][ulp][size]
+            for placement in placements:
+                expected[(ulp, size, placement)] = tuple(
+                    round(row[placement][key] / row["cpu"][key], 2)
+                    for key in ("rps", "cycles_per_request",
+                                "membw_bytes_per_request"))
+    assert crossover == expected
+    expected = {}
+    for placement in CORUN_PLACEMENTS:
+        point = payload["corun"][placement]
+        expected[placement] = (round(100 * point["nginx_slowdown"], 1),
+                               round(100 * point["corunner_slowdown"], 1),
+                               round(point["nginx_corun_rps"]))
+    assert corun == expected
 
 
 def test_cli_power_runs(capsys):
@@ -47,11 +63,3 @@ def test_cli_power_runs(capsys):
 
     assert main(["power", "0.5"]) == 0
     assert "dynamic power" in capsys.readouterr().out
-
-
-def test_cli_report_to_file(tmp_path, capsys):
-    from repro.__main__ import main
-
-    target = tmp_path / "report.txt"
-    assert main(["report", "-o", str(target)]) == 0
-    assert target.exists()

@@ -2,16 +2,22 @@
 
 The reproduction is also a reference for how SmartDIMM works; undocumented
 public API defeats that purpose, so this meta-test walks the package and
-enforces module, class, and public-callable docstrings.
+enforces module, class, and public-callable docstrings.  EXPERIMENTS.md
+must cite only test files that exist.
 """
 
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def _walk_modules():
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
@@ -50,3 +56,11 @@ def test_public_class_and_function_docstrings(module):
             if not (obj.__doc__ and obj.__doc__.strip()):
                 undocumented.append("%s.%s" % (module.__name__, name))
     assert not undocumented, "undocumented public items: %s" % undocumented
+
+
+def test_experiments_cites_existing_tests():
+    cited = set(re.findall(r"tests/[\w/]+\.py",
+                           (ROOT / "EXPERIMENTS.md").read_text()))
+    assert cited
+    missing = sorted(path for path in cited if not (ROOT / path).is_file())
+    assert not missing, "EXPERIMENTS.md cites missing tests: %s" % missing
