@@ -3,10 +3,10 @@
 Each gate is one row in the declarative ``GATES`` table below (``--list``
 prints the table).  Six rows:
 
-* ``datapath`` — ``BENCH_datapath.json`` throughput (``datapath_bench``):
-  the ``after``-path MB/s per (section, size) must not drop more than
-  ``--tolerance`` (default 20%).
-* ``cluster`` — ``BENCH_cluster.json`` simulator speed
+* ``datapath`` — ``benchmarks/perf/BENCH_datapath.json`` throughput
+  (``datapath_bench``): the ``after``-path MB/s per (section, size) must
+  not drop more than ``--tolerance`` (default 20%).
+* ``cluster`` — ``benchmarks/perf/BENCH_cluster.json`` simulator speed
   (``cluster_bench``): kernel events/sec must not drop, and end-to-end
   scenario wall time must not grow, by more than the same tolerance.
 * ``compcpy5x`` (machine-relative, no baseline): the 64 KB
@@ -27,8 +27,8 @@ prints the table).  Six rows:
 
 The simulated results of every figure family are not timed here: they
 are deterministic, so ``python -m repro matrix --check`` compares them
-byte-for-byte against their committed ``BENCH_*.json`` baselines and
-each matrix target's own gate rows judge them.
+byte-for-byte against the committed ``BENCH_<target>.json`` baselines at
+the repository root and each matrix target's own gate rows judge them.
 
 ``--jobs N`` evaluates gate rows concurrently in N threads (output stays
 in table order); the wall-clock-sensitive rows get noisier as N grows,

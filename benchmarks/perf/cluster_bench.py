@@ -1,7 +1,7 @@
 """Cluster-simulator performance benchmarks.
 
 Times the DES layer itself — the thing later scaling PRs will lean on —
-and emits ``BENCH_cluster.json`` at the repo root so
+and emits ``BENCH_cluster.json`` next to this file so
 ``check_regression.py`` can gate kernel slowdowns the same way it gates
 datapath throughput:
 
@@ -40,8 +40,8 @@ import time
 from repro.cluster import ClusterScenario, run_scenario
 from repro.cluster.kernel import Simulator
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-RESULTS_PATH = os.path.join(_REPO_ROOT, "BENCH_cluster.json")
+RESULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "BENCH_cluster.json")
 
 KERNEL_EVENTS = 120_000
 

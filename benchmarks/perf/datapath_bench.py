@@ -4,8 +4,8 @@ The fast path introduced for the functional datapath — batched CTR
 keystream, lane-parallel byte-windowed GHASH, wide-word XOR, and the
 session-keyed context cache — must be *bit-identical* to the from-scratch
 reference the seed shipped.  This module times both sides on the paper's
-message sizes (4/16/64 KB, Fig. 11) and emits ``BENCH_datapath.json`` at the
-repo root so regressions are caught by ``check_regression.py``.
+message sizes (4/16/64 KB, Fig. 11) and emits ``BENCH_datapath.json`` next
+to this file so regressions are caught by ``check_regression.py``.
 
 Sections:
 
@@ -47,8 +47,8 @@ KEY = bytes(range(16))
 NONCE = bytes(range(12))
 AAD = b"\x17\x03\x03\x40\x11"
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-RESULTS_PATH = os.path.join(_REPO_ROOT, "BENCH_datapath.json")
+RESULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "BENCH_datapath.json")
 
 
 def _corpus(size: int) -> bytes:

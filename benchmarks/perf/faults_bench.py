@@ -42,8 +42,8 @@ ALL_SITES = (
     FaultSite.DRAM_CORRUPT,
 )
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-RESULTS_PATH = os.path.join(_REPO_ROOT, "BENCH_faults.json")
+RESULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "BENCH_faults.json")
 
 
 def _best_of(fn, repeats: int) -> float:

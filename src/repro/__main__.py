@@ -22,7 +22,8 @@ Commands:
   it to one family (``datapath``, ``cluster``, ``faults``, ``overload``,
   ``replication``, ``qos``, ``ras``; see ``--list``) and ``--quick``
   shrinks every grid.  ``--check`` re-runs the full grid and requires
-  each rollup to match its committed ``BENCH_*.json`` byte-for-byte,
+  each rollup to match its committed ``BENCH_<target>.json``
+  byte-for-byte,
   printing the headline metrics as baseline -> fresh on a mismatch;
   ``--update`` rewrites those baselines instead.  Missing or corrupt
   baselines exit non-zero with a one-line error, no traceback.
@@ -293,13 +294,11 @@ def _cmd_matrix(args) -> int:
     status = 0
     for name in sorted(result.payload["targets"]):
         target = TARGETS[name]
-        if baseline_mode is None or target.baseline is None:
-            continue
         if args.update:
             write_json_report(target.baseline_path(),
                               target_payload_json(result, name),
                               "%s baseline" % name)
-        else:
+        elif args.check:
             status |= _check_baseline(target, result)
     if result.gate_failures:
         for failure in result.gate_failures:
@@ -424,12 +423,12 @@ def main(argv=None) -> int:
                         help="write the full matrix payload JSON here")
     baselines = matrix.add_mutually_exclusive_group()
     baselines.add_argument("--check", action="store_true",
-                           help="require every selected target with a "
-                                "committed BENCH_*.json baseline to match "
-                                "it byte-for-byte")
+                           help="require every selected target to match "
+                                "its committed BENCH_<target>.json "
+                                "baseline byte-for-byte")
     baselines.add_argument("--update", action="store_true",
                            help="rewrite every selected target's committed "
-                                "BENCH_*.json baseline from this run")
+                                "BENCH_<target>.json baseline from this run")
     matrix.add_argument("--list", action="store_true",
                         help="list targets and point counts, then exit")
     args = parser.parse_args(argv)

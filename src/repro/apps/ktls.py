@@ -18,13 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ulp.tls import (
-    CONTENT_TYPE_APPLICATION_DATA,
-    HEADER_SIZE,
-    LEGACY_RECORD_VERSION,
-    record_aad,
-    record_nonce,
-)
+from repro.ulp.tls import TLSRecordLayer
 
 
 @dataclass
@@ -34,20 +28,6 @@ class KtlsStats:
     bytes_protected: int = 0
     bytes_unprotected: int = 0
     auth_failures: int = 0
-
-
-class _Direction:
-    """One half-duplex record stream: key, static IV, sequence number."""
-
-    def __init__(self, key: bytes, iv: bytes):
-        self.key = key
-        self.iv = iv
-        self.sequence = 0
-
-    def next_nonce(self) -> bytes:
-        nonce = record_nonce(self.iv, self.sequence)
-        self.sequence += 1
-        return nonce
 
 
 class KtlsConnection:
@@ -67,8 +47,8 @@ class KtlsConnection:
         record_size: int = 16384,
     ):
         self.backend = backend
-        self._tx = _Direction(tx_key, tx_iv)
-        self._rx = _Direction(rx_key, rx_iv)
+        self._tx = TLSRecordLayer(tx_key, tx_iv)
+        self._rx = TLSRecordLayer(rx_key, rx_iv)
         self.record_size = min(record_size, 16384)
         self.stats = KtlsStats()
 
@@ -77,19 +57,9 @@ class KtlsConnection:
     def send(self, data: bytes) -> bytes:
         """Protect application bytes into a TLS record stream (wire bytes)."""
         wire = bytearray()
-        offsets = range(0, max(len(data), 1), self.record_size)
-        for offset in offsets:
+        for offset in range(0, max(len(data), 1), self.record_size):
             fragment = data[offset : offset + self.record_size]
-            inner = fragment + bytes([CONTENT_TYPE_APPLICATION_DATA])
-            nonce = self._tx.next_nonce()
-            aad = record_aad(len(inner) + 16)
-            payload = self.backend.tls_encrypt(self._tx.key, nonce, inner, aad)
-            wire += (
-                bytes([CONTENT_TYPE_APPLICATION_DATA])
-                + LEGACY_RECORD_VERSION.to_bytes(2, "big")
-                + len(payload).to_bytes(2, "big")
-                + payload
-            )
+            wire += self._tx.seal(fragment, self.backend.tls_encrypt)
             self.stats.records_sent += 1
             self.stats.bytes_protected += len(fragment)
         return bytes(wire)
@@ -105,30 +75,18 @@ class KtlsConnection:
         plaintext = bytearray()
         offset = 0
         while offset < len(wire):
-            if offset + HEADER_SIZE > len(wire):
-                raise ValueError("truncated record header")
-            length = int.from_bytes(wire[offset + 3 : offset + 5], "big")
-            body = wire[offset + HEADER_SIZE : offset + HEADER_SIZE + length]
-            if len(body) != length:
-                raise ValueError("truncated record body")
-            ciphertext, tag = body[:-16], body[-16:]
-            nonce = self._rx.next_nonce()
-            aad = record_aad(length)
-            try:
-                inner = self.backend.tls_decrypt(self._rx.key, nonce, ciphertext, aad, tag)
-            except ValueError:
-                self.stats.auth_failures += 1
-                raise
-            end = len(inner)
-            while end > 0 and inner[end - 1] == 0:
-                end -= 1
-            if end == 0:
-                raise ValueError("record contains only padding")
-            plaintext += inner[: end - 1]
+            fragment, _, offset = self._rx.open(wire, offset, self._decrypt)
+            plaintext += fragment
             self.stats.records_received += 1
-            self.stats.bytes_unprotected += end - 1
-            offset += HEADER_SIZE + length
+            self.stats.bytes_unprotected += len(fragment)
         return bytes(plaintext)
+
+    def _decrypt(self, *args) -> bytes:
+        try:
+            return self.backend.tls_decrypt(*args)
+        except ValueError:
+            self.stats.auth_failures += 1
+            raise
 
 
 def ktls_pair(server_backend, client_backend, seed: int = 0) -> tuple:

@@ -232,31 +232,11 @@ class NginxServer:
     def _protect(self, plaintext: bytes, connection_id: int) -> bytes:
         if not self.config.tls:
             return plaintext
+        tx = self._tls_tx(connection_id)
         out = bytearray()
         for fragment in fragment_message(plaintext, self.config.record_size):
-            record = self._encrypt_record(fragment, connection_id)
-            out += record
+            # Header framing on the CPU, payload protection wherever the
+            # backend runs.
+            out += tx.seal(fragment, self.backend.tls_encrypt)
             self.stats.records_sent += 1
         return bytes(out)
-
-    def _encrypt_record(self, fragment: bytes, connection_id: int) -> bytes:
-        """Encrypt one TLS record through the backend (header framing on
-        the CPU, payload protection wherever the backend runs)."""
-        from repro.ulp.tls import (
-            CONTENT_TYPE_APPLICATION_DATA,
-            LEGACY_RECORD_VERSION,
-            record_aad,
-        )
-
-        tx = self._tls_tx(connection_id)
-        inner = fragment + bytes([CONTENT_TYPE_APPLICATION_DATA])
-        nonce = tx.next_nonce()
-        aad = record_aad(len(inner) + 16)
-        payload = self.backend.tls_encrypt(self.config.tls_key, nonce, inner, aad)
-        tx.sequence += 1
-        header = (
-            bytes([CONTENT_TYPE_APPLICATION_DATA])
-            + LEGACY_RECORD_VERSION.to_bytes(2, "big")
-            + len(payload).to_bytes(2, "big")
-        )
-        return header + payload

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ulp.deflate import deflate_decompress
-from repro.ulp.tls import TLSRecordLayer, TLSRecord, HEADER_SIZE
+from repro.ulp.tls import TLSRecordLayer
 from repro.workloads.http import build_request, parse_response
 
 
@@ -55,11 +55,8 @@ class _Connection:
         plaintext = bytearray()
         offset = 0
         while offset < len(wire):
-            length = int.from_bytes(wire[offset + 3 : offset + 5], "big")
-            record = TLSRecord.from_wire(wire[offset : offset + HEADER_SIZE + length])
-            fragment, _ = self.rx.unprotect(record)
+            fragment, _, offset = self.rx.open(wire, offset)
             plaintext += fragment
-            offset += HEADER_SIZE + length
         return bytes(plaintext)
 
 

@@ -31,14 +31,15 @@ from repro.cluster.loadgen import Request
 def spill_decision(dsa_backlog_s: float, cpu_backlog_s: float, threads: int,
                    offload_cpu_s: float, onload_cpu_s: float,
                    spill_factor: float = 1.0) -> bool:
-    """The Observation-2 marginal-cost rule, shared by both fleet tiers.
+    """The Observation-2 marginal-cost rule of :class:`AdaptiveSpillScheduler`.
 
     Onloading trades the DSA queue for extra worker time
     ``delta = cpu(onload) - cpu(offload)``; spill when the DSA backlog
     exceeds the per-worker CPU backlog by more than ``spill_factor * delta``.
-    Kept as a free function so the vectorized epoch tier prices its cohort
-    spill splits with *exactly* the same arithmetic the per-request
-    :class:`AdaptiveSpillScheduler` uses.
+    The vector tier never calls this function: its cohort plan
+    (``_VectorFleet._spill_plan`` in :mod:`repro.cluster.vector`) applies
+    the same rule to projected end-of-epoch waits instead of the current
+    backlogs.
     """
     delta = max(onload_cpu_s - offload_cpu_s, 0.0)
     cpu_wait = cpu_backlog_s / threads

@@ -6,9 +6,12 @@ within an epoch is a columnar cohort, and each FIFO station (CPU pool,
 memory bus, per-channel DSA, NIC) advances its cohort with one max-plus
 scan (:mod:`repro.cluster.epoch`) instead of ~16 heap events per request.
 Pricing (:class:`ServiceProfile` / :class:`RouteCosts`), placement policy
-names, the Observation-2 :func:`spill_decision`, and the overload tier's
-deadline/shed semantics are all *shared* with the event tier — the two
-tiers disagree only where batching genuinely loses information.
+names and the overload tier's deadline/shed semantics are *shared* with
+the event tier; the Observation-2 spill uses the same marginal-cost rule
+as :func:`~repro.cluster.sched.spill_decision`, applied to projected
+end-of-epoch waits (``_VectorFleet._spill_plan``) rather than by calling
+it.  The two tiers disagree only where batching genuinely loses
+information.
 
 Fidelity contract (crosschecked by :func:`crosscheck_tiers`):
 
@@ -17,8 +20,8 @@ Fidelity contract (crosschecked by :func:`crosscheck_tiers`):
   mixes, FIFO waits, deadline shedding, measurement-window accounting,
   busy-time integrals;
 * **bounded delta** — least-loaded / adaptive-spill placement (the
-  per-request backlog race becomes a per-epoch water-fill plus the shared
-  marginal-cost spill rule), multi-class service interleaving (capacity-c
+  per-request backlog race becomes a per-epoch water-fill plus the
+  cohort form of the marginal-cost spill rule), multi-class service interleaving (capacity-c
   chain decomposition), closed-loop arrival draws (same distributions,
   independent stream);
 * **unsupported** (raises ``ValueError``) — CoDel admission, bounded

@@ -36,6 +36,17 @@ class CompCpyError(Exception):
     """A CompCpy precondition failed (alignment, size, or capacity)."""
 
 
+def check_buffers(dbuf: int, sbuf: int, size: int) -> int:
+    """Algorithm 2's buffer precondition, shared by every registration path
+    (CompCpy, Compute DMA, direct offload): both buffers page aligned and
+    `size` whole pages.  Returns the page count."""
+    if dbuf % PAGE_SIZE or sbuf % PAGE_SIZE:
+        raise CompCpyError("Not Aligned")
+    if size <= 0 or size % PAGE_SIZE:
+        raise CompCpyError("size must be a positive multiple of 4KB")
+    return size // PAGE_SIZE
+
+
 @dataclass
 class CompCpyStats:
     calls: int = 0
@@ -91,11 +102,7 @@ class CompCpy:
         measures.  The caller must flush (or rely on the driver's reclaim)
         before reading the destination through the cache.
         """
-        if dbuf % PAGE_SIZE or sbuf % PAGE_SIZE:
-            raise CompCpyError("Not Aligned")
-        if size <= 0 or size % PAGE_SIZE:
-            raise CompCpyError("size must be a positive multiple of 4KB")
-        pages = size // PAGE_SIZE
+        pages = check_buffers(dbuf, sbuf, size)
 
         with self._lock:
             # Registration allocates exactly `pages` scratchpad pages, so

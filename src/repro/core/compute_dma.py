@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dram.commands import CACHELINE_SIZE, PAGE_SIZE
-from repro.core.compcpy import CompCpyError
+from repro.dram.commands import CACHELINE_SIZE
+from repro.core.compcpy import CompCpyError, check_buffers
 from repro.core.dsa.base import Offload, OffloadTrigger, UlpKind
 
 
@@ -49,21 +49,13 @@ class ComputeDMA:
         self, dbuf: int, sbuf: int, size: int, context: object, kind: UlpKind
     ) -> Offload:
         """Arm a write-triggered offload over [sbuf, sbuf+size)."""
-        if dbuf % PAGE_SIZE or sbuf % PAGE_SIZE:
-            raise CompCpyError("Not Aligned")
-        if size <= 0 or size % PAGE_SIZE:
-            raise CompCpyError("size must be a positive multiple of 4KB")
+        pages = check_buffers(dbuf, sbuf, size)
         # The source range must not hold stale cache lines: an eviction
         # after DMA would re-feed the DSA out of order with old data.
         self.llc.flush_range(sbuf, size)
         self.mc.fence()
         return self.driver.register_offload(
-            kind,
-            context,
-            sbuf,
-            dbuf,
-            size // PAGE_SIZE,
-            trigger=OffloadTrigger.SOURCE_WRITE,
+            kind, context, sbuf, dbuf, pages, trigger=OffloadTrigger.SOURCE_WRITE
         )
 
     def dma_in(self, sbuf: int, data: bytes) -> None:

@@ -23,10 +23,10 @@ lines, versus CompCpy's three full traversals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.dram.commands import CACHELINE_SIZE, PAGE_SIZE
-from repro.core.compcpy import CompCpyError
+from repro.dram.commands import CACHELINE_SIZE
+from repro.core.compcpy import check_buffers
 from repro.core.dsa.base import Offload, UlpKind
 
 
@@ -75,13 +75,10 @@ class DirectOffloadEngine:
         destination range is entered into the controller's table for
         timer-driven retirement.
         """
-        if dbuf % PAGE_SIZE or sbuf % PAGE_SIZE:
-            raise CompCpyError("Not Aligned")
-        if size <= 0 or size % PAGE_SIZE:
-            raise CompCpyError("size must be a positive multiple of 4KB")
+        pages = check_buffers(dbuf, sbuf, size)
         self.llc.flush_range(sbuf, size)
         self.mc.fence()
-        offload = self.driver.register_offload(kind, context, sbuf, dbuf, size // PAGE_SIZE)
+        offload = self.driver.register_offload(kind, context, sbuf, dbuf, pages)
         for offset in range(0, size, CACHELINE_SIZE):
             self.mc.compute_read_line(sbuf + offset)
             self.stats.compute_reads += 1

@@ -160,5 +160,6 @@ class DSA:
         raise NotImplementedError
 
     def context_size_bytes(self, context: object) -> int:
-        """Modelled config-memory footprint of the offload context."""
-        raise NotImplementedError
+        """Modelled config-memory footprint of the offload context: the
+        ``CONTEXT_BYTES_PER_PAGE`` its class declares (Sec. IV-C)."""
+        return context.CONTEXT_BYTES_PER_PAGE

@@ -16,10 +16,15 @@ Adaptation of the fully pipelined FPGA deflate of Fowers et al. (Sec. V-B):
   baseline's dynamic-Huffman second pass is exactly what the hardware
   design avoids.
 
-Output layout per destination page: a 4-byte little-endian length prefix
-followed by the raw DEFLATE stream.  If the compressed page does not fit
-(length prefix 0xFFFFFFFF), software falls back to the CPU path — matching
-the paper's observation that offload is best-effort.
+Every ULP that changes the data's size shares one protocol, which
+:class:`PageTransformDSA` owns: source lines must arrive in order
+(Sec. IV-D), the result may span several destination pages (Sec. IV-C),
+and it lands as a 4-byte little-endian length prefix followed by the
+payload — here the raw DEFLATE stream.  If the result does not fit (length
+prefix 0xFFFFFFFF), software falls back to the CPU path — matching the
+paper's observation that offload is best-effort.  :class:`InflateDSA`
+(below) and :class:`~repro.core.dsa.serde_dsa.SerdeDSA` follow the same
+protocol.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dram.commands import CACHELINE_SIZE, PAGE_SIZE
+from repro.dram.commands import PAGE_SIZE
 from repro.ulp.bitstream import BitWriter
-from repro.ulp.deflate import write_fixed_block
+from repro.ulp.deflate import deflate_decompress, write_fixed_block
 from repro.ulp.lz77 import LITERALS, MAX_MATCH, MIN_MATCH, Match, common_prefix_length
 from repro.core.dsa.base import DSA, Offload, ScratchpadWriter
 
@@ -40,12 +45,83 @@ MAX_PAYLOAD = PAGE_SIZE - LENGTH_PREFIX_BYTES
 
 
 class OutOfOrderLineError(Exception):
-    """A sbuf line reached the deflate pipeline out of order.
+    """A sbuf line reached a page-transform pipeline out of order.
 
-    Deflate is stateful over the input stream, so CompCpy must be called
-    with ordered=True for compression offloads (Sec. IV-D); hitting this
-    error means the software stack skipped the per-64B memory barriers.
+    Deflate, inflate and serde are stateful over the input stream, so
+    CompCpy must be called with ordered=True for their offloads
+    (Sec. IV-D); hitting this error means the software stack skipped the
+    per-64B memory barriers.
     """
+
+
+def frame_page(payload: bytes) -> bytes:
+    """``[4-byte length][payload]``: the framing of a page transform's
+    output, and of the inflate and serde DSAs' input."""
+    return len(payload).to_bytes(LENGTH_PREFIX_BYTES, "little") + payload
+
+
+def parse_compressed_page(page: bytes):
+    """Split a framed destination page (one or several pages) into its
+    payload, or None on overflow; a length prefix larger than the page
+    can hold raises ValueError."""
+    length = int.from_bytes(page[:LENGTH_PREFIX_BYTES], "little")
+    if length == OVERFLOW_MARKER:
+        return None
+    if length > len(page) - LENGTH_PREFIX_BYTES:
+        raise ValueError("corrupt length prefix %d" % length)
+    return page[LENGTH_PREFIX_BYTES : LENGTH_PREFIX_BYTES + length]
+
+
+class PageTransformDSA(DSA):
+    """A ULP that changes the data's size, computed in order over pages.
+
+    Source lines accumulate in ``context.input_buffer`` strictly in order
+    (``context.next_line`` is the next one expected).  At finalisation
+    :meth:`transform` turns the input into at most ``budget`` bytes, which
+    land framed by :func:`frame_page` across the destination pages; when
+    the transform declines (returns None) or its output exceeds the
+    budget, the overflow marker lands instead and software redoes the
+    page on the CPU.
+    """
+
+    #: ULP name in :class:`OutOfOrderLineError` messages.
+    ulp = "page"
+
+    def process_line(
+        self, offload: Offload, writer: ScratchpadWriter, global_line: int, data: bytes
+    ) -> None:
+        """Accumulate one in-order source line."""
+        context = offload.context
+        if global_line != context.next_line:
+            raise OutOfOrderLineError(
+                "%s line %d arrived, expected %d — CompCpy must use ordered=True"
+                % (self.ulp, global_line, context.next_line)
+            )
+        context.next_line += 1
+        context.input_buffer.extend(data)
+
+    def finalize(self, offload: Offload, writer: ScratchpadWriter) -> None:
+        """Frame the transform's output (or the overflow marker) into the
+        destination pages and validate every line."""
+        budget = len(offload.dbuf_pages) * PAGE_SIZE - LENGTH_PREFIX_BYTES
+        output = self.transform(offload.context, budget)
+        if output is None or len(output) > budget:
+            writer.write_bytes(0, OVERFLOW_MARKER.to_bytes(LENGTH_PREFIX_BYTES, "little"))
+        else:
+            writer.write_bytes(0, frame_page(output))
+        writer.mark_all_remaining_valid()
+
+    def transform(self, context, budget: int):
+        """The output for the accumulated input, or None to decline."""
+        raise NotImplementedError
+
+    def framed_source(self, context):
+        """The payload of a :func:`frame_page`-framed source, or None when
+        its length prefix exceeds one page (a corrupt frame)."""
+        length = int.from_bytes(context.input_buffer[:LENGTH_PREFIX_BYTES], "little")
+        if length > MAX_PAYLOAD:
+            return None
+        return bytes(context.input_buffer[LENGTH_PREFIX_BYTES : LENGTH_PREFIX_BYTES + length])
 
 
 class HardwareMatcher:
@@ -171,127 +247,55 @@ class DeflateOffloadContext:
     input_buffer: bytearray = field(default_factory=bytearray)
     input_length: int = PAGE_SIZE
     next_line: int = 0
-    compressed_length: int = None  # set at finalisation
-    overflow: bool = False
 
     CONTEXT_BYTES_PER_PAGE = 4096
 
 
-class DeflateDSA(DSA):
+class DeflateDSA(PageTransformDSA):
     """Streaming page-granular compressor."""
 
-    def process_line(
-        self, offload: Offload, writer: ScratchpadWriter, global_line: int, data: bytes
-    ) -> None:
-        """Accumulate one in-order input line into the compression window."""
-        context = offload.context
-        if global_line != context.next_line:
-            raise OutOfOrderLineError(
-                "deflate line %d arrived, expected %d — CompCpy must use ordered=True"
-                % (global_line, context.next_line)
-            )
-        context.next_line += 1
-        context.input_buffer.extend(data)
+    ulp = "deflate"
 
-    def finalize(self, offload: Offload, writer: ScratchpadWriter) -> None:
-        """Run the banked matcher, emit the fixed-Huffman stream (or the
-        overflow marker) into the destination page."""
-        context = offload.context
-        data = bytes(context.input_buffer[: context.input_length])
-        tokens = context.matcher.tokenize(data)
+    def transform(self, context: DeflateOffloadContext, budget: int) -> bytes:
+        """Run the banked matcher and emit the fixed-Huffman stream."""
+        tokens = context.matcher.tokenize(bytes(context.input_buffer[: context.input_length]))
         bit_writer = BitWriter()
         write_fixed_block(bit_writer, tokens, final=True)
-        stream = bit_writer.getvalue()
-        if len(stream) > MAX_PAYLOAD:
-            context.overflow = True
-            context.compressed_length = None
-            writer.write_bytes(0, OVERFLOW_MARKER.to_bytes(4, "little"))
-        else:
-            context.compressed_length = len(stream)
-            writer.write_bytes(0, len(stream).to_bytes(4, "little") + stream)
-        writer.mark_all_remaining_valid()
-
-    def context_size_bytes(self, context: DeflateOffloadContext) -> int:
-        """A full slot: the banked candidate hash table (Sec. V-B)."""
-        return context.CONTEXT_BYTES_PER_PAGE
-
-
-def parse_compressed_page(page: bytes):
-    """Split a destination page into its DEFLATE stream, or None on overflow."""
-    length = int.from_bytes(page[:4], "little")
-    if length == OVERFLOW_MARKER:
-        return None
-    if length > MAX_PAYLOAD:
-        raise ValueError("corrupt length prefix %d" % length)
-    return page[4 : 4 + length]
+        return bit_writer.getvalue()
 
 
 @dataclass
 class InflateOffloadContext:
     """Per-page decompression context (RX direction of "(de)compression").
 
-    Input framing mirrors the compressor's output: ``[4-byte stream length]
-    [DEFLATE stream]`` in the source page; output is ``[4-byte length]
-    [decompressed bytes]``, overflowing to software when a page cannot hold
-    the result (the compressor's 4 KB-granularity guarantee makes that rare
-    for SmartDIMM-compressed traffic but possible for foreign streams).
+    The source page holds a :func:`frame_page`-framed DEFLATE stream; the
+    output overflows to software when the destination pages cannot hold
+    it (the compressor's 4 KB-granularity guarantee makes that rare for
+    SmartDIMM-compressed traffic but possible for foreign streams).
     """
 
     input_buffer: bytearray = field(default_factory=bytearray)
     next_line: int = 0
-    output_length: int = None
-    overflow: bool = False
-    decode_error: bool = False
 
     CONTEXT_BYTES_PER_PAGE = 4096  # Huffman tables + window in the slot
 
 
-class InflateDSA(DSA):
+class InflateDSA(PageTransformDSA):
     """Streaming page-granular decompressor."""
 
-    def process_line(
-        self, offload: Offload, writer: ScratchpadWriter, global_line: int, data: bytes
-    ) -> None:
-        """Accumulate one in-order compressed line."""
-        context = offload.context
-        if global_line != context.next_line:
-            raise OutOfOrderLineError(
-                "inflate line %d arrived, expected %d — CompCpy must use ordered=True"
-                % (global_line, context.next_line)
-            )
-        context.next_line += 1
-        context.input_buffer.extend(data)
+    ulp = "inflate"
 
-    def finalize(self, offload: Offload, writer: ScratchpadWriter) -> None:
-        """Inflate the accumulated stream into the destination pages (or
-        signal fallback on corruption/overflow)."""
-        from repro.ulp.deflate import deflate_decompress
-
-        context = offload.context
-        stream_length = int.from_bytes(context.input_buffer[:4], "little")
-        if stream_length > PAGE_SIZE - LENGTH_PREFIX_BYTES:
-            context.decode_error = True
-            writer.write_bytes(0, OVERFLOW_MARKER.to_bytes(4, "little"))
-            writer.mark_all_remaining_valid()
-            return
-        stream = bytes(context.input_buffer[4 : 4 + stream_length])
+    def transform(self, context: InflateOffloadContext, budget: int):
+        """Inflate the framed stream, or decline on a corrupt stream or
+        one that inflates past the budget (the CPU path then surfaces the
+        precise error)."""
+        stream = self.framed_source(context)
+        if stream is None:
+            return None
         # Decompression expands: the translation entry points at multiple
         # destination pages ("or multiple pages if the computation does not
-        # preserve size", Sec. IV-C), so the output budget spans them all.
-        max_output = len(offload.dbuf_pages) * PAGE_SIZE - LENGTH_PREFIX_BYTES
+        # preserve size", Sec. IV-C), so the budget spans them all.
         try:
-            output = deflate_decompress(stream, max_output=max_output)
+            return deflate_decompress(stream, max_output=budget)
         except (ValueError, EOFError):
-            # Corrupt stream or output too large: hardware signals fallback;
-            # the CPU path surfaces the precise error.
-            context.decode_error = True
-            writer.write_bytes(0, OVERFLOW_MARKER.to_bytes(4, "little"))
-            writer.mark_all_remaining_valid()
-            return
-        context.output_length = len(output)
-        writer.write_bytes(0, len(output).to_bytes(4, "little") + output)
-        writer.mark_all_remaining_valid()
-
-    def context_size_bytes(self, context: InflateOffloadContext) -> int:
-        """A full slot: Huffman tables plus the history window."""
-        return context.CONTEXT_BYTES_PER_PAGE
+            return None

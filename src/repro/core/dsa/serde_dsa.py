@@ -4,8 +4,8 @@ The paper's discussion positions SmartDIMM as extensible to further ULP
 domains; serialization is the one its introduction motivates (citing the
 on-chip and SmartNIC protobuf accelerators).  This DSA performs the
 wire-to-flat transform of :mod:`repro.ulp.serialization` at CompCpy page
-granularity, following the exact contract the deflate DSA established for
-non-size-preserving, sequentially-computed ULPs:
+granularity as a :class:`~repro.core.dsa.deflate_dsa.PageTransformDSA`,
+the contract every non-size-preserving, sequentially-computed ULP shares:
 
 * input: one 4 KB source page containing ``[4-byte wire length][wire]``;
 * ordered processing (CompCpy must pass ``ordered=True``);
@@ -18,15 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.dram.commands import PAGE_SIZE
 from repro.ulp.serialization import Schema, flatten
-from repro.core.dsa.base import DSA, Offload, ScratchpadWriter
-from repro.core.dsa.deflate_dsa import (
-    LENGTH_PREFIX_BYTES,
-    MAX_PAYLOAD,
-    OVERFLOW_MARKER,
-    OutOfOrderLineError,
-)
+from repro.core.dsa.deflate_dsa import PageTransformDSA
 
 
 @dataclass
@@ -36,57 +29,23 @@ class SerdeOffloadContext:
     schema: Schema
     input_buffer: bytearray = field(default_factory=bytearray)
     next_line: int = 0
-    flat_length: int = None
-    overflow: bool = False
-    parse_error: bool = False
 
     CONTEXT_BYTES_PER_PAGE = 2048  # schema table + working registers
 
 
-class SerdeDSA(DSA):
+class SerdeDSA(PageTransformDSA):
     """Streaming page-granular wire-format parser."""
 
-    def process_line(
-        self, offload: Offload, writer: ScratchpadWriter, global_line: int, data: bytes
-    ) -> None:
-        """Accumulate one in-order wire-format line."""
-        context = offload.context
-        if global_line != context.next_line:
-            raise OutOfOrderLineError(
-                "serde line %d arrived, expected %d — CompCpy must use ordered=True"
-                % (global_line, context.next_line)
-            )
-        context.next_line += 1
-        context.input_buffer.extend(data)
+    ulp = "serde"
 
-    def finalize(self, offload: Offload, writer: ScratchpadWriter) -> None:
-        """Parse the wire bytes into the flat representation (or signal
-        fallback on malformed input / overflow)."""
-        context = offload.context
-        wire_length = int.from_bytes(context.input_buffer[:4], "little")
-        if wire_length > PAGE_SIZE - LENGTH_PREFIX_BYTES:
-            context.parse_error = True
-            writer.write_bytes(0, OVERFLOW_MARKER.to_bytes(4, "little"))
-            writer.mark_all_remaining_valid()
-            return
-        wire = bytes(context.input_buffer[4 : 4 + wire_length])
+    def transform(self, context: SerdeOffloadContext, budget: int):
+        """Parse the framed wire bytes into the flat representation, or
+        decline on malformed input (the CPU path then reports the precise
+        parse error to the application)."""
+        wire = self.framed_source(context)
+        if wire is None:
+            return None
         try:
-            flat = flatten(wire, context.schema)
+            return flatten(wire, context.schema)
         except ValueError:
-            # Malformed wire bytes: signal overflow/fallback; the CPU path
-            # reports the precise parse error to the application.
-            context.parse_error = True
-            writer.write_bytes(0, OVERFLOW_MARKER.to_bytes(4, "little"))
-            writer.mark_all_remaining_valid()
-            return
-        if len(flat) > MAX_PAYLOAD:
-            context.overflow = True
-            writer.write_bytes(0, OVERFLOW_MARKER.to_bytes(4, "little"))
-        else:
-            context.flat_length = len(flat)
-            writer.write_bytes(0, len(flat).to_bytes(4, "little") + flat)
-        writer.mark_all_remaining_valid()
-
-    def context_size_bytes(self, context: SerdeOffloadContext) -> int:
-        """Half a slot: schema table plus working registers."""
-        return context.CONTEXT_BYTES_PER_PAGE
+            return None

@@ -361,7 +361,3 @@ class TLSDSA(DSA):
         # channel of its own).
         writer.write_bytes(context.record_length, context.final_tag())
         writer.mark_all_remaining_valid()
-
-    def context_size_bytes(self, context: TLSOffloadContext) -> int:
-        """1 KB per source page (Sec. IV-C)."""
-        return context.CONTEXT_BYTES_PER_PAGE

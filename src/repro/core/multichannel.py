@@ -27,7 +27,8 @@ from repro.dram.address import AddressMapping, InterleaveMode
 from repro.dram.commands import CACHELINE_SIZE, PAGE_SIZE
 from repro.dram.memory_controller import MemoryController, TimingParams
 from repro.dram.physical_memory import PhysicalMemory
-from repro.core.smartdimm import SmartDIMM, SmartDIMMConfig, pack_register_record
+from repro.core.driver import SmartDIMMDriver
+from repro.core.smartdimm import SmartDIMM, SmartDIMMConfig
 from repro.core.dsa.base import UlpKind
 from repro.core.dsa.tls_dsa import TLSOffloadContext, combine_partial_tags
 
@@ -63,6 +64,9 @@ class MultiChannelSession:
             self.mapping, dict(enumerate(self.devices)), TimingParams()
         )
         self.llc = LLC(self.mc, size=self.config.llc_bytes)
+        # One driver per channel speaks that device's MMIO (registration,
+        # page reclaim); buffers come from the session's own allocator.
+        self.drivers = [SmartDIMMDriver(device, self.mc) for device in self.devices]
         self._next_page = 16  # simple bump allocator; top page is MMIO
 
     # -- buffers ---------------------------------------------------------------------
@@ -106,23 +110,14 @@ class MultiChannelSession:
         dbuf = self.alloc(size)
         self.write(sbuf, plaintext + bytes(size - len(plaintext)))
 
-        offloads = []
-        for device in self.devices:
-            context = TLSOffloadContext(
-                key=key, nonce=nonce, record_length=len(plaintext), aad=aad,
-                positional=True,
-            )
-            offload = device.create_offload(UlpKind.TLS_ENCRYPT, context)
-            for position in range(pages):
-                record = pack_register_record(
-                    offload_id=offload.offload_id,
-                    sbuf_page=sbuf // PAGE_SIZE + position,
-                    dbuf_page=dbuf // PAGE_SIZE + position,
-                    position=position,
-                    total_pages=pages,
-                )
-                self.mc.write_line_now(device.mmio_register_address, record)
-            offloads.append(offload)
+        offloads = [
+            driver.register_offload(
+                UlpKind.TLS_ENCRYPT,
+                TLSOffloadContext(key=key, nonce=nonce, record_length=len(plaintext),
+                                  aad=aad, positional=True),
+                sbuf, dbuf, pages)
+            for driver in self.drivers
+        ]
 
         # The CompCpy copy: every line's rdCAS routes to its channel's DIMM.
         self.llc.flush_range(sbuf, size)
@@ -138,28 +133,12 @@ class MultiChannelSession:
         # config space in hardware; constant work per record).
         partials = [offload.context.partial_tag_sum for offload in offloads]
         tag = combine_partial_tags(key, nonce, len(plaintext), aad, partials)
-        self._reclaim_range(dbuf, size)
-        return ciphertext + tag
-
-    def _reclaim_range(self, dbuf: int, size: int) -> None:
-        """Drain any scratchpad lines whose writebacks raced the DSA (S7):
-        the same kernel-side hygiene the single-channel driver performs on
-        page free, applied per device."""
+        # Drain any scratchpad lines whose writebacks raced the DSA (S7):
+        # each channel's driver reclaims its own device's lines.
         for page_number in range(dbuf // PAGE_SIZE, (dbuf + size) // PAGE_SIZE):
-            for device in self.devices:
-                binding = device._page_binding.get(page_number)
-                if binding is None:
-                    continue
-                offload, position, is_source = binding
-                if is_source:
-                    continue
-                index = offload.scratchpad_indices[position]
-                for line in list(device.scratchpad.pending_lines(index)):
-                    address = page_number * PAGE_SIZE + line * CACHELINE_SIZE
-                    ready = device.scratchpad.page(index).ready_cycles[line]
-                    if ready is not None and self.mc.cycle < ready:
-                        self.mc.cycle = ready
-                    self.mc.write_line_now(address, bytes(CACHELINE_SIZE))
+            for driver in self.drivers:
+                driver.reclaim_page(page_number)
+        return ciphertext + tag
 
     def deflate_page(self, data: bytes):
         """Rejected: non-size-preserving ULPs need single-channel mapping."""

@@ -2,7 +2,7 @@
 
 :class:`SmartDIMMSession` builds the full micro-system — physical memory,
 address mapping, memory controller, LLC, SmartDIMM device, driver, and
-CompCpy — and exposes the two ULP offloads as one-call operations that are
+CompCpy — and exposes the ULP offloads as one-call operations that are
 bit-compatible with the software implementations in :mod:`repro.ulp`:
 
 * :meth:`SmartDIMMSession.tls_encrypt` / :meth:`tls_decrypt` — AES-GCM
@@ -10,7 +10,13 @@ bit-compatible with the software implementations in :mod:`repro.ulp`:
   :class:`repro.ulp.gcm.AESGCM`.
 * :meth:`SmartDIMMSession.deflate_page` / :meth:`deflate_message` — 4 KB
   page-granular compression whose output inflates back with stdlib zlib or
-  :func:`repro.ulp.deflate.deflate_decompress`.
+  :func:`repro.ulp.deflate.deflate_decompress`; :meth:`inflate_page` and
+  :meth:`deserialize_message` are the same kind of page transform.
+
+Every operation, the Compute DMA one included, runs through one offload
+body: allocate both buffers, write the source, CompCpy, read back, verify
+against the device checksum, parse, and on any failure abort the offload
+before freeing its pages.
 
 This is the model equivalent of the OpenSSL engine + nginx module of the
 paper's artifact: everything an application needs to use SmartDIMM without
@@ -40,9 +46,11 @@ from repro.core.smartdimm import SmartDIMM, SmartDIMMConfig
 from repro.core.dsa.base import UlpKind
 from repro.core.dsa.tls_dsa import TLSOffloadContext
 from repro.core.dsa.deflate_dsa import (
+    MAX_PAYLOAD,
     DeflateOffloadContext,
     HardwareMatcher,
     InflateOffloadContext,
+    frame_page,
     parse_compressed_page,
 )
 from repro.core.dsa.serde_dsa import SerdeOffloadContext
@@ -281,6 +289,49 @@ class SmartDIMMSession:
         """Application read through the LLC."""
         return self.compcpy.read_buffer(address, length)
 
+    # -- the one offload body (Algorithm 2 from the application's side) ------------------
+
+    def _offload(self, kind: UlpKind, context, source: bytes, pages: int,
+                 length: int = None, dma: bool = False):
+        """Run one offload over fresh `pages`-page source and destination
+        buffers; every ULP goes through here.
+
+        The source is zero-padded to the buffer.  A size-preserving ULP
+        (TLS) reads back `length` bytes; a page transform (`length` None)
+        copies in order, reads its whole framed destination and returns
+        the parsed payload (None on overflow).  CompCpy read-backs are
+        verified against the device checksum.  With `dma` the source
+        arrives by Compute DMA (Sec. IV-E) instead of CompCpy.
+        """
+        size = pages * PAGE_SIZE
+        framed = length is None
+        padded = source + bytes(size - len(source))
+        sbuf = self.driver.alloc_pages(pages)
+        dbuf = self.driver.alloc_pages(pages)
+        offload = None
+        try:
+            if dma:
+                offload = self.compute_dma.register(dbuf, sbuf, size, context, kind)
+                self.compute_dma.dma_in(sbuf, padded)
+                return self.compute_dma.read_result(dbuf, length)
+            self.write(sbuf, padded)
+            # Page transforms are stateful over their input: ordered copy.
+            offload = self.compcpy.compcpy(dbuf, sbuf, size, context, kind,
+                                           ordered=framed)
+            result = self.read(dbuf, size if framed else length)
+            self.compcpy.verify_destination(offload, dbuf, size)
+            return parse_compressed_page(result) if framed else result
+        except Exception:
+            # Abort *before* the frees below: with the offload torn down,
+            # page reclaim has no scratchpad bindings left to wait on, so
+            # cleanup never spins behind a wedged DSA.
+            if offload is not None:
+                self.driver.abort_offload(offload)
+            raise
+        finally:
+            self.driver.free_pages(sbuf)
+            self.driver.free_pages(dbuf)
+
     # -- TLS offload (Sec. V-A) -----------------------------------------------------------
 
     def tls_encrypt(self, key: bytes, nonce: bytes, plaintext: bytes,
@@ -309,43 +360,16 @@ class SmartDIMMSession:
 
     def _tls_offload(self, key, nonce, payload, aad, decrypt: bool,
                      deadline_cycles: int = None) -> bytes:
+        length = len(payload) + TAG_SIZE
         return self._run_resilient(
-            lambda: self._tls_hardware(key, nonce, payload, aad, decrypt),
+            lambda: self._offload(
+                UlpKind.TLS_DECRYPT if decrypt else UlpKind.TLS_ENCRYPT,
+                TLSOffloadContext(key=key, nonce=nonce, record_length=len(payload),
+                                  aad=aad, decrypt=decrypt),
+                payload, _pages_for(length), length),
             lambda: self._tls_onload(key, nonce, payload, aad, decrypt),
             deadline_cycles=deadline_cycles,
         )
-
-    def _tls_hardware(self, key, nonce, payload, aad, decrypt: bool) -> bytes:
-        pages = _pages_for(len(payload) + TAG_SIZE)
-        size = pages * PAGE_SIZE
-        sbuf = self.driver.alloc_pages(pages)
-        dbuf = self.driver.alloc_pages(pages)
-        offload = None
-        try:
-            self.write(sbuf, payload + bytes(size - len(payload)))
-            context = TLSOffloadContext(
-                key=key,
-                nonce=nonce,
-                record_length=len(payload),
-                aad=aad,
-                decrypt=decrypt,
-            )
-            offload = self.compcpy.compcpy(
-                dbuf, sbuf, size, context,
-                UlpKind.TLS_DECRYPT if decrypt else UlpKind.TLS_ENCRYPT)
-            result = self.read(dbuf, len(payload) + TAG_SIZE)
-            self.compcpy.verify_destination(offload, dbuf, size)
-            return result
-        except Exception:
-            # Abort *before* the frees below: with the offload torn down,
-            # page reclaim has no scratchpad bindings left to wait on, so
-            # cleanup never spins behind a wedged DSA.
-            if offload is not None:
-                self.driver.abort_offload(offload)
-            raise
-        finally:
-            self.driver.free_pages(sbuf)
-            self.driver.free_pages(dbuf)
 
     def _tls_onload(self, key, nonce, payload, aad, decrypt: bool) -> bytes:
         """The CPU implementation (Observation 2's onload direction) —
@@ -368,37 +392,17 @@ class SmartDIMMSession:
         if len(data) > PAGE_SIZE:
             raise ValueError("deflate offload operates at 4KB page granularity")
         return self._run_resilient(
-            lambda: self._deflate_page_hw(data, matcher),
+            lambda: self._offload(
+                UlpKind.DEFLATE,
+                DeflateOffloadContext(matcher=matcher or HardwareMatcher(),
+                                      input_length=len(data)),
+                data, 1),
             # CPU onload: a software DEFLATE stream — not bit-identical to
             # the hardware matcher's choices, but decodes to the same bytes,
             # which is all the deflate contract promises.
             lambda: deflate_compress(data),
             deadline_cycles=deadline_cycles,
         )
-
-    def _deflate_page_hw(self, data: bytes, matcher: HardwareMatcher = None):
-        sbuf = self.driver.alloc_pages(1)
-        dbuf = self.driver.alloc_pages(1)
-        offload = None
-        try:
-            self.write(sbuf, data + bytes(PAGE_SIZE - len(data)))
-            context = DeflateOffloadContext(
-                matcher=matcher or HardwareMatcher(), input_length=len(data)
-            )
-            # Deflate is stateful over its input: ordered copy required.
-            offload = self.compcpy.compcpy(
-                dbuf, sbuf, PAGE_SIZE, context, UlpKind.DEFLATE, ordered=True
-            )
-            result = self.read(dbuf, PAGE_SIZE)
-            self.compcpy.verify_destination(offload, dbuf, PAGE_SIZE)
-            return parse_compressed_page(result)
-        except Exception:
-            if offload is not None:
-                self.driver.abort_offload(offload)
-            raise
-        finally:
-            self.driver.free_pages(sbuf)
-            self.driver.free_pages(dbuf)
 
     def deflate_message(self, data: bytes) -> list:
         """Compress a message page by page (one CompCpy per page, Sec. V-C).
@@ -416,45 +420,18 @@ class SmartDIMMSession:
         direction of "(de)compression"); returns the decompressed bytes or
         None when the hardware fell back (corrupt stream or output larger
         than a page)."""
-        if len(stream) > PAGE_SIZE - 4:
+        if len(stream) > MAX_PAYLOAD:
             raise ValueError("inflate offload operates at 4KB page granularity")
         return self._run_resilient(
-            lambda: self._inflate_page_hw(stream),
+            # Decompression is expansive: register a two-page destination
+            # (the compressor guarantees each SmartDIMM-compressed page
+            # inflates to at most 4KB, which fits the two-page budget with
+            # its prefix).
+            lambda: self._offload(UlpKind.INFLATE, InflateOffloadContext(),
+                                  frame_page(stream), 2),
             lambda: deflate_decompress(stream, max_output=2 * PAGE_SIZE),
             deadline_cycles=deadline_cycles,
         )
-
-    def _inflate_page_hw(self, stream: bytes):
-        # Decompression is expansive: register a two-page destination (the
-        # compressor guarantees each SmartDIMM-compressed page inflates to
-        # at most 4KB, which fits the two-page budget with its prefix).
-        sbuf = self.driver.alloc_pages(2)
-        dbuf = self.driver.alloc_pages(2)
-        offload = None
-        try:
-            framed = len(stream).to_bytes(4, "little") + stream
-            self.write(sbuf, framed + bytes(2 * PAGE_SIZE - len(framed)))
-            context = InflateOffloadContext()
-            offload = self.compcpy.compcpy(
-                dbuf, sbuf, 2 * PAGE_SIZE, context, UlpKind.INFLATE, ordered=True
-            )
-            page = self.read(dbuf, 2 * PAGE_SIZE)
-            self.compcpy.verify_destination(offload, dbuf, 2 * PAGE_SIZE)
-            length = int.from_bytes(page[:4], "little")
-            from repro.core.dsa.deflate_dsa import OVERFLOW_MARKER
-
-            if length == OVERFLOW_MARKER:
-                return None
-            if length > 2 * PAGE_SIZE - 4:
-                raise ValueError("corrupt length prefix %d" % length)
-            return page[4 : 4 + length]
-        except Exception:
-            if offload is not None:
-                self.driver.abort_offload(offload)
-            raise
-        finally:
-            self.driver.free_pages(sbuf)
-            self.driver.free_pages(dbuf)
 
     # -- deserialization offload (extension ULP) ----------------------------------------
 
@@ -467,38 +444,19 @@ class SmartDIMMSession:
         ordered CompCpy, [4B length][flat] or overflow marker in the
         destination page.
         """
-        if len(wire) > PAGE_SIZE - 4:
+        if len(wire) > MAX_PAYLOAD:
             raise ValueError("serde offload operates at 4KB page granularity")
-        sbuf = self.driver.alloc_pages(1)
-        dbuf = self.driver.alloc_pages(1)
-        try:
-            framed = len(wire).to_bytes(4, "little") + wire
-            self.write(sbuf, framed + bytes(PAGE_SIZE - len(framed)))
-            context = SerdeOffloadContext(schema=schema)
-            self.compcpy.compcpy(
-                dbuf, sbuf, PAGE_SIZE, context, UlpKind.DESERIALIZE, ordered=True
-            )
-            return parse_compressed_page(self.read(dbuf, PAGE_SIZE))
-        finally:
-            self.driver.free_pages(sbuf)
-            self.driver.free_pages(dbuf)
+        return self._offload(UlpKind.DESERIALIZE, SerdeOffloadContext(schema=schema),
+                             frame_page(wire), 1)
 
     # -- Compute DMA extension (Sec. IV-E) -------------------------------------------
 
     def tls_encrypt_dma(self, key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Encrypt a payload *as a device DMAs it in* — the CPU never
         touches the bytes (Compute DMA, Sec. IV-E).  Returns ct || tag."""
-        pages = _pages_for(len(plaintext) + TAG_SIZE)
-        size = pages * PAGE_SIZE
-        sbuf = self.driver.alloc_pages(pages)
-        dbuf = self.driver.alloc_pages(pages)
-        try:
-            context = TLSOffloadContext(
-                key=key, nonce=nonce, record_length=len(plaintext), aad=aad
-            )
-            self.compute_dma.register(dbuf, sbuf, size, context, UlpKind.TLS_ENCRYPT)
-            self.compute_dma.dma_in(sbuf, plaintext + bytes(size - len(plaintext)))
-            return self.compute_dma.read_result(dbuf, len(plaintext) + TAG_SIZE)
-        finally:
-            self.driver.free_pages(sbuf)
-            self.driver.free_pages(dbuf)
+        length = len(plaintext) + TAG_SIZE
+        context = TLSOffloadContext(
+            key=key, nonce=nonce, record_length=len(plaintext), aad=aad
+        )
+        return self._offload(UlpKind.TLS_ENCRYPT, context, plaintext,
+                             _pages_for(length), length, dma=True)

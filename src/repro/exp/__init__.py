@@ -10,9 +10,9 @@ matrix of :class:`~repro.exp.spec.RunSpec` points:
 * :mod:`repro.exp.targets` — the target registry, one owner per figure
   family: each target enumerates its points, runs one point purely
   (``run_point(spec) -> dict``), rolls the point results up into the
-  exact payload its committed baseline stores (``BENCH_overload.json``
-  et al.), renders it, and declares its headline metrics and gate
-  thresholds as data.
+  exact payload its committed baseline ``BENCH_<target>.json`` stores,
+  renders it, and declares its headline metrics and gate thresholds as
+  data.
 * :mod:`repro.exp.pool` — the ``multiprocessing`` run-pool that fans
   points out across cores.  Workers share no RNG state: every point
   derives everything from its spec, so ``--jobs N`` output is

@@ -97,7 +97,6 @@ class Target:
     headlines: dict           # metric -> dotted path into the rollup
     gates: tuple              # (path, op, bound, why) rows
     render: callable = None   # rollup payload -> text (or None)
-    baseline: str = None      # committed BENCH file, relative to REPO_ROOT
 
     def specs(self, seed: int = None, quick: bool = False) -> list:
         """This target's full point grid as RunSpecs (None = default seed)."""
@@ -125,10 +124,13 @@ class Target:
                                    shown, why))
         return failures
 
+    @property
+    def baseline(self) -> str:
+        """The committed baseline file, relative to REPO_ROOT."""
+        return "BENCH_%s.json" % self.name
+
     def baseline_path(self) -> str:
-        """Absolute path of the committed baseline (None without one)."""
-        if self.baseline is None:
-            return None
+        """Absolute path of the committed baseline."""
         return os.path.join(REPO_ROOT, self.baseline)
 
 
@@ -357,7 +359,7 @@ def _forward(module_path: str, attr: str):
 
 
 def _sweep_target(name, module_path, description, deps, default_seed,
-                  headlines, gates, baseline):
+                  headlines, gates):
     """Build a Target whose functions live in a sweep module."""
     return Target(name=name, description=description, code_deps=deps,
                   default_seed=default_seed,
@@ -365,7 +367,7 @@ def _sweep_target(name, module_path, description, deps, default_seed,
                   run_point=_forward(module_path, "run_point"),
                   rollup=_forward(module_path, "rollup"),
                   render=_forward(module_path, "render"),
-                  headlines=headlines, gates=gates, baseline=baseline)
+                  headlines=headlines, gates=gates)
 
 
 # -- the registry --------------------------------------------------------------------
@@ -457,8 +459,7 @@ TARGETS = {
                 ("sweep.summary.noshed_2x_over_peak", "<=", 0.35,
                  "uncontrolled goodput collapses at 2x, so the sweep "
                  "exercises overload"),
-            ),
-            baseline="BENCH_overload.json"),
+            )),
         _sweep_target(
             "replication", "repro.replication.sweep",
             "replicated storage: protocol x placement under chaos",
@@ -473,8 +474,7 @@ TARGETS = {
                  "the consistency checker finds no violation"),
                 ("summary.smartdimm_over_cpu_goodput_fault", ">", 1.0,
                  "smartdimm hops beat cpu onload on goodput under fault"),
-            ),
-            baseline="BENCH_replication.json"),
+            )),
         _sweep_target(
             "qos", "repro.qos.sweep",
             "multi-tenant fairness: noisy neighbor vs DRR isolation",
@@ -508,8 +508,7 @@ TARGETS = {
                 ("fairness.summary.victim_goodput_ratio_fifo", "<=", 0.75,
                  "without QoS the victim loses goodput, so the sweep "
                  "exercises interference"),
-            ),
-            baseline="BENCH_qos.json"),
+            )),
         _sweep_target(
             "ras", "repro.ras.sweep",
             "memory RAS + integrity: scrub x SDC grid, quarantine, fleet "
@@ -545,8 +544,7 @@ TARGETS = {
                  "coverage"),
                 ("summary.fleet_detected_full_coverage", ">", 0,
                  "the fleet sdc_storm is detected"),
-            ),
-            baseline="BENCH_ras.json"),
+            )),
     )
 }
 

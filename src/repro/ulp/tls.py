@@ -42,27 +42,26 @@ class TLSRecord:
     def wire_bytes(self) -> bytes:
         """Serialize to TLSCiphertext wire format."""
         body = self.payload
-        header = (
-            bytes([CONTENT_TYPE_APPLICATION_DATA])
-            + LEGACY_RECORD_VERSION.to_bytes(2, "big")
-            + len(body).to_bytes(2, "big")
-        )
-        return header + body
+        return record_aad(len(body)) + body
 
     @classmethod
     def from_wire(cls, data: bytes) -> "TLSRecord":
         """Parse one record from wire bytes (must contain exactly one record)."""
-        if len(data) < HEADER_SIZE + AESGCM.TAG_SIZE:
-            raise ValueError("record too short: %d bytes" % len(data))
-        length = int.from_bytes(data[3:5], "big")
-        body = data[HEADER_SIZE : HEADER_SIZE + length]
-        if len(body) != length:
-            raise ValueError("truncated record body")
-        return cls(
-            content_type=CONTENT_TYPE_APPLICATION_DATA,
-            ciphertext=body[: -AESGCM.TAG_SIZE],
-            tag=body[-AESGCM.TAG_SIZE :],
-        )
+        ciphertext, tag, _ = _split_record(data, 0)
+        return cls(content_type=CONTENT_TYPE_APPLICATION_DATA,
+                   ciphertext=ciphertext, tag=tag)
+
+
+def _split_record(wire: bytes, offset: int) -> tuple:
+    """(ciphertext, tag, end offset) of the record at ``wire[offset:]``."""
+    if len(wire) - offset < HEADER_SIZE + AESGCM.TAG_SIZE:
+        raise ValueError("record too short: %d bytes" % (len(wire) - offset))
+    length = int.from_bytes(wire[offset + 3 : offset + 5], "big")
+    end = offset + HEADER_SIZE + length
+    if end > len(wire):
+        raise ValueError("truncated record body")
+    body = wire[offset + HEADER_SIZE : end]
+    return body[: -AESGCM.TAG_SIZE], body[-AESGCM.TAG_SIZE :], end
 
 
 def record_nonce(static_iv: bytes, sequence: int) -> bytes:
@@ -85,6 +84,12 @@ def record_aad(inner_length: int) -> bytes:
 class TLSRecordLayer:
     """One direction of TLS 1.3 record protection.
 
+    :meth:`seal` and :meth:`open` are the record layer of every TLS
+    endpoint in the package (nginx, kTLS, the wrk client): header framing,
+    per-record nonces, the AAD and padding removal, over any AEAD — this
+    layer's own AES-GCM, or a ULP backend's ``tls_encrypt`` /
+    ``tls_decrypt`` wherever that runs.
+
     >>> tx = TLSRecordLayer(bytes(16), bytes(12))
     >>> rx = TLSRecordLayer(bytes(16), bytes(12))
     >>> rx.unprotect(tx.protect(b"GET / HTTP/1.1\\r\\n"))
@@ -92,6 +97,7 @@ class TLSRecordLayer:
     """
 
     def __init__(self, key: bytes, static_iv: bytes):
+        self.key = bytes(key)
         # Shared per-key context: key schedule + GF tables built once
         # process-wide, exactly once per traffic key.
         self.gcm = cached_aesgcm(key)
@@ -102,45 +108,68 @@ class TLSRecordLayer:
         """The nonce the next record will use (sequence not advanced)."""
         return record_nonce(self.static_iv, self.sequence)
 
+    def seal(self, fragment: bytes, encrypt=None,
+             content_type: int = CONTENT_TYPE_APPLICATION_DATA) -> bytes:
+        """Protect one fragment into one record's wire bytes.
+
+        ``encrypt(key, nonce, inner, aad)`` returns ciphertext || tag (a
+        backend's ``tls_encrypt``; None uses this layer's AES-GCM).  The
+        inner plaintext is ``fragment || content_type`` per RFC 8446;
+        padding is not modelled (the paper's workloads never pad).
+        """
+        if len(fragment) > MAX_PLAINTEXT_SIZE:
+            raise ValueError(
+                "TLS plaintext fragment exceeds 2^14 bytes: %d" % len(fragment)
+            )
+        inner = fragment + bytes([content_type])
+        nonce = self.next_nonce()
+        aad = record_aad(len(inner) + AESGCM.TAG_SIZE)
+        if encrypt is None:
+            ciphertext, tag = self.gcm.encrypt(nonce, inner, aad)
+            payload = ciphertext + tag
+        else:
+            payload = encrypt(self.key, nonce, inner, aad)
+        self.sequence += 1
+        return record_aad(len(payload)) + payload
+
+    def open(self, wire: bytes, offset: int = 0, decrypt=None) -> tuple:
+        """Unprotect the record at ``wire[offset:]``; returns (fragment,
+        content_type, offset of the next record).
+
+        ``decrypt(key, nonce, ciphertext, aad, tag)`` verifies the tag and
+        returns the inner plaintext, raising ValueError on a mismatch (a
+        backend's ``tls_decrypt``; None uses this layer's AES-GCM).
+        """
+        ciphertext, tag, end = _split_record(wire, offset)
+        nonce = self.next_nonce()
+        aad = record_aad(end - offset - HEADER_SIZE)
+        if decrypt is None:
+            inner = self.gcm.decrypt(nonce, ciphertext, aad, tag)
+        else:
+            inner = decrypt(self.key, nonce, ciphertext, aad, tag)
+        self.sequence += 1
+        # Strip zero padding, then the content-type octet.
+        length = len(inner)
+        while length > 0 and inner[length - 1] == 0:
+            length -= 1
+        if length == 0:
+            raise ValueError("record contains only padding")
+        return inner[: length - 1], inner[length - 1], end
+
     def protect(
         self, plaintext: bytes, content_type: int = CONTENT_TYPE_APPLICATION_DATA
     ) -> TLSRecord:
-        """Encrypt a plaintext fragment into a protected record.
-
-        The inner plaintext is ``plaintext || content_type`` per RFC 8446;
-        padding is not modelled (the paper's workloads never pad).
-        """
-        if len(plaintext) > MAX_PLAINTEXT_SIZE:
-            raise ValueError(
-                "TLS plaintext fragment exceeds 2^14 bytes: %d" % len(plaintext)
-            )
-        inner = plaintext + bytes([content_type])
-        nonce = self.next_nonce()
-        aad = record_aad(len(inner) + AESGCM.TAG_SIZE)
-        # Cached-EIV path: the record layer holds the cipher context, so EIV
-        # is derived once here and handed down — tag() must not rebuild
-        # J0/EIV a second time.
-        eiv = self.gcm.encrypted_iv(nonce)
-        ciphertext, tag = self.gcm.encrypt(nonce, inner, aad, eiv=eiv)
-        self.sequence += 1
-        return TLSRecord(content_type=content_type, ciphertext=ciphertext, tag=tag)
+        """Encrypt a plaintext fragment into a protected record (:meth:`seal`
+        over this layer's AES-GCM)."""
+        wire = self.seal(plaintext, content_type=content_type)
+        return TLSRecord(content_type=content_type,
+                         ciphertext=wire[HEADER_SIZE : -AESGCM.TAG_SIZE],
+                         tag=wire[-AESGCM.TAG_SIZE :])
 
     def unprotect(self, record: TLSRecord) -> tuple:
         """Decrypt and authenticate a record; returns (plaintext, content_type)."""
-        nonce = self.next_nonce()
-        aad = record_aad(len(record.payload))
-        eiv = self.gcm.encrypted_iv(nonce)
-        inner = self.gcm.decrypt(nonce, record.ciphertext, aad, record.tag, eiv=eiv)
-        self.sequence += 1
-        if not inner:
-            raise ValueError("empty inner plaintext")
-        # Strip zero padding then the content-type octet.
-        end = len(inner)
-        while end > 0 and inner[end - 1] == 0:
-            end -= 1
-        if end == 0:
-            raise ValueError("record contains only padding")
-        return inner[: end - 1], inner[end - 1]
+        plaintext, content_type, _ = self.open(record.wire_bytes())
+        return plaintext, content_type
 
 
 def fragment_message(message: bytes, fragment_size: int) -> list:

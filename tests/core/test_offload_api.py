@@ -8,8 +8,9 @@ import pytest
 from repro.core.offload_api import SessionConfig, SmartDIMMSession
 from repro.core.dsa.deflate_dsa import HardwareMatcher
 from repro.dram.commands import PAGE_SIZE
-from repro.ulp.deflate import deflate_decompress
+from repro.ulp.deflate import deflate_compress, deflate_decompress
 from repro.ulp.gcm import AESGCM
+from repro.ulp.serialization import FieldKind, FieldSpec, Schema, serialize
 from repro.workloads.corpus import CorpusKind, generate_corpus
 
 KEY = bytes(range(16))
@@ -95,3 +96,47 @@ def test_session_config_defaults():
     config = SessionConfig()
     assert config.smartdimm.scratchpad_pages == 2048
     assert config.smartdimm.translation_slots == 12288
+
+
+SCHEMA = Schema({1: FieldSpec("user", FieldKind.UINT)})
+
+#: Every offload kind: (object holding the step that fails after
+#: registration, that step's name, the call under test).
+OFFLOADS = {
+    "tls": (lambda s: s.compcpy, "read_buffer",
+            lambda s: s.tls_encrypt(KEY, NONCE, bytes(5000))),
+    "deflate": (lambda s: s.compcpy, "read_buffer",
+                lambda s: s.deflate_page(bytes(PAGE_SIZE))),
+    "inflate": (lambda s: s.compcpy, "read_buffer",
+                lambda s: s.inflate_page(deflate_compress(bytes(100)))),
+    "serde": (lambda s: s.compcpy, "read_buffer",
+              lambda s: s.deserialize_message(serialize({"user": 3}, SCHEMA),
+                                              SCHEMA)),
+    "compute_dma": (lambda s: s.compute_dma, "read_result",
+                    lambda s: s.tls_encrypt_dma(KEY, NONCE, bytes(5000))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OFFLOADS))
+def test_failed_step_aborts_before_freeing(session, monkeypatch, kind):
+    """A step after registration raises: the offload is aborted first, so
+    page reclaim never waits on a DSA that will not finish."""
+    owner, step, run = OFFLOADS[kind]
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected failure after registration")
+
+    events = []
+    driver = session.driver
+    abort, free = driver.abort_offload, driver.free_pages
+    monkeypatch.setattr(owner(session), step, fail)
+    monkeypatch.setattr(driver, "abort_offload",
+                        lambda offload: events.append("abort") or abort(offload))
+    monkeypatch.setattr(driver, "free_pages",
+                        lambda address: events.append("free") or free(address))
+    with pytest.raises(RuntimeError, match="injected"):
+        run(session)
+    assert events == ["abort", "free", "free"]
+    device = session.device
+    assert device.translation_table.live_entries == 0
+    assert device.scratchpad.free_pages == device.config.scratchpad_pages

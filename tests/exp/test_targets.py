@@ -7,6 +7,7 @@ missing, and keep the sweep modules out of ``import repro.exp``.  Select
 with ``-m exp``.
 """
 
+import glob
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 
 import repro
 from repro.exp import get_target, target_names
-from repro.exp.targets import lookup
+from repro.exp.targets import REPO_ROOT, lookup
 
 pytestmark = pytest.mark.exp
 
@@ -53,7 +54,14 @@ def _rows():
 
 
 def test_every_baselined_sweep_target_is_covered():
-    assert BASELINED == ["overload", "qos", "ras", "replication"]
+    assert BASELINED == ["cluster", "datapath", "faults", "overload", "qos",
+                         "ras", "replication"]
+
+
+def test_root_baselines_and_targets_map_one_to_one():
+    on_disk = sorted(os.path.basename(path)
+                     for path in glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json")))
+    assert on_disk == sorted(get_target(name).baseline for name in target_names())
 
 
 @pytest.mark.parametrize("name", BASELINED)
