@@ -19,12 +19,14 @@ Or from the shell: ``python -m repro cluster --servers 4 --connections 512
 
 Modules:
 
-* :mod:`repro.cluster.kernel` — event heap, simulated clock, seeded RNG,
-  process-style coroutines, FIFO resources.
+* :mod:`repro.cluster.kernel` — event heap and ready lane, simulated
+  clock, seeded RNG, process-style coroutines, FIFO resources that grant
+  by event or by callback.
 * :mod:`repro.cluster.loadgen` — open-loop (Poisson/bursty/trace-replay)
   and closed-loop load with corpus-derived request mixes.
 * :mod:`repro.cluster.fleet` — N servers x M channels, each channel
-  fronting a SmartDIMM DSA queue priced by the analytic model.
+  fronting a SmartDIMM DSA queue priced by the analytic model; a request
+  is a chain of stage callbacks over one job record.
 * :mod:`repro.cluster.sched` — static, least-loaded, and adaptive
   CPU-spill placement schedulers (the paper's Observation 2, dynamic).
 * :mod:`repro.cluster.metrics` — counters, gauges, log-bucketed latency

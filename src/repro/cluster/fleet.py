@@ -31,10 +31,12 @@ back to the CPU.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from repro.cpu.costs import DEFAULT_COSTS, CostModel
 from repro.sim.server import Placement, ServerModel, Ulp, WorkloadSpec
 
+from repro.cluster.kernel import Event
 from repro.cluster.loadgen import DSA_RATIO_PENALTY, Request, measured_deflate_ratio
 from repro.cluster.metrics import MetricsRegistry, TraceRecorder
 
@@ -196,6 +198,9 @@ class Channel:
         self.served = 0
 
 
+_channel_backlog = attrgetter("backlog_seconds")
+
+
 class ServerSim:
     """One server's stations: worker pool, memory bus, DSA channels, NIC.
 
@@ -225,7 +230,33 @@ class ServerSim:
     @property
     def backlog_seconds(self) -> float:
         return self.cpu_backlog_seconds + sum(
-            channel.backlog_seconds for channel in self.channels)
+            map(_channel_backlog, self.channels))
+
+
+class Job(Event):
+    """One request in flight through its server's stations.
+
+    The record every stage callback of :class:`Fleet`'s request path
+    reads and writes, and the completion :class:`Event` that
+    :meth:`Fleet.submit` returns: it triggers with the request once the
+    response leaves the NIC, or once a deadline shed drops it.  Creating
+    the job posts its first stage on the ready lane, where spawning a
+    process would post the process's first step.
+    """
+
+    __slots__ = ("request", "server", "channel", "route", "enqueued",
+                 "started", "dsa_seconds")
+
+    def __init__(self, fleet: "Fleet", request: Request, server: ServerSim,
+                 channel: Channel, route: RouteCosts):
+        sim = fleet.sim
+        Event.__init__(self, sim)
+        self.request = request
+        self.server = server
+        self.channel = channel
+        self.route = route
+        self.enqueued = self.started = self.dsa_seconds = 0.0
+        sim._ready.append((fleet._start, self))
 
 
 class Fleet:
@@ -245,6 +276,10 @@ class Fleet:
         self.fault_injector = None  # set by FleetFaultInjector.attach()
         self.overload = overload  # OverloadPolicy, or None (all control off)
         self.qos = qos  # QosPolicy, or None (single-tenant FIFO stations)
+        # Per-scenario constants of the request path.
+        self._placement_route = profile.placement.value
+        self._overload_bounded = overload is not None and overload.config.bounded
+        self._qos_bounded = qos is not None and bool(qos.queue_limits())
         cpu_quantum_s = dsa_quantum_s = None
         if qos is not None:
             # Auto quantum: one mean request's service time per station,
@@ -380,9 +415,6 @@ class Fleet:
         request.
         """
         policy = self.overload
-        qos_bounded = (self.qos is not None
-                       and bool(self.qos.queue_limits())
-                       and request.tenant)
         if policy is not None:
             # Untenanted requests use the pre-QoS call shapes so duck-typed
             # policies with the old signatures keep working.
@@ -402,7 +434,7 @@ class Fleet:
             # Chaos layer: fail over assignments to down nodes and spill
             # around channels whose circuit breaker is OPEN.
             assignment = self.fault_injector.filter_assignment(self, assignment)
-        if ((policy is not None and policy.config.bounded) or qos_bounded) \
+        if (self._overload_bounded or (self._qos_bounded and request.tenant)) \
                 and not self.has_room(assignment, request):
             # Bounded queue full: push back to the scheduler for an
             # alternative placement; no alternative means the rack is
@@ -435,7 +467,7 @@ class Fleet:
         channel = server.channels[assignment.channel]
         request.server = assignment.server
         request.channel = assignment.channel
-        request.route = "cpu-spill" if spill else self.profile.placement.value
+        request.route = "cpu-spill" if spill else self._placement_route
         server.cpu_backlog_seconds += route.cpu_seconds
         if route.dsa_seconds > 0.0:
             channel.backlog_seconds += route.dsa_seconds
@@ -444,7 +476,7 @@ class Fleet:
             if spill:
                 self.spilled.inc()
         self._tenant_count(request, "submitted")
-        return self.sim.spawn(self._serve(request, server, channel, route))
+        return Job(self, request, server, channel, route)
 
     def _shed_expired(self, request: Request, station: str) -> bool:
         """Deadline check at a station dequeue; count the shed if due."""
@@ -466,109 +498,159 @@ class Fleet:
             else:
                 self.overload.observe(station, self.sim.now, wait_s)
 
-    @staticmethod
-    def _acquire(resource, request: Request, cost_s: float):
-        """Station acquire: DRR stations take the (tenant, class, cost)
-        triple; FIFO stations take nothing."""
-        if resource.arbiter is not None:
-            return resource.acquire(request.tenant, request.klass, cost_s)
-        return resource.acquire()
+    # -- the request's stage chain ---------------------------------------------------
+    #
+    # Each stage is one kernel callback over the request's Job.  A station
+    # grant is ``Resource.request(stage, job)`` and a service time is a
+    # sleep, ``sim.schedule(d, sim._ready.append, (stage, job))``: one heap
+    # entry whose callback posts the next stage on the ready lane.  A
+    # DSA-routed request thus costs 13 events: its start, four grants and
+    # four two-event sleeps.
 
-    def _serve(self, request: Request, server: ServerSim, channel: Channel,
-               route: RouteCosts):
-        sim = self.sim
+    def _start(self, job: Job) -> None:
         # CPU stage: protocol stack + ULP management (or the whole ULP when
         # spilled) on one of the worker cores.
-        enqueued = sim.now
-        yield self._acquire(server.cpu, request, route.cpu_seconds)
-        request.waits["cpu"] = sim.now - enqueued
-        self._observe_wait("cpu", request.waits["cpu"], request)
+        job.enqueued = self.sim.now
+        request = job.request
+        job.server.cpu.request(self._cpu_granted, job, request.tenant,
+                               request.klass, job.route.cpu_seconds)
+
+    def _cpu_granted(self, job: Job) -> None:
+        sim = self.sim
+        request = job.request
+        route = job.route
+        wait = request.waits["cpu"] = sim.now - job.enqueued
+        self._observe_wait("cpu", wait, request)
         if self._shed_expired(request, "cpu"):
             # Dead on dequeue: don't burn a worker on work the client has
             # already given up on.  Refund both backlogs — the request
             # never reaches its DSA queue either.
+            server = job.server
             server.cpu.release()
             server.cpu_backlog_seconds -= route.cpu_seconds
             if route.dsa_seconds > 0.0:
-                channel.backlog_seconds -= route.dsa_seconds
-            return request
-        started = sim.now
-        yield route.cpu_seconds
+                job.channel.backlog_seconds -= route.dsa_seconds
+            job.succeed(request)
+            return
+        job.started = sim.now
+        sim.schedule(route.cpu_seconds, sim._ready.append,
+                     (self._cpu_done, job))
+
+    def _cpu_done(self, job: Job) -> None:
+        server = job.server
+        route = job.route
         server.cpu.release()
         server.cpu_backlog_seconds -= route.cpu_seconds
-        self._trace(request, "cpu", started, route.cpu_seconds, TRACE_TID_CPU)
+        self._trace(job.request, "cpu", job.started, route.cpu_seconds,
+                    TRACE_TID_CPU)
         # Memory-bus stage: the request's DDR traffic at aggregate bandwidth.
-        yield server.membus.acquire()
-        started = sim.now
-        yield route.mem_seconds
-        server.membus.release()
-        # DSA stage: only routes that run the ULP on the DIMM queue here.
+        server.membus.request(self._membus_granted, job)
+
+    def _membus_granted(self, job: Job) -> None:
+        sim = self.sim
+        sim.schedule(job.route.mem_seconds, sim._ready.append,
+                     (self._membus_done, job))
+
+    def _membus_done(self, job: Job) -> None:
+        job.server.membus.release()
+        route = job.route
         if route.dsa_seconds > 0.0:
-            enqueued = sim.now
-            yield self._acquire(channel.resource, request, route.dsa_seconds)
-            request.waits["dsa"] = sim.now - enqueued
-            self._observe_wait("dsa", request.waits["dsa"], request)
-            if self._shed_expired(request, "dsa"):
-                channel.resource.release()
-                channel.backlog_seconds -= route.dsa_seconds
-                return request
-            started = sim.now
-            dsa_seconds = route.dsa_seconds
-            if self.fault_injector is not None:
-                # A wedged channel still serves, just slower; the health
-                # monitor sees the inflated stage time and trips the breaker.
-                dsa_seconds *= self.fault_injector.dsa_multiplier(
-                    server.index, channel.index)
-            yield dsa_seconds
+            # DSA stage: only routes that run the ULP on the DIMM queue here.
+            job.enqueued = self.sim.now
+            request = job.request
+            job.channel.resource.request(self._dsa_granted, job,
+                                         request.tenant, request.klass,
+                                         route.dsa_seconds)
+        else:
+            job.server.link.request(self._link_granted, job)
+
+    def _dsa_granted(self, job: Job) -> None:
+        sim = self.sim
+        request = job.request
+        channel = job.channel
+        route = job.route
+        wait = request.waits["dsa"] = sim.now - job.enqueued
+        self._observe_wait("dsa", wait, request)
+        if self._shed_expired(request, "dsa"):
             channel.resource.release()
             channel.backlog_seconds -= route.dsa_seconds
-            channel.served += 1
-            if self.measuring:
-                self.dsa_served.inc()
-            if self.fault_injector is not None:
-                self.fault_injector.observe_dsa(
-                    server.index, channel.index,
-                    request.waits["dsa"] + dsa_seconds, route.dsa_seconds)
-            self._trace(request, "dsa", started, dsa_seconds,
-                        TRACE_TID_CHANNEL0 + channel.index)
+            job.succeed(request)
+            return
+        job.started = sim.now
+        dsa_seconds = route.dsa_seconds
+        if self.fault_injector is not None:
+            # A wedged channel still serves, just slower; the health
+            # monitor sees the inflated stage time and trips the breaker.
+            dsa_seconds *= self.fault_injector.dsa_multiplier(
+                job.server.index, channel.index)
+        job.dsa_seconds = dsa_seconds
+        sim.schedule(dsa_seconds, sim._ready.append, (self._dsa_done, job))
+
+    def _dsa_done(self, job: Job) -> None:
+        channel = job.channel
+        route = job.route
+        channel.resource.release()
+        channel.backlog_seconds -= route.dsa_seconds
+        channel.served += 1
+        if self.measuring:
+            self.dsa_served.inc()
+        if self.fault_injector is not None:
+            self.fault_injector.observe_dsa(
+                job.server.index, channel.index,
+                job.request.waits["dsa"] + job.dsa_seconds, route.dsa_seconds)
+        self._trace(job.request, "dsa", job.started, job.dsa_seconds,
+                    TRACE_TID_CHANNEL0 + channel.index)
         # Link stage: the response leaves through the NIC.
-        yield server.link.acquire()
-        if self._shed_expired(request, "link"):
-            server.link.release()
-            return request
-        started = sim.now
-        yield route.link_seconds
-        server.link.release()
-        self._trace(request, "tx", started, route.link_seconds, TRACE_TID_LINK)
+        job.server.link.request(self._link_granted, job)
+
+    def _link_granted(self, job: Job) -> None:
+        if self._shed_expired(job.request, "link"):
+            job.server.link.release()
+            job.succeed(job.request)
+            return
+        sim = self.sim
+        job.started = sim.now
+        sim.schedule(job.route.link_seconds, sim._ready.append,
+                     (self._link_done, job))
+
+    def _link_done(self, job: Job) -> None:
+        sim = self.sim
+        request = job.request
+        route = job.route
+        job.server.link.release()
+        self._trace(request, "tx", job.started, route.link_seconds,
+                    TRACE_TID_LINK)
         request.complete_s = sim.now
         if self.fault_injector is not None and self.measuring:
             self.fault_injector.note_completion(sim.now)
         if self.measuring:
+            latency = request.latency_s
+            met_deadline = request.met_deadline
             self.completed.inc()
             self.bytes_out.inc(route.output_bytes)
-            self.latency.record(request.latency_s)
+            self.latency.record(latency)
             if request.route == "cpu-spill":
-                self.spill_latency.record(request.latency_s)
+                self.spill_latency.record(latency)
             self.wait_cpu.record(request.waits.get("cpu", 0.0))
             if "dsa" in request.waits:
                 self.wait_dsa.record(request.waits["dsa"])
             if self.overload is not None or self.qos is not None:
-                if request.met_deadline:
+                if met_deadline:
                     self.deadline_met.inc()
                 else:
                     self.deadline_missed.inc()
                 met = self.class_deadline.setdefault(request.klass, [0, 0])
-                met[0 if request.met_deadline else 1] += 1
+                met[0 if met_deadline else 1] += 1
             if request.tenant:
                 stats = self._tenant_slot(request.tenant)
                 stats["completed"] += 1
                 stats["bytes_out"] += route.output_bytes
-                stats["latency"].record(request.latency_s)
-                if request.met_deadline:
+                stats["latency"].record(latency)
+                if met_deadline:
                     stats["deadline_met"] += 1
                 else:
                     stats["deadline_missed"] += 1
-        return request
+        job.succeed(request)
 
     def _trace(self, request: Request, stage: str, started: float,
                duration: float, tid: int) -> None:

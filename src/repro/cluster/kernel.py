@@ -1,16 +1,18 @@
 """Deterministic discrete-event simulation kernel.
 
-A minimal process-style DES engine in the simpy idiom, purpose-built for
-the cluster layer: a simulated clock, one seeded :class:`random.Random`,
-coroutine processes that ``yield`` delays, events, or resource grants, and
-two lanes of pending callbacks:
+A minimal DES engine in the simpy idiom, purpose-built for the cluster
+layer: a simulated clock, one seeded :class:`random.Random`, stations
+(:class:`Resource`) that grant slots by event or by callback, coroutine
+processes that ``yield`` delays or events, and two lanes of pending
+callbacks:
 
 * the **heap** holds callbacks due at a later instant, keyed by
   ``(time, sequence)`` with a strictly increasing sequence number;
 * the **ready lane** (:attr:`Simulator._ready`) is a FIFO deque of
   callbacks due at the current instant ``now``: a triggered event's
-  waiters, a new process's first step, and every push whose time equals
-  ``now`` append there instead of paying two heap operations.
+  waiters, a new process's first step, a station grant, and every push
+  whose time equals ``now`` append there instead of paying two heap
+  operations.
 
 :meth:`Simulator.run` first pops heap entries whose time is ``<= now``,
 then the ready lane, and advances the clock to the next heap entry only
@@ -27,6 +29,24 @@ lane.  It counts as two events (the instant, then the resume), exactly
 like yielding ``timeout(d)``; ``events_processed`` is part of reported
 scenario results.
 
+The fleet's request path runs no process at all: it is a chain of stage
+callbacks over one job record (:class:`repro.cluster.fleet.Job`).  Its
+steps land on the lane exactly where a process's resumes would, so the
+chain fires in the same order and counts the same events:
+
+* the job posts its first stage where spawning posts a first step;
+* :meth:`Resource.request` posts a stage at once on a free slot, where a
+  process waiting on :meth:`Resource.acquire`'s already-triggered grant
+  resumes, and a queued ``(wake, argument)`` waiter is posted by the
+  :meth:`Resource.release` that hands it the slot, where the grant
+  event's waiter is posted;
+* a service time is ``sim.schedule(d, sim._ready.append, (stage, job))``,
+  the heap entry and lane post of a process sleep.
+
+A DSA-routed request is thus 13 events: its start, four grants and four
+two-event sleeps.  Processes remain for the replication clients and for
+tests.
+
 Determinism is the design constraint, not an afterthought:
 
 * callbacks fire in ``(time, sequence)`` order as argued above, so
@@ -40,7 +60,9 @@ Determinism is the design constraint, not an afterthought:
 Two runs with the same seed therefore produce byte-identical event
 sequences and, downstream, byte-identical metrics (see
 ``tests/cluster/test_determinism.py``).  ``tests/cluster/test_kernel.py``
-checks the order against a heap-only reference scheduler.
+checks the order against a heap-only reference scheduler, and
+``tests/cluster/test_fleet_oracle.py`` checks the fleet's stage chain
+against the generator processes it replaced.
 """
 
 from __future__ import annotations
@@ -131,15 +153,18 @@ class Process(Event):
 class Resource:
     """A FIFO multi-server resource (`capacity` concurrent holders).
 
-    `acquire()` returns an :class:`Event` that triggers when a slot is
-    granted; `release()` hands the slot to the longest-waiting requester.
-    Busy time is integrated continuously so utilisation over any window is
-    exact, not sampled.
+    A slot is granted in one of two forms: :meth:`acquire` returns an
+    :class:`Event` that triggers on the grant (for processes), and
+    :meth:`request` runs a callback on the grant (for stage chains such as
+    the fleet's request path).  Both queue the same ``(wake, argument)``
+    waiter, and one :meth:`release` hands the slot to the longest-waiting
+    requester by calling ``wake(argument)``.  Busy time is integrated
+    continuously so utilisation over any window is exact, not sampled.
 
     `max_queue` declares a bounded queue: :attr:`full` turns True once
     `max_queue` waiters are queued.  The bound is advisory — callers
-    (the fleet's backpressure path) must check `full` *before* calling
-    `acquire()` and re-route or reject instead; `acquire()` itself never
+    (the fleet's backpressure path) must check `full` *before* asking for
+    a slot and re-route or reject instead; the station itself never
     refuses, so internal code that already holds an admission ticket
     cannot deadlock on its own bound.
     """
@@ -162,7 +187,7 @@ class Resource:
         self.capacity = capacity
         self.busy = 0
         self.max_queue = max_queue
-        self._waiters = deque()
+        self._waiters = deque()  # (wake, argument) pairs, FIFO
         self._busy_integral = 0.0
         self._last_change = sim.now
         self.timeline = timeline
@@ -174,28 +199,61 @@ class Resource:
         if self.timeline is not None:
             self.timeline.add(now, self.busy / self.capacity)
 
-    def _grant_free_slot(self) -> Event:
-        """Take a free slot; the grant comes back already triggered."""
-        self._account()
-        self.busy += 1
-        return Event(self.sim).succeed()
+    def _enqueue(self, waiter, tenant: str, klass: str, cost_s: float) -> None:
+        """Queue a ``(wake, argument)`` waiter; FIFO ignores the tags."""
+        self._waiters.append(waiter)
 
-    def acquire(self) -> Event:
-        """Request a slot; the returned event triggers when it is granted."""
+    def acquire(self, tenant: str = "", klass: str = "standard",
+                cost_s: float = 0.0) -> Event:
+        """Request a slot; the returned event triggers when it is granted.
+
+        `tenant`, `klass` and `cost_s` are the arbitration inputs of a
+        QoS station (:class:`repro.qos.drr.QosResource`); a FIFO station
+        ignores them.
+        """
         if self.busy < self.capacity:
-            return self._grant_free_slot()
+            self._account()
+            self.busy += 1
+            return Event(self.sim).succeed()
         grant = Event(self.sim)
-        self._waiters.append(grant)
+        self._enqueue((grant.succeed, None), tenant, klass, cost_s)
         return grant
 
+    def request(self, callback, argument=None, tenant: str = "",
+                klass: str = "standard", cost_s: float = 0.0) -> None:
+        """Request a slot; `callback(argument)` runs when it is granted.
+
+        The grant is posted on the ready lane: at once when a slot is free,
+        else by the :meth:`release` that hands the slot over.  That is the
+        lane position where a process waiting on :meth:`acquire`'s event
+        would resume, so both forms fire in the same order and each grant
+        costs one event.  The tags are as for :meth:`acquire`.
+        """
+        post = self.sim._ready.append
+        if self.busy < self.capacity:
+            self._account()
+            self.busy += 1
+            post((callback, argument))
+        else:
+            self._enqueue((post, (callback, argument)), tenant, klass, cost_s)
+
     def release(self) -> None:
-        """Free a held slot, handing it to the longest-waiting requester."""
+        """Free a held slot, handing it to the next waiter.
+
+        Raises :class:`RuntimeError` when nothing holds a slot: an
+        unmatched release would drive `busy` negative and with it the
+        station's utilisation.
+        """
         if self._waiters:
             # Slot changes hands; occupancy is unchanged.
-            self._waiters.popleft().succeed()
-        else:
+            wake, argument = self._waiters.popleft()
+            wake(argument)
+        elif self.busy > 0:
             self._account()
             self.busy -= 1
+        else:
+            raise RuntimeError(
+                "release of idle station %r: no slot is held" % (self.name,))
 
     @property
     def queue_depth(self) -> int:

@@ -313,7 +313,13 @@ class _LoadBase:
 
 class OpenLoopLoad(_LoadBase):
     """Arrivals fire on the arrival process's clock, never waiting for
-    responses — the generator that can actually overload the fleet."""
+    responses — the generator that can actually overload the fleet.
+
+    Two kernel callbacks, no process: :meth:`_next_arrival` draws the gap
+    and sleeps it (``sim.schedule(gap, sim._ready.append, ...)``, two
+    events like a process sleep), :meth:`_arrive` submits and draws the
+    next gap.
+    """
 
     def __init__(self, sim, fleet, mix: RequestMix, arrivals,
                  tenant: str = "", klass: str = "standard", id_start: int = 0):
@@ -322,15 +328,17 @@ class OpenLoopLoad(_LoadBase):
 
     def start(self) -> None:
         """Begin generating arrivals (call once, before Simulator.run)."""
-        self.sim.spawn(self._arrival_loop())
+        self.sim._ready.append((self._next_arrival, None))
 
-    def _arrival_loop(self):
-        while True:
-            gap = self.arrivals.next_gap(self.sim.now, self.rng)
-            if gap is None:
-                return
-            yield gap
-            self.fleet.submit(self._make_request(connection=-1))
+    def _next_arrival(self, _) -> None:
+        sim = self.sim
+        gap = self.arrivals.next_gap(sim.now, self.rng)
+        if gap is not None:
+            sim.schedule(gap, sim._ready.append, (self._arrive, None))
+
+    def _arrive(self, _) -> None:
+        self.fleet.submit(self._make_request(connection=-1))
+        self._next_arrival(None)
 
 
 class ClosedLoopLoad(_LoadBase):
@@ -338,7 +346,9 @@ class ClosedLoopLoad(_LoadBase):
 
     Connections start staggered over `stagger_s` (deterministically, by
     connection index) so the opening instant doesn't imprint a lockstep
-    pattern on the whole run.
+    pattern on the whole run.  Each connection is a chain of kernel
+    callbacks keyed by its index: open, issue a request, and on its
+    completion event think and issue the next.
     """
 
     def __init__(self, sim, fleet, mix: RequestMix, connections: int,
@@ -356,21 +366,35 @@ class ClosedLoopLoad(_LoadBase):
         self.reject_backoff_s = reject_backoff_s
 
     def start(self) -> None:
-        """Spawn every connection's request loop (call before Simulator.run)."""
+        """Open every connection (call before Simulator.run)."""
+        post = self.sim._ready.append
         for connection in range(self.connections):
-            self.sim.spawn(self._connection_loop(connection))
+            post((self._open, connection))
 
-    def _connection_loop(self, connection: int):
+    def _open(self, connection: int) -> None:
         if self.stagger_s > 0:
-            yield self.stagger_s * connection / self.connections
-        while True:
-            request = self._make_request(connection)
-            done = self.fleet.submit(request)
-            if done is None:
-                # Rejected at admission or by backpressure: back off before
-                # retrying so a think-free loop cannot spin at one instant.
-                yield self.reject_backoff_s
-                continue
-            yield done
-            if self.think_s > 0:
-                yield self.rng.expovariate(1.0 / self.think_s)
+            sim = self.sim
+            sim.schedule(self.stagger_s * connection / self.connections,
+                         sim._ready.append, (self._issue, connection))
+        else:
+            self._issue(connection)
+
+    def _issue(self, connection: int) -> None:
+        done = self.fleet.submit(self._make_request(connection))
+        if done is None:
+            # Rejected at admission or by backpressure: back off before
+            # retrying so a think-free loop cannot spin at one instant.
+            sim = self.sim
+            sim.schedule(self.reject_backoff_s, sim._ready.append,
+                         (self._issue, connection))
+        else:
+            done.wait(self._completed)
+
+    def _completed(self, done) -> None:
+        connection = done.value.connection
+        if self.think_s > 0:
+            sim = self.sim
+            sim.schedule(self.rng.expovariate(1.0 / self.think_s),
+                         sim._ready.append, (self._issue, connection))
+        else:
+            self._issue(connection)

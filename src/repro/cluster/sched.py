@@ -46,6 +46,23 @@ def spill_decision(dsa_backlog_s: float, cpu_backlog_s: float, threads: int,
     return dsa_backlog_s > cpu_wait + spill_factor * delta
 
 
+def _least_backlogged(stations):
+    """The first of `stations` with the strictly smallest backlog seconds.
+
+    `stations` (servers or channels) are in index order, so this is the
+    pick of ``min(stations, key=lambda s: (s.backlog_seconds, s.index))``
+    — ties go to the lowest index — without a key tuple per station.
+    """
+    iterator = iter(stations)
+    best = next(iterator)
+    least = best.backlog_seconds
+    for station in iterator:
+        backlog = station.backlog_seconds
+        if backlog < least:
+            best, least = station, backlog
+    return best
+
+
 class Scheduler:
     """Base policy: subclasses implement :meth:`assign`."""
 
@@ -121,10 +138,8 @@ class LeastLoadedScheduler(Scheduler):
 
     def select(self, fleet: Fleet) -> tuple:
         """Return the least-backlogged server and its shortest DSA channel."""
-        server = min(fleet.servers, key=lambda s: (s.backlog_seconds, s.index))
-        channel = min(server.channels,
-                      key=lambda c: (c.backlog_seconds, c.index))
-        return server, channel
+        server = _least_backlogged(fleet.servers)
+        return server, _least_backlogged(server.channels)
 
     def assign(self, fleet: Fleet, request: Request) -> Assignment:
         """Place `request` on the currently least-loaded server and channel."""
@@ -161,17 +176,23 @@ class AdaptiveSpillScheduler(LeastLoadedScheduler):
     def assign(self, fleet: Fleet, request: Request) -> Assignment:
         """Least-loaded placement, spilling to CPU when the rule fires."""
         server, channel = self.select(fleet)
-        spill = False
+        return Assignment(server=server.index, channel=channel.index,
+                          spill=self._spill(fleet, request, server, channel))
+
+    def _spill(self, fleet: Fleet, request: Request, server, channel) -> bool:
+        """Whether `request` onloads its ULP instead of queueing on
+        `channel` of `server` (the rule above)."""
         profile = fleet.profile
-        if profile.can_spill:
-            offload = profile.route(request.size, request.kind, spill=False)
-            if offload.dsa_seconds > 0.0:
-                onload = profile.route(request.size, request.kind, spill=True)
-                spill = spill_decision(
-                    channel.backlog_seconds, server.cpu_backlog_seconds,
-                    server.threads, offload.cpu_seconds, onload.cpu_seconds,
-                    self.spill_factor)
-        return Assignment(server=server.index, channel=channel.index, spill=spill)
+        if not profile.can_spill:
+            return False
+        offload = profile.route(request.size, request.kind, spill=False)
+        if offload.dsa_seconds <= 0.0:
+            return False
+        onload = profile.route(request.size, request.kind, spill=True)
+        return spill_decision(
+            channel.backlog_seconds, server.cpu_backlog_seconds,
+            server.threads, offload.cpu_seconds, onload.cpu_seconds,
+            self.spill_factor)
 
 
 class TargetedScheduler(AdaptiveSpillScheduler):
@@ -199,19 +220,9 @@ class TargetedScheduler(AdaptiveSpillScheduler):
         if request.target < 0:
             return super().assign(fleet, request)
         server = fleet.servers[request.target]
-        channel = min(server.channels,
-                      key=lambda c: (c.backlog_seconds, c.index))
-        spill = False
-        profile = fleet.profile
-        if profile.can_spill:
-            offload = profile.route(request.size, request.kind, spill=False)
-            if offload.dsa_seconds > 0.0:
-                onload = profile.route(request.size, request.kind, spill=True)
-                spill = spill_decision(
-                    channel.backlog_seconds, server.cpu_backlog_seconds,
-                    server.threads, offload.cpu_seconds, onload.cpu_seconds,
-                    self.spill_factor)
-        return Assignment(server=server.index, channel=channel.index, spill=spill)
+        channel = _least_backlogged(server.channels)
+        return Assignment(server=server.index, channel=channel.index,
+                          spill=self._spill(fleet, request, server, channel))
 
     def reroute_full(self, fleet: Fleet, request: Request,
                      assignment: Assignment) -> Assignment:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.cluster.kernel import Event, Resource
+from repro.cluster.kernel import Resource
 
 #: Priority classes, highest priority first.  Strict priority between
 #: classes; DRR fairness between tenants inside one class.
@@ -113,6 +113,9 @@ class DrrArbiter:
         self.pending += 1
         self._tenant_pending[tenant] = self._tenant_pending.get(tenant, 0) + 1
 
+    def __len__(self) -> int:
+        return self.pending
+
     def dequeue(self):
         """The next grant under strict-priority DRR, or None when idle."""
         if self.pending == 0:
@@ -122,6 +125,11 @@ class DrrArbiter:
             if ring:
                 return self._grant(rank, ring)
         return None  # unreachable while pending > 0; defensive
+
+    #: :class:`QosResource` keeps the arbiter as its waiter queue, so the
+    #: inherited ``Resource.release`` pops grants through the deque
+    #: protocol: ``len()`` and ``popleft()``.
+    popleft = dequeue
 
     def _grant(self, rank: int, ring: list):
         """One DRR selection round inside the class `rank`.
@@ -183,8 +191,10 @@ class QosResource(Resource):
     Drop-in at the fleet's cpu and channel stations: same busy-time
     integration, same advisory ``max_queue`` bound (now over the summed
     arbiter backlog), plus per-tenant depth bounds via :meth:`full_for`.
-    ``acquire`` takes the request's tenant tag, class, and service cost —
-    the three inputs DRR needs that a FIFO can ignore.
+    ``acquire`` and ``request`` queue their ``(wake, argument)`` waiter
+    under the request's tenant tag, class, and service cost — the three
+    inputs DRR needs that a FIFO ignores — and the inherited ``release``
+    pops the arbiter's next grant.
     """
 
     __slots__ = ("arbiter",)
@@ -194,33 +204,10 @@ class QosResource(Resource):
                  max_queue: int = None):
         super().__init__(sim, capacity, name, timeline, max_queue)
         self.arbiter = arbiter if arbiter is not None else DrrArbiter()
+        self._waiters = self.arbiter
 
-    def acquire(self, tenant: str = "", klass: str = DEFAULT_CLASS,
-                cost_s: float = 0.0) -> Event:
-        """Request a slot; queued under (tenant, klass) when all are busy."""
-        if self.busy < self.capacity:
-            return self._grant_free_slot()
-        grant = Event(self.sim)
-        self.arbiter.enqueue(tenant, klass, cost_s, grant)
-        return grant
-
-    def release(self) -> None:
-        """Free a slot, handing it to the arbiter's DRR selection."""
-        grant = self.arbiter.dequeue()
-        if grant is not None:
-            grant.succeed()
-        else:
-            self._account()
-            self.busy -= 1
-
-    @property
-    def queue_depth(self) -> int:
-        return self.arbiter.pending
-
-    @property
-    def full(self) -> bool:
-        """Whether the station-wide advisory bound is exhausted."""
-        return self.max_queue is not None and self.arbiter.pending >= self.max_queue
+    def _enqueue(self, waiter, tenant: str, klass: str, cost_s: float) -> None:
+        self.arbiter.enqueue(tenant, klass, cost_s, waiter)
 
     def full_for(self, tenant: str) -> bool:
         """Station-wide bound OR `tenant`'s per-tenant bound exhausted."""

@@ -292,6 +292,19 @@ def test_events_processed_counter():
     sim.run()
     assert sim.events_processed == 7
 
+    # A callback hold: granted on a free slot, the callback is one event;
+    # queued, it costs nothing until the release posts it, then one.
+    sim = Simulator()
+    resource = sim.resource(1)
+    granted = []
+    resource.request(granted.append, "free")
+    assert sim.run() == 1 and granted == ["free"]
+    resource.request(granted.append, "queued")
+    assert sim.run() == 0 and granted == ["free"]
+    resource.release()
+    assert sim.run() == 1 and granted == ["free", "queued"]
+    assert resource.busy == 1
+
 
 # -- the kernel against its oracle -------------------------------------------------
 
@@ -312,6 +325,7 @@ class ReferenceSimulator:
         self.heap = []
         self.sequence = 0
         self.events_processed = 0
+        self._ready = ReferenceLane(self)
 
     def push(self, time, callback, argument):
         self.sequence += 1
@@ -348,6 +362,17 @@ class ReferenceSimulator:
             self.now = until
         self.events_processed += processed
         return processed
+
+
+class ReferenceLane:
+    """The reference's ready lane: a callback due now is a heap push at
+    now, so ``sim._ready.append((callback, argument))`` posts it."""
+
+    def __init__(self, sim):
+        self.sim = sim
+
+    def append(self, pair):
+        self.sim.post(*pair)
 
 
 class ReferenceEvent:
@@ -406,6 +431,10 @@ class ReferenceResource:
             self.waiters.append(grant)
         return grant
 
+    def request(self, callback, argument=None):
+        # A callback hold is an acquire plus a wait on its grant.
+        self.acquire().wait(lambda _: callback(argument))
+
     def release(self):
         if self.waiters:
             self.waiters.popleft().succeed()
@@ -419,6 +448,7 @@ _DELAYS = st.sampled_from((0.0, 0.25, 0.5, 1.0))
 _STEP = st.one_of(
     st.tuples(st.just("sleep"), _DELAYS),
     st.tuples(st.just("hold"), st.integers(0, 1), _DELAYS),
+    st.tuples(st.just("request"), st.integers(0, 1), _DELAYS),
     st.tuples(st.just("join"), st.integers(0, 4)),
     st.tuples(st.just("side"), _DELAYS),
     st.tuples(st.just("timeout"), _DELAYS),
@@ -444,6 +474,20 @@ def _run_program(sim, programs, windows):
                 yield step[2]
                 resource.release()
                 log.append((sim.now, tag, "released"))
+            elif step[0] == "request":
+                # A callback hold, as the fleet's stages hold a station:
+                # granted, sleep, release, all without this process.
+                resource = resources[step[1]]
+
+                def released(tag, resource=resource):
+                    resource.release()
+                    log.append((sim.now, tag, "released"))
+
+                def granted(tag, delay=step[2], released=released):
+                    log.append((sim.now, tag, "granted"))
+                    sim.schedule(delay, sim._ready.append, (released, tag))
+
+                resource.request(granted, tag)
             elif step[0] == "join" and len(programs) > 1:
                 other = (index + 1 + step[1] % (len(programs) - 1)) \
                     % len(programs)

@@ -5,12 +5,17 @@ load burst saturates the DSA queues."""
 import pytest
 
 from repro.cluster import ClusterScenario, make_scheduler, run_scenario
+from repro.cluster.fleet import Fleet
+from repro.cluster.kernel import Simulator
+from repro.cluster.loadgen import Request
 from repro.cluster.sched import (
     SCHEDULERS,
     AdaptiveSpillScheduler,
     LeastLoadedScheduler,
     StaticScheduler,
+    TargetedScheduler,
 )
+from repro.workloads.corpus import CorpusKind
 
 
 def _saturated_scenario(scheduler, seed=7):
@@ -78,3 +83,59 @@ def test_make_scheduler_registry():
     assert adaptive.spill_factor == 2.0
     with pytest.raises(ValueError):
         AdaptiveSpillScheduler(spill_factor=0.0)
+
+
+# -- ties go to the lowest index -------------------------------------------------------
+
+
+def _tie_fleet():
+    scenario = ClusterScenario(servers=3, channels=3, threads=1, ulp="tls",
+                               placement="smartdimm", message_bytes=16384)
+    sim = Simulator(1)
+    fleet = Fleet(sim, scenario.build_profile(), TargetedScheduler(),
+                  servers=3, channels=3)
+    return sim, fleet
+
+
+def _request(ident, target=-1):
+    return Request(id=ident, connection=-1, size=16384, kind=CorpusKind.HTML,
+                   arrive_s=0.0, target=target)
+
+
+def _picks(fleet, target=-1):
+    """The (server, channel) every backlog-driven policy picks now, and
+    the ``min(key=(backlog, index))`` pick the loops must reproduce."""
+    server = min(fleet.servers, key=lambda s: (s.backlog_seconds, s.index))
+    channel = min(server.channels, key=lambda c: (c.backlog_seconds, c.index))
+    selected = LeastLoadedScheduler().select(fleet)
+    picks = {"reference": (server.index, channel.index),
+             "select": (selected[0].index, selected[1].index)}
+    for policy in (AdaptiveSpillScheduler(), TargetedScheduler()):
+        assignment = policy.assign(fleet, _request(99, target))
+        picks[policy.name] = (assignment.server, assignment.channel)
+    return picks
+
+
+def test_zero_backlog_ties_pick_server_and_channel_zero():
+    _, fleet = _tie_fleet()
+    assert all(server.backlog_seconds == 0.0 for server in fleet.servers)
+    assert set(_picks(fleet).values()) == {(0, 0)}
+    # A targeted hop keeps its server and takes that server's channel 0.
+    assert _picks(fleet, target=2)["targeted"] == (2, 0)
+
+
+def test_mid_run_backlog_ties_pick_the_lowest_index():
+    sim, fleet = _tie_fleet()
+    # Server 0 takes two requests, servers 1 and 2 one each: 1 and 2 tie
+    # below 0, and inside each of them channels 1 and 2 tie below 0.
+    for ident, target in enumerate((0, 0, 1, 2)):
+        assert fleet.submit(_request(ident, target)) is not None
+    route = fleet.profile.route(16384, CorpusKind.HTML)
+    sim.run(until=0.5 * route.cpu_seconds)  # first CPU stages in service
+    first, second, third = fleet.servers
+    assert 0.0 < second.backlog_seconds == third.backlog_seconds \
+        < first.backlog_seconds
+    assert [c.backlog_seconds for c in second.channels] == [
+        route.dsa_seconds, 0.0, 0.0]
+    assert set(_picks(fleet).values()) == {(1, 1)}
+    assert _picks(fleet, target=2)["targeted"] == (2, 1)

@@ -1,8 +1,13 @@
 """Unit tests for the DRR arbiter and the QoS station resource."""
 
-import pytest
+from collections import deque
+from itertools import combinations
 
-from repro.cluster.kernel import Event, Simulator
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.kernel import Event, Resource, Simulator
 from repro.qos import CLASS_RANK, DEFAULT_CLASS, PRIORITY_CLASSES, DrrArbiter
 from repro.qos.drr import QosResource
 
@@ -124,6 +129,94 @@ def test_deficit_accumulates_across_rotations_no_starvation(sim):
     assert arbiter.pending == 0
 
 
+# -- generated traces ----------------------------------------------------------------
+
+_TENANTS = ("a", "b", "c")
+
+#: Bursts, so that queues stay backlogged for long stretches: ``count``
+#: enqueues of ``(tenant, class, cost)``, or ``count`` dequeues.
+_TRACE = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(_TENANTS), st.sampled_from(PRIORITY_CLASSES),
+                  st.floats(0.01, 2.0), st.integers(1, 20)),
+        st.integers(1, 20),
+    ),
+    max_size=40,
+).map(lambda bursts: [
+    op for burst in bursts
+    for op in ([burst[:3]] * burst[3] if isinstance(burst, tuple)
+               else [None] * burst)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=_TRACE,
+       weights=st.tuples(*(st.floats(0.25, 4.0) for _ in _TENANTS)),
+       quantum_s=st.floats(0.05, 1.0))
+def test_generated_traces_keep_priority_and_the_drr_share_bound(
+        trace, weights, quantum_s):
+    """Strict priority between classes and DRR's share bound inside one.
+
+    Priority: a dequeue grants from the best (lowest-rank) class that has
+    a waiter, and FIFO within one (class, tenant) queue.
+
+    Share bound: let tenants i and j of one class be continuously
+    backlogged from T0 to t, with weights w, ``q = quantum_s * w`` and C
+    the largest cost in the trace.  A tenant's deficit D only grows by q
+    per visit top-up and shrinks by the cost of each grant (nobody
+    empties inside the window, so no reset), so the seconds it is served
+    in the window are ``S = n q + D(T0) - D(t)`` with n its top-ups.  A
+    visit ends only when D is below the head's cost, so D < C before a
+    top-up and ``0 <= D < C + q`` always.  The ring visits its tenants in
+    a fixed cyclic order, so top-ups of i and j alternate and
+    ``|n_i - n_j| <= 1``.  Dividing by the weights:
+
+        |S_i/w_i - S_j/w_j| <= quantum_s + (C + q_i)/w_i + (C + q_j)/w_j
+                             = 3 quantum_s + C (1/w_i + 1/w_j).
+    """
+    weights = dict(zip(_TENANTS, weights))
+    arbiter = DrrArbiter(weights=weights, quantum_s=quantum_s)
+    largest = max((op[2] for op in trace if op is not None), default=0.0)
+    queued = {}     # (rank, tenant) -> FIFO of tokens
+    enqueued = {}   # token -> ((rank, tenant), cost)
+    windows = {}    # (rank, i, j) -> {i: served s, j: served s} since T0
+
+    def backlogged(rank, tenant):
+        return bool(queued.get((rank, tenant)))
+
+    for token, op in enumerate(trace):
+        if op is not None:
+            tenant, klass, cost = op
+            key = (CLASS_RANK[klass], tenant)
+            arbiter.enqueue(tenant, klass, cost, token)
+            queued.setdefault(key, deque()).append(token)
+            enqueued[token] = (key, cost)
+            for i, j in combinations(_TENANTS, 2):
+                pair = (key[0], i, j)
+                if pair not in windows and backlogged(key[0], i) \
+                        and backlogged(key[0], j):
+                    windows[pair] = {i: 0.0, j: 0.0}
+            continue
+        grant = arbiter.dequeue()
+        waiting = [key for key, tokens in queued.items() if tokens]
+        if not waiting:
+            assert grant is None
+            continue
+        key, cost = enqueued[grant]
+        rank, tenant = key
+        assert rank == min(rank for rank, _ in waiting)
+        assert queued[key].popleft() == grant
+        for (pair_rank, i, j), served in list(windows.items()):
+            if pair_rank != rank or tenant not in served:
+                continue
+            served[tenant] += cost
+            gap = abs(served[i] / weights[i] - served[j] / weights[j])
+            bound = 3 * quantum_s + largest * (1 / weights[i] + 1 / weights[j])
+            assert gap <= bound + 1e-9, (i, j, gap, bound)
+            if not queued[key]:
+                del windows[(pair_rank, i, j)]
+    assert arbiter.pending == sum(len(tokens) for tokens in queued.values())
+
+
 # -- per-tenant depth bounds ---------------------------------------------------------
 
 
@@ -195,3 +288,33 @@ def test_qos_resource_full_for_combines_bounds(sim):
     station.acquire("other", "standard", 0.1)
     assert station.full                     # station-wide bound
     assert station.full_for("other")
+
+
+def test_qos_resource_callback_grants_follow_arbitration(sim):
+    station = QosResource(sim, capacity=1, name="cpu")
+    order = []
+    station.request(order.append, "busy", "busy", "standard", 0.1)
+    station.request(order.append, "bulk", "bulk", "batch", 0.1)
+    station.request(order.append, "frontend", "frontend", "latency", 0.1)
+    assert sim.run() == 1 and order == ["busy"]
+    station.release()
+    assert sim.run() == 1 and order == ["busy", "frontend"]
+    station.release()
+    assert sim.run() == 1 and order == ["busy", "frontend", "bulk"]
+    assert station.queue_depth == 0 and station.busy == 1
+
+
+@pytest.mark.parametrize("station_class", [Resource, QosResource])
+def test_release_of_an_idle_station_raises(sim, station_class):
+    station = station_class(sim, 1, "server0.ch0")
+    with pytest.raises(RuntimeError, match="server0.ch0"):
+        station.release()
+    station.acquire()
+    sim.run(until=1.0)
+    station.release()
+    with pytest.raises(RuntimeError, match="server0.ch0"):
+        station.release()
+    sim.run(until=2.0)
+    # The refused releases left occupancy and utilisation intact.
+    assert station.busy == 0
+    assert station.utilisation(0.0) == pytest.approx(0.5)
