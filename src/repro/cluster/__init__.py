@@ -22,8 +22,8 @@ Modules:
 * :mod:`repro.cluster.kernel` — event heap and ready lane, simulated
   clock, seeded RNG, process-style coroutines, FIFO resources that grant
   by event or by callback.
-* :mod:`repro.cluster.loadgen` — open-loop (Poisson/bursty/trace-replay)
-  and closed-loop load with corpus-derived request mixes.
+* :mod:`repro.cluster.loadgen` — open-loop (Poisson/bursty) and
+  closed-loop load with corpus-derived request mixes.
 * :mod:`repro.cluster.fleet` — N servers x M channels, each channel
   fronting a SmartDIMM DSA queue priced by the analytic model; a request
   is a chain of stage callbacks over one job record.
@@ -31,7 +31,10 @@ Modules:
   CPU-spill placement schedulers (the paper's Observation 2, dynamic).
 * :mod:`repro.cluster.metrics` — counters, gauges, log-bucketed latency
   histograms (p50/p99/p999), utilisation timelines, Chrome-trace export.
-* :mod:`repro.cluster.scenario` — scenario config, runner, and report.
+* :mod:`repro.cluster.scenario` — the fleet knobs every runner reads
+  (:class:`FleetScenario`, which builds the overload and QoS policies),
+  the request/response scenario on top of them (:class:`ClusterScenario`),
+  its runner, and its report.
 * :mod:`repro.cluster.chaos` — scheduled node/channel fault windows,
   per-channel circuit breakers, MTTR/availability/goodput accounting.
 * :mod:`repro.cluster.epoch` — struct-of-arrays max-plus scan primitives
@@ -68,7 +71,6 @@ from repro.cluster.loadgen import (
     PoissonArrivals,
     Request,
     RequestMix,
-    TraceArrivals,
     measured_deflate_ratio,
 )
 from repro.cluster.metrics import (
@@ -97,7 +99,7 @@ __all__ = [
     "Simulator", "Event", "Process", "Resource",
     # load generation
     "RequestMix", "MixEntry", "Request", "PoissonArrivals", "BurstyArrivals",
-    "TraceArrivals", "OpenLoopLoad", "ClosedLoopLoad", "measured_deflate_ratio",
+    "OpenLoopLoad", "ClosedLoopLoad", "measured_deflate_ratio",
     # fleet
     "Fleet", "ServerSim", "Channel", "ServiceProfile", "RouteCosts", "Assignment",
     # scheduling

@@ -190,27 +190,6 @@ class Station:
         low, high = float(column.min()), float(column.max())
         return low if low == high else None
 
-    def _drain_sequential(self, arrive, service, deadline):
-        """Exact per-job recursion with shedding — the fixpoint fallback."""
-        n = len(arrive)
-        carries = list(self.carries)
-        start = [0.0] * n
-        depart = [0.0] * n
-        shed = [False] * n
-        for j in range(n):
-            chain = (self.count + j) % self.capacity
-            begin = arrive[j] if arrive[j] > carries[chain] else carries[chain]
-            if begin >= deadline[j]:
-                shed[j] = True
-                held = begin  # acquire-and-release: zero service
-            else:
-                held = begin + service[j]
-            carries[chain] = held
-            start[j] = begin
-            depart[j] = held
-        return (np.asarray(start), np.asarray(depart),
-                np.asarray(shed, dtype=np.bool_), carries)
-
     # -- public ---------------------------------------------------------------------
 
     def drain(self, arrive, service, deadline=None):
@@ -255,7 +234,9 @@ class Station:
                 break
             shed = flagged
         if not converged:
-            start, depart, shed, carries = self._drain_sequential(
+            # Only capacity-1 stations get here (wider ones shed in
+            # _scan_exact above): the exact per-job recursion.
+            start, depart, shed, carries = self._scan_exact(
                 arrive, service, deadline)
         self.carries = carries
         self.count += n

@@ -416,16 +416,9 @@ class Fleet:
         """
         policy = self.overload
         if policy is not None:
-            # Untenanted requests use the pre-QoS call shapes so duck-typed
-            # policies with the old signatures keep working.
-            if request.tenant:
-                request.deadline_s = policy.deadline_for(request.arrive_s,
-                                                         request.klass)
-                admitted = policy.admit(self.sim.now, request.tenant)
-            else:
-                request.deadline_s = policy.deadline_for(request.arrive_s)
-                admitted = policy.admit(self.sim.now)
-            if not admitted:
+            request.deadline_s = policy.deadline_for(request.arrive_s,
+                                                     request.klass)
+            if not policy.admit(self.sim.now, request.tenant):
                 self._reject(request, "rejected-admission",
                              self.rejected_admission)
                 return None
@@ -452,8 +445,7 @@ class Fleet:
         spill = assignment.spill and self.profile.can_spill
         route = self.profile.route(request.size, request.kind, spill=spill)
         if policy is not None and route.dsa_seconds > 0.0 \
-                and (policy.brownout(self.sim.now, request.tenant)
-                     if request.tenant else policy.brownout(self.sim.now)):
+                and policy.brownout(self.sim.now, request.tenant):
             # Brownout: serve degraded (lower compression level / skipped
             # optional ULP stages -> a cheaper DSA pass) instead of shedding.
             route = replace(
@@ -490,13 +482,10 @@ class Fleet:
         return True
 
     def _observe_wait(self, station: str, wait_s: float,
-                      request: Request = None) -> None:
+                      request: Request) -> None:
         if self.overload is not None:
-            if request is not None and request.tenant:
-                self.overload.observe(station, self.sim.now, wait_s,
-                                      request.tenant)
-            else:
-                self.overload.observe(station, self.sim.now, wait_s)
+            self.overload.observe(station, self.sim.now, wait_s,
+                                  request.tenant)
 
     # -- the request's stage chain ---------------------------------------------------
     #
@@ -686,6 +675,8 @@ class Fleet:
         tenants = {}
         for name, stats in sorted(self.tenant_stats.items()):
             latency = stats["latency"]
+            # No measured completion: no percentile (as in summary()).
+            empty = latency.count == 0
             tenants[name] = {
                 "submitted": stats["submitted"],
                 "completed": stats["completed"],
@@ -702,8 +693,10 @@ class Fleet:
                 "brownout_fraction": (
                     stats["brownouts"] / max(1, stats["completed"])),
                 "bytes_out": stats["bytes_out"],
-                "latency_p50_us": latency.percentile(0.50) * 1e6,
-                "latency_p99_us": latency.percentile(0.99) * 1e6,
+                "latency_p50_us": (
+                    None if empty else latency.percentile(0.50) * 1e6),
+                "latency_p99_us": (
+                    None if empty else latency.percentile(0.99) * 1e6),
             }
         classes = {
             klass: {

@@ -10,9 +10,8 @@ fleet questions differ:
   DES against :class:`repro.sim.server.ServerModel`'s fixed point.
 * **Open loop** (`OpenLoopLoad`) — arrivals don't wait for completions, so
   queues can *grow*; this is the discipline under which tail latency and
-  DSA saturation are even observable.  Arrival processes: Poisson, a
-  two-phase bursty modulation (base rate / burst rate alternating), and
-  trace replay from explicit timestamps.
+  DSA saturation are even observable.  Arrival processes: Poisson and a
+  two-phase bursty modulation (base rate / burst rate alternating).
 
 Request payloads are described, not materialised: a :class:`RequestMix`
 draws (corpus kind, size) pairs, and per-kind DEFLATE ratios are *measured*
@@ -206,22 +205,6 @@ class BurstyArrivals:
         return rng.expovariate(self.rate_at(now))
 
 
-class TraceArrivals:
-    """Replay explicit arrival timestamps (seconds, sorted ascending)."""
-
-    def __init__(self, times):
-        self.times = sorted(times)
-        self._index = 0
-
-    def next_gap(self, now: float, rng) -> float:
-        """Gap to the next trace timestamp, or None once exhausted."""
-        if self._index >= len(self.times):
-            return None
-        gap = max(0.0, self.times[self._index] - now)
-        self._index += 1
-        return gap
-
-
 class OpenArrivalBatcher:
     """Batched open-loop arrival generation for the vector fleet tier.
 
@@ -239,14 +222,11 @@ class OpenArrivalBatcher:
         self.rng = rng
         self._now = 0.0
         self._carry = None  # (time, entry_index) overflowing the last epoch
-        self._exhausted = False
         self.generated = 0
 
     def next_batch(self, until: float):
         """(times, entry_indices) for every arrival at or before `until`."""
         times, entries = [], []
-        if self._exhausted:
-            return times, entries
         if self._carry is not None:
             time, entry = self._carry
             if time > until:
@@ -255,11 +235,7 @@ class OpenArrivalBatcher:
             entries.append(entry)
             self._carry = None
         while True:
-            gap = self.arrivals.next_gap(self._now, self.rng)
-            if gap is None:
-                self._exhausted = True
-                break
-            self._now += gap
+            self._now += self.arrivals.next_gap(self._now, self.rng)
             entry = self.mix.sample_index(self.rng)
             if self._now > until:
                 self._carry = (self._now, entry)
@@ -332,9 +308,8 @@ class OpenLoopLoad(_LoadBase):
 
     def _next_arrival(self, _) -> None:
         sim = self.sim
-        gap = self.arrivals.next_gap(sim.now, self.rng)
-        if gap is not None:
-            sim.schedule(gap, sim._ready.append, (self._arrive, None))
+        sim.schedule(self.arrivals.next_gap(sim.now, self.rng),
+                     sim._ready.append, (self._arrive, None))
 
     def _arrive(self, _) -> None:
         self.fleet.submit(self._make_request(connection=-1))
@@ -344,26 +319,28 @@ class OpenLoopLoad(_LoadBase):
 class ClosedLoopLoad(_LoadBase):
     """A fixed population of connections, each request->response->think.
 
-    Connections start staggered over `stagger_s` (deterministically, by
-    connection index) so the opening instant doesn't imprint a lockstep
-    pattern on the whole run.  Each connection is a chain of kernel
-    callbacks keyed by its index: open, issue a request, and on its
-    completion event think and issue the next.
+    Connections start staggered over :attr:`STAGGER_S`
+    (deterministically, by connection index) so the opening instant
+    doesn't imprint a lockstep pattern on the whole run.  Each connection
+    is a chain of kernel callbacks keyed by its index: open, issue a
+    request, and on its completion event think and issue the next.
     """
 
+    #: Seconds the connections' first requests are spread over (the
+    #: vector tier staggers its closed loop the same way).
+    STAGGER_S = 1e-4
+    #: Pause before a rejected request is retried, so a think-free loop
+    #: cannot spin at one instant.
+    REJECT_BACKOFF_S = 1e-3
+
     def __init__(self, sim, fleet, mix: RequestMix, connections: int,
-                 think_s: float = 0.0, stagger_s: float = 1e-4,
-                 reject_backoff_s: float = 1e-3,
-                 tenant: str = "", klass: str = "standard", id_start: int = 0):
+                 think_s: float = 0.0, tenant: str = "",
+                 klass: str = "standard", id_start: int = 0):
         super().__init__(sim, fleet, mix, tenant, klass, id_start)
         if connections < 1:
             raise ValueError("need at least one connection")
-        if reject_backoff_s <= 0:
-            raise ValueError("reject_backoff_s must be positive")
         self.connections = connections
         self.think_s = think_s
-        self.stagger_s = stagger_s
-        self.reject_backoff_s = reject_backoff_s
 
     def start(self) -> None:
         """Open every connection (call before Simulator.run)."""
@@ -372,20 +349,16 @@ class ClosedLoopLoad(_LoadBase):
             post((self._open, connection))
 
     def _open(self, connection: int) -> None:
-        if self.stagger_s > 0:
-            sim = self.sim
-            sim.schedule(self.stagger_s * connection / self.connections,
-                         sim._ready.append, (self._issue, connection))
-        else:
-            self._issue(connection)
+        sim = self.sim
+        sim.schedule(self.STAGGER_S * connection / self.connections,
+                     sim._ready.append, (self._issue, connection))
 
     def _issue(self, connection: int) -> None:
         done = self.fleet.submit(self._make_request(connection))
         if done is None:
-            # Rejected at admission or by backpressure: back off before
-            # retrying so a think-free loop cannot spin at one instant.
+            # Rejected at admission or by backpressure: back off, retry.
             sim = self.sim
-            sim.schedule(self.reject_backoff_s, sim._ready.append,
+            sim.schedule(self.REJECT_BACKOFF_S, sim._ready.append,
                          (self._issue, connection))
         else:
             done.wait(self._completed)

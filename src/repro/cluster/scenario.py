@@ -1,7 +1,9 @@
 """Scenario configuration, the run loop, and the cluster report.
 
-A :class:`ClusterScenario` bundles everything one rack-scale experiment
-needs — fleet shape, workload, load discipline, scheduler, seed — and
+A :class:`FleetScenario` holds what every fleet runner reads — rack
+shape, placement, overload and QoS knobs, run window, seed — and builds
+the overload and QoS policies.  A :class:`ClusterScenario` adds the
+request/response load, scheduler, trace path and tier, and
 :func:`run_scenario` turns it into a :class:`ClusterReport`: throughput,
 p50/p99/p999 latency, per-channel DSA utilisation, spill counts, and
 (optionally) a Chrome-trace file for ``about:tracing``.
@@ -14,7 +16,7 @@ keys.  Identical seeds ⇒ byte-identical ``to_json()`` output (enforced by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.server import Placement, Ulp
 
@@ -26,46 +28,29 @@ from repro.cluster.loadgen import (
     OpenLoopLoad,
     PoissonArrivals,
     RequestMix,
-    TraceArrivals,
 )
 from repro.cluster.metrics import MetricsRegistry, TraceRecorder
 from repro.cluster.sched import AdaptiveSpillScheduler, make_scheduler
-from repro.overload.policy import (
-    MultiTenantOverloadPolicy,
-    OverloadConfig,
-    OverloadPolicy,
-)
+from repro.overload.policy import OverloadConfig, OverloadPolicy
 
 
 @dataclass
-class ClusterScenario:
-    """One rack-scale experiment, fully specified (and fully seeded)."""
+class FleetScenario:
+    """What every fleet runner reads: the rack, the placement, the
+    connections' think time, the scheduler's spill factor, the DSA rate,
+    the overload and QoS knobs, the run window and the seed.
+
+    :class:`ClusterScenario` (request/response traffic, this module) and
+    :class:`repro.replication.scenario.ReplicationScenario` (replicated
+    storage) each add the knobs only their own runner reads.
+    """
 
     # fleet shape
     servers: int = 4
     channels: int = 6
     threads: int = 10
-    # workload shape: "rpc" = independent request/response (this module);
-    # "replication" = multi-hop replicated-storage DAGs (each client
-    # operation fans out into per-hop fleet requests with quorum joins —
-    # see repro.replication, which subclasses this scenario).
-    workload: str = "rpc"
-    ulp: str = "tls"
     placement: str = "smartdimm"
-    message_bytes: int = 16384
-    mix: RequestMix = None  # overrides message_bytes when given
-    # load discipline
-    mode: str = "closed"  # "closed" | "open"
-    connections: int = 512
     think_s: float = 0.0
-    arrival: str = "poisson"  # open loop: "poisson" | "bursty" | "trace"
-    rate_rps: float = None  # None -> 70% of the fixed-point capacity
-    burst_rps: float = None  # None -> 1.4x capacity
-    base_s: float = 0.01
-    burst_s: float = 0.005
-    trace_times: list = field(default_factory=list)
-    # schedule & device
-    scheduler: str = AdaptiveSpillScheduler.name
     spill_factor: float = 1.0
     dsa_bytes_per_sec: float = None  # None -> channel-bandwidth DSA (paper)
     # overload control (all off by default; see repro.overload)
@@ -82,12 +67,61 @@ class ClusterScenario:
     tenants: list = None
     qos_mode: str = "drr"  # "drr" | "fifo" (fifo: tagged but unarbitrated)
     qos_isolate: bool = True  # False: shared CoDel/brownout (contrast arm)
-    qos_quantum_s: float = None  # None -> one mean request's service time
     # run control
     duration_s: float = 0.02
     warmup_s: float = 0.005
     seed: int = 1
-    timeline_windows: int = 10
+
+    def build_overload(self) -> OverloadPolicy:
+        """The scenario's overload policy, or None when every knob is off
+        (the pre-overload fast path: zero behaviour change).  With tenants
+        configured, the policy is per-tenant (class deadlines, isolated
+        CoDel/brownout state)."""
+        config = OverloadConfig(
+            deadline_s=self.deadline_s,
+            shed_expired=self.shed_expired,
+            admission=self.admission,
+            codel_target_s=self.codel_target_s,
+            codel_interval_s=self.codel_interval_s,
+            dsa_queue_limit=self.dsa_queue_limit,
+            cpu_queue_limit=self.cpu_queue_limit,
+            brownout_factor=self.brownout_factor,
+        )
+        if not config.enabled:
+            return None
+        return OverloadPolicy(
+            config, [spec.name for spec in self.tenants or ()],
+            isolate=self.qos_isolate)
+
+    def build_qos(self):
+        """The scenario's :class:`repro.qos.tenants.QosPolicy`, or None
+        when no tenants are configured (single-tenant FIFO fleet)."""
+        if not self.tenants:
+            return None
+        from repro.qos.tenants import QosPolicy
+
+        return QosPolicy(self.tenants, mode=self.qos_mode)
+
+
+@dataclass
+class ClusterScenario(FleetScenario):
+    """One rack-scale request/response experiment, fully specified (and
+    fully seeded): the fleet knobs plus the request load, the scheduler,
+    the trace path and the fidelity tier."""
+
+    # request shape
+    ulp: str = "tls"
+    message_bytes: int = 16384
+    mix: RequestMix = None  # overrides message_bytes when given
+    # load discipline
+    mode: str = "closed"  # "closed" | "open"
+    connections: int = 512
+    arrival: str = "poisson"  # open loop: "poisson" | "bursty"
+    rate_rps: float = None  # None -> 70% of the fixed-point capacity
+    burst_rps: float = None  # None -> 1.4x capacity
+    base_s: float = 0.01
+    burst_s: float = 0.005
+    scheduler: str = AdaptiveSpillScheduler.name
     trace_path: str = None
     # fidelity tier: "event" (DES kernel) | "vector" (batched-epoch columns)
     tier: str = "event"
@@ -113,38 +147,10 @@ class ClusterScenario:
             dsa_bytes_per_sec=self.dsa_bytes_per_sec,
         )
 
-    def build_overload(self) -> OverloadPolicy:
-        """The scenario's overload policy, or None when every knob is off
-        (the pre-overload fast path: zero behaviour change).  With tenants
-        configured, the policy is per-tenant (class deadlines, isolated
-        CoDel/brownout state)."""
-        config = OverloadConfig(
-            deadline_s=self.deadline_s,
-            shed_expired=self.shed_expired,
-            admission=self.admission,
-            codel_target_s=self.codel_target_s,
-            codel_interval_s=self.codel_interval_s,
-            dsa_queue_limit=self.dsa_queue_limit,
-            cpu_queue_limit=self.cpu_queue_limit,
-            brownout_factor=self.brownout_factor,
-        )
-        if not config.enabled:
-            return None
-        if self.tenants:
-            return MultiTenantOverloadPolicy(
-                config, [spec.name for spec in self.tenants],
-                isolate=self.qos_isolate)
-        return OverloadPolicy(config)
 
-    def build_qos(self):
-        """The scenario's :class:`repro.qos.tenants.QosPolicy`, or None
-        when no tenants are configured (single-tenant FIFO fleet)."""
-        if not self.tenants:
-            return None
-        from repro.qos.tenants import QosPolicy
-
-        return QosPolicy(self.tenants, mode=self.qos_mode,
-                         quantum_s=self.qos_quantum_s)
+#: Windows the measured interval's per-channel utilisation timeline is
+#: split into (``ClusterReport.channel_util_timeline``, both tiers).
+TIMELINE_WINDOWS = 10
 
 
 @dataclass
@@ -284,8 +290,6 @@ def _build_arrivals(scenario: ClusterScenario, capacity_rps: float):
         base = scenario.rate_rps or 0.5 * capacity_rps
         burst = scenario.burst_rps or 1.4 * capacity_rps
         return BurstyArrivals(base, burst, scenario.base_s, scenario.burst_s)
-    if scenario.arrival == "trace":
-        return TraceArrivals(scenario.trace_times)
     raise ValueError("unknown arrival process %r" % scenario.arrival)
 
 
@@ -304,19 +308,10 @@ def run_scenario(scenario: ClusterScenario, fault_injector=None,
 
     ``scenario.tier == "vector"`` dispatches to the batched-epoch fleet
     tier (:func:`repro.cluster.vector.run_vector_scenario`); chaos there
-    takes fault *windows*, not an injector.
-
-    ``scenario.workload == "replication"`` dispatches to the replicated-
-    storage runner (:func:`repro.replication.scenario.run_replication`),
-    which drives multi-hop request DAGs through the same fleet/kernel and
-    returns a :class:`repro.replication.scenario.ReplicationReport`.
+    takes fault *windows*, not an injector.  Replicated storage has its
+    own scenario type and runner
+    (:func:`repro.replication.scenario.run_replication`).
     """
-    if scenario.workload == "replication":
-        from repro.replication.scenario import run_replication
-
-        return run_replication(scenario, fault_injector=fault_injector)
-    if scenario.workload != "rpc":
-        raise ValueError("workload must be 'rpc' or 'replication'")
     if scenario.tier == "vector":
         if fault_injector is not None:
             raise ValueError(
@@ -397,7 +392,7 @@ def run_scenario(scenario: ClusterScenario, fault_injector=None,
     timelines = [
         [
             registry.timeline("server%d.ch%d.util" % (s, c)).window_averages(
-                scenario.warmup_s, scenario.duration_s, scenario.timeline_windows)
+                scenario.warmup_s, scenario.duration_s, TIMELINE_WINDOWS)
             for c in range(scenario.channels)
         ]
         for s in range(scenario.servers)

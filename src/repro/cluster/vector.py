@@ -50,12 +50,9 @@ from repro.cluster.epoch import (
 )
 from repro.cluster.fleet import DSA_PLACEMENTS, ServiceProfile
 from repro.cluster.kernel import Simulator
-from repro.cluster.loadgen import OpenArrivalBatcher
+from repro.cluster.loadgen import ClosedLoopLoad, OpenArrivalBatcher
 from repro.cluster.metrics import MetricsRegistry
 from repro.overload.policy import OverloadConfig, OverloadPolicy
-
-#: Closed-loop connection stagger, matching ClosedLoopLoad's default.
-STAGGER_S = 1e-4
 
 
 def _unsupported(scenario) -> None:
@@ -531,36 +528,31 @@ def _batch_open_arrivals(scenario, arrivals, mix, load_rng, duration: float):
     headline perf runs aren't bottlenecked on a per-request pure-Python
     RNG loop.  Deterministic given the scenario seed.
     """
-    from repro.cluster.loadgen import (BurstyArrivals, PoissonArrivals,
-                                       TraceArrivals)
+    from repro.cluster.loadgen import BurstyArrivals, PoissonArrivals
 
     rng = np.random.default_rng(load_rng.getrandbits(64))
-    if isinstance(arrivals, TraceArrivals):
-        times = np.asarray(
-            [t for t in arrivals.times if t <= duration], dtype=np.float64)
+    if isinstance(arrivals, PoissonArrivals):
+        peak = arrivals.rate_rps
+    elif isinstance(arrivals, BurstyArrivals):
+        peak = max(arrivals.base_rps, arrivals.burst_rps)
     else:
-        if isinstance(arrivals, PoissonArrivals):
-            peak = arrivals.rate_rps
-        elif isinstance(arrivals, BurstyArrivals):
-            peak = max(arrivals.base_rps, arrivals.burst_rps)
-        else:
-            raise ValueError(
-                "arrival_stream='batch' supports poisson/bursty/trace "
-                "arrivals, not %r" % type(arrivals).__name__)
-        chunks = []
-        now = 0.0
-        size = max(1024, int(peak * duration * 0.6))
-        while now <= duration:
-            t = now + np.cumsum(rng.exponential(1.0 / peak, size=size))
-            chunks.append(t)
-            now = float(t[-1])
-        times = np.concatenate(chunks)
-        times = times[times <= duration]
-        if isinstance(arrivals, BurstyArrivals):
-            phase = times % (arrivals.base_s + arrivals.burst_s)
-            rate = np.where(phase < arrivals.base_s,
-                            arrivals.base_rps, arrivals.burst_rps)
-            times = times[rng.random(times.size) * peak < rate]
+        raise ValueError(
+            "arrival_stream='batch' supports poisson/bursty arrivals, "
+            "not %r" % type(arrivals).__name__)
+    chunks = []
+    now = 0.0
+    size = max(1024, int(peak * duration * 0.6))
+    while now <= duration:
+        t = now + np.cumsum(rng.exponential(1.0 / peak, size=size))
+        chunks.append(t)
+        now = float(t[-1])
+    times = np.concatenate(chunks)
+    times = times[times <= duration]
+    if isinstance(arrivals, BurstyArrivals):
+        phase = times % (arrivals.base_s + arrivals.burst_s)
+        rate = np.where(phase < arrivals.base_s,
+                        arrivals.base_rps, arrivals.burst_rps)
+        times = times[rng.random(times.size) * peak < rate]
     return times, mix.sample_indices_batch(rng.random(times.size))
 
 
@@ -577,7 +569,8 @@ def run_vector_scenario(scenario, fault_windows=None,
     histograms/counters — the crosscheck uses it to compare bucket-level
     distributions, not just summaries.
     """
-    from repro.cluster.scenario import ClusterReport, _build_arrivals
+    from repro.cluster.scenario import (TIMELINE_WINDOWS, ClusterReport,
+                                        _build_arrivals)
 
     _unsupported(scenario)
     profile = scenario.build_profile()
@@ -639,7 +632,8 @@ def run_vector_scenario(scenario, fault_windows=None,
         count = scenario.connections
         if count < 1:
             raise ValueError("need at least one connection")
-        next_arrival = STAGGER_S * np.arange(count, dtype=np.float64) / count
+        next_arrival = (ClosedLoopLoad.STAGGER_S
+                        * np.arange(count, dtype=np.float64) / count)
         draw = np.random.default_rng(load_rng.getrandbits(64))
         single = len(mix.entries) == 1
         think = scenario.think_s
@@ -670,7 +664,7 @@ def run_vector_scenario(scenario, fault_windows=None,
     # -- report (field-for-field the event tier's shape)
     fleet.flush_samples()
     window = scenario.duration_s - scenario.warmup_s
-    width = window / scenario.timeline_windows
+    width = window / TIMELINE_WINDOWS
     servers = fleet.servers
     chan_util, chan_timeline, cpu_util = [], [], []
     for server in servers:
@@ -678,7 +672,7 @@ def run_vector_scenario(scenario, fault_windows=None,
         for chan in range(scenario.channels):
             busy, per_window = _station_busy(
                 server.chan_intervals[chan], scenario.warmup_s,
-                scenario.duration_s, scenario.timeline_windows)
+                scenario.duration_s, TIMELINE_WINDOWS)
             row_util.append(busy / window)
             row_timeline.append([b / width for b in per_window])
         chan_util.append(row_util)

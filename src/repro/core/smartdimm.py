@@ -294,11 +294,7 @@ class SmartDIMM:
             self.memory.write_line(address, data)
             self.stats.spad_writebacks += 1
             if page_free:
-                binding = self._page_binding.get(entry.page_number)
-                if binding is not None and binding[0].state is not OffloadState.FINALIZED:
-                    self._deferred_releases.add((entry.page_number, index))
-                else:
-                    self._release_destination_page(entry.page_number, index)
+                self._page_freed(entry.page_number, index)
             return CasResult()
         # Computation pending: controller retries, as with S13.
         self.stats.alerts += 1
@@ -599,11 +595,7 @@ class SmartDIMM:
                 self.memory.write_line(address, data)
                 self.stats.self_recycles += 1
                 if page_free:
-                    binding = self._page_binding.get(entry.page_number)
-                    if binding is not None and binding[0].state is not OffloadState.FINALIZED:
-                        self._deferred_releases.add((entry.page_number, index))
-                    else:
-                        self._release_destination_page(entry.page_number, index)
+                    self._page_freed(entry.page_number, index)
                 return CasResult()
             # S7: write arrived before the computation finished — ignore it;
             # the scratchpad still owns this line.
@@ -741,11 +733,7 @@ class SmartDIMM:
                 self.memory.write(address + (m << 6), data)
                 stats.self_recycles += r - m
                 if page_free:
-                    binding = self._page_binding.get(entry.page_number)
-                    if binding is not None and binding[0].state is not OffloadState.FINALIZED:
-                        self._deferred_releases.add((entry.page_number, index))
-                    else:
-                        self._release_destination_page(entry.page_number, index)
+                    self._page_freed(entry.page_number, index)
                 m = r
                 continue
             # S7: premature writeback — the scratchpad still owns the line.
@@ -853,6 +841,15 @@ class SmartDIMM:
         return freed
 
     # -- deregistration -------------------------------------------------------------------------------------
+
+    def _page_freed(self, dbuf_page: int, scratchpad_index: int) -> None:
+        """Every line of a destination page is home: release the page now,
+        or once its offload finalises if it has not yet."""
+        binding = self._page_binding.get(dbuf_page)
+        if binding is not None and binding[0].state is not OffloadState.FINALIZED:
+            self._deferred_releases.add((dbuf_page, scratchpad_index))
+        else:
+            self._release_destination_page(dbuf_page, scratchpad_index)
 
     def _release_destination_page(self, dbuf_page: int, scratchpad_index: int) -> None:
         """A fully recycled destination page frees its scratchpad page and

@@ -375,45 +375,24 @@ class MemoryController:
     def _issue_with_alert_retry(self, address: int, kind: CommandType) -> CasResult:
         """Issue a CAS, reissuing with exponential backoff on ALERT_N.
 
-        Shared by the rdCAS (S13) and SPAD_WB retry paths.  Backoff doubles
-        per retry up to ``timing.alert_backoff_cap``; when
+        Shared by the rdCAS (S13) and SPAD_WB retry paths: one issue, then
+        :meth:`_alert_retry_continue`'s backoff loop if it alerted.
+        """
+        result = self._issue_cas(address, kind, b"")
+        if result.alert:
+            result = self._alert_retry_continue(address, kind)
+        return result
+
+    def _alert_retry_continue(self, address: int, kind: CommandType) -> CasResult:
+        """The ALERT_N retry loop after an issue that alerted (already
+        charged by the caller): count the alert, back off, reissue — until
+        the line serves or the DSA wedges.
+
+        Backoff doubles per retry up to ``timing.alert_backoff_cap``; when
         ``timing.max_alert_retries`` reissues all come back asserted, the
         DSA is treated as wedged (the model's watchdog timeout) and a
         :class:`~repro.faults.errors.DsaWedgedError` carrying the address,
         retry count, and backoff cycles consumed is raised.
-        """
-        result = self._issue_cas(address, kind, b"")
-        retries = 0
-        backoff = 0
-        while result.alert:
-            self.stats.alerts += 1
-            retries += 1
-            if retries > self.timing.max_alert_retries:
-                self.stats.wedges += 1
-                raise DsaWedgedError(
-                    "%s retry limit (%d) exceeded at 0x%x; DSA wedged"
-                    % (kind.value, self.timing.max_alert_retries, address),
-                    site=kind.value, address=address, retries=retries - 1,
-                    backoff_cycles=backoff,
-                )
-            # Exponential backoff: a stalled computation should not keep the
-            # channel busy with retry traffic.
-            step = self.timing.alert_retry_cycles * min(
-                1 << (retries - 1), self.timing.alert_backoff_cap
-            )
-            self.cycle += step
-            backoff += step
-            self.stats.alert_backoff_cycles += step
-            result = self._issue_cas(address, kind, b"")
-        return result
-
-    def _alert_retry_continue(self, address: int, kind: CommandType) -> CasResult:
-        """Resume the ALERT_N retry loop after a batched issue alerted.
-
-        The alerting issue itself was already charged by the caller
-        (cycle + trace entry), so this enters
-        :meth:`_issue_with_alert_retry`'s loop body directly: count the
-        alert, back off, reissue — until the line serves or the DSA wedges.
         """
         retries = 0
         backoff = 0
@@ -428,6 +407,8 @@ class MemoryController:
                     site=kind.value, address=address, retries=retries - 1,
                     backoff_cycles=backoff,
                 )
+            # Exponential backoff: a stalled computation should not keep the
+            # channel busy with retry traffic.
             step = self.timing.alert_retry_cycles * min(
                 1 << (retries - 1), self.timing.alert_backoff_cap
             )

@@ -5,7 +5,8 @@ defined: it enumerates its points (``points``), runs one point purely
 (``run_point``), reassembles point results into the payload its committed
 baseline stores (``rollup``), prints that payload for people (``render``),
 and names the *code-relevant* source prefixes its cache digest covers
-(``code_deps`` — an edit outside them keeps every cached point valid).
+(``code_deps`` — an edit outside them keeps every cached point valid, so
+they include the module that computes the target's points).
 Its headline numbers and acceptance gates are data, not code: a
 ``{metric: dotted path}`` map and ``(path, op, bound, why)`` rows, both
 read through :func:`lookup`.
@@ -35,6 +36,9 @@ from dataclasses import dataclass
 
 from repro.exp.spec import RunSpec
 
+#: The module the inline targets (datapath, cluster, faults) compute
+#: their points in.
+_THIS_MODULE = (__name__,)
 #: Source prefixes nearly every simulation target depends on.
 _MICRO_DEPS = ("repro.core", "repro.ulp", "repro.dram", "repro.cache",
                "repro.cpu", "repro.workloads", "repro.faults")
@@ -378,7 +382,7 @@ TARGETS = {
             name="datapath",
             description="placement crossover (Figs. 11/12) + Table I "
                         "co-runner interference, analytic",
-            code_deps=("repro.sim", "repro.cpu"),
+            code_deps=_THIS_MODULE + ("repro.sim", "repro.cpu"),
             default_seed=1,
             points=_datapath_points,
             run_point=_datapath_run_point,
@@ -402,7 +406,7 @@ TARGETS = {
             name="cluster",
             description="rack-scale DES: closed-loop TLS per placement + "
                         "open-loop spill",
-            code_deps=_FLEET_DEPS + _MICRO_DEPS,
+            code_deps=_THIS_MODULE + _FLEET_DEPS + _MICRO_DEPS,
             default_seed=1,
             points=_cluster_points,
             run_point=_cluster_run_point,
@@ -419,7 +423,7 @@ TARGETS = {
             name="faults",
             description="whole-stack chaos across seeds: zero escaped "
                         "corruption at the default seed",
-            code_deps=_MICRO_DEPS + _FLEET_DEPS,
+            code_deps=_THIS_MODULE + _MICRO_DEPS + _FLEET_DEPS,
             default_seed=7,
             points=_faults_points,
             run_point=_faults_run_point,

@@ -12,15 +12,18 @@ owns the four mechanisms of the overload PR:
   rejects an arriving request when any station's controller is in its
   dropping state and due for a drop;
 * **brownout** — when the smoothed sojourn of any station exceeds the
-  brownout threshold, :meth:`brownout` tells the fleet to degrade the
+  CoDel target, :meth:`brownout` tells the fleet to degrade the
   request (scale its DSA stage by ``brownout_factor`` — the "drop the
   compression level" move) instead of dropping it;
 * **bounded queues** — the depth limits live here
   (``cpu_queue_limit`` / ``dsa_queue_limit``); the fleet enforces them
   and the scheduler re-routes around full stations.
 
-Everything is deterministic: no RNG, no wall clock; all state advances
-only on ``observe``/``admit`` calls driven by the seeded simulation.
+Named tenants (the QoS layer) make deadlines class-relative and give
+each tenant its own CoDel set and brownout count; without tenants the
+policy is the single global one.  Everything is deterministic: no RNG,
+no wall clock; all state advances only on ``observe``/``admit`` calls
+driven by the seeded simulation.
 """
 
 from __future__ import annotations
@@ -50,11 +53,9 @@ class OverloadConfig:
     dsa_queue_limit: int = None
     #: Per-server CPU worker queue depth limit (None: unbounded).
     cpu_queue_limit: int = None
-    #: DSA-stage service multiplier under brownout (1.0: brownout disabled).
+    #: DSA-stage service multiplier under brownout (1.0: brownout
+    #: disabled); brownout triggers at the CoDel target sojourn.
     brownout_factor: float = 1.0
-    #: Smoothed-sojourn threshold that triggers brownout; None derives
-    #: the CoDel target.
-    brownout_threshold_s: float = None
 
     def __post_init__(self):
         if self.admission not in ("none", "codel"):
@@ -90,34 +91,69 @@ class OverloadConfig:
         return 4.0 * self.resolved_target_s()
 
 
+#: Relative deadline per priority class, as multiples of the configured
+#: ``deadline_s``: latency-critical keeps the full SLO, standard gets 3x
+#: slack, batch has no deadline at all (throughput-only traffic).
+CLASS_DEADLINE_SCALE = {"latency": 1.0, "standard": 3.0, "batch": math.inf}
+
+
 class OverloadPolicy:
-    """Run-time state for one fleet's overload control."""
+    """Run-time state for one fleet's overload control.
+
+    Untenanted (``tenants`` empty), one CoDel controller set serves every
+    request and every request gets the configured deadline.  Naming
+    tenants turns on the QoS layer's isolation: deadlines become
+    class-relative via :data:`CLASS_DEADLINE_SCALE`, each tenant gets its
+    own controller set, so an aggressor tripping its own CoDel into the
+    dropping state sheds only the aggressor's traffic, and brownouts are
+    counted per tenant.  `isolate=False` is the contrast arm: tenants
+    keep class deadlines and brownout counts but share the one controller
+    set, the pre-QoS global behaviour.
+    """
 
     #: Station names fed by the fleet, in deterministic evaluation order.
     STATIONS = ("cpu", "dsa")
 
-    def __init__(self, config: OverloadConfig):
+    def __init__(self, config: OverloadConfig, tenants=(),
+                 isolate: bool = True):
         self.config = config
+        self.tenant_names = sorted(tenants)
+        self.isolate = isolate
         self.controllers = {}
+        self._tenant_controllers = {}
+        self._brownouts = {}  # tenant -> times brownout() returned True
         if config.admission == "codel":
-            target = config.resolved_target_s()
-            interval = config.resolved_interval_s()
-            self.controllers = {
-                station: CoDelController(target, interval)
-                for station in self.STATIONS
-            }
+            self.controllers = self._controller_set()
+            if isolate:
+                for tenant in self.tenant_names:
+                    self._tenant_controllers[tenant] = self._controller_set()
+
+    def _controller_set(self) -> dict:
+        target = self.config.resolved_target_s()
+        interval = self.config.resolved_interval_s()
+        return {station: CoDelController(target, interval)
+                for station in self.STATIONS}
+
+    def _controllers_for(self, tenant: str) -> dict:
+        """`tenant`'s own controller set when it has one, else the shared
+        set (untenanted policies, `isolate=False`, unregistered tags such
+        as replication hops)."""
+        return self._tenant_controllers.get(tenant, self.controllers)
 
     # -- deadlines --------------------------------------------------------------
 
     def deadline_for(self, arrive_s: float, klass: str = None) -> float:
-        """Absolute deadline for a request arriving at `arrive_s`.
-
-        `klass` is accepted (and ignored) so the fleet has one call shape
-        whether the policy is global or multi-tenant.
-        """
+        """Absolute deadline for a request of class `klass` arriving at
+        `arrive_s`; the class scales it only when tenants are named
+        (batch: no deadline at all)."""
         if self.config.deadline_s is None:
             return math.inf
-        return arrive_s + self.config.deadline_s
+        if not self.tenant_names:
+            return arrive_s + self.config.deadline_s
+        scale = CLASS_DEADLINE_SCALE.get(klass, 1.0)
+        if math.isinf(scale):
+            return math.inf
+        return arrive_s + self.config.deadline_s * scale
 
     def expired(self, now_s: float, deadline_s: float) -> bool:
         """Whether expired work should be shed at `now_s` (dequeue time)."""
@@ -127,19 +163,18 @@ class OverloadPolicy:
 
     def observe(self, station: str, now_s: float, sojourn_s: float,
                 tenant: str = None) -> None:
-        """Feed one station dequeue's queueing wait to its controller.
-
-        `tenant` is accepted (and ignored) here; the multi-tenant
-        subclass routes it to per-tenant controllers.
-        """
-        controller = self.controllers.get(station)
+        """Feed one station dequeue's queueing wait to `tenant`'s
+        controller for that station."""
+        controller = self._controllers_for(tenant).get(station)
         if controller is not None:
             controller.observe(now_s, sojourn_s)
 
     def admit(self, now_s: float, tenant: str = None) -> bool:
-        """Ingress decision for a request arriving now (False: reject)."""
+        """Ingress decision for `tenant`'s request arriving now (False:
+        reject), against that tenant's controllers only."""
+        controllers = self._controllers_for(tenant)
         for station in self.STATIONS:
-            controller = self.controllers.get(station)
+            controller = controllers.get(station)
             if controller is not None and controller.should_shed(now_s):
                 return False
         return True
@@ -147,19 +182,24 @@ class OverloadPolicy:
     # -- brownout ---------------------------------------------------------------
 
     def brownout(self, now_s: float, tenant: str = None) -> bool:
-        """Whether arriving work should be served degraded instead of shed."""
-        if self.config.brownout_factor >= 1.0 or not self.controllers:
+        """Whether `tenant`'s arriving work should be served degraded
+        instead of shed: some controller's smoothed sojourn stands above
+        the CoDel target."""
+        controllers = self._controllers_for(tenant)
+        if self.config.brownout_factor >= 1.0 or not controllers:
             return False
-        threshold = self.config.brownout_threshold_s
-        if threshold is None:
-            threshold = self.config.resolved_target_s()
-        return any(controller.ewma_sojourn_s > threshold
-                   for controller in self.controllers.values())
+        threshold = self.config.resolved_target_s()
+        degraded = any(controller.ewma_sojourn_s > threshold
+                       for controller in controllers.values())
+        if degraded and self.tenant_names and tenant:
+            self._brownouts[tenant] = self._brownouts.get(tenant, 0) + 1
+        return degraded
 
     # -- reporting --------------------------------------------------------------
 
     def summary(self) -> dict:
-        """Deterministic JSON-ready snapshot: config plus controller state."""
+        """Deterministic JSON-ready snapshot: config plus controller state,
+        and with tenants the per-tenant controller and brownout state."""
         out = {
             "deadline_s": self.config.deadline_s,
             "shed_expired": self.config.shed_expired,
@@ -173,114 +213,12 @@ class OverloadPolicy:
                 station: controller.summary()
                 for station, controller in sorted(self.controllers.items())
             }
-        return out
-
-
-#: Relative deadline per priority class, as multiples of the configured
-#: ``deadline_s``: latency-critical keeps the full SLO, standard gets 3x
-#: slack, batch has no deadline at all (throughput-only traffic).
-CLASS_DEADLINE_SCALE = {"latency": 1.0, "standard": 3.0, "batch": math.inf}
-
-
-class MultiTenantOverloadPolicy(OverloadPolicy):
-    """Per-tenant overload control: the QoS PR's isolation layer.
-
-    Replaces the base policy's *global* CoDel/brownout state with one
-    controller set per tenant, so an aggressor tripping its own CoDel
-    into the dropping state sheds only the aggressor's traffic — the
-    victims' controllers never see the aggressor's queue sojourns.
-    Deadlines become class-relative via :data:`CLASS_DEADLINE_SCALE`.
-
-    `isolate=False` is the contrast arm: tenant tags are accepted but
-    all tenants share one controller set, reproducing the pre-QoS global
-    behaviour under the tenanted call shape.
-    """
-
-    def __init__(self, config: OverloadConfig, tenants, isolate: bool = True,
-                 class_deadline_scale: dict = None):
-        super().__init__(config)
-        self.tenant_names = sorted(tenants)
-        self.isolate = isolate
-        self.class_deadline_scale = dict(class_deadline_scale
-                                         or CLASS_DEADLINE_SCALE)
-        self._tenant_controllers = {}
-        self._brownouts = {}  # tenant -> times brownout() returned True
-        if config.admission == "codel" and isolate:
-            target = config.resolved_target_s()
-            interval = config.resolved_interval_s()
-            for tenant in self.tenant_names:
-                self._tenant_controllers[tenant] = {
-                    station: CoDelController(target, interval)
-                    for station in self.STATIONS
-                }
-
-    def _controllers_for(self, tenant: str) -> dict:
-        """`tenant`'s controller set; the shared set when not isolating
-        or for untagged/unknown tenants (e.g. replication traffic)."""
-        if tenant is not None:
-            per_tenant = self._tenant_controllers.get(tenant)
-            if per_tenant is not None:
-                return per_tenant
-        return self.controllers
-
-    # -- class deadlines ---------------------------------------------------------
-
-    def deadline_for(self, arrive_s: float, klass: str = None) -> float:
-        """Class-relative absolute deadline (batch: none at all)."""
-        if self.config.deadline_s is None:
-            return math.inf
-        scale = self.class_deadline_scale.get(klass, 1.0)
-        if math.isinf(scale):
-            return math.inf
-        return arrive_s + self.config.deadline_s * scale
-
-    # -- per-tenant admission + sojourn feed --------------------------------------
-
-    def observe(self, station: str, now_s: float, sojourn_s: float,
-                tenant: str = None) -> None:
-        """Feed a station dequeue's wait to `tenant`'s own controller."""
-        controller = self._controllers_for(tenant).get(station)
-        if controller is not None:
-            controller.observe(now_s, sojourn_s)
-
-    def admit(self, now_s: float, tenant: str = None) -> bool:
-        """Ingress decision against `tenant`'s controllers only — an
-        aggressor in CoDel's dropping state sheds nobody else's work."""
-        controllers = self._controllers_for(tenant)
-        for station in self.STATIONS:
-            controller = controllers.get(station)
-            if controller is not None and controller.should_shed(now_s):
-                return False
-        return True
-
-    # -- per-tenant brownout -------------------------------------------------------
-
-    def brownout(self, now_s: float, tenant: str = None) -> bool:
-        """Per-tenant degrade decision, counted per tenant for the
-        degraded-mode quality accounting."""
-        if self.config.brownout_factor >= 1.0:
-            return False
-        controllers = self._controllers_for(tenant)
-        if not controllers:
-            return False
-        threshold = self.config.brownout_threshold_s
-        if threshold is None:
-            threshold = self.config.resolved_target_s()
-        degraded = any(controller.ewma_sojourn_s > threshold
-                       for controller in controllers.values())
-        if degraded and tenant is not None:
-            self._brownouts[tenant] = self._brownouts.get(tenant, 0) + 1
-        return degraded
-
-    # -- reporting ----------------------------------------------------------------
-
-    def summary(self) -> dict:
-        """Global snapshot plus per-tenant controller/brownout state."""
-        out = super().summary()
+        if not self.tenant_names:
+            return out
         out["isolate"] = self.isolate
         out["class_deadline_scale"] = {
             klass: (None if math.isinf(scale) else scale)
-            for klass, scale in sorted(self.class_deadline_scale.items())
+            for klass, scale in sorted(CLASS_DEADLINE_SCALE.items())
         }
         if self._tenant_controllers:
             out["tenants"] = {

@@ -280,6 +280,7 @@ def fairness_rollup(isolated: dict, attack: dict, fifo: dict, chaos: dict,
         - attack["tenants"]["steady"]["goodput_rps"])
     aggressor_cap_rps = AGGRESSOR_CAP_TOLERANCE * (
         fair_share_rps + victims_leftover_rps)
+    surge_p99_us = surge["tenants"]["victim"]["latency_p99_us"]
     summary = {
         "capacity_rps": capacity,
         "deadline_s": deadline_s,
@@ -296,10 +297,11 @@ def fairness_rollup(isolated: dict, attack: dict, fifo: dict, chaos: dict,
         "aggressor_cap_rps": aggressor_cap_rps,
         "aggressor_capped": (
             attack["tenants"]["aggressor"]["goodput_rps"] <= aggressor_cap_rps),
-        "surge_latency_p99_us": surge["tenants"]["victim"]["latency_p99_us"],
+        "surge_latency_p99_us": surge_p99_us,
         "surge_latency_deadline_us": deadline_s * 1e6,
+        # No measured victim completion means no bound was shown.
         "surge_latency_bounded": (
-            surge["tenants"]["victim"]["latency_p99_us"] <= deadline_s * 1e6),
+            surge_p99_us is not None and surge_p99_us <= deadline_s * 1e6),
     }
     return {
         "isolated": isolated,
@@ -424,9 +426,11 @@ def render(report: dict) -> str:
             point = fairness[section]["tenants"][name]
             baseline = fairness["isolated"][name]["goodput_rps"]
             ratio = point["goodput_rps"] / baseline if baseline else 0.0
-            lines.append("  %-10s %-10s %12.0f %11.0f%% %9.1fus %7.0f%%" % (
+            p99 = point["latency_p99_us"]
+            lines.append("  %-10s %-10s %12.0f %11.0f%% %11s %7.0f%%" % (
                 section, name, point["goodput_rps"], 100.0 * ratio,
-                point["latency_p99_us"], 100.0 * point["deadline_hit_rate"]))
+                "n/a" if p99 is None else "%.1fus" % p99,
+                100.0 * point["deadline_hit_rate"]))
     lines.append(
         "  victim keeps %.0f%% isolated goodput under attack "
         "(%.0f%% with chaos, %.0f%% without QoS); aggressor %.0f rps vs "

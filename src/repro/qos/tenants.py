@@ -66,7 +66,7 @@ class QosPolicy:
     tenant — the contrast arm that shows what isolation buys.
     """
 
-    def __init__(self, tenants, mode: str = "drr", quantum_s: float = None):
+    def __init__(self, tenants, mode: str = "drr"):
         tenants = list(tenants)
         if not tenants:
             raise ValueError("QosPolicy needs at least one tenant")
@@ -75,12 +75,9 @@ class QosPolicy:
             raise ValueError("duplicate tenant names: %s" % names)
         if mode not in QOS_MODES:
             raise ValueError("unknown qos mode %r (have %s)" % (mode, QOS_MODES))
-        if quantum_s is not None and quantum_s <= 0.0:
-            raise ValueError("quantum_s must be positive")
         self.specs = {spec.name: spec for spec in tenants}
         self.order = names
         self.mode = mode
-        self.quantum_s = quantum_s
 
     @property
     def total_weight(self) -> float:
@@ -100,11 +97,11 @@ class QosPolicy:
                 if spec.queue_limit is not None}
 
     def make_arbiter(self, quantum_s: float) -> DrrArbiter:
-        """A fresh per-station arbiter (explicit quantum overridden by
-        the policy-wide ``quantum_s`` when one was configured)."""
+        """A fresh per-station arbiter with DRR quantum `quantum_s` (the
+        fleet passes one mean request's service time at the station)."""
         return DrrArbiter(
             weights=self.weights(),
-            quantum_s=self.quantum_s if self.quantum_s is not None else quantum_s,
+            quantum_s=quantum_s,
             tenant_queue_limits=self.queue_limits(),
         )
 

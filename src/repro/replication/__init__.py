@@ -16,10 +16,10 @@ QuickAssist lookaside).
   drawn from a shared :class:`~repro.overload.retry.RetryBudget`.
 * :mod:`~repro.replication.checker` — post-run consistency audit:
   staleness, phantom reads, monotonic reads, version uniqueness.
-* :mod:`~repro.replication.scenario` — :class:`ReplicationScenario` /
-  :func:`run_replication` / :class:`ReplicationReport` (the
-  ``workload="replication"`` dispatch target of
-  :func:`repro.cluster.scenario.run_scenario`).
+* :mod:`~repro.replication.scenario` — :class:`ReplicationScenario` (the
+  fleet knobs of :class:`repro.cluster.scenario.FleetScenario` plus the
+  replicated-store knobs) / :func:`run_replication` /
+  :class:`ReplicationReport`.
 * :mod:`~repro.replication.sweep` — the placement sweep behind
   ``BENCH_replication.json``, run with
   ``python -m repro matrix --only replication [--quick|--check|--update]``,

@@ -1,8 +1,10 @@
 """Replicated-storage scenarios: config, run loop, and report.
 
 :class:`ReplicationScenario` extends :class:`~repro.cluster.scenario.
-ClusterScenario` with the replication knobs (protocol, replica count,
-client count, key space, read/write mix, value size) and
+FleetScenario` (the rack, placement, overload/QoS knobs, run window and
+seed every fleet runner reads) with the replicated-store knobs
+(protocol, replica count, client count, key space, read/write mix, value
+size, hop timeout, retry budget) and
 :func:`run_replication` drives it: closed-loop clients issue versioned
 get/put operations against a :class:`~repro.replication.protocol.
 ReplicationGroup`, whose per-hop messages ride the cluster fleet under a
@@ -29,7 +31,7 @@ from repro.overload.retry import RetryBudget
 from repro.cluster.fleet import Fleet
 from repro.cluster.kernel import Simulator
 from repro.cluster.metrics import MetricsRegistry
-from repro.cluster.scenario import ClusterScenario, _si
+from repro.cluster.scenario import FleetScenario, _si
 from repro.cluster.sched import TargetedScheduler
 from repro.replication.checker import ConsistencyChecker
 from repro.replication.hopcost import ReplicationHopProfile
@@ -37,10 +39,9 @@ from repro.replication.protocol import PROTOCOLS, ReplicationGroup
 
 
 @dataclass
-class ReplicationScenario(ClusterScenario):
+class ReplicationScenario(FleetScenario):
     """One replicated-storage experiment, fully specified and seeded."""
 
-    workload: str = "replication"
     protocol: str = "abd"  # "abd" | "chain"
     replicas: int = 3
     clients: int = 8
@@ -161,41 +162,29 @@ class ReplicationReport:
         return "\n".join(lines)
 
 
-def run_replication(scenario: ClusterScenario,
+def run_replication(scenario: ReplicationScenario,
                     fault_injector=None) -> ReplicationReport:
     """Simulate one replicated-storage scenario and audit its history.
 
-    Accepts a :class:`ReplicationScenario` (or any ClusterScenario whose
-    ``workload`` is ``"replication"`` — missing replication knobs take
-    the defaults).  `fault_injector` layers node_down/channel_wedge
-    windows onto the run; node_down windows additionally produce the
-    per-fault failover-latency entries in the report.
+    `fault_injector` layers node_down/channel_wedge windows onto the run;
+    node_down windows additionally produce the per-fault failover-latency
+    entries in the report.
     """
-    protocol = getattr(scenario, "protocol", "abd")
-    replicas = getattr(scenario, "replicas", 3)
-    clients = getattr(scenario, "clients", 8)
-    keys = getattr(scenario, "keys", 16)
-    write_fraction = getattr(scenario, "write_fraction", 0.5)
-    value_bytes = getattr(scenario, "value_bytes", scenario.message_bytes)
-    meta_bytes = getattr(scenario, "meta_bytes", 128)
-    hop_timeout_s = getattr(scenario, "hop_timeout_s", 1e-3)
-    retry_capacity = getattr(scenario, "retry_capacity", 16.0)
-    retry_refill = getattr(scenario, "retry_refill", 0.5)
-    if protocol not in PROTOCOLS:
+    if scenario.protocol not in PROTOCOLS:
         raise ValueError("protocol must be one of %r" % (PROTOCOLS,))
-    if not 1 <= replicas <= scenario.servers:
+    if not 1 <= scenario.replicas <= scenario.servers:
         raise ValueError("need 1 <= replicas <= servers")
-    if clients < 1 or keys < 1:
+    if scenario.clients < 1 or scenario.keys < 1:
         raise ValueError("clients and keys must be >= 1")
-    if not 0.0 <= write_fraction <= 1.0:
+    if not 0.0 <= scenario.write_fraction <= 1.0:
         raise ValueError("write_fraction must be in [0, 1]")
     if scenario.warmup_s >= scenario.duration_s:
         raise ValueError("warmup must be shorter than the run")
 
     sim = Simulator(scenario.seed)
     profile = ReplicationHopProfile(
-        scenario.placement, mean_value_bytes=value_bytes,
-        threads=scenario.threads, connections=clients,
+        scenario.placement, mean_value_bytes=scenario.value_bytes,
+        threads=scenario.threads, connections=scenario.clients,
         channels_per_server=scenario.channels,
         dsa_bytes_per_sec=scenario.dsa_bytes_per_sec)
     registry = MetricsRegistry()
@@ -210,13 +199,14 @@ def run_replication(scenario: ClusterScenario,
     if fault_injector is not None:
         fault_injector.attach(sim, fleet)
     checker = ConsistencyChecker()
-    budget = RetryBudget(capacity=retry_capacity,
-                         refill_per_success=retry_refill,
+    budget = RetryBudget(capacity=scenario.retry_capacity,
+                         refill_per_success=scenario.retry_refill,
                          seed=scenario.seed)
     group = ReplicationGroup(
-        sim, fleet, replicas=range(replicas), protocol=protocol,
-        value_bytes=value_bytes, meta_bytes=meta_bytes,
-        hop_timeout_s=hop_timeout_s, retry_budget=budget, checker=checker)
+        sim, fleet, replicas=range(scenario.replicas),
+        protocol=scenario.protocol, value_bytes=scenario.value_bytes,
+        meta_bytes=scenario.meta_bytes, hop_timeout_s=scenario.hop_timeout_s,
+        retry_budget=budget, checker=checker)
     read_hist = registry.histogram("op.read")
     write_hist = registry.histogram("op.write")
     state = {"next_value": 0, "measured_ok": 0}
@@ -224,8 +214,8 @@ def run_replication(scenario: ClusterScenario,
     def client(cid: int):
         rng = sim.fork_rng("replication.client%d" % cid)
         while True:
-            key = rng.randrange(keys)
-            if rng.random() < write_fraction:
+            key = rng.randrange(scenario.keys)
+            if rng.random() < scenario.write_fraction:
                 state["next_value"] += 1
                 record = yield from group.write_op(cid, key,
                                                   state["next_value"])
@@ -241,14 +231,14 @@ def run_replication(scenario: ClusterScenario,
                 # quorum, ops fail without consuming simulated time; a
                 # real client backs off before trying again (and without
                 # this, a closed loop would spin at one sim instant).
-                yield hop_timeout_s
+                yield scenario.hop_timeout_s
             if scenario.think_s > 0.0:
                 yield scenario.think_s
 
     fleet.measuring = scenario.warmup_s <= 0.0
     if scenario.warmup_s > 0.0:
         sim.schedule(scenario.warmup_s, lambda _: fleet.begin_measurement())
-    for cid in range(clients):
+    for cid in range(scenario.clients):
         sim.spawn(client(cid))
     sim.run(until=scenario.duration_s)
 
@@ -264,14 +254,14 @@ def run_replication(scenario: ClusterScenario,
             "threads": scenario.threads,
             "placement": profile.placement.value,
             "scheduler": policy.name,
-            "protocol": protocol,
-            "replicas": replicas,
-            "clients": clients,
-            "keys": keys,
-            "write_fraction": write_fraction,
-            "value_bytes": value_bytes,
-            "meta_bytes": meta_bytes,
-            "hop_timeout_s": hop_timeout_s,
+            "protocol": scenario.protocol,
+            "replicas": scenario.replicas,
+            "clients": scenario.clients,
+            "keys": scenario.keys,
+            "write_fraction": scenario.write_fraction,
+            "value_bytes": scenario.value_bytes,
+            "meta_bytes": scenario.meta_bytes,
+            "hop_timeout_s": scenario.hop_timeout_s,
             "duration_s": scenario.duration_s,
             "warmup_s": scenario.warmup_s,
             "seed": scenario.seed,

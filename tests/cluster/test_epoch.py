@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.cluster import epoch as epoch_module
 from repro.cluster.epoch import (
     Station,
     fifo_scan,
@@ -151,6 +152,31 @@ def test_station_shed_fixpoint_matches_sequential():
     assert any(want_shed)  # the config must actually shed something
     assert shed.tolist() == want_shed
     assert depart.tolist() == pytest.approx(want_depart)
+
+
+def test_station_shed_fallback_is_the_exact_recursion(monkeypatch):
+    """Past MAX_SHED_PASSES the first-free scan takes over: exactly the
+    per-job recursion, float for float, carry included."""
+    arrive = [0.01 * j for j in range(40)]
+    service = [0.05] * 40
+    deadline = [a + 0.12 for a in arrive]
+    monkeypatch.setattr(epoch_module, "MAX_SHED_PASSES", 0)
+    station = Station(1)
+    start, depart, shed = station.drain(
+        _col(arrive), _col(service), _col(deadline))
+    prev, want_start, want_shed, want_depart = 0.0, [], [], []
+    for a, s, d in zip(arrive, service, deadline):
+        begin = max(a, prev)
+        expired = begin >= d
+        prev = begin if expired else begin + s
+        want_start.append(begin)
+        want_shed.append(expired)
+        want_depart.append(prev)
+    assert any(want_shed)
+    assert start.tolist() == want_start
+    assert shed.tolist() == want_shed
+    assert depart.tolist() == want_depart
+    assert station.carries == [prev]
 
 
 def test_station_rejects_zero_capacity():

@@ -126,22 +126,18 @@ def serve(fleet, request, server, channel, route):
 def arrival_loop(load):
     """Oracle: the open-loop arrival process as a generator."""
     while True:
-        gap = load.arrivals.next_gap(load.sim.now, load.rng)
-        if gap is None:
-            return
-        yield gap
+        yield load.arrivals.next_gap(load.sim.now, load.rng)
         load.fleet.submit(load._make_request(connection=-1))
 
 
 def connection_loop(load, connection):
     """Oracle: one closed-loop connection as a generator."""
-    if load.stagger_s > 0:
-        yield load.stagger_s * connection / load.connections
+    yield load.STAGGER_S * connection / load.connections
     while True:
         request = load._make_request(connection)
         done = load.fleet.submit(request)
         if done is None:
-            yield load.reject_backoff_s
+            yield load.REJECT_BACKOFF_S
             continue
         yield done
         if load.think_s > 0:

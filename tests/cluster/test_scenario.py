@@ -11,7 +11,6 @@ from repro.cluster import (
     MixEntry,
     PoissonArrivals,
     RequestMix,
-    TraceArrivals,
     measured_deflate_ratio,
     run_scenario,
 )
@@ -64,19 +63,6 @@ def test_bursty_arrivals_rate_switches_by_phase():
     assert arrivals.rate_at(0.2) == 100.0
     assert arrivals.rate_at(1.2) == 1000.0
     assert arrivals.rate_at(1.6) == 100.0  # wrapped into the next period
-
-
-def test_trace_arrivals_replay_then_stop():
-    rng = Simulator(seed=0).rng
-    arrivals = TraceArrivals([0.5, 0.25, 1.0])  # unsorted on purpose
-    now, gaps = 0.0, []
-    while True:
-        gap = arrivals.next_gap(now, rng)
-        if gap is None:
-            break
-        now += gap
-        gaps.append(now)
-    assert gaps == [0.25, 0.5, 1.0]
 
 
 def test_arrival_validation():

@@ -8,6 +8,8 @@ with ``-m exp``.
 """
 
 import glob
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -17,6 +19,7 @@ import pytest
 
 import repro
 from repro.exp import get_target, target_names
+from repro.exp.cache import _dep_files
 from repro.exp.targets import REPO_ROOT, lookup
 
 pytestmark = pytest.mark.exp
@@ -92,6 +95,26 @@ def test_lookup_walks_dotted_paths():
     assert lookup(payload, "a.b.c") == 3
     assert lookup(payload, "a.missing") is None
     assert lookup(payload, "x.y") is None
+
+
+def _point_source(target):
+    """The file that computes `target`'s points: the module of its own
+    ``run_point``, or the sweep module a forwarded target imports on
+    first call (located without importing it)."""
+    forwarded = inspect.getclosurevars(target.run_point).nonlocals
+    if "module_path" in forwarded:
+        return importlib.util.find_spec(forwarded["module_path"]).origin
+    return inspect.getsourcefile(target.run_point)
+
+
+@pytest.mark.parametrize("name", target_names())
+def test_code_digest_covers_the_point_module(name):
+    # Cached points are keyed by the target's code_deps only, so an edit
+    # to the module that computes them must change the digest.
+    target = get_target(name)
+    hashed = {os.path.realpath(path) for prefix in target.code_deps
+              for path in _dep_files(prefix)}
+    assert os.path.realpath(_point_source(target)) in hashed
 
 
 def test_import_leaves_sweep_modules_unloaded():

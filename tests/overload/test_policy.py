@@ -95,3 +95,20 @@ class TestPolicy:
         for _ in range(50):
             policy.observe("dsa", 0.0, 1.0)
         assert not policy.brownout(0.0)
+
+    def test_untenanted_policy_ignores_class_and_tags(self):
+        # Replication hops carry a tenant tag and a class even when no
+        # tenants are named: the untenanted policy keeps one deadline and
+        # its summary keeps only the untenanted keys.
+        config = OverloadConfig(deadline_s=1e-3, admission="codel",
+                                brownout_factor=0.8)
+        policy = OverloadPolicy(config)
+        for klass in (None, "latency", "standard", "batch", "other"):
+            assert policy.deadline_for(2.0, klass) == 2.0 + 1e-3
+        for _ in range(50):
+            policy.observe("dsa", 0.0, 10 * config.resolved_target_s(),
+                           "replication")
+        assert policy.brownout(0.0, "replication")
+        assert set(policy.summary()) == {
+            "deadline_s", "shed_expired", "admission", "dsa_queue_limit",
+            "cpu_queue_limit", "brownout_factor", "stations"}

@@ -144,7 +144,7 @@ class TestDeadlineSheds:
 class TestAdmission:
     def test_rejected_admission_counts_and_returns_none(self):
         class NeverAdmit(OverloadPolicy):
-            def admit(self, now_s):
+            def admit(self, now_s, tenant=None):
                 return False
 
         sim = Simulator(seed=0)

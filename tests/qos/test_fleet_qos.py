@@ -1,5 +1,8 @@
 """Fleet-level QoS integration: tenanted scenarios end to end."""
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import ClusterScenario, run_scenario
@@ -94,3 +97,23 @@ def test_closed_loop_tenant_drives_connections():
     ]))
     stats = report.qos["tenants"]["interactive"]
     assert stats["submitted"] > 0 and stats["completed"] > 0
+
+
+def _reject_constant(token):
+    raise ValueError("non-standard JSON constant %s" % token)
+
+
+def test_tenant_without_completions_reports_strict_json():
+    # A tenant at 1 req/s completes nothing in a 10 ms run: its latency
+    # percentiles are null, never a bare NaN token.
+    scenario = replace(
+        _tenanted_scenario(seed=3, tenants=[
+            TenantSpec("busy", rate_rps=50e3),
+            TenantSpec("idle", rate_rps=1.0)]),
+        duration_s=0.01, warmup_s=0.002)
+    payload = json.loads(run_scenario(scenario).to_json(),
+                         parse_constant=_reject_constant)
+    idle = payload["qos"]["tenants"]["idle"]
+    assert idle["completed"] == 0
+    assert idle["latency_p50_us"] is None and idle["latency_p99_us"] is None
+    assert payload["qos"]["tenants"]["busy"]["latency_p99_us"] > 0.0

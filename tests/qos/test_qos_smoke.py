@@ -6,10 +6,13 @@ contrast damage, and reproduce byte-identically under the same seed.
 Runs in tens of seconds; select with ``-m qos``.
 """
 
+import copy
+
 import pytest
 
 from repro.exp import build_matrix, get_target, run_matrix
 from repro.exp.matrix import target_payload_json
+from repro.qos import sweep
 
 pytestmark = pytest.mark.qos
 
@@ -65,6 +68,19 @@ class TestRetryIsolation:
         budget = retry["aggressor"]["budget"]
         assert budget["denied_child"] + budget["denied_parent"] > 0
         assert retry["victim"]["ok"] == retry["victim"]["ops"]
+
+
+class TestMissingPercentile:
+    def test_null_surge_p99_fails_its_row_and_renders(self, report):
+        # A tenant with no measured completion reports a null p99.
+        fairness = copy.deepcopy(report["fairness"])
+        fairness["surge"]["tenants"]["victim"]["latency_p99_us"] = None
+        rolled = sweep.fairness_rollup(
+            fairness["isolated"], fairness["attack"],
+            fairness["attack_fifo"], fairness["attack_chaos"],
+            fairness["surge"])
+        assert rolled["summary"]["surge_latency_bounded"] is False
+        assert "n/a" in sweep.render(dict(report, fairness=rolled))
 
 
 class TestDeterminism:

@@ -4,11 +4,13 @@ hierarchical retry budgets."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.overload.policy import (
     CLASS_DEADLINE_SCALE,
-    MultiTenantOverloadPolicy,
     OverloadConfig,
+    OverloadPolicy,
 )
 from repro.overload.retry import ChildRetryBudget, RetryBudget
 from repro.qos import QOS_MODES, QosPolicy, TenantSpec
@@ -54,14 +56,7 @@ def test_qos_policy_validates():
         QosPolicy([TenantSpec("a"), TenantSpec("a")])
     with pytest.raises(ValueError):
         QosPolicy([TenantSpec("a")], mode="weird")
-    with pytest.raises(ValueError):
-        QosPolicy([TenantSpec("a")], quantum_s=0.0)
     assert QOS_MODES == ("drr", "fifo")
-
-
-def test_qos_policy_quantum_override():
-    policy = QosPolicy([TenantSpec("a")], quantum_s=7e-5)
-    assert policy.make_arbiter(quantum_s=1e-4).quantum_s == 7e-5
 
 
 def test_qos_policy_arbiters_are_not_shared():
@@ -73,7 +68,7 @@ def test_qos_policy_arbiters_are_not_shared():
 
 
 def _policy(isolate=True):
-    return MultiTenantOverloadPolicy(
+    return OverloadPolicy(
         OverloadConfig(deadline_s=1e-3, admission="codel"),
         tenants=["victim", "aggressor"], isolate=isolate)
 
@@ -116,7 +111,7 @@ def test_codel_isolation_contrast_arm_shares_state():
 
 
 def test_brownouts_counted_per_tenant():
-    policy = MultiTenantOverloadPolicy(
+    policy = OverloadPolicy(
         OverloadConfig(deadline_s=1e-3, admission="codel",
                        brownout_factor=0.8),
         tenants=["hot", "cold"], isolate=True)
@@ -125,6 +120,33 @@ def test_brownouts_counted_per_tenant():
     assert policy.brownout(0.05, "hot")
     assert not policy.brownout(0.05, "cold")
     assert policy.summary()["brownouts"] == {"hot": policy._brownouts["hot"]}
+
+
+@settings(max_examples=50, deadline=None)
+@given(trace=st.lists(st.tuples(
+    st.sampled_from(("observe", "admit", "brownout")),
+    st.sampled_from(("cpu", "dsa")),
+    st.floats(0.0, 2e-3),          # time step
+    st.floats(0.0, 5e-3),          # sojourn
+    st.sampled_from(("victim", "aggressor"))), max_size=120))
+def test_shared_tenant_state_matches_untenanted_policy(trace):
+    # isolate=False keeps the tenants on the one shared controller set,
+    # so every admit/brownout decision is the untenanted policy's.
+    config = OverloadConfig(deadline_s=1e-3, admission="codel",
+                            brownout_factor=0.8)
+    shared = OverloadPolicy(config, tenants=["victim", "aggressor"],
+                            isolate=False)
+    plain = OverloadPolicy(config)
+    now = 0.0
+    for action, station, step, sojourn, tenant in trace:
+        now += step
+        if action == "observe":
+            shared.observe(station, now, sojourn, tenant)
+            plain.observe(station, now, sojourn, tenant)
+        else:
+            decide = getattr(shared, action), getattr(plain, action)
+            assert decide[0](now, tenant) == decide[1](now, tenant)
+    assert shared.summary()["stations"] == plain.summary()["stations"]
 
 
 # -- hierarchical retry budgets ------------------------------------------------------

@@ -4,7 +4,6 @@ health, under replica failure, and under total quorum loss."""
 import pytest
 
 from repro.cluster.chaos import FaultWindow, FleetFaultInjector
-from repro.cluster.scenario import run_scenario
 from repro.replication.scenario import ReplicationScenario, run_replication
 
 pytestmark = pytest.mark.replication
@@ -47,10 +46,6 @@ class TestHealthyRuns:
         report = run_replication(_scenario("abd"))
         assert report.ops["fast_path_reads"] > 0
         assert report.ops["writeback_reads"] == 0
-
-    def test_cluster_scenario_dispatches_replication_workload(self):
-        report = run_scenario(_scenario("abd"))
-        assert report.consistency["violation_count"] == 0
 
 
 class TestReplicaFailure:
