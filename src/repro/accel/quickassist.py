@@ -56,10 +56,6 @@ class QuickAssist:
         by the card's shared :class:`RetryBudget`)."""
         self._fault_plan = plan
 
-    def attach_retry_budget(self, budget: RetryBudget) -> None:
-        """Share a retry budget with the rest of the offload stack."""
-        self.retry_budget = budget
-
     def _gcm(self, key: bytes) -> AESGCM:
         # The card keeps per-session cipher state on-device; model that with
         # the process-wide session-keyed context cache.

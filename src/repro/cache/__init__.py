@@ -12,6 +12,6 @@ functional set-associative write-back cache that
   consumes it (Observation 3).
 """
 
-from repro.cache.llc import LLC, AccessClass, CacheStats
+from repro.cache.llc import LLC, CacheStats
 
-__all__ = ["LLC", "AccessClass", "CacheStats"]
+__all__ = ["LLC", "CacheStats"]

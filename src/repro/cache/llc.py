@@ -8,17 +8,9 @@ exactly the wrCAS stream that self-recycles SmartDIMM's scratchpad.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dram.commands import CACHELINE_SIZE
-
-
-class AccessClass(enum.Enum):
-    """Who is allocating: CPU loads/stores or device DMA (DDIO)."""
-
-    CPU = "cpu"
-    DMA = "dma"
 
 
 @dataclass
@@ -40,9 +32,10 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Line:
-    tag: int
+    number: int  # line number: address >> 6
+    way: int
     data: bytearray
     dirty: bool = False
     last_use: int = 0
@@ -51,6 +44,11 @@ class _Line:
 
 class LLC:
     """Set-associative, write-back, write-allocate LLC.
+
+    Resident lines are indexed by line number (``address >> 6``), so a
+    lookup is one dict probe; each set also keeps a way -> line map, which
+    victim choice reads.  Every CPU access, single-line or range, runs
+    through :meth:`_access`, and every allocation through :meth:`_fill`.
 
     Parameters
     ----------
@@ -61,7 +59,8 @@ class LLC:
     cpu_way_mask / dma_way_mask:
         CAT-style bitmasks of which ways each access class may *allocate*
         into (hits anywhere still hit).  The default DDIO configuration
-        confines DMA fills to 2 ways, as on Xeon parts.
+        confines DMA fills to 2 ways, as on Xeon parts.  A mask must
+        select at least one of the cache's ways.
     """
 
     def __init__(
@@ -77,209 +76,154 @@ class LLC:
         self.mc = memory_controller
         self.ways = ways
         self.num_sets = size // (ways * CACHELINE_SIZE)
-        self.cpu_way_mask = cpu_way_mask if cpu_way_mask is not None else (1 << ways) - 1
-        self.dma_way_mask = dma_way_mask & ((1 << ways) - 1)
+        self.cpu_way_mask = self._checked_mask(
+            (1 << ways) - 1 if cpu_way_mask is None else cpu_way_mask
+        )
+        self.dma_way_mask = self._checked_mask(dma_way_mask)
         self.stats = CacheStats()
+        self._lines = {}  # line number -> _Line
         self._sets = [dict() for _ in range(self.num_sets)]  # way -> _Line
         self._clock = 0
         self._mask_ways = {}  # way-mask -> tuple of allowed ways, built lazily
 
     # -- configuration ----------------------------------------------------------
 
+    def _checked_mask(self, mask: int) -> int:
+        """`mask` cut to the cache's ways; it must select at least one."""
+        allowed = mask & ((1 << self.ways) - 1)
+        if not allowed:
+            raise ValueError(
+                "way mask 0x%x selects none of the %d ways" % (mask, self.ways)
+            )
+        return allowed
+
     def set_cpu_way_mask(self, mask: int) -> None:
         """Apply a CAT mask; lines in now-forbidden ways stay until evicted."""
-        self.cpu_way_mask = mask & ((1 << self.ways) - 1)
-        if self.cpu_way_mask == 0:
-            raise ValueError("CPU way mask must allow at least one way")
+        self.cpu_way_mask = self._checked_mask(mask)
 
     @property
     def effective_cpu_size(self) -> int:
         return self.num_sets * CACHELINE_SIZE * bin(self.cpu_way_mask).count("1")
 
-    # -- lookup helpers ----------------------------------------------------------
+    # -- the one allocation and access path ---------------------------------------
 
-    def _locate(self, address: int) -> tuple:
-        line_address = address & ~(CACHELINE_SIZE - 1)
-        set_index = (line_address // CACHELINE_SIZE) % self.num_sets
-        tag = line_address // CACHELINE_SIZE // self.num_sets
-        return line_address, set_index, tag
-
-    def _find(self, set_index: int, tag: int):
-        for way, line in self._sets[set_index].items():
-            if line.tag == tag:
-                return way, line
-        return None, None
-
-    def _allowed_ways(self, access: AccessClass) -> int:
-        return self.cpu_way_mask if access is AccessClass.CPU else self.dma_way_mask
-
-    def _candidates(self, mask: int) -> tuple:
-        """Allowed ways for `mask`, cached (allocation order is way order)."""
+    def _fill(self, number: int, data, mask: int) -> _Line:
+        """Allocate line `number` holding `data` in a way `mask` allows:
+        an empty way first (in way order), else the least recently used
+        one, whose line is evicted and written back if dirty."""
+        ways = self._sets[number % self.num_sets]
         candidates = self._mask_ways.get(mask)
         if candidates is None:
             candidates = tuple(w for w in range(self.ways) if (mask >> w) & 1)
             self._mask_ways[mask] = candidates
-        return candidates
-
-    def _cpu_candidates(self) -> tuple:
-        """Allowed ways under the current CPU CAT mask."""
-        return self._candidates(self.cpu_way_mask)
-
-    def _victim_way(self, set_index: int, mask: int) -> int:
-        """Pick an allowed way: empty first, else LRU."""
-        candidates = self._candidates(mask)
-        occupied = self._sets[set_index]
         for way in candidates:
-            if way not in occupied:
-                return way
-        return min(candidates, key=lambda w: occupied[w].last_use)
-
-    def _evict(self, set_index: int, way: int) -> None:
-        line = self._sets[set_index].pop(way)
-        self.stats.evictions += 1
-        if line.dma_untouched:
-            self.stats.dma_leaks += 1
-        if line.dirty:
-            self.stats.writebacks += 1
-            address = (line.tag * self.num_sets + set_index) * CACHELINE_SIZE
-            self.mc.write_line(address, bytes(line.data))
-
-    def _fill(self, set_index: int, tag: int, data: bytes, access: AccessClass) -> _Line:
-        way = self._victim_way(set_index, self._allowed_ways(access))
-        if way in self._sets[set_index]:
-            self._evict(set_index, way)
-        line = _Line(tag=tag, data=bytearray(data), last_use=self._clock)
-        self._sets[set_index][way] = line
+            if way not in ways:
+                break
+        else:
+            way = min(candidates, key=lambda w: ways[w].last_use)
+            old = ways.pop(way)
+            del self._lines[old.number]
+            stats = self.stats
+            stats.evictions += 1
+            if old.dma_untouched:
+                stats.dma_leaks += 1
+            if old.dirty:
+                stats.writebacks += 1
+                self.mc.write_line(old.number << 6, bytes(old.data))
+        line = _Line(number, way, bytearray(data), last_use=self._clock)
+        ways[way] = line
+        self._lines[number] = line
         return line
+
+    def _access(self, number: int, fill) -> _Line:
+        """One CPU access to line `number`: count the hit or miss and
+        allocate on a miss under the CPU mask.  `fill` is the line's data
+        on a miss; ``None`` reads it from memory."""
+        self._clock += 1
+        line = self._lines.get(number)
+        if line is not None:
+            self.stats.hits += 1
+        else:
+            self.stats.misses += 1
+            if fill is None:
+                fill = self.mc.read_line(number << 6)
+            line = self._fill(number, fill, self.cpu_way_mask)
+        line.last_use = self._clock
+        line.dma_untouched = False
+        return line
+
+    def _write(self, number: int, data) -> None:
+        """CPU store of one full line.  A miss still allocates, but with
+        the stored data: the whole line is overwritten, so the ownership
+        read is elided (like an RFO-eliding full-line write)."""
+        line = self._access(number, data)
+        line.data[:] = data
+        line.dirty = True
+
+    def _chunk(self, remaining: int, writes_per_line: int, distance: int) -> int:
+        """Lines the next range chunk covers.  A chunk reads its missing
+        lines up front (:meth:`_prefetch`), then accesses them in order,
+        which matches the per-line loop if nothing it does before its last
+        line's access changes that line's data or residency:
+
+        * each line's fills queue at most `writes_per_line` writebacks, so
+          with ``(chunk - 1) * writes_per_line`` within
+          :meth:`MemoryController.write_headroom` no drain can fire before
+          the last line's read;
+        * `distance` bounds the lines so that no fill lands in the set of
+          a line still to be read: the set count for a load, and for a
+          copy also the set distance from src to dst, when nonzero.
+
+        A one-line chunk reads right before its own access, which is the
+        per-line path itself, so every chunk has at least one line."""
+        headroom = self.mc.write_headroom() // writes_per_line + 1
+        return min(remaining, headroom, distance)
+
+    def _prefetch(self, first: int, count: int) -> dict:
+        """Read the non-resident lines among `count` from line `first`,
+        one :meth:`MemoryController.read_lines` call per run of
+        consecutive misses; returns line number -> data."""
+        lines = self._lines
+        fetched = {}
+        end = first + count
+        number = first
+        while number < end:
+            if number in lines:
+                number += 1
+                continue
+            run_end = number + 1
+            while run_end < end and run_end not in lines:
+                run_end += 1
+            data = self.mc.read_lines(number << 6, run_end - number)
+            for offset in range(0, len(data), CACHELINE_SIZE):
+                fetched[number] = data[offset : offset + CACHELINE_SIZE]
+                number += 1
+        return fetched
 
     # -- CPU interface -------------------------------------------------------------
 
     def load(self, address: int) -> bytes:
         """CPU load of one cacheline."""
-        self._clock += 1
-        line_address, set_index, tag = self._locate(address)
-        _, line = self._find(set_index, tag)
-        if line is not None:
-            self.stats.hits += 1
-        else:
-            self.stats.misses += 1
-            line = self._fill(set_index, tag, self.mc.read_line(line_address), AccessClass.CPU)
-        line.last_use = self._clock
-        line.dma_untouched = False
-        return bytes(line.data)
+        return bytes(self._access(address >> 6, None).data)
 
     def store(self, address: int, data: bytes) -> None:
         """CPU store of one full cacheline (write-allocate)."""
         if len(data) != CACHELINE_SIZE:
             raise ValueError("store must be one %d-byte line" % CACHELINE_SIZE)
-        self._clock += 1
-        line_address, set_index, tag = self._locate(address)
-        _, line = self._find(set_index, tag)
-        if line is not None:
-            self.stats.hits += 1
-        else:
-            self.stats.misses += 1
-            # Full-line store still allocates; we skip the ownership read
-            # because the whole line is overwritten (like an RFO-eliding
-            # full-line write).
-            line = self._fill(set_index, tag, bytes(CACHELINE_SIZE), AccessClass.CPU)
-        line.data[:] = data
-        line.dirty = True
-        line.last_use = self._clock
-        line.dma_untouched = False
+        self._write(address >> 6, data)
 
     def load_range(self, address: int, count: int) -> bytes:
-        """CPU load of `count` consecutive lines (== a load loop).
-
-        Runs of consecutive misses are fetched with one
-        :meth:`MemoryController.read_lines` call.  Chunks are capped so a
-        write-queue drain can never fire mid-chunk (each fill queues at
-        most one eviction writeback), and chunk lines occupy distinct sets,
-        so prefetching cannot disturb any line the chunk still needs —
-        the command stream matches the per-line loop exactly.
-        """
-        mc = self.mc
-        # Masking once up front is identical to load()'s per-line masking.
-        address &= ~(CACHELINE_SIZE - 1)
-        sets = self._sets
-        num_sets = self.num_sets
-        stats = self.stats
-        candidates = self._cpu_candidates()
+        """CPU load of `count` consecutive lines (== a load loop), chunked
+        by :meth:`_chunk` so miss runs are fetched in bulk."""
+        first = address >> 6
         parts = []
-        i = 0
-        while i < count:
-            headroom = mc.WRITE_QUEUE_HIGH_WATERMARK - 1 - len(mc._write_queue)
-            if headroom < 1:
-                parts.append(self.load(address + (i << 6)))
-                i += 1
-                continue
-            chunk = min(count - i, headroom, num_sets)
-            base = address + (i << 6)
-            # Probe the chunk for miss runs (probing mutates nothing).
-            missing = []
-            for m in range(chunk):
-                line_number = (base >> 6) + m
-                tag = line_number // num_sets
-                for cand in sets[line_number % num_sets].values():
-                    if cand.tag == tag:
-                        break
-                else:
-                    missing.append(m)
-            fetched = {}
-            run_start = 0
-            while run_start < len(missing):
-                run_end = run_start + 1
-                while (
-                    run_end < len(missing)
-                    and missing[run_end] == missing[run_end - 1] + 1
-                ):
-                    run_end += 1
-                first = missing[run_start]
-                data = mc.read_lines(base + (first << 6), run_end - run_start)
-                for j in range(run_start, run_end):
-                    offset = (j - run_start) * CACHELINE_SIZE
-                    fetched[missing[j]] = data[offset : offset + CACHELINE_SIZE]
-                run_start = run_end
-            clock = self._clock
-            for m in range(chunk):
-                clock += 1
-                line_number = (base >> 6) + m
-                tag = line_number // num_sets
-                set_index = line_number % num_sets
-                occupied = sets[set_index]
-                line = None
-                for cand in occupied.values():
-                    if cand.tag == tag:
-                        line = cand
-                        break
-                if line is not None:
-                    stats.hits += 1
-                else:
-                    # Inlined _fill (CPU mask): same empty-first/LRU victim
-                    # choice and eviction writeback, minus per-miss calls.
-                    stats.misses += 1
-                    for way in candidates:
-                        if way not in occupied:
-                            break
-                    else:
-                        way = min(candidates, key=lambda w: occupied[w].last_use)
-                        old = occupied.pop(way)
-                        stats.evictions += 1
-                        if old.dma_untouched:
-                            stats.dma_leaks += 1
-                        if old.dirty:
-                            stats.writebacks += 1
-                            mc.write_line(
-                                (old.tag * num_sets + set_index) * CACHELINE_SIZE,
-                                bytes(old.data),
-                            )
-                    line = _Line(tag=tag, data=bytearray(fetched[m]), last_use=clock)
-                    occupied[way] = line
-                line.last_use = clock
-                line.dma_untouched = False
-                parts.append(bytes(line.data))
-            self._clock = clock
-            i += chunk
+        done = 0
+        while done < count:
+            chunk = self._chunk(count - done, 1, self.num_sets)
+            fetched = self._prefetch(first + done, chunk)
+            for number in range(first + done, first + done + chunk):
+                parts.append(bytes(self._access(number, fetched.get(number)).data))
+            done += chunk
         return b"".join(parts)
 
     def store_range(self, address: int, data: bytes) -> None:
@@ -288,209 +232,43 @@ class LLC:
             raise ValueError(
                 "range store must be whole %d-byte lines" % CACHELINE_SIZE
             )
-        address &= ~(CACHELINE_SIZE - 1)  # identical to store()'s masking
-        mc = self.mc
-        sets = self._sets
-        num_sets = self.num_sets
-        stats = self.stats
-        candidates = self._cpu_candidates()
-        clock = self._clock
-        first_line = address >> 6
+        view = memoryview(data)
+        first = address >> 6
         for m in range(len(data) // CACHELINE_SIZE):
-            clock += 1
-            line_number = first_line + m
-            tag = line_number // num_sets
-            set_index = line_number % num_sets
-            occupied = sets[set_index]
-            line = None
-            for cand in occupied.values():
-                if cand.tag == tag:
-                    line = cand
-                    break
-            if line is not None:
-                stats.hits += 1
-            else:
-                # Inlined _fill with a zero line (full-line store elides the
-                # ownership read); same victim choice and eviction order.
-                stats.misses += 1
-                for way in candidates:
-                    if way not in occupied:
-                        break
-                else:
-                    way = min(candidates, key=lambda w: occupied[w].last_use)
-                    old = occupied.pop(way)
-                    stats.evictions += 1
-                    if old.dma_untouched:
-                        stats.dma_leaks += 1
-                    if old.dirty:
-                        stats.writebacks += 1
-                        mc.write_line(
-                            (old.tag * num_sets + set_index) * CACHELINE_SIZE,
-                            bytes(old.data),
-                        )
-                line = _Line(tag=tag, data=bytearray(CACHELINE_SIZE), last_use=clock)
-                occupied[way] = line
-            line.data[:] = data[m * CACHELINE_SIZE : (m + 1) * CACHELINE_SIZE]
-            line.dirty = True
-            line.last_use = clock
-            line.dma_untouched = False
-        self._clock = clock
+            self._write(first + m, view[m << 6 : (m + 1) << 6])
 
     def copy_range(self, src: int, dst: int, count: int) -> None:
-        """Copy `count` lines through the cache (== store(dst, load(src))).
+        """Copy `count` lines through the cache (== store(dst, load(src))),
+        chunked by :meth:`_chunk` so source miss runs are fetched in bulk."""
+        src >>= 6
+        dst >>= 6
+        distance = (dst - src) % self.num_sets or self.num_sets
+        done = 0
+        while done < count:
+            chunk = self._chunk(count - done, 2, distance)
+            fetched = self._prefetch(src + done, chunk)
+            for m in range(done, done + chunk):
+                self._write(dst + m, bytes(self._access(src + m, fetched.get(src + m)).data))
+            done += chunk
 
-        Source miss runs are prefetched in bulk; fills and stores then
-        replay per line in reference order, so eviction-writeback queue
-        order is preserved.  Chunks are sized so no drain fires mid-chunk,
-        and prefetch is skipped when the chunk's src and dst set ranges
-        overlap (a dst fill could then evict a still-needed src line).
-        """
-        mc = self.mc
-        num_sets = self.num_sets
-        sets = self._sets
-        stats = self.stats
-        candidates = self._cpu_candidates()
-        # Masking once up front is identical to load()/store() masking.
-        src &= ~(CACHELINE_SIZE - 1)
-        dst &= ~(CACHELINE_SIZE - 1)
-        i = 0
-        while i < count:
-            headroom = (mc.WRITE_QUEUE_HIGH_WATERMARK - 1 - len(mc._write_queue)) // 2
-            src_base = src + (i << 6)
-            dst_base = dst + (i << 6)
-            if headroom < 1:
-                self.store(dst_base, self.load(src_base))
-                i += 1
-                continue
-            chunk = min(count - i, headroom, num_sets)
-            src_set = (src_base >> 6) % num_sets
-            dst_set = (dst_base >> 6) % num_sets
-            gap = (dst_set - src_set) % num_sets
-            if gap < chunk or (num_sets - gap) < chunk:
-                # Set ranges overlap: run the reference per-line pairing.
-                for m in range(chunk):
-                    self.store(dst_base + (m << 6), self.load(src_base + (m << 6)))
-                i += chunk
-                continue
-            src_line = src_base >> 6
-            dst_line = dst_base >> 6
-            missing = []
-            for m in range(chunk):
-                tag = (src_line + m) // num_sets
-                for cand in sets[(src_line + m) % num_sets].values():
-                    if cand.tag == tag:
-                        break
-                else:
-                    missing.append(m)
-            fetched = {}
-            run_start = 0
-            while run_start < len(missing):
-                run_end = run_start + 1
-                while (
-                    run_end < len(missing)
-                    and missing[run_end] == missing[run_end - 1] + 1
-                ):
-                    run_end += 1
-                first = missing[run_start]
-                data = mc.read_lines(src_base + (first << 6), run_end - run_start)
-                for j in range(run_start, run_end):
-                    offset = (j - run_start) * CACHELINE_SIZE
-                    fetched[missing[j]] = data[offset : offset + CACHELINE_SIZE]
-                run_start = run_end
-            clock = self._clock
-            for m in range(chunk):
-                # load half
-                clock += 1
-                tag = (src_line + m) // num_sets
-                set_index = (src_line + m) % num_sets
-                occupied = sets[set_index]
-                line = None
-                for cand in occupied.values():
-                    if cand.tag == tag:
-                        line = cand
-                        break
-                if line is not None:
-                    stats.hits += 1
-                else:
-                    # Inlined _fill; see load_range.
-                    stats.misses += 1
-                    for way in candidates:
-                        if way not in occupied:
-                            break
-                    else:
-                        way = min(candidates, key=lambda w: occupied[w].last_use)
-                        old = occupied.pop(way)
-                        stats.evictions += 1
-                        if old.dma_untouched:
-                            stats.dma_leaks += 1
-                        if old.dirty:
-                            stats.writebacks += 1
-                            mc.write_line(
-                                (old.tag * num_sets + set_index) * CACHELINE_SIZE,
-                                bytes(old.data),
-                            )
-                    line = _Line(tag=tag, data=bytearray(fetched[m]), last_use=clock)
-                    occupied[way] = line
-                line.last_use = clock
-                line.dma_untouched = False
-                payload = bytes(line.data)
-                # store half
-                clock += 1
-                tag = (dst_line + m) // num_sets
-                set_index = (dst_line + m) % num_sets
-                occupied = sets[set_index]
-                line = None
-                for cand in occupied.values():
-                    if cand.tag == tag:
-                        line = cand
-                        break
-                if line is not None:
-                    stats.hits += 1
-                else:
-                    # Inlined _fill with a zero line; see store_range.
-                    stats.misses += 1
-                    for way in candidates:
-                        if way not in occupied:
-                            break
-                    else:
-                        way = min(candidates, key=lambda w: occupied[w].last_use)
-                        old = occupied.pop(way)
-                        stats.evictions += 1
-                        if old.dma_untouched:
-                            stats.dma_leaks += 1
-                        if old.dirty:
-                            stats.writebacks += 1
-                            mc.write_line(
-                                (old.tag * num_sets + set_index) * CACHELINE_SIZE,
-                                bytes(old.data),
-                            )
-                    line = _Line(
-                        tag=tag, data=bytearray(CACHELINE_SIZE), last_use=clock
-                    )
-                    occupied[way] = line
-                line.data[:] = payload
-                line.dirty = True
-                line.last_use = clock
-                line.dma_untouched = False
-            self._clock = clock
-            i += chunk
+    def _remove(self, number: int):
+        """Invalidate line `number`; returns its _Line, or None."""
+        line = self._lines.pop(number, None)
+        if line is not None:
+            del self._sets[number % self.num_sets][line.way]
+        return line
 
     def flush_line(self, address: int) -> bool:
         """clflush: write back if dirty and invalidate.  Returns True when a
         writeback actually travelled to memory (used by the flush cost model:
         flushing data already in DRAM is ~50 % faster, Sec. IV-A)."""
-        _, set_index, tag = self._locate(address)
-        way, line = self._find(set_index, tag)
         self.stats.flushes += 1
-        if line is None:
+        line = self._remove(address >> 6)
+        if line is None or not line.dirty:
             return False
-        dirty = line.dirty
-        if dirty:
-            self.stats.writebacks += 1
-            line_address = (tag * self.num_sets + set_index) * CACHELINE_SIZE
-            self.mc.write_line_now(line_address, bytes(line.data))
-        del self._sets[set_index][way]
-        return dirty
+        self.stats.writebacks += 1
+        self.mc.write_line_now(line.number << 6, bytes(line.data))
+        return True
 
     def flush_range(self, address: int, length: int) -> int:
         """Flush every line in [address, address+length); returns dirty count.
@@ -501,29 +279,23 @@ class LLC:
         pop-all-then-issue-run is command- and stats-identical to the
         per-line :meth:`flush_range_reference` loop.
         """
-        start = address & ~(CACHELINE_SIZE - 1)
         dirty = 0
-        run_address = None
+        run_first = None
         run_datas = []
-        for line_address in range(start, address + length, CACHELINE_SIZE):
-            _, set_index, tag = self._locate(line_address)
-            way, line = self._find(set_index, tag)
+        for number in range(address >> 6, (address + length + 63) >> 6):
             self.stats.flushes += 1
-            if line is None or not line.dirty:
-                if run_datas:
-                    self.mc.write_lines_now(run_address, run_datas)
-                    run_address, run_datas = None, []
-                if line is not None:
-                    del self._sets[set_index][way]
-                continue
-            self.stats.writebacks += 1
-            dirty += 1
-            if not run_datas:
-                run_address = line_address
-            run_datas.append(bytes(line.data))
-            del self._sets[set_index][way]
+            line = self._remove(number)
+            if line is not None and line.dirty:
+                self.stats.writebacks += 1
+                dirty += 1
+                if not run_datas:
+                    run_first = number
+                run_datas.append(bytes(line.data))
+            elif run_datas:
+                self.mc.write_lines_now(run_first << 6, run_datas)
+                run_datas = []
         if run_datas:
-            self.mc.write_lines_now(run_address, run_datas)
+            self.mc.write_lines_now(run_first << 6, run_datas)
         return dirty
 
     def flush_range_reference(self, address: int, length: int) -> int:
@@ -540,8 +312,7 @@ class LLC:
 
     def contains(self, address: int) -> bool:
         """Whether the line holding `address` is resident."""
-        _, set_index, tag = self._locate(address)
-        return self._find(set_index, tag)[1] is not None
+        return (address >> 6) in self._lines
 
     # -- device (DDIO) interface -----------------------------------------------------
 
@@ -551,10 +322,9 @@ class LLC:
         if len(data) != CACHELINE_SIZE:
             raise ValueError("DMA write must be one %d-byte line" % CACHELINE_SIZE)
         self._clock += 1
-        _, set_index, tag = self._locate(address)
-        _, line = self._find(set_index, tag)
+        line = self._lines.get(address >> 6)
         if line is None:
-            line = self._fill(set_index, tag, data, AccessClass.DMA)
+            line = self._fill(address >> 6, data, self.dma_way_mask)
             self.stats.dma_fills += 1
             line.dma_untouched = True
         else:
@@ -565,32 +335,29 @@ class LLC:
     def dma_read(self, address: int) -> bytes:
         """Device reads a line (TX DMA); hits are served from cache."""
         self._clock += 1
-        line_address, set_index, tag = self._locate(address)
-        _, line = self._find(set_index, tag)
+        line = self._lines.get(address >> 6)
         if line is not None:
             self.stats.hits += 1
             line.last_use = self._clock
             return bytes(line.data)
         self.stats.misses += 1
-        return self.mc.read_line(line_address)
+        return self.mc.read_line(address & ~(CACHELINE_SIZE - 1))
 
     # -- maintenance ---------------------------------------------------------------
 
     def writeback_all(self) -> int:
         """Flush the entire cache (test helper); returns lines written back."""
         count = 0
-        for set_index in range(self.num_sets):
-            for way in list(self._sets[set_index]):
-                line = self._sets[set_index][way]
+        for ways in self._sets:
+            for line in ways.values():
                 if line.dirty:
                     count += 1
-                address = (line.tag * self.num_sets + set_index) * CACHELINE_SIZE
-                if line.dirty:
-                    self.mc.write_line(address, bytes(line.data))
-                del self._sets[set_index][way]
+                    self.mc.write_line(line.number << 6, bytes(line.data))
+            ways.clear()
+        self._lines.clear()
         self.mc.fence()
         return count
 
     @property
     def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return len(self._lines)

@@ -29,7 +29,7 @@ Modules:
   is a chain of stage callbacks over one job record.
 * :mod:`repro.cluster.sched` — static, least-loaded, and adaptive
   CPU-spill placement schedulers (the paper's Observation 2, dynamic).
-* :mod:`repro.cluster.metrics` — counters, gauges, log-bucketed latency
+* :mod:`repro.cluster.metrics` — counters, log-bucketed latency
   histograms (p50/p99/p999), utilisation timelines, Chrome-trace export.
 * :mod:`repro.cluster.scenario` — the fleet knobs every runner reads
   (:class:`FleetScenario`, which builds the overload and QoS policies),
@@ -75,7 +75,6 @@ from repro.cluster.loadgen import (
 )
 from repro.cluster.metrics import (
     Counter,
-    Gauge,
     LogHistogram,
     MetricsRegistry,
     Timeline,
@@ -107,7 +106,7 @@ __all__ = [
     "AdaptiveSpillScheduler", "TargetedScheduler", "SCHEDULERS",
     "make_scheduler",
     # telemetry
-    "Counter", "Gauge", "LogHistogram", "Timeline", "TraceRecorder",
+    "Counter", "LogHistogram", "Timeline", "TraceRecorder",
     "MetricsRegistry",
     # scenarios
     "ClusterScenario", "ClusterReport", "run_scenario",

@@ -95,10 +95,8 @@ def epoch_fault_state(windows, start_s: float, end_s: float) -> tuple:
     Returns ``(down, wedged)`` for the epoch ``[start_s, end_s)``: the set
     of server indices with an overlapping ``node_down`` window, and a
     ``(server, channel) -> slowdown`` dict from overlapping
-    ``channel_wedge`` windows (overlapping wedges on one channel compound,
-    matching the injector's behaviour of the last writer winning being
-    irrelevant — wedges on the same channel never overlap in practice, so
-    the max slowdown is kept deterministically).
+    ``channel_wedge`` windows (overlapping wedges on one channel keep the
+    largest slowdown, as the injector does).
 
     This is the vector tier's view of :class:`FleetFaultInjector`: the
     whole window machinery collapses to per-epoch masks, applied to every
@@ -229,9 +227,13 @@ class FleetFaultInjector:
         self.fleet = fleet
         fleet.fault_injector = self
         for window in self.windows:
-            if window.server >= len(fleet.servers):
+            if not 0 <= window.server < len(fleet.servers):
                 raise ValueError("fault window names server %d of %d"
                                  % (window.server, len(fleet.servers)))
+            channels = len(fleet.servers[window.server].channels)
+            if window.kind == "channel_wedge" and not 0 <= window.channel < channels:
+                raise ValueError("channel_wedge names channel %d of %d"
+                                 % (window.channel, channels))
             sim.schedule(window.start_s, self._start, window)
             sim.schedule(window.end_s, self._end, window)
 
@@ -250,27 +252,36 @@ class FleetFaultInjector:
 
     def _start(self, window: FaultWindow) -> None:
         self._active.append(window)
-        if window.kind == "node_down":
-            self._down.add(window.server)
-        elif window.kind == "channel_wedge":
-            self._wedged[(window.server, window.channel)] = window.dsa_slowdown
-        else:
-            self._sdc[window.server] = window.sdc_rate
+        self._recompute()
 
     def _end(self, window: FaultWindow) -> None:
         self._active.remove(window)
-        if window.kind == "node_down":
-            self._down.discard(window.server)
-            # The node rejoining *is* the restoration for a failed server.
-            if window.restored_s is None:
-                window.restored_s = self.sim.now
-        elif window.kind == "channel_wedge":
-            self._wedged.pop((window.server, window.channel), None)
-            # A wedge's restoration is observed later, when the channel's
-            # breaker re-closes on a healthy probation probe.
-        else:
-            self._sdc.pop(window.server, None)
-            # An SDC storm's restoration is likewise breaker-observed.
+        self._recompute()
+        if window.kind == "node_down" and window.server not in self._down:
+            # The node rejoining *is* the restoration of every window that
+            # kept it down.  A wedge's or SDC storm's restoration is
+            # observed later, when the channel's breaker re-closes on a
+            # healthy probation probe.
+            for ended in self.windows:
+                if (ended.kind == "node_down" and ended.server == window.server
+                        and ended.restored_s is None
+                        and ended.end_s <= self.sim.now):
+                    ended.restored_s = self.sim.now
+
+    def _recompute(self) -> None:
+        """Fault state from the active windows: a server is down while any
+        ``node_down`` covers it, and overlapping wedges or storms keep the
+        largest slowdown or SDC rate, as :func:`epoch_fault_state` keeps
+        the largest slowdown."""
+        self._down = {w.server for w in self._active if w.kind == "node_down"}
+        self._wedged = {}
+        self._sdc = {}
+        for w in self._active:
+            if w.kind == "channel_wedge":
+                key = (w.server, w.channel)
+                self._wedged[key] = max(self._wedged.get(key, 0.0), w.dsa_slowdown)
+            elif w.kind == "sdc_storm":
+                self._sdc[w.server] = max(self._sdc.get(w.server, 0.0), w.sdc_rate)
 
     # -- health probes ---------------------------------------------------------------
 
@@ -283,11 +294,6 @@ class FleetFaultInjector:
         silently redirected to a different server the way stateless
         requests are."""
         return server in self._down
-
-    @property
-    def down_servers(self) -> frozenset:
-        """The currently-failed server set (for quorum-aware rerouting)."""
-        return frozenset(self._down)
 
     # -- assignment path -------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Cluster telemetry: counters, gauges, log-bucketed histograms,
+"""Cluster telemetry: counters, log-bucketed histograms,
 utilisation timelines, and Chrome-trace export.
 
 Everything here is deterministic and wall-clock-free: metrics are keyed by
@@ -36,20 +36,6 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         """Add `amount` (default 1) to the running total."""
         self.value += amount
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = "", value: float = 0.0):
-        self.name = name
-        self.value = value
-
-    def set(self, value: float) -> None:
-        """Overwrite the gauge with `value`."""
-        self.value = value
 
 
 class LogHistogram:
@@ -310,7 +296,6 @@ class MetricsRegistry:
     """Named instruments plus deterministic JSON/text rendering."""
 
     counters: dict = field(default_factory=dict)
-    gauges: dict = field(default_factory=dict)
     histograms: dict = field(default_factory=dict)
     timelines: dict = field(default_factory=dict)
 
@@ -319,12 +304,6 @@ class MetricsRegistry:
         if name not in self.counters:
             self.counters[name] = Counter(name)
         return self.counters[name]
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the gauge called `name`."""
-        if name not in self.gauges:
-            self.gauges[name] = Gauge(name)
-        return self.gauges[name]
 
     def histogram(self, name: str, base: float = 1e-6,
                   growth: float = 2 ** 0.25) -> LogHistogram:
@@ -343,7 +322,6 @@ class MetricsRegistry:
         """Sorted snapshot of every instrument (histograms as summaries)."""
         return {
             "counters": {name: c.value for name, c in sorted(self.counters.items())},
-            "gauges": {name: g.value for name, g in sorted(self.gauges.items())},
             "histograms": {name: h.summary() for name, h in sorted(self.histograms.items())},
         }
 

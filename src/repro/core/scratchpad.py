@@ -44,10 +44,6 @@ class ScratchpadPage:
     # all-recycled check is O(1) instead of scanning 64 states per wrCAS.
     recycled_count: int = 0
 
-    def valid_lines(self) -> int:
-        """Count of computed-but-unrecycled lines."""
-        return sum(1 for s in self.states if s is LineState.VALID)
-
     def all_recycled(self) -> bool:
         """True when every line has been retired to DRAM (page freeable)."""
         return self.recycled_count == len(self.states)

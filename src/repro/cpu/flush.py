@@ -23,10 +23,6 @@ class FlushResult:
     dirty_lines: int
     cycles: float
 
-    @property
-    def resident_fraction(self) -> float:
-        return self.dirty_lines / self.lines if self.lines else 0.0
-
 
 class FlushDriver:
     """Flush ranges through a functional LLC while accounting cycles."""

@@ -75,17 +75,6 @@ class Command:
             CommandType.SPAD_WB,
         )
 
-    @property
-    def carries_data(self) -> bool:
-        """Whether a 64-byte burst crosses the DDR data bus for this
-        command; the Sec. IV-E command extensions deliberately do not."""
-        return self.kind in (
-            CommandType.RDCAS,
-            CommandType.WRCAS,
-            CommandType.MMIO_RD,
-            CommandType.MMIO_WR,
-        )
-
 
 @dataclass
 class SlotFrame:

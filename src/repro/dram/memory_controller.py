@@ -190,6 +190,11 @@ class MemoryController:
         self.cycle += self.timing.fence_cycles
         self._drain_writes(target=0)
 
+    def write_headroom(self) -> int:
+        """Writes the queue takes before one triggers a drain (never
+        negative: the queue drains whenever it reaches the watermark)."""
+        return self.WRITE_QUEUE_HIGH_WATERMARK - 1 - len(self._write_queue)
+
     def write_line_now(self, address: int, data: bytes) -> None:
         """Write bypassing the queue (used for explicit flush writebacks)."""
         self._check_aligned(address)

@@ -6,7 +6,7 @@ crossover and Table I co-runner interference plus the extension sweeps
 matrix of :class:`~repro.exp.spec.RunSpec` points:
 
 * :mod:`repro.exp.spec` — the frozen, hashable description of one
-  experiment point (target x instance x seed x params).
+  experiment point (target x instance x seed).
 * :mod:`repro.exp.targets` — the target registry, one owner per figure
   family: each target enumerates its points, runs one point purely
   (``run_point(spec) -> dict``), rolls the point results up into the

@@ -1,8 +1,8 @@
 """One experiment-matrix point: the frozen, hashable :class:`RunSpec`.
 
 A spec is the *complete* description of one run — target, instance label,
-seed, and a sorted tuple of JSON-safe parameters.  Everything a worker
-needs crosses the process boundary inside the spec; nothing is ambient.
+seed and grid size.  Everything a worker needs crosses the process
+boundary inside the spec; nothing is ambient.
 That is the determinism contract the run-pool relies on: two workers
 given equal specs must produce byte-identical results, so the spec must
 capture every input and the point function must derive every RNG from it.
@@ -16,47 +16,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-
-#: Parameter value types that survive a JSON round trip unchanged.
-_JSON_SCALARS = (str, int, float, bool, type(None))
-
-
-def _freeze_params(params: dict) -> tuple:
-    """dict -> sorted ((key, value), ...), rejecting non-JSON-safe values."""
-    for key, value in params.items():
-        if not isinstance(key, str):
-            raise TypeError("param key %r must be a string" % (key,))
-        if not isinstance(value, _JSON_SCALARS):
-            raise TypeError(
-                "param %s=%r is not a JSON scalar (str/int/float/bool/None)"
-                % (key, value))
-    return tuple(sorted(params.items()))
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    """target x instance x seed (+ params): one point of the matrix."""
+    """target x instance x seed: one point of the matrix."""
 
     target: str      # registry name, e.g. "overload"
     instance: str    # point label within the target, e.g. "load/2/shed"
     seed: int
     quick: bool = False
-    params: tuple = field(default_factory=tuple)  # sorted (key, value) pairs
-
-    @classmethod
-    def make(cls, target: str, instance: str, seed: int,
-             quick: bool = False, **params) -> "RunSpec":
-        """Construct with keyword params normalised into the sorted tuple."""
-        return cls(target=target, instance=instance, seed=seed, quick=quick,
-                   params=_freeze_params(params))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
         """Inverse of :meth:`to_dict` (used across the pool boundary)."""
         return cls(target=data["target"], instance=data["instance"],
-                   seed=data["seed"], quick=data["quick"],
-                   params=tuple((k, v) for k, v in data["params"]))
+                   seed=data["seed"], quick=data["quick"])
 
     def to_dict(self) -> dict:
         """Plain-JSON form: what crosses the pool and sits in the cache."""
@@ -65,16 +41,7 @@ class RunSpec:
             "instance": self.instance,
             "seed": self.seed,
             "quick": self.quick,
-            "params": [list(pair) for pair in self.params],
         }
-
-    def param_dict(self) -> dict:
-        """The params tuple back as a dict."""
-        return dict(self.params)
-
-    def get(self, key: str, default=None):
-        """One param value, with a default."""
-        return self.param_dict().get(key, default)
 
     def canonical(self) -> str:
         """The canonical JSON the cache key is derived from."""

@@ -105,7 +105,7 @@ class Target:
     def specs(self, seed: int = None, quick: bool = False) -> list:
         """This target's full point grid as RunSpecs (None = default seed)."""
         seed = self.default_seed if seed is None else seed
-        return [RunSpec.make(self.name, instance, seed, quick=quick)
+        return [RunSpec(self.name, instance, seed, quick=quick)
                 for instance in self.points(seed, quick)]
 
     def headline(self, payload: dict) -> dict:

@@ -91,7 +91,3 @@ class LossyLink:
             self.stats.reordered += 1
             arrival += self.reorder_extra_delay
         return arrival
-
-    @property
-    def utilisation_window(self) -> float:
-        return self._busy_until

@@ -65,6 +65,10 @@ class OverloadConfig:
         if self.admission == "codel" and self.deadline_s is None \
                 and self.codel_target_s is None:
             raise ValueError("codel admission needs deadline_s or codel_target_s")
+        for name in ("dsa_queue_limit", "cpu_queue_limit"):
+            limit = getattr(self, name)
+            if limit is not None and limit < 1:
+                raise ValueError("%s must be >= 1" % name)
 
     @property
     def enabled(self) -> bool:

@@ -133,10 +133,6 @@ class ReplicationHopProfile:
         self._routes[key] = costs
         return costs
 
-    def reference_model(self, size: int, kind=None, placement=None):
-        """The encrypt stage's analytic model (crosscheck hook parity)."""
-        return self.encrypt.reference_model(size, kind, placement)
-
     @property
     def can_spill(self) -> bool:
         """Whether a CPU-onload alternative exists for hop transforms."""

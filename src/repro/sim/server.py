@@ -119,10 +119,6 @@ class ServerMetrics:
     pressure_bytes_per_request: float = 0.0
     pcie_bytes_per_request: float = 0.0
 
-    @property
-    def membw_utilisation(self) -> float:
-        return self.membw_bytes_per_sec / DEFAULT_COSTS.ddr_peak_bytes_per_sec
-
 
 def _dma_factor(p: float) -> float:
     """Fraction of a DMA/DDIO traversal that reaches DRAM: DDIO serves it

@@ -57,11 +57,6 @@ class Schema:
         if len(names) != len(set(names)):
             raise ValueError("duplicate field names in schema")
         self.fields = dict(fields)
-        self._by_name = {spec.name: number for number, spec in fields.items()}
-
-    def number_of(self, name: str) -> int:
-        """Field number for a field name."""
-        return self._by_name[name]
 
     def spec(self, number: int) -> FieldSpec:
         """Field spec for a field number."""

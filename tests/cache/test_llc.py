@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.llc import LLC, AccessClass
+from repro.cache.llc import LLC
 from repro.dram.address import AddressMapping
 from repro.dram.memory_controller import MemoryController, PlainDIMM
 from repro.dram.physical_memory import PhysicalMemory
@@ -98,6 +98,27 @@ def test_cat_mask_must_be_nonzero():
     llc, _, _ = _system()
     with pytest.raises(ValueError):
         llc.set_cpu_way_mask(0)
+
+
+@pytest.mark.parametrize(
+    "masks", [dict(cpu_way_mask=0), dict(cpu_way_mask=0b110000), dict(dma_way_mask=0)]
+)
+def test_constructor_rejects_a_mask_that_selects_no_way(masks):
+    mapping = AddressMapping(rows=1 << 8)
+    mc = MemoryController(mapping, {0: PlainDIMM(PhysicalMemory(1 << 20))})
+    with pytest.raises(ValueError):
+        LLC(mc, size=16 * 1024, ways=4, **masks)
+
+
+def test_rejected_cat_mask_leaves_the_old_one():
+    llc, _, _ = _system()
+    llc.set_cpu_way_mask(0b0011)
+    for mask in (0, 0b110000):
+        with pytest.raises(ValueError):
+            llc.set_cpu_way_mask(mask)
+        assert llc.cpu_way_mask == 0b0011
+    llc.load(0)  # still allocates under the kept mask
+    assert llc.contains(0)
 
 
 def test_effective_cpu_size_follows_mask():

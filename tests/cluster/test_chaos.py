@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.chaos import (
     FaultWindow,
     FleetFaultInjector,
+    epoch_fault_state,
     live_quorum,
     reroute_down,
 )
@@ -128,6 +129,86 @@ class TestAttachValidation:
                         duration_s=0.001)])
         with pytest.raises(ValueError):
             run_scenario(_scenario(), fault_injector=injector)
+
+    @pytest.mark.parametrize("window", [
+        FaultWindow(kind="node_down", server=-1, start_s=0.001, duration_s=0.001),
+        FaultWindow(kind="channel_wedge", server=0, channel=99, start_s=0.001,
+                    duration_s=0.001),
+        FaultWindow(kind="channel_wedge", server=0, channel=-1, start_s=0.001,
+                    duration_s=0.001),
+    ])
+    def test_window_outside_the_fleet_rejected(self, window):
+        with pytest.raises(ValueError):
+            run_scenario(_scenario(), fault_injector=FleetFaultInjector([window]))
+
+
+class _ProbedInjector(FleetFaultInjector):
+    """Samples server 0's down state and channel (0, 0)'s multiplier."""
+
+    PROBES_MS = (3, 5, 7, 9, 11)
+
+    def attach(self, sim, fleet):
+        super().attach(sim, fleet)
+        self.seen = {}
+        for ms in self.PROBES_MS:
+            sim.schedule(ms * 1e-3, self._probe, ms)
+
+    def _probe(self, ms):
+        self.seen[ms] = (self.is_down(0), self.dsa_multiplier(0, 0))
+
+
+class TestOverlappingWindows:
+    """Two windows of one kind on one target, [2, 6) and [4, 10) ms: the
+    fault holds until the later one ends, as the vector tier's
+    :func:`epoch_fault_state` has it."""
+
+    @staticmethod
+    def _run(first: dict, second: dict):
+        injector = _ProbedInjector([
+            FaultWindow(server=0, start_s=0.002, duration_s=0.004, **first),
+            FaultWindow(server=0, start_s=0.004, duration_s=0.006, **second),
+        ])
+        scenario = ClusterScenario(
+            servers=2, channels=2, connections=16, scheduler="static",
+            duration_s=0.012, warmup_s=0.001, seed=3)
+        run_scenario(scenario, fault_injector=injector)
+        return injector
+
+    def test_node_stays_down_until_the_last_window_ends(self):
+        injector = self._run({"kind": "node_down"}, {"kind": "node_down"})
+        assert [injector.seen[ms][0] for ms in _ProbedInjector.PROBES_MS] == [
+            True, True, True, True, False]
+        for ms in (7, 9):
+            down, _ = epoch_fault_state(injector.windows, ms * 1e-3, (ms + 1) * 1e-3)
+            assert down == {0}
+        # Both windows are restored when the node rejoins, at 10 ms.
+        assert [w.restored_s for w in injector.windows] == [0.01, 0.01]
+
+    def test_wedge_keeps_the_largest_slowdown(self):
+        wedge = {"kind": "channel_wedge", "channel": 0}
+        injector = self._run(dict(wedge, dsa_slowdown=50.0),
+                             dict(wedge, dsa_slowdown=20.0))
+        assert [injector.seen[ms][1] for ms in _ProbedInjector.PROBES_MS] == [
+            50.0, 50.0, 20.0, 20.0, 1.0]
+        for ms in _ProbedInjector.PROBES_MS:
+            _, wedged = epoch_fault_state(injector.windows, ms * 1e-3, ms * 1e-3)
+            assert wedged.get((0, 0), 1.0) == injector.seen[ms][1]
+
+    def test_overlapping_storms_keep_the_largest_rate(self):
+        injector = FleetFaultInjector([
+            FaultWindow(kind="sdc_storm", server=0, start_s=0.002,
+                        duration_s=0.004, sdc_rate=0.5),
+            FaultWindow(kind="sdc_storm", server=0, start_s=0.004,
+                        duration_s=0.006, sdc_rate=0.1),
+        ])
+        first, second = injector.windows
+        injector._start(first)
+        injector._start(second)
+        assert injector._sdc == {0: 0.5}
+        injector._end(first)
+        assert injector._sdc == {0: 0.1}
+        injector._end(second)
+        assert injector._sdc == {}
 
 
 class TestChaosScenario:

@@ -9,7 +9,6 @@ import pytest
 
 from repro.cluster.metrics import (
     Counter,
-    Gauge,
     LogHistogram,
     MetricsRegistry,
     Timeline,
@@ -185,7 +184,7 @@ def test_mean_min_max_are_exact():
     assert hist.count == 3
 
 
-# -- counters / gauges / registry ---------------------------------------------------
+# -- counters / registry ---------------------------------------------------
 
 
 # -- bulk ingest -------------------------------------------------------------------
@@ -238,12 +237,11 @@ def test_record_many_accepts_numpy_arrays_and_accumulates():
     assert hist.summary()["p50"] == reference.summary()["p50"]
 
 
-def test_counter_and_gauge():
-    counter, gauge = Counter("c"), Gauge("g")
+def test_counter():
+    counter = Counter("c")
     counter.inc()
     counter.inc(4)
-    gauge.set(2.5)
-    assert counter.value == 5 and gauge.value == 2.5
+    assert counter.value == 5
 
 
 def test_registry_renders_deterministic_json():

@@ -22,7 +22,7 @@ RESULT = {"rps": 123.0, "bottleneck": "dsa"}
 
 @pytest.fixture
 def spec():
-    return RunSpec.make("datapath", "crossover/tls/cpu/16384", 1)
+    return RunSpec("datapath", "crossover/tls/cpu/16384", 1)
 
 
 @pytest.fixture
@@ -49,16 +49,13 @@ class TestHitAndMiss:
         dict(instance="crossover/tls/cpu/4096"),
         dict(seed=2),
         dict(quick=True),
-        dict(params={"value_bytes": 4096}),
     ])
     def test_any_spec_field_change_misses(self, cache, spec, change):
         cache.put(spec, DIGEST, RESULT, elapsed_s=0.5)
         fields = dict(target=spec.target, instance=spec.instance,
-                      seed=spec.seed, quick=spec.quick, params={})
+                      seed=spec.seed, quick=spec.quick)
         fields.update(change)
-        params = fields.pop("params")
-        changed = RunSpec.make(**fields, **params)
-        assert cache.get(changed, DIGEST) is None
+        assert cache.get(RunSpec(**fields), DIGEST) is None
 
     def test_code_digest_change_misses(self, cache, spec):
         cache.put(spec, DIGEST, RESULT, elapsed_s=0.5)

@@ -18,9 +18,9 @@ pytestmark = pytest.mark.exp
 class TestPool:
     def test_two_quick_points_through_the_real_pool(self):
         specs = [
-            RunSpec.make("datapath", "crossover/tls/cpu/16384", 1,
+            RunSpec("datapath", "crossover/tls/cpu/16384", 1,
                          quick=True),
-            RunSpec.make("datapath", "crossover/tls/smartdimm/16384", 1,
+            RunSpec("datapath", "crossover/tls/smartdimm/16384", 1,
                          quick=True),
         ]
         out = run_points(specs, jobs=2)

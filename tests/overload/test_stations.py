@@ -159,14 +159,39 @@ class TestAdmission:
         assert fleet.submitted.value == 0
 
 
+def fill_channel(sim, channel):
+    """Hold `channel` full at queue limit 1: one holder in service and
+    one queued, both far beyond the test horizon."""
+    resource = channel.resource
+
+    def hold():
+        yield resource.acquire()
+        yield 1.0
+        resource.release()
+
+    sim.spawn(hold())
+    sim.spawn(hold())
+    sim.run(until=1e-9)
+    assert resource.full
+
+
 class TestBackpressure:
+    @pytest.mark.parametrize("limits", [
+        dict(dsa_queue_limit=0), dict(cpu_queue_limit=0),
+        dict(dsa_queue_limit=-1), dict(cpu_queue_limit=-3),
+    ])
+    def test_queue_limit_below_one_rejected(self, limits):
+        with pytest.raises(ValueError):
+            OverloadConfig(deadline_s=DEADLINE, **limits)
+
     def test_full_everywhere_rejects(self):
-        # dsa_queue_limit=0: the only channel is permanently "full"; no
-        # spill alternative -> the request is rejected at submission.
+        # The only channel is full; no spill alternative -> the request
+        # is rejected at submission.
         profile = StubProfile(cpu=1e-6, dsa=1e-4,
                               placement=Placement.SMARTDIMM)
         sim, fleet = make_fleet(
-            profile, OverloadConfig(deadline_s=DEADLINE, dsa_queue_limit=0))
+            profile, OverloadConfig(deadline_s=DEADLINE, dsa_queue_limit=1))
+        fill_channel(sim, fleet.servers[0].channels[0])
         request = req(sim, 0)
         assert fleet.submit(request) is None
         assert request.outcome == "rejected-backpressure"
@@ -180,17 +205,7 @@ class TestBackpressure:
         sim, fleet = make_fleet(
             profile, OverloadConfig(deadline_s=DEADLINE, dsa_queue_limit=1),
             servers=2)
-        blocked = fleet.servers[0].channels[0].resource
-
-        def hold():
-            yield blocked.acquire()
-            yield 1.0  # far beyond the test horizon
-            blocked.release()
-
-        sim.spawn(hold())
-        sim.spawn(hold())  # 1 in service + 1 queued = full at limit 1
-        sim.run(until=1e-9)
-        assert blocked.full
+        fill_channel(sim, fleet.servers[0].channels[0])
         request = req(sim, 0)
         assert fleet.submit(request) is not None
         sim.run(until=0.1)
@@ -199,12 +214,13 @@ class TestBackpressure:
         assert fleet.rejected_backpressure.value == 0
 
     def test_spills_to_cpu_when_dsa_full(self):
-        # One server, DSA permanently full, but the ULP can onload: the
-        # base reroute escalation forces a CPU spill instead of rejecting.
+        # One server, DSA full, but the ULP can onload: the base reroute
+        # escalation forces a CPU spill instead of rejecting.
         profile = StubProfile(cpu=1e-6, dsa=1e-4, link=1e-6,
                               placement=Placement.SMARTDIMM, spillable=True)
         sim, fleet = make_fleet(
-            profile, OverloadConfig(deadline_s=DEADLINE, dsa_queue_limit=0))
+            profile, OverloadConfig(deadline_s=DEADLINE, dsa_queue_limit=1))
+        fill_channel(sim, fleet.servers[0].channels[0])
         request = req(sim, 0)
         assert fleet.submit(request) is not None
         sim.run()

@@ -4,6 +4,7 @@ health, under replica failure, and under total quorum loss."""
 import pytest
 
 from repro.cluster.chaos import FaultWindow, FleetFaultInjector
+from repro.cluster.sched import TargetedScheduler
 from repro.replication.scenario import ReplicationScenario, run_replication
 
 pytestmark = pytest.mark.replication
@@ -135,3 +136,42 @@ class TestValidation:
         # Observation 1: NICs cannot run the DEFLATE half of a hop.
         with pytest.raises(ValueError):
             run_replication(_scenario("abd", placement="smartnic"))
+
+
+class TestTargetedBackpressure:
+    """``TargetedScheduler.reroute_full`` under bounded queues: a hop that
+    finds its queue full moves channel or spills on its own server, or is
+    rejected, and never runs on another server."""
+
+    @staticmethod
+    def _reroutes(monkeypatch, **overrides):
+        seen = []
+        original = TargetedScheduler.reroute_full
+
+        def spy(self, fleet, request, assignment):
+            placed = original(self, fleet, request, assignment)
+            seen.append((request.target, assignment, placed))
+            return placed
+
+        monkeypatch.setattr(TargetedScheduler, "reroute_full", spy)
+        report = run_replication(ReplicationScenario(
+            servers=3, channels=2, keys=8, deadline_s=1e-3, seed=5,
+            duration_s=0.010, **overrides))
+        assert report.consistency["violation_count"] == 0
+        for target, _, placed in seen:
+            assert target >= 0
+            assert placed is None or placed.server == target
+        return seen
+
+    def test_full_channel_moves_channel_or_spills_on_the_target(self, monkeypatch):
+        seen = self._reroutes(monkeypatch, dsa_bytes_per_sec=100e6, threads=16,
+                              clients=64, dsa_queue_limit=1)
+        spilled = [placed.spill and not assignment.spill
+                   for _, assignment, placed in seen]
+        assert all(placed is not None for _, _, placed in seen)
+        assert any(spilled) and not all(spilled)
+
+    def test_full_target_rejects(self, monkeypatch):
+        seen = self._reroutes(monkeypatch, threads=2, clients=24,
+                              dsa_queue_limit=1, cpu_queue_limit=1)
+        assert seen and all(placed is None for _, _, placed in seen)

@@ -64,3 +64,33 @@ def test_experiments_cites_existing_tests():
     assert cited
     missing = sorted(path for path in cited if not (ROOT / path).is_file())
     assert not missing, "EXPERIMENTS.md cites missing tests: %s" % missing
+
+
+def _inventory_files():
+    """(package, file) for every ``*.py`` named in DESIGN.md's "System
+    inventory" under a ``repro.<package>`` entry or heading."""
+    text = (ROOT / "DESIGN.md").read_text()
+    section = text.split("## System inventory", 1)[1].split("\n## ", 1)[0]
+    package = None
+    listed = []
+    for line in section.splitlines():
+        if line.startswith("#"):
+            found = re.search(r"`repro\.(\w+)`", line)
+            package = found.group(1) if found else None
+            continue
+        found = re.match(r"\d+\. \*\*`repro\.(\w+)`\*\*", line)
+        if found:
+            package = found.group(1)
+        if package:
+            listed += [(package, name) for name in re.findall(r"`([\w/]+\.py)`", line)]
+    return listed
+
+
+def test_design_inventory_lists_existing_modules():
+    listed = _inventory_files()
+    assert len(listed) > 40
+    missing = sorted(
+        "repro.%s: %s" % (package, name) for package, name in listed
+        if not (ROOT / (name if name.startswith("tests/")
+                        else "src/repro/%s/%s" % (package, name))).is_file())
+    assert not missing, "DESIGN.md's inventory lists missing files: %s" % missing
