@@ -279,6 +279,8 @@ class LLC:
         pop-all-then-issue-run is command- and stats-identical to the
         per-line :meth:`flush_range_reference` loop.
         """
+        if length <= 0:
+            return 0
         dirty = 0
         run_first = None
         run_datas = []
@@ -303,6 +305,8 @@ class LLC:
 
         Runs under ``SessionConfig(fast_path=False)``, the oracle side of
         ``tests/core/test_batch_fast_path.py``."""
+        if length <= 0:
+            return 0
         start = address & ~(CACHELINE_SIZE - 1)
         dirty = 0
         for line_address in range(start, address + length, CACHELINE_SIZE):

@@ -58,6 +58,9 @@ class FaultWindow:
             raise ValueError("channel_wedge needs a channel index")
         if self.kind == "sdc_storm" and not 0.0 < self.sdc_rate <= 1.0:
             raise ValueError("sdc_storm needs sdc_rate in (0, 1]")
+        if not self.dsa_slowdown >= 1.0:
+            # A wedge slows a channel; it cannot make it faster.
+            raise ValueError("dsa_slowdown must be >= 1")
         if self.duration_s <= 0:
             raise ValueError("fault duration must be positive")
 
@@ -368,15 +371,19 @@ class FleetFaultInjector:
                     self.counters.sdc_undetected += 1
 
     def _mark_detected(self, kind: str, server: int, channel) -> None:
+        """A detection is the detection of every matching window active
+        now: started, and its service not yet restored."""
         for window in self.windows:
             if (window.kind == kind and window.server == server
                     and (channel is None or window.channel == channel)
                     and window.detected_s is None
+                    and window.restored_s is None
                     and window.start_s <= self.sim.now):
                 window.detected_s = self.sim.now
-                return
 
     def _mark_restored(self, server: int, channel: int) -> None:
+        """A breaker re-close restores every matching window that has
+        already ended."""
         for window in self.windows:
             if (window.kind in ("channel_wedge", "sdc_storm")
                     and window.server == server
@@ -384,7 +391,6 @@ class FleetFaultInjector:
                     and window.restored_s is None
                     and self.sim.now >= window.end_s):
                 window.restored_s = self.sim.now
-                return
 
     # -- completion path -------------------------------------------------------------
 

@@ -142,25 +142,33 @@ class CompCpy:
             self.force_recycle(pages)
             offload = self.driver.register_offload(kind, context, sbuf, dbuf, pages)
 
-        if ordered:
-            self.stats.ordered_copies += 1
-            for offset in range(0, size, CACHELINE_SIZE):
-                line = self.llc.load(sbuf + offset)
-                self.llc.store(dbuf + offset, line)
-                self.mc.fence()  # membar between 64-byte segments
-        elif self.fast:
-            self.llc.copy_range(sbuf, dbuf, size // CACHELINE_SIZE)
-        else:
-            for offset in range(0, size, CACHELINE_SIZE):
-                line = self.llc.load(sbuf + offset)
-                self.llc.store(dbuf + offset, line)
+        try:
+            if ordered:
+                self.stats.ordered_copies += 1
+                for offset in range(0, size, CACHELINE_SIZE):
+                    line = self.llc.load(sbuf + offset)
+                    self.llc.store(dbuf + offset, line)
+                    self.mc.fence()  # membar between 64-byte segments
+            elif self.fast:
+                self.llc.copy_range(sbuf, dbuf, size // CACHELINE_SIZE)
+            else:
+                for offset in range(0, size, CACHELINE_SIZE):
+                    line = self.llc.load(sbuf + offset)
+                    self.llc.store(dbuf + offset, line)
 
-        # USE(dbuf): flush so subsequent reads see the DSA's output, not the
-        # plaintext copies the memcpy left dirty in the LLC.  The writebacks
-        # this triggers are the self-recycle traffic of Sec. IV-B.
-        if flush_destination:
-            self._flush_range(dbuf, size)
-            self.mc.fence()
+            # USE(dbuf): flush so subsequent reads see the DSA's output, not
+            # the plaintext copies the memcpy left dirty in the LLC.  The
+            # writebacks this triggers are the self-recycle traffic of
+            # Sec. IV-B.
+            if flush_destination:
+                self._flush_range(dbuf, size)
+                self.mc.fence()
+        except Exception:
+            # A fault inside the copy (a poisoned source line) leaves the
+            # registered offload live, and only this call holds its handle:
+            # abort it so the caller's page frees find no bindings left.
+            self.driver.abort_offload(offload)
+            raise
         self.stats.calls += 1
         self.stats.pages_offloaded += pages
         self.retry_budget.on_success()  # completed copies refill the bucket

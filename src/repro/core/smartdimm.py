@@ -27,7 +27,7 @@ from repro.dram.commands import CACHELINE_SIZE, LINES_PER_PAGE, PAGE_SIZE, Comma
 from repro.dram.memory_controller import CasResult
 from repro.dram.physical_memory import PhysicalMemory
 from repro.faults.checksum import payload_checksum
-from repro.faults.errors import DeviceBusyError
+from repro.faults.errors import DeviceBusyError, FaultError
 from repro.faults.plan import FaultSite
 from repro.core.bank_table import BankTable
 from repro.core.config_memory import ConfigMemory
@@ -615,36 +615,44 @@ class SmartDIMM:
     # -- batched fast path (MemoryController.read_lines/write_lines) --------------------
 
     def bulk_ok(self, address: int) -> bool:
-        """Whether a same-row burst at `address` may skip Command decoding.
-
-        MMIO lines need the full per-command path, and an attached fault
-        plan needs the per-line reference path so every injection site
-        draws from its RNG stream in reference order.
-        """
-        return self.fault_plan is None and not self._in_mmio(address)
+        """Whether a same-row burst at `address` may skip Command decoding:
+        everywhere but the MMIO page, whose register accesses need the
+        per-command path.  Fault plans and RAS engines take bursts too:
+        each injection site draws from its own stream, and a burst keeps
+        every site's draws per line and in line order."""
+        return not self._in_mmio(address)
 
     def read_line_run(self, address: int, count: int, first_cycle: int,
                       step: int) -> tuple:
         """Serve consecutive rdCAS bursts; stats-identical to the per-line
-        arbiter walk.  Returns ``(data, served, alerted)``: on S13 the run
-        stops at the pending line (its issue is counted here; the
-        controller owns the retry loop).  The run never crosses a page, so
-        one translation lookup covers every line.
+        arbiter walk.  Returns ``(data, served, alerted, error)``: the run
+        stops at the first line that asserts ALERT_N (S13, `alerted`) or
+        whose DRAM read raises a :class:`~repro.faults.errors.FaultError`
+        (`error`).  Lines before it are served, and on a source page fed
+        to the DSA; the stopping issue is counted here as the per-line
+        walk counts it (one address regeneration; a plain or RECYCLED
+        line's read counted before the DRAM access, a source line's
+        after it), and the controller owns the retry loop or the re-raise.
+        The run never crosses a page, so one translation lookup covers
+        every line.
         """
         stats = self.stats
         entry = self.translation_table.lookup(address >> 12)
-        if entry is None:
-            stats.address_regenerations += count
-            stats.normal_reads += count
-            return self.memory.read_lines(address, count), count, False
-        if entry.is_source:
-            stats.address_regenerations += count
-            stats.normal_reads += count
-            data = self.memory.read_lines(address, count)
-            self._feed_dsa_run(
-                address, count, data, first_cycle, step, OffloadTrigger.SOURCE_READ
-            )
-            return data, count, False
+        if entry is None or entry.is_source:
+            data, error = self.memory.read_lines(address, count)
+            served = len(data) >> 6
+            issued = served + (error is not None)
+            stats.address_regenerations += issued
+            if entry is None:
+                # A plain rdCAS counts its read before the DRAM access...
+                stats.normal_reads += issued
+            else:
+                # ...a source rdCAS after it, then feeds the DSA.
+                stats.normal_reads += served
+                self._feed_dsa_run(
+                    address, served, data, first_cycle, step, OffloadTrigger.SOURCE_READ
+                )
+            return data, served, False, error
         index = entry.target_offset
         line = (address & (PAGE_SIZE - 1)) // CACHELINE_SIZE
         page = self.scratchpad.page(index)
@@ -657,7 +665,11 @@ class SmartDIMM:
             state = states[line_m]
             if state is LineState.RECYCLED:
                 stats.normal_reads += 1
-                parts.append(self.memory.read_line(address + (m << 6)))
+                try:
+                    parts.append(self.memory.read_line(address + (m << 6)))
+                except FaultError as error:
+                    stats.address_regenerations += served + 1
+                    return b"".join(parts), served, False, error
             elif state is LineState.VALID and (
                 ready_cycles[line_m] is None
                 or first_cycle + step * m >= ready_cycles[line_m]
@@ -669,10 +681,10 @@ class SmartDIMM:
                 # S13: the alerting issue still regenerated its address.
                 stats.alerts += 1
                 stats.address_regenerations += served + 1
-                return b"".join(parts), served, True
+                return b"".join(parts), served, True, None
             served += 1
         stats.address_regenerations += served
-        return b"".join(parts), served, False
+        return b"".join(parts), served, False, None
 
     def write_line_run(self, address: int, datas: list, first_cycle: int,
                        step: int) -> None:

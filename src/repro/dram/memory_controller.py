@@ -60,8 +60,12 @@ class PlainDIMM:
 
     def read_line_run(self, address: int, count: int, first_cycle: int,
                       step: int) -> tuple:
-        """Serve `count` consecutive rdCAS bursts; never alerts."""
-        return self.memory.read_lines(address, count), count, False
+        """Serve up to `count` consecutive rdCAS bursts; never alerts.
+        Returns ``(data, served, False, error)``: the run stops at the
+        first line whose DRAM read raises (`error`, e.g. a RAS poison),
+        whose issue the controller charges before re-raising."""
+        data, error = self.memory.read_lines(address, count)
+        return data, len(data) >> 6, False, error
 
     def write_line_run(self, address: int, datas: list, first_cycle: int,
                        step: int) -> None:
@@ -263,10 +267,10 @@ class MemoryController:
                     self.cycle += timing.turnaround_cycles
                 self._last_direction = "read"
                 first_cycle = self.cycle + cas
-                data, served, alerted = device.read_line_run(
+                data, served, alerted, error = device.read_line_run(
                     address, run, first_cycle, cas
                 )
-                issued = served + (1 if alerted else 0)
+                issued = served + (alerted or error is not None)
                 self.stats.row_hits += issued - 1
                 self.cycle += cas * issued
                 if self.trace is not None:
@@ -282,6 +286,10 @@ class MemoryController:
                     address += served << 6
                     run -= served
                     count -= served
+                if error is not None:
+                    # The stopping issue is charged above; the per-line
+                    # path raises here, where its ALERT_N loop would start.
+                    raise error
                 if alerted:
                     # The alerting issue is already charged above; continue
                     # the reference backoff/reissue loop for that line.

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dram.commands import CACHELINE_SIZE, PAGE_SIZE
+from repro.faults.errors import FaultError
 from repro.faults.plan import FaultSite
 
 
@@ -143,20 +144,29 @@ class PhysicalMemory:
             raise ValueError("line write must be %d bytes" % CACHELINE_SIZE)
         self.write(address, data)
 
-    def read_lines(self, address: int, count: int) -> bytes:
-        """Read `count` consecutive cachelines (== joining read_line calls).
+    def read_lines(self, address: int, count: int) -> tuple:
+        """Read up to `count` consecutive cachelines as one burst.
 
-        With a fault plan attached this falls back to the per-line loop so
-        the ``dram.corrupt`` RNG stream sees one decision per line in the
-        same order as the reference path.
+        Returns ``(data, error)``.  With a fault plan or RAS engine
+        attached, every line is its own :meth:`read_line` (one RAS check
+        and one ``dram.corrupt`` decision per line, in line order), and the
+        burst stops at the first line whose read raises a
+        :class:`~repro.faults.errors.FaultError`: `data` holds the lines
+        before it and `error` is that exception, for the caller to raise
+        once it has charged the stopping access.  `error` is None when
+        every line was read.
         """
         if address % CACHELINE_SIZE:
             raise ValueError("unaligned line read at 0x%x" % address)
-        if self._fault_plan is not None or self._ras is not None:
-            return b"".join(
-                self.read_line(address + (i << 6)) for i in range(count)
-            )
-        return self.read(address, count * CACHELINE_SIZE)
+        if self._fault_plan is None and self._ras is None:
+            return self.read(address, count * CACHELINE_SIZE), None
+        parts = []
+        for m in range(count):
+            try:
+                parts.append(self.read_line(address + (m << 6)))
+            except FaultError as error:
+                return b"".join(parts), error
+        return b"".join(parts), None
 
     def write_lines(self, address: int, data: bytes) -> None:
         """Write consecutive cachelines in one span."""

@@ -66,10 +66,6 @@ SCRUB_OVERHEAD_CEILING = 0.10
 KEY = bytes(range(16))
 
 
-def _payload(rng: random.Random, length: int) -> bytes:
-    return bytes(rng.randrange(256) for _ in range(length))
-
-
 # -- grid: scrub rate x SDC rate over the micro stack --------------------------------
 
 
@@ -97,7 +93,7 @@ def _micro_cell(seed: int, scrub_lines: int, sdc_rate: float,
     wset = session.driver.alloc_pages(wset_pages)
     golden = {}
     for page in range(wset_pages):
-        golden[page] = _payload(harness, PAGE_SIZE)
+        golden[page] = harness.randbytes(PAGE_SIZE)
         session.write(wset + page * PAGE_SIZE, golden[page])
     session.llc.flush_range(wset, wset_pages * PAGE_SIZE)
     total_lines = wset_pages * LINES_PER_PAGE
@@ -125,7 +121,7 @@ def _micro_cell(seed: int, scrub_lines: int, sdc_rate: float,
         # is charged for the bandwidth via pump_ras).
         session.mc.cycle += IDLE_CYCLES_PER_OP
         session.pump_ras()
-        payload = _payload(harness, payload_bytes)
+        payload = harness.randbytes(payload_bytes)
         nonce = op.to_bytes(12, "little")
         ct, tag = gcm.encrypt(nonce, payload, b"")
         result = session.tls_encrypt(KEY, nonce, payload)
@@ -197,7 +193,7 @@ def _tls_arm(seed: int, ops: int, verify: bool,
     harness = random.Random(seed ^ 0x715)
     corrupted = detected = undetected = spilled = 0
     for op in range(ops):
-        payload = _payload(harness, 2048)
+        payload = harness.randbytes(2048)
         nonce = op.to_bytes(12, "little")
         ct, tag = gcm.encrypt(nonce, payload, b"")
         if quarantine is not None and not quarantine.allow("tls"):
@@ -360,7 +356,7 @@ def _node_telemetry(seed: int, servers: int, steps: int,
         memory.attach_ras(ras)
         rng = random.Random(seed * 1000 + server)
         for page in range(pages):
-            memory.write(page * PAGE_SIZE, _payload(rng, PAGE_SIZE))
+            memory.write(page * PAGE_SIZE, rng.randbytes(PAGE_SIZE))
         total_lines = pages * LINES_PER_PAGE
         poison_reads = 0
         for step in range(1, steps + 1):

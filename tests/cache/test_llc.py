@@ -84,6 +84,24 @@ def test_flush_range_counts_dirty_lines():
     assert llc.flush_range(512, 64) == 0  # clean line
 
 
+@pytest.mark.parametrize("flush", ["flush_range", "flush_range_reference"])
+@pytest.mark.parametrize("address, length, flushed", [
+    (10, 0, []),  # empty range at an unaligned address
+    (64, 0, []),  # empty range at an aligned address
+    (10, 60, [0, 1]),  # [10, 70) ends mid-line 1
+    (0, 100, [0, 1]),  # [0, 100) ends mid-line 1
+])
+def test_flush_range_covers_exactly_the_lines_the_range_touches(
+        flush, address, length, flushed):
+    llc, mc, _ = _system()
+    for line in range(3):
+        llc.store(line * 64, bytes([line + 1]) * 64)
+    assert getattr(llc, flush)(address, length) == len(flushed)
+    assert [line for line in range(3) if not llc.contains(line * 64)] == flushed
+    assert llc.stats.flushes == len(flushed)
+    assert llc.stats.writebacks == len(flushed)
+
+
 def test_cat_way_mask_restricts_allocation():
     llc, _, _ = _system(cache_size=4 * 64 * 8, ways=8)
     llc.set_cpu_way_mask(0b0001)  # one way only

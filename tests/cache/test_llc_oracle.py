@@ -176,6 +176,8 @@ class ReferenceLLC:
             self.store(dst + (i << 6), self.load(src + (i << 6)))
 
     def flush_range(self, address, length):
+        if length <= 0:
+            return 0  # an empty range flushes nothing, aligned or not
         start = address & ~(CACHELINE_SIZE - 1)
         return sum(
             self.flush_line(line_address)

@@ -1,5 +1,7 @@
 """Fleet-level chaos: fault windows, failover, breaker spill, and reports."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster.chaos import (
@@ -38,6 +40,14 @@ class TestFaultWindow:
         with pytest.raises(ValueError):
             FaultWindow(kind="channel_wedge", server=0, start_s=0.0,
                         duration_s=1.0)
+
+    @pytest.mark.parametrize("slowdown", [0.5, 0.0, -1.0, float("nan")])
+    def test_slowdown_below_one_rejected(self, slowdown):
+        # A wedge cannot make a channel faster; the event tier and
+        # epoch_fault_state would disagree on such a multiplier.
+        with pytest.raises(ValueError):
+            FaultWindow(kind="channel_wedge", server=0, channel=0,
+                        start_s=0.0, duration_s=1.0, dsa_slowdown=slowdown)
 
     def test_duration_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -209,6 +219,44 @@ class TestOverlappingWindows:
         assert injector._sdc == {0: 0.1}
         injector._end(second)
         assert injector._sdc == {}
+
+    def test_breaker_reclose_restores_every_ended_wedge(self):
+        injector = FleetFaultInjector([
+            FaultWindow(kind="channel_wedge", server=0, channel=0,
+                        start_s=0.002, duration_s=0.004),
+            FaultWindow(kind="channel_wedge", server=0, channel=0,
+                        start_s=0.004, duration_s=0.006),
+        ])
+        scenario = ClusterScenario(
+            servers=2, channels=2, connections=64, ulp="tls",
+            message_bytes=16384, mode="closed", scheduler="static",
+            duration_s=0.020, seed=3)
+        run_scenario(scenario, fault_injector=injector)
+        first, second = injector.windows
+        assert 0.002 <= first.detected_s < 0.004
+        # The channel recovers once, after both wedges end: that one
+        # breaker re-close restores both windows.
+        assert first.restored_s is not None and first.restored_s >= 0.010
+        assert second.restored_s == first.restored_s
+        assert second.mttr_s == pytest.approx(first.restored_s - 0.004)
+
+    def test_detection_marks_every_active_window(self):
+        windows = [
+            FaultWindow(kind="channel_wedge", server=0, channel=0,
+                        start_s=0.002, duration_s=0.004),
+            FaultWindow(kind="channel_wedge", server=0, channel=0,
+                        start_s=0.003, duration_s=0.006),
+            FaultWindow(kind="channel_wedge", server=0, channel=0,
+                        start_s=0.005, duration_s=0.001),
+        ]
+        injector = FleetFaultInjector(windows)
+        injector.sim = SimpleNamespace(now=0.004)
+        injector._mark_detected("channel_wedge", 0, 0)
+        # Both started windows are detected; the later one is not yet.
+        assert [w.detected_s for w in windows] == [0.004, 0.004, None]
+        injector.sim.now = 0.0065
+        injector._mark_restored(0, 0)
+        assert [w.restored_s for w in windows] == [0.0065, None, 0.0065]
 
 
 class TestChaosScenario:

@@ -115,6 +115,37 @@ class TestPoisonEscalation:
         assert stats.offloads_finalized == 0
 
 
+    def test_poison_inside_a_session_copy_onloads_and_leaks_nothing(self):
+        """A poisoned source line read by CompCpy's copy, after the offload
+        registered: CompCpy aborts it, so the op onloads, the device holds
+        no live offload, and the next op offloads from a clean slate."""
+        session = SmartDIMMSession(SessionConfig(
+            fault_plan=FaultPlan(seed=1),
+            ras=RasConfig(scrub_lines_per_pass=0)))
+        register = session.driver.register_offload
+
+        def register_then_poison(kind, context, sbuf, dbuf, pages, **kwargs):
+            # CompCpy flushed the source before registering, so the copy
+            # reads these flips from DRAM.
+            session.driver.register_offload = register
+            offload = register(kind, context, sbuf, dbuf, pages, **kwargs)
+            session.ras.inject_flips(sbuf + 5 * CACHELINE_SIZE, bits=2)
+            return offload
+
+        session.driver.register_offload = register_then_poison
+        gcm = AESGCM(KEY)
+        payload = bytes(range(256)) * 8
+        for op in range(3):
+            nonce = op.to_bytes(12, "little")
+            ct, tag = gcm.encrypt(nonce, payload, b"")
+            assert session.tls_encrypt(KEY, nonce, payload) == ct + tag
+            assert session.device._offloads == {}
+        assert session.ras.report()["poison_reads"] == 1
+        assert session.device.stats.offloads_aborted == 1
+        assert session.resilience_stats.onloaded_ops == 1
+        assert session.resilience_stats.offloaded_ops == 2
+
+
 class TestRowRetirement:
     def test_leaky_bucket_retires_a_weak_row(self, ras_session):
         base, data = _resident(ras_session)
