@@ -179,10 +179,12 @@ class LLC:
         headroom = self.mc.write_headroom() // writes_per_line + 1
         return min(remaining, headroom, distance)
 
-    def _prefetch(self, first: int, count: int) -> dict:
+    def _prefetch(self, first: int, count: int) -> tuple:
         """Read the non-resident lines among `count` from line `first`,
         one :meth:`MemoryController.read_lines` call per run of
-        consecutive misses; returns line number -> data."""
+        consecutive misses.  Returns ``(fetched, stop, error)``: line
+        number -> data, and the line whose read raised `error` (``first
+        + count`` and None when every read completed)."""
         lines = self._lines
         fetched = {}
         end = first + count
@@ -194,11 +196,21 @@ class LLC:
             run_end = number + 1
             while run_end < end and run_end not in lines:
                 run_end += 1
-            data = self.mc.read_lines(number << 6, run_end - number)
+            data, error = self.mc.read_lines(number << 6, run_end - number)
             for offset in range(0, len(data), CACHELINE_SIZE):
                 fetched[number] = data[offset : offset + CACHELINE_SIZE]
                 number += 1
-        return fetched
+            if error is not None:
+                return fetched, number, error
+        return fetched, end, None
+
+    def _raise_at(self, error: Exception):
+        """Charge the access whose read raised `error` as :meth:`_access`
+        charges a miss before its read (one clock tick, one miss), then
+        raise: the lines after it are never accessed."""
+        self._clock += 1
+        self.stats.misses += 1
+        raise error
 
     # -- CPU interface -------------------------------------------------------------
 
@@ -220,9 +232,11 @@ class LLC:
         done = 0
         while done < count:
             chunk = self._chunk(count - done, 1, self.num_sets)
-            fetched = self._prefetch(first + done, chunk)
-            for number in range(first + done, first + done + chunk):
+            fetched, stop, error = self._prefetch(first + done, chunk)
+            for number in range(first + done, stop):
                 parts.append(bytes(self._access(number, fetched.get(number)).data))
+            if error is not None:
+                self._raise_at(error)
             done += chunk
         return b"".join(parts)
 
@@ -246,9 +260,11 @@ class LLC:
         done = 0
         while done < count:
             chunk = self._chunk(count - done, 2, distance)
-            fetched = self._prefetch(src + done, chunk)
-            for m in range(done, done + chunk):
+            fetched, stop, error = self._prefetch(src + done, chunk)
+            for m in range(done, stop - src):
                 self._write(dst + m, bytes(self._access(src + m, fetched.get(src + m)).data))
+            if error is not None:
+                self._raise_at(error)
             done += chunk
 
     def _remove(self, number: int):
@@ -276,8 +292,8 @@ class LLC:
         Dirty resident lines at consecutive addresses are written back as
         one :meth:`MemoryController.write_lines_now` run.  Queue pops emit
         no commands and writeback issues never read the queue, so
-        pop-all-then-issue-run is command- and stats-identical to the
-        per-line :meth:`flush_range_reference` loop.
+        pop-all-then-issue-run is command- and stats-identical to a
+        :meth:`flush_line` loop over the range.
         """
         if length <= 0:
             return 0
@@ -298,20 +314,6 @@ class LLC:
                 run_datas = []
         if run_datas:
             self.mc.write_lines_now(run_first << 6, run_datas)
-        return dirty
-
-    def flush_range_reference(self, address: int, length: int) -> int:
-        """Reference flush: the original per-line clflush loop.
-
-        Runs under ``SessionConfig(fast_path=False)``, the oracle side of
-        ``tests/core/test_batch_fast_path.py``."""
-        if length <= 0:
-            return 0
-        start = address & ~(CACHELINE_SIZE - 1)
-        dirty = 0
-        for line_address in range(start, address + length, CACHELINE_SIZE):
-            if self.flush_line(line_address):
-                dirty += 1
         return dirty
 
     def contains(self, address: int) -> bool:

@@ -256,6 +256,16 @@ class FleetFaultInjector:
     def _start(self, window: FaultWindow) -> None:
         self._active.append(window)
         self._recompute()
+        # A window is detected at its first instant with its lane's breaker
+        # OPEN: now, if a breaker it covers is already open (no CLOSED ->
+        # OPEN edge is then left inside it), else at the next entry into
+        # OPEN in observe_dsa.
+        if window.kind != "node_down" and any(
+                breaker.state is BreakerState.OPEN
+                for (server, channel), breaker in self._breakers.items()
+                if server == window.server
+                and window.channel in (None, channel)):
+            self._mark_detected(window.kind, window.server, window.channel)
 
     def _end(self, window: FaultWindow) -> None:
         self._active.remove(window)
@@ -342,14 +352,13 @@ class FleetFaultInjector:
         ratio = observed_seconds / nominal_seconds
         breaker = self._breaker(server, channel)
         self._monitors[(server, channel)].observe(latency=ratio)
-        was_open = breaker.state is not BreakerState.CLOSED
+        before = breaker.state
         if ratio > self.degraded_ratio:
             breaker.record_failure(self.sim.now)
-            if breaker.state is BreakerState.OPEN and not was_open:
-                self._mark_detected("channel_wedge", server, channel)
         else:
             breaker.record_success(self.sim.now)
-            if was_open and breaker.state is BreakerState.CLOSED:
+            if (before is not BreakerState.CLOSED
+                    and breaker.state is BreakerState.CLOSED):
                 self._mark_restored(server, channel)
         rate = self._sdc.get(server)
         if rate is not None:
@@ -362,13 +371,14 @@ class FleetFaultInjector:
                     # the breaker spill path) and the channel takes a
                     # failure — enough of them quarantine the lane.
                     self.counters.sdc_detected += 1
-                    open_before = breaker.state is not BreakerState.CLOSED
                     breaker.record_failure(self.sim.now)
-                    if (breaker.state is BreakerState.OPEN
-                            and not open_before):
-                        self._mark_detected("sdc_storm", server, None)
                 else:
                     self.counters.sdc_undetected += 1
+        if breaker.state is BreakerState.OPEN and before is not BreakerState.OPEN:
+            # The lane is quarantined: that detects every active wedge of
+            # the channel and SDC storm of the server.
+            self._mark_detected("channel_wedge", server, channel)
+            self._mark_detected("sdc_storm", server, None)
 
     def _mark_detected(self, kind: str, server: int, channel) -> None:
         """A detection is the detection of every matching window active

@@ -65,11 +65,10 @@ class CompCpy:
     """The userspace CompCpy library bound to one SmartDIMM."""
 
     def __init__(self, llc, memory_controller, driver: SmartDIMMDriver,
-                 retry_budget: RetryBudget = None, use_fast_path: bool = True):
+                 retry_budget: RetryBudget = None):
         self.llc = llc
         self.mc = memory_controller
         self.driver = driver
-        self.fast = use_fast_path
         self.stats = CompCpyStats()
         # Force-Recycle registration retries draw from this shared bucket
         # (typically the session's, so one storm cannot monopolise the
@@ -120,7 +119,7 @@ class CompCpy:
 
         # Flush sbuf to DRAM so the copy's loads generate rdCAS commands the
         # DSA can observe (50% cheaper when the data already left the cache).
-        self.stats.flushed_dirty_lines += self._flush_range(sbuf, size)
+        self.stats.flushed_dirty_lines += self.llc.flush_range(sbuf, size)
         self.mc.fence()
 
         try:
@@ -149,19 +148,15 @@ class CompCpy:
                     line = self.llc.load(sbuf + offset)
                     self.llc.store(dbuf + offset, line)
                     self.mc.fence()  # membar between 64-byte segments
-            elif self.fast:
-                self.llc.copy_range(sbuf, dbuf, size // CACHELINE_SIZE)
             else:
-                for offset in range(0, size, CACHELINE_SIZE):
-                    line = self.llc.load(sbuf + offset)
-                    self.llc.store(dbuf + offset, line)
+                self.llc.copy_range(sbuf, dbuf, size // CACHELINE_SIZE)
 
             # USE(dbuf): flush so subsequent reads see the DSA's output, not
             # the plaintext copies the memcpy left dirty in the LLC.  The
             # writebacks this triggers are the self-recycle traffic of
             # Sec. IV-B.
             if flush_destination:
-                self._flush_range(dbuf, size)
+                self.llc.flush_range(dbuf, size)
                 self.mc.fence()
         except Exception:
             # A fault inside the copy (a poisoned source line) leaves the
@@ -190,7 +185,7 @@ class CompCpy:
         recycled_before = scratchpad.self_recycled_lines + scratchpad.force_recycled_lines
         for page_number in self.driver.read_pending_pages():
             base = page_number * PAGE_SIZE
-            self._flush_range(base, PAGE_SIZE)
+            self.llc.flush_range(base, PAGE_SIZE)
             self.mc.fence()
             for offset in range(0, PAGE_SIZE, CACHELINE_SIZE):
                 address = base + offset
@@ -227,21 +222,12 @@ class CompCpy:
 
     # -- buffer helpers ---------------------------------------------------------------------
 
-    def _flush_range(self, address: int, length: int) -> int:
-        if self.fast:
-            return self.llc.flush_range(address, length)
-        return self.llc.flush_range_reference(address, length)
-
     def write_buffer(self, address: int, data: bytes) -> None:
         """Application writes into a (page-aligned) buffer through the LLC."""
         if address % CACHELINE_SIZE:
             raise CompCpyError("buffer writes must be line aligned")
         full = len(data) - len(data) % CACHELINE_SIZE
-        if self.fast and full:
-            self.llc.store_range(address, data[:full])
-        else:
-            for offset in range(0, full, CACHELINE_SIZE):
-                self.llc.store(address + offset, data[offset : offset + CACHELINE_SIZE])
+        self.llc.store_range(address, data[:full])
         if full < len(data):
             # Partial tail line: read-modify-write through the cache.
             chunk = data[full:]
@@ -253,10 +239,4 @@ class CompCpy:
         start = address & ~(CACHELINE_SIZE - 1)
         lines = (address + size - start + CACHELINE_SIZE - 1) // CACHELINE_SIZE
         skew = address - start
-        if self.fast:
-            out = self.llc.load_range(start, lines)
-            return out[skew : skew + size]
-        out = bytearray()
-        for i in range(lines):
-            out.extend(self.llc.load(start + i * CACHELINE_SIZE))
-        return bytes(out[skew : skew + size])
+        return self.llc.load_range(start, lines)[skew : skew + size]

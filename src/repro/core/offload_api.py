@@ -100,10 +100,6 @@ class SessionConfig:
     columns_per_row: int = 128
     smartdimm: SmartDIMMConfig = None
     trace: bool = False
-    # Range-granular fast path through LLC/controller/DIMM; False runs the
-    # retained per-line reference path (command-stream/stats-identical), the
-    # oracle of tests/core/test_batch_fast_path.py.
-    fast_path: bool = True
     # Fault-injection plan threaded through the device (None = no injection,
     # zero overhead) and the SEC-DED model toggle for injected DRAM flips.
     fault_plan: object = None
@@ -143,14 +139,13 @@ class SmartDIMMSession:
         )
         self.mc = MemoryController(
             self.mapping, {0: self.device}, TimingParams(),
-            trace=self.config.trace, batch=self.config.fast_path,
+            trace=self.config.trace,
         )
         self.llc = LLC(self.mc, size=self.config.llc_bytes, ways=self.config.llc_ways)
         self.driver = SmartDIMMDriver(self.device, self.mc)
         self.retry_budget = self.config.retry_budget or RetryBudget()
         self.compcpy = CompCpy(self.llc, self.mc, self.driver,
-                               retry_budget=self.retry_budget,
-                               use_fast_path=self.config.fast_path)
+                               retry_budget=self.retry_budget)
         self.compute_dma = ComputeDMA(self.llc, self.mc, self.driver)
         self.direct_offload = DirectOffloadEngine(self.llc, self.mc, self.driver)
         if self.config.fault_plan is not None:

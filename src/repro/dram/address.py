@@ -134,9 +134,9 @@ class AddressMapping:
     def decode(self, address: int) -> DramCoordinate:
         """Physical address -> DRAM coordinate (line-aligned).
 
-        Fast path: a flat shift/mask chain over fields precomputed in
-        ``__init__``.  Equivalence with :meth:`decode_reference` is
-        covered by tests.
+        A flat shift/mask chain over fields precomputed in ``__init__``;
+        :meth:`encode`, the Addr Remap inverse, is its check
+        (``encode(decode(a)) == a`` for every line-aligned address).
         """
         if not 0 <= address < self.total_capacity:
             raise ValueError("address 0x%x out of range" % address)
@@ -152,32 +152,6 @@ class AddressMapping:
             bank=(address >> self._bank_shift) & self._bank_mask,
             row=(address >> self._row_shift) & self._row_mask,
             column=(address >> self._col_shift) & self._col_mask,
-        )
-
-    def decode_reference(self, address: int) -> DramCoordinate:
-        """Reference decoder: the original sequential shift chain, kept as
-        the oracle ``tests/core/test_batch_fast_path.py`` checks
-        :meth:`decode` against."""
-        if not 0 <= address < self.total_capacity:
-            raise ValueError("address 0x%x out of range" % address)
-        bits = address >> self._offset_bits
-        if self.interleave is InterleaveMode.CACHELINE and self.channels > 1:
-            channel = bits & (self.channels - 1)
-            bits >>= self._channel_bits
-        else:
-            channel = 0
-        column = bits & (self.columns_per_row - 1)
-        bits >>= self._column_bits
-        bank = bits & (self.banks_per_group - 1)
-        bits >>= self._bank_bits
-        bank_group = bits & (self.bank_groups - 1)
-        bits >>= self._bg_bits
-        row = bits & (self.rows - 1)
-        bits >>= self._row_bits
-        if self.interleave is InterleaveMode.SINGLE_CHANNEL and self.channels > 1:
-            channel = bits & (self.channels - 1)
-        return DramCoordinate(
-            channel=channel, bank_group=bank_group, bank=bank, row=row, column=column
         )
 
     def page_coordinates(self, page_number: int) -> tuple:

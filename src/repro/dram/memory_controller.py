@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from repro.dram.address import AddressMapping, DramCoordinate
 from repro.dram.commands import CACHELINE_SIZE, Command, CommandType
 from repro.dram.physical_memory import PhysicalMemory
-from repro.faults.errors import DsaWedgedError
+from repro.faults.errors import DsaWedgedError, FaultError
 
 
 @dataclass(slots=True)
@@ -52,7 +52,7 @@ class PlainDIMM:
             return CasResult()
         return CasResult()  # ACT/PRE maintain bank state only
 
-    # -- batched fast path (MemoryController.read_lines/write_lines) --------
+    # -- same-row bursts (MemoryController.read_lines/write_lines_now) ------
 
     def bulk_ok(self, address: int) -> bool:
         """A plain DIMM can always serve a same-row CAS burst."""
@@ -126,13 +126,13 @@ class TraceEntry:
 class MemoryController:
     """Schedules line-granular reads/writes onto per-channel DIMM devices.
 
-    `batch=True` (the default) enables the range-granular fast path: the
-    batch APIs (:meth:`read_lines`, :meth:`write_lines`,
-    :meth:`write_lines_now`) coalesce same-row CAS bursts into one
-    open-row check + one turnaround check per run, and the write-queue
-    drain issues runs instead of single lines.  The command stream, cycle
-    counts, stats, and trace are identical to the per-line reference path
-    (`batch=False`), which the equivalence tests assert.
+    The range APIs (:meth:`read_lines`, :meth:`write_lines_now`) and the
+    write-queue drain coalesce same-row CAS bursts into one open-row check
+    and one turnaround check per run whenever the device's ``bulk_ok``
+    allows it; elsewhere each line is its own ``Command``.  The command
+    stream, cycle counts, stats and trace are those of issuing every line
+    on its own, the per-line oracle of ``tests/micro_oracle.py`` that
+    ``tests/core/test_micro_oracle.py`` checks them against.
     """
 
     WRITE_QUEUE_HIGH_WATERMARK = 48
@@ -144,7 +144,6 @@ class MemoryController:
         dimms: dict,
         timing: TimingParams = None,
         trace: bool = False,
-        batch: bool = True,
     ):
         self.mapping = mapping
         self.dimms = dict(dimms)
@@ -152,7 +151,6 @@ class MemoryController:
         if missing:
             raise ValueError("no DIMM bound to channels %s" % sorted(missing))
         self.timing = timing or TimingParams()
-        self.batch = batch
         self.cycle = 0
         self.stats = ControllerStats()
         self.trace = [] if trace else None
@@ -205,40 +203,43 @@ class MemoryController:
         self._write_queue.pop(address, None)
         self._issue_write(address, data)
 
-    # -- batch line interface (fast path; equivalent to per-line loops) ---------
+    # -- range line interface (same-row bursts; equivalent to per-line loops) --
 
-    def read_lines(self, address: int, count: int) -> bytes:
-        """Read `count` consecutive cachelines (== joining read_line calls).
+    def read_lines(self, address: int, count: int) -> tuple:
+        """Read up to `count` consecutive cachelines (== a read_line loop).
 
         Queued writes are forwarded per line exactly as :meth:`read_line`
         does; the non-forwarded spans between them are issued as same-row
-        CAS bursts through the DIMM's ``read_line_run`` fast path.
+        CAS bursts through the DIMM's ``read_line_run``.  Returns
+        ``(data, error)``: the read stops at the first line whose issue
+        raises a :class:`~repro.faults.errors.FaultError` (a poisoned
+        line, or a wedge out of the ALERT_N loop), with that line's issue
+        charged; `data` holds the lines before it and `error` is the
+        exception, for the caller to raise once it has charged its own
+        access.  `error` is None when every line was read.
         """
         self._check_aligned(address)
-        if count <= 0:
-            return b""
-        if not self.batch or count == 1:
-            return b"".join(
-                self.read_line(address + (i << 6)) for i in range(count)
-            )
         parts = []
         queue = self._write_queue
         i = 0
-        while i < count:
-            line_address = address + (i << 6)
-            queued = queue.get(line_address)
-            if queued is not None:
-                # Store-to-load forwarding, same as the per-line path.
-                self.stats.forwarded_reads += 1
-                parts.append(queued)
-                i += 1
-                continue
-            j = i + 1
-            while j < count and (address + (j << 6)) not in queue:
-                j += 1
-            self._read_span(line_address, j - i, parts)
-            i = j
-        return b"".join(parts)
+        try:
+            while i < count:
+                line_address = address + (i << 6)
+                queued = queue.get(line_address)
+                if queued is not None:
+                    # Store-to-load forwarding, same as read_line.
+                    self.stats.forwarded_reads += 1
+                    parts.append(queued)
+                    i += 1
+                    continue
+                j = i + 1
+                while j < count and (address + (j << 6)) not in queue:
+                    j += 1
+                self._read_span(line_address, j - i, parts)
+                i = j
+        except FaultError as error:
+            return b"".join(parts), error
+        return b"".join(parts), None
 
     def _read_span(self, address: int, count: int, parts: list) -> None:
         """Issue reads for `count` lines known to miss the write queue."""
@@ -250,8 +251,8 @@ class MemoryController:
             device = self.dimms[coordinate.channel]
             bulk = run > 1 and getattr(device, "bulk_ok", None)
             if not (bulk and device.bulk_ok(address)):
-                # Reference single-line issue (also the MMIO/foreign-device
-                # path): identical to read_line minus the forwarding check.
+                # Single-line issue (a one-line run, the MMIO page or a
+                # device without bursts): read_line minus the forwarding.
                 result = self._issue_with_alert_retry(address, CommandType.RDCAS)
                 self.stats.reads += 1
                 self.stats.bytes_read += CACHELINE_SIZE
@@ -292,7 +293,7 @@ class MemoryController:
                     raise error
                 if alerted:
                     # The alerting issue is already charged above; continue
-                    # the reference backoff/reissue loop for that line.
+                    # the backoff/reissue loop for that line.
                     result = self._alert_retry_continue(address, CommandType.RDCAS)
                     self.stats.reads += 1
                     self.stats.bytes_read += CACHELINE_SIZE
@@ -300,21 +301,6 @@ class MemoryController:
                     address += CACHELINE_SIZE
                     run -= 1
                     count -= 1
-
-    def write_lines(self, address: int, data: bytes) -> None:
-        """Queue consecutive cacheline writes (== a write_line loop)."""
-        self._check_aligned(address)
-        if len(data) % CACHELINE_SIZE:
-            raise ValueError(
-                "bulk write must be a multiple of %d bytes" % CACHELINE_SIZE
-            )
-        queue = self._write_queue
-        watermark = self.WRITE_QUEUE_HIGH_WATERMARK
-        view = memoryview(data)
-        for offset in range(0, len(data), CACHELINE_SIZE):
-            queue[address + offset] = bytes(view[offset:offset + CACHELINE_SIZE])
-            if len(queue) >= watermark:
-                self._drain_writes(target=self.WRITE_QUEUE_DRAIN_TO)
 
     def write_lines_now(self, address: int, datas: list) -> None:
         """Flush writebacks for consecutive lines, bypassing the queue
@@ -336,7 +322,7 @@ class MemoryController:
             run = min(n - i, self.mapping.run_length(line_address))
             coordinate = self.mapping.line_coordinate(line_address)
             device = self.dimms[coordinate.channel]
-            bulk = self.batch and run > 1 and getattr(device, "bulk_ok", None)
+            bulk = run > 1 and getattr(device, "bulk_ok", None)
             if not (bulk and device.bulk_ok(line_address)):
                 self._issue_write(line_address, datas[i])
                 i += 1
@@ -438,15 +424,9 @@ class MemoryController:
             raise ValueError("unaligned line access at 0x%x" % address)
 
     def _drain_writes(self, target: int) -> None:
-        if not self.batch:
-            while len(self._write_queue) > target:
-                address, data = next(iter(self._write_queue.items()))
-                del self._write_queue[address]
-                self._issue_write(address, data)
-            return
-        # Batched drain: pop runs of entries that are consecutive both in
-        # insertion order and in address, then issue each run as one
-        # same-row burst.  Identical pop order to the reference loop.
+        # Pop runs of entries that are consecutive both in insertion order
+        # and in address, then issue each run as one same-row burst: the
+        # pop order of popping the oldest entry one at a time.
         queue = self._write_queue
         while len(queue) > target:
             items = iter(queue.items())
@@ -479,11 +459,7 @@ class MemoryController:
     def _issue_cas(self, address: int, kind: CommandType, data: bytes) -> CasResult:
         coordinate = self.mapping.line_coordinate(address)
         device = self.dimms[coordinate.channel]
-        if (
-            self.batch
-            and type(device) is PlainDIMM
-            and kind in (CommandType.RDCAS, CommandType.WRCAS)
-        ):
+        if type(device) is PlainDIMM and kind in (CommandType.RDCAS, CommandType.WRCAS):
             # Plain-DIMM direct path: no Command objects.  ACT/PRE/CAS at a
             # plain DIMM carry no device-side state (handle_command only
             # touches DRAM for CAS), so the burst goes straight to the

@@ -168,16 +168,6 @@ class PhysicalMemory:
                 return b"".join(parts), error
         return b"".join(parts), None
 
-    def write_lines(self, address: int, data: bytes) -> None:
-        """Write consecutive cachelines in one span."""
-        if address % CACHELINE_SIZE:
-            raise ValueError("unaligned line write at 0x%x" % address)
-        if len(data) % CACHELINE_SIZE:
-            raise ValueError(
-                "bulk line write must be a multiple of %d bytes" % CACHELINE_SIZE
-            )
-        self.write(address, data)
-
     @property
     def resident_bytes(self) -> int:
         """Bytes actually materialised (for tests and memory accounting)."""

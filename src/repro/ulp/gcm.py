@@ -449,8 +449,8 @@ class AESGCM:
 
     def keystream_reference(self, iv: bytes, length: int, start_block: int = 0) -> bytes:
         """Scalar keystream exactly as the seed computed it: J0 rebuilt and
-        one block-cipher call dispatched per 16-byte block.  Oracle for
-        ``tests/ulp/test_fast_path.py``."""
+        one block-cipher call dispatched per 16-byte block.  Oracle of
+        ``test_keystream_matches_reference`` in ``tests/ulp``."""
         blocks_needed = (length + 15) // 16
         out = bytearray()
         for i in range(blocks_needed):
@@ -462,8 +462,8 @@ class AESGCM:
 
     def tag_reference(self, iv: bytes, ciphertext: bytes, aad: bytes) -> bytes:
         """Serial nibble-window GHASH over one concatenated padded buffer
-        (the seed formulation), with per-byte EIV masking.  Oracle for
-        ``tests/ulp/test_fast_path.py`` via the two methods below."""
+        (the seed formulation), with per-byte EIV masking.  Oracle of the
+        ``tests/ulp`` GCM equivalence tests via the two methods below."""
         padded = (
             aad
             + bytes((16 - len(aad) % 16) % 16)
@@ -477,15 +477,17 @@ class AESGCM:
 
     def encrypt_reference(self, iv: bytes, plaintext: bytes, aad: bytes = b"") -> tuple:
         """The seed encrypt datapath (per-block J0, per-byte XOR, serial
-        GHASH); the oracle of ``tests/ulp/test_fast_path.py`` and the
-        "before" measurement of ``benchmarks/perf/datapath_bench.py``."""
+        GHASH); the oracle of ``test_encrypt_matches_reference`` in
+        ``tests/ulp`` and the "before" measurement of
+        ``benchmarks/perf/datapath_bench.py``."""
         stream = self.keystream_reference(iv, len(plaintext))
         ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
         return ciphertext, self.tag_reference(iv, ciphertext, aad)
 
     def decrypt_reference(self, iv: bytes, ciphertext: bytes, aad: bytes, tag: bytes) -> bytes:
         """The seed decrypt datapath; raises ValueError on tag mismatch.
-        Oracle for ``tests/ulp/test_fast_path.py``."""
+        Oracle of ``test_decrypt_round_trip_and_reference`` in
+        ``tests/ulp``."""
         expected = self.tag_reference(iv, ciphertext, aad)
         if not _constant_time_eq(expected, tag):
             raise ValueError("GCM authentication tag mismatch")

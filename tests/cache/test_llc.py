@@ -84,7 +84,7 @@ def test_flush_range_counts_dirty_lines():
     assert llc.flush_range(512, 64) == 0  # clean line
 
 
-@pytest.mark.parametrize("flush", ["flush_range", "flush_range_reference"])
+@pytest.mark.parametrize("flush", ["flush_range"])
 @pytest.mark.parametrize("address, length, flushed", [
     (10, 0, []),  # empty range at an unaligned address
     (64, 0, []),  # empty range at an aligned address

@@ -22,6 +22,7 @@ from repro.dram.address import AddressMapping
 from repro.dram.commands import CACHELINE_SIZE
 from repro.dram.memory_controller import MemoryController, PlainDIMM
 from repro.dram.physical_memory import PhysicalMemory
+from tests.micro_oracle import PerLineRanges
 
 MEMORY_LINES = 2048
 TAGS = 6  # distinct tags drawn per set: collisions are the common case
@@ -38,8 +39,9 @@ class _RefLine:
         self.dma_untouched = False
 
 
-class ReferenceLLC:
-    """Oracle: the per-line LLC with way-keyed sets and a tag scan."""
+class ReferenceLLC(PerLineRanges):
+    """Oracle: the per-line LLC with way-keyed sets and a tag scan, its
+    range operations run as their per-line loops."""
 
     def __init__(self, memory_controller, size, ways, dma_way_mask):
         self.mc = memory_controller
@@ -157,32 +159,6 @@ class ReferenceLLC:
             return bytes(line.data)
         self.stats.misses += 1
         return self.mc.read_line(line_address)
-
-    # -- range operations, as the per-line loops they stand for -----------------
-
-    def load_range(self, address, count):
-        address &= ~(CACHELINE_SIZE - 1)
-        return b"".join(self.load(address + (i << 6)) for i in range(count))
-
-    def store_range(self, address, data):
-        address &= ~(CACHELINE_SIZE - 1)
-        for i in range(len(data) // CACHELINE_SIZE):
-            self.store(address + (i << 6), data[i << 6 : (i + 1) << 6])
-
-    def copy_range(self, src, dst, count):
-        src &= ~(CACHELINE_SIZE - 1)
-        dst &= ~(CACHELINE_SIZE - 1)
-        for i in range(count):
-            self.store(dst + (i << 6), self.load(src + (i << 6)))
-
-    def flush_range(self, address, length):
-        if length <= 0:
-            return 0  # an empty range flushes nothing, aligned or not
-        start = address & ~(CACHELINE_SIZE - 1)
-        return sum(
-            self.flush_line(line_address)
-            for line_address in range(start, address + length, CACHELINE_SIZE)
-        )
 
 
 def _system(cache, ways, num_sets, dma_way_mask):

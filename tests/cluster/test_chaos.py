@@ -220,7 +220,11 @@ class TestOverlappingWindows:
         injector._end(second)
         assert injector._sdc == {}
 
-    def test_breaker_reclose_restores_every_ended_wedge(self):
+    @pytest.fixture(scope="class")
+    def two_wedges(self):
+        """Wedges [2, 6) and [4, 10) ms on one channel under closed-loop
+        TLS; the first trips the channel's breaker before the second
+        starts."""
         injector = FleetFaultInjector([
             FaultWindow(kind="channel_wedge", server=0, channel=0,
                         start_s=0.002, duration_s=0.004),
@@ -232,13 +236,64 @@ class TestOverlappingWindows:
             message_bytes=16384, mode="closed", scheduler="static",
             duration_s=0.020, seed=3)
         run_scenario(scenario, fault_injector=injector)
-        first, second = injector.windows
+        return injector
+
+    def test_breaker_reclose_restores_every_ended_wedge(self, two_wedges):
+        first, second = two_wedges.windows
         assert 0.002 <= first.detected_s < 0.004
         # The channel recovers once, after both wedges end: that one
         # breaker re-close restores both windows.
         assert first.restored_s is not None and first.restored_s >= 0.010
         assert second.restored_s == first.restored_s
         assert second.mttr_s == pytest.approx(first.restored_s - 0.004)
+
+    def test_every_window_is_detected_before_it_is_restored(self, two_wedges):
+        """The second wedge starts with the breaker already OPEN, so no
+        CLOSED -> OPEN edge falls inside it: it is detected at its start."""
+        for window in two_wedges.windows:
+            assert window.start_s <= window.detected_s <= window.restored_s
+        second = two_wedges.windows[1]
+        assert second.detected_s == second.start_s
+
+    def test_a_window_starting_on_an_open_breaker_is_detected_at_its_start(self):
+        windows = [
+            FaultWindow(kind="channel_wedge", server=0, channel=0,
+                        start_s=0.004, duration_s=0.002),
+            FaultWindow(kind="channel_wedge", server=0, channel=1,
+                        start_s=0.004, duration_s=0.002),
+            FaultWindow(kind="sdc_storm", server=0, start_s=0.004,
+                        duration_s=0.002),
+        ]
+        injector = FleetFaultInjector(windows, breaker_threshold=1)
+        injector.sim = SimpleNamespace(now=0.004)
+        injector._breaker(0, 0).record_failure(0.003)  # channel 0 OPEN
+        for window in windows:
+            injector._start(window)
+        # A storm covers every channel of its server, so channel 0's open
+        # breaker detects it too; channel 1's wedge waits for its own.
+        assert [w.detected_s for w in windows] == [0.004, None, 0.004]
+
+    def test_a_failed_half_open_probe_detects_every_window_on_the_lane(self):
+        """A slow probe re-opens the breaker: that detects the channel's
+        wedge and the server's SDC storm alike."""
+        windows = [
+            FaultWindow(kind="channel_wedge", server=0, channel=0,
+                        start_s=0.004, duration_s=0.004),
+            FaultWindow(kind="sdc_storm", server=0, start_s=0.004,
+                        duration_s=0.004, sdc_rate=1e-6),
+        ]
+        injector = FleetFaultInjector(windows, breaker_threshold=1,
+                                      breaker_cooldown_s=1e-3)
+        injector.sim = SimpleNamespace(now=0.004)
+        breaker = injector._breaker(0, 0)
+        breaker.record_failure(0.002)
+        assert breaker.allow(0.004)  # cooldown over: HALF_OPEN probe
+        for window in windows:
+            injector._start(window)
+        assert [w.detected_s for w in windows] == [None, None]
+        injector.sim.now = 0.005
+        injector.observe_dsa(0, 0, observed_seconds=10.0, nominal_seconds=1.0)
+        assert [w.detected_s for w in windows] == [0.005, 0.005]
 
     def test_detection_marks_every_active_window(self):
         windows = [

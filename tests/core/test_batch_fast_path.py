@@ -1,10 +1,12 @@
-"""Batched line-op fast path vs the per-line reference path.
+"""Fixed workloads on the burst path vs its per-line oracle.
 
-The fast path (``SessionConfig(fast_path=True)``, the default) must be
-*bit-identical* to the retained reference path: same output bytes, same
-controller stats and final cycle, same rdCAS/wrCAS trace stream, same LLC
-and device stats.  Every test here drives a twin pair of sessions — one per
-path — through the same workload and diffs the complete observable state.
+A session's range operations and same-row CAS bursts must be
+*bit-identical* to the per-line walk of :mod:`tests.micro_oracle`: same
+output bytes, same controller stats and final cycle, same rdCAS/wrCAS
+trace stream, same LLC, device and CompCpy stats.  Every twin test here
+drives a session and its oracle through the same workload and diffs the
+complete observable state; ``tests/core/test_micro_oracle.py`` does the
+same over generated op sequences.
 """
 
 import pytest
@@ -13,8 +15,10 @@ from repro.core.offload_api import SessionConfig, SmartDIMMSession
 from repro.core.dsa.base import UlpKind
 from repro.core.dsa.tls_dsa import TLSOffloadContext
 from repro.core.smartdimm import SmartDIMMConfig
+from repro.dram.address import AddressMapping, InterleaveMode
 from repro.dram.commands import CACHELINE_SIZE, PAGE_SIZE
 from repro.ulp.ctx_cache import cached_aesgcm
+from tests.micro_oracle import assert_same, oracle_session
 
 KEY = bytes(range(16))
 NONCE = bytes(range(12))
@@ -26,66 +30,55 @@ def _payload(size: int) -> bytes:
 
 
 def _twins(**config):
-    ref = SmartDIMMSession(SessionConfig(fast_path=False, trace=True, **config))
-    fast = SmartDIMMSession(SessionConfig(fast_path=True, trace=True, **config))
-    return ref, fast
-
-
-def _assert_state_identical(ref, fast):
-    assert fast.mc.stats == ref.mc.stats
-    assert fast.mc.cycle == ref.mc.cycle
-    assert fast.mc.trace == ref.mc.trace
-    assert fast.llc.stats == ref.llc.stats
-    assert fast.device.stats == ref.device.stats
-    assert fast.device.scratchpad.self_recycled_lines == (
-        ref.device.scratchpad.self_recycled_lines
-    )
+    """(oracle, session) over the same traced configuration."""
+    return (oracle_session(SessionConfig(trace=True, **config)),
+            SmartDIMMSession(SessionConfig(trace=True, **config)))
 
 
 @pytest.mark.parametrize("size", [PAGE_SIZE, 3 * PAGE_SIZE, 16 * PAGE_SIZE])
 def test_tls_unordered_copy_is_bit_identical(size):
-    """The bulk copy_range/read_lines/write_lines pipeline reproduces the
-    reference TLS offload exactly — output, stats, cycle, and trace."""
-    ref, fast = _twins()
+    """The bulk copy_range/read_lines/write_lines_now pipeline reproduces
+    the per-line TLS offload exactly — output, stats, cycle, and trace."""
+    oracle, burst = _twins()
     payload = _payload(size)
-    out_ref = ref.tls_encrypt(KEY, NONCE, payload, AAD)
-    out_fast = fast.tls_encrypt(KEY, NONCE, payload, AAD)
+    out_oracle = oracle.tls_encrypt(KEY, NONCE, payload, AAD)
+    out_burst = burst.tls_encrypt(KEY, NONCE, payload, AAD)
     expected = cached_aesgcm(KEY).encrypt(NONCE, payload, AAD)
-    assert out_fast == out_ref == expected[0] + expected[1]
-    _assert_state_identical(ref, fast)
+    assert out_burst == out_oracle == expected[0] + expected[1]
+    assert_same(oracle, burst)
 
 
 def test_tls_decrypt_is_bit_identical():
     payload = _payload(2 * PAGE_SIZE)
     ciphertext, tag = cached_aesgcm(KEY).encrypt(NONCE, payload, AAD)
-    ref, fast = _twins()
-    out_ref = ref.tls_decrypt(KEY, NONCE, ciphertext, AAD)
-    out_fast = fast.tls_decrypt(KEY, NONCE, ciphertext, AAD)
-    assert out_fast == out_ref == payload + tag
-    _assert_state_identical(ref, fast)
+    oracle, burst = _twins()
+    out_oracle = oracle.tls_decrypt(KEY, NONCE, ciphertext, AAD)
+    out_burst = burst.tls_decrypt(KEY, NONCE, ciphertext, AAD)
+    assert out_burst == out_oracle == payload + tag
+    assert_same(oracle, burst)
 
 
 def test_deflate_ordered_copy_is_bit_identical():
-    """The ordered (fenced, per-line) copy also matches across paths —
+    """The ordered (fenced, per-line) copy also matches its oracle —
     flushes and buffer reads still use the range ops."""
     data = (b"smartdimm deflates html " * 200)[:PAGE_SIZE]
-    ref, fast = _twins()
-    out_ref = ref.deflate_page(data)
-    out_fast = fast.deflate_page(data)
-    assert out_fast == out_ref
-    _assert_state_identical(ref, fast)
+    oracle, burst = _twins()
+    out_oracle = oracle.deflate_page(data)
+    out_burst = burst.deflate_page(data)
+    assert out_burst == out_oracle
+    assert_same(oracle, burst)
 
 
 def test_multiple_records_per_session_stay_identical():
     """State equality must hold across back-to-back offloads, where the LLC
     and write queue start each record warm, not empty."""
-    ref, fast = _twins()
+    oracle, burst = _twins()
     for size in (PAGE_SIZE, 4 * PAGE_SIZE, PAGE_SIZE):
         payload = _payload(size)
-        assert fast.tls_encrypt(KEY, NONCE, payload, AAD) == ref.tls_encrypt(
+        assert burst.tls_encrypt(KEY, NONCE, payload, AAD) == oracle.tls_encrypt(
             KEY, NONCE, payload, AAD
         )
-    _assert_state_identical(ref, fast)
+    assert_same(oracle, burst)
 
 
 def _compcpy_offload(session, size, flush_destination):
@@ -103,32 +96,32 @@ def _compcpy_offload(session, size, flush_destination):
 
 def test_deferred_flush_and_force_recycle_are_bit_identical():
     """flush_destination=False leaves dirty plaintext in the LLC; the
-    explicit Force-Recycle (Algorithm 1) must behave identically on both
-    paths, including its flush_range and per-line recycle traffic."""
+    explicit Force-Recycle (Algorithm 1) must match its oracle, including
+    its flush_range and per-line recycle traffic."""
     size = 2 * PAGE_SIZE
-    ref, fast = _twins()
-    for session in (ref, fast):
+    oracle, burst = _twins()
+    for session in (oracle, burst):
         _compcpy_offload(session, size, flush_destination=False)
         session.compcpy.force_recycle(size // PAGE_SIZE)
-    assert fast.compcpy.stats == ref.compcpy.stats
-    assert fast.compcpy.stats.force_recycles == 1
-    _assert_state_identical(ref, fast)
+    assert burst.compcpy.stats == oracle.compcpy.stats
+    assert burst.compcpy.stats.force_recycles == 1
+    assert_same(oracle, burst)
 
 
 def test_explicit_flush_after_deferred_use_is_bit_identical():
     size = 3 * PAGE_SIZE
-    ref, fast = _twins()
+    oracle, burst = _twins()
     outputs = []
-    for session in (ref, fast):
+    for session in (oracle, burst):
         sbuf, dbuf, _ = _compcpy_offload(session, size, flush_destination=False)
-        session.compcpy._flush_range(dbuf, size)
+        session.llc.flush_range(dbuf, size)
         session.mc.fence()
         outputs.append(session.compcpy.read_buffer(dbuf, size))
     assert outputs[0] == outputs[1]
-    _assert_state_identical(ref, fast)
+    assert_same(oracle, burst)
 
 
-# -- satellite regressions ------------------------------------------------------
+# -- single-path regressions ------------------------------------------------------
 
 
 def test_free_page_accounting_exact_fit():
@@ -161,10 +154,22 @@ def test_scratchpad_writeback_reports_completion():
 
 
 def test_address_decode_matches_reference():
-    session = SmartDIMMSession(SessionConfig())
-    mapping = session.mapping
-    for address in range(0, 1 << 20, 4096 + 64):
-        assert mapping.decode(address) == mapping.decode_reference(address)
+    """The reference is :meth:`AddressMapping.encode`, the Addr Remap
+    inverse: on every line of 16-row, 16-column mappings with 1, 2 and 4
+    channels in both interleave modes it must undo `decode`, and every
+    decoded field must lie inside the geometry."""
+    for channels in (1, 2, 4):
+        for interleave in InterleaveMode:
+            mapping = AddressMapping(channels=channels, rows=16,
+                                     columns_per_row=16, interleave=interleave)
+            for address in range(0, mapping.total_capacity, CACHELINE_SIZE):
+                coordinate = mapping.decode(address)
+                assert mapping.encode(coordinate) == address
+                assert coordinate.channel < channels
+                assert coordinate.bank_group < mapping.bank_groups
+                assert coordinate.bank < mapping.banks_per_group
+                assert coordinate.row < mapping.rows
+                assert coordinate.column < mapping.columns_per_row
 
 
 def test_run_length_covers_page_runs():

@@ -1,16 +1,16 @@
-"""Fault-injected sessions on the burst path vs the per-command device path.
+"""Fault-injected sessions on the burst path vs their per-line oracle.
 
 SmartDIMM serves same-row CAS bursts under a ``FaultPlan`` or RAS engine
-and stops a burst exactly where the per-command arbiter walk would raise.
-Every test drives twin sessions through the same workload: on the
-*per-command* twin the device answers ``bulk_ok`` False, so every line is
-its own ``Command``, address regeneration and translation lookup; the
-*burst* twin takes ``read_line_run``/``write_line_run``.  After every op
-the twins must agree on the output or exception type, controller stats,
-cycle and trace, LLC stats, device stats, RAS report, plan report and ECC
-stats.  Where no read raises, the per-line reference path
-(``fast_path=False``) must agree too; once a read raises, the LLC's chunk
-prefetch and its per-line loop fill different lines, so it is left out.
+and stops a burst exactly where the per-line walk would raise, and the
+LLC's chunked range reads stop at that line too.  Every test drives twin
+sessions through the same workload: the *oracle* twin
+(:func:`tests.micro_oracle.oracle_session`) runs every range operation
+line by line, so every line is its own ``Command``, address regeneration
+and translation lookup; the *burst* twin takes ``read_line_run`` and
+``write_line_run``.  After every op the twins must agree on the output or
+exception type and on everything :func:`tests.micro_oracle.assert_same`
+compares: controller, LLC, device, CompCpy and resilience stats, cycle,
+trace, write queue, RAS report, plan report, ECC stats and DRAM contents.
 """
 
 import pytest
@@ -24,9 +24,18 @@ from repro.dram.memory_controller import MemoryController, PlainDIMM
 from repro.dram.physical_memory import PhysicalMemory
 from repro.dram.ras import MemoryRas, RasConfig
 from repro.faults.errors import PoisonError
-from repro.faults.plan import FaultPlan, FaultSite, FaultSpec
+from repro.faults.plan import FaultPlan
 from repro.ulp.deflate import deflate_compress
 from repro.ulp.gcm import AESGCM
+from tests.micro_oracle import (
+    DENSE_FLIPS,
+    PLANS,
+    PerCommandDIMM,
+    PerLineController,
+    assert_same,
+    oracle_session,
+    outcome,
+)
 
 KEY = bytes(range(16))
 
@@ -35,47 +44,27 @@ def _payload(size: int, salt: int = 0) -> bytes:
     return bytes((13 * i + 7 * salt + (i >> 7)) & 0xFF for i in range(size))
 
 
-def _session(specs=(), seed=0, ras=None, per_command=False, fast_path=True):
-    session = SmartDIMMSession(SessionConfig(
+def _session(specs=(), seed=0, ras=None, oracle=False):
+    config = SessionConfig(
         memory_bytes=16 * 1024 * 1024, llc_bytes=256 * 1024, trace=True,
-        fast_path=fast_path, fault_plan=FaultPlan(seed=seed, specs=specs),
+        fault_plan=FaultPlan(seed=seed, specs=specs),
         ras=ras or RasConfig(scrub_lines_per_pass=0),
-    ))
-    if per_command:
-        session.device.bulk_ok = lambda address: False
-    return session
+    )
+    return oracle_session(config) if oracle else SmartDIMMSession(config)
 
 
 def _twins(specs=(), seed=0, ras=None):
-    """(per-command, burst) sessions over the same plan and RAS config."""
-    return (_session(specs, seed, ras, per_command=True),
+    """(oracle, burst) sessions over the same plan and RAS config."""
+    return (_session(specs, seed, ras, oracle=True),
             _session(specs, seed, ras))
-
-
-def _outcome(call):
-    try:
-        return call()
-    except Exception as error:  # compared by type across the twins
-        return type(error)
-
-
-def _assert_same(ref, other):
-    assert other.mc.stats == ref.mc.stats
-    assert other.mc.cycle == ref.mc.cycle
-    assert other.mc.trace == ref.mc.trace
-    assert other.llc.stats == ref.llc.stats
-    assert other.device.stats == ref.device.stats
-    assert other.ras.report() == ref.ras.report()
-    assert other.config.fault_plan.report() == ref.config.fault_plan.report()
-    assert other.memory.ecc_stats == ref.memory.ecc_stats
 
 
 def _both(twins, call):
     """Run `call` on each twin, then require identical outcomes and state."""
-    ref, burst = twins
-    expected = _outcome(lambda: call(ref))
-    assert _outcome(lambda: call(burst)) == expected
-    _assert_same(ref, burst)
+    oracle, burst = twins
+    expected = outcome(lambda: call(oracle))
+    assert outcome(lambda: call(burst)) == expected
+    assert_same(oracle, burst)
     return expected
 
 
@@ -175,46 +164,29 @@ def test_poison_on_a_recycled_destination_line():
 
 
 def test_poison_in_a_plain_dimm_burst():
-    """PlainDIMM bursts stop at a raising read too."""
-    mcs = []
-    for per_command in (True, False):
+    """PlainDIMM bursts stop at a raising read too, and hand back the
+    lines before it with the error."""
+    results = []
+    for controller, dimm in ((PerLineController, PerCommandDIMM),
+                             (MemoryController, PlainDIMM)):
         memory = PhysicalMemory(4 * 1024 * 1024)
         ras = MemoryRas(memory, config=RasConfig())
         memory.attach_ras(ras)
-        dimm = PlainDIMM(memory)
-        if per_command:
-            dimm.bulk_ok = lambda address: False
-        mc = MemoryController(AddressMapping(rows=1 << 8), {0: dimm}, trace=True)
+        mc = controller(AddressMapping(rows=1 << 8), {0: dimm(memory)}, trace=True)
         memory.write(0, _payload(PAGE_SIZE))
         ras.inject_flips(9 * CACHELINE_SIZE, bits=2)
-        with pytest.raises(PoisonError):
-            mc.read_lines(0, LINES_PER_PAGE)
-        mcs.append(mc)
-    ref, burst = mcs
-    assert burst.stats == ref.stats
-    assert burst.cycle == ref.cycle
-    assert burst.trace == ref.trace
+        data, error = mc.read_lines(0, LINES_PER_PAGE)
+        assert isinstance(error, PoisonError)
+        assert data == _payload(9 * CACHELINE_SIZE)
+        results.append(mc)
+    oracle, burst = results
+    assert burst.stats == oracle.stats
+    assert burst.cycle == oracle.cycle
+    assert burst.trace == oracle.trace
     assert burst.stats.reads == 9
 
 
 # -- fault plans over TLS, deflate and inflate ---------------------------------------
-
-PLANS = {
-    "wedge": (FaultSpec(FaultSite.DSA_WEDGE, probability=0.01, skip=150,
-                        max_fires=2),),
-    "storm": (FaultSpec(FaultSite.DSA_ALERT_STORM, probability=0.05),),
-    "corrupt1": (FaultSpec(FaultSite.DRAM_CORRUPT, probability=0.01,
-                           params={"bits": 1}),),
-    "corrupt2": (FaultSpec(FaultSite.DRAM_CORRUPT, probability=0.005,
-                           params={"bits": 2}),),
-    "sdc": (FaultSpec(FaultSite.DSA_SDC, probability=0.02),),
-    "tt_insert": (FaultSpec(FaultSite.TT_INSERT, probability=0.3),),
-    "exhaust": (FaultSpec(FaultSite.SCRATCHPAD_EXHAUST, probability=0.3),),
-    "cell_flip": (FaultSpec(FaultSite.DRAM_CELL_FLIP, probability=1.0),),
-}
-
-#: Latent flips land often enough to pair up on the at-rest working set.
-DENSE_FLIPS = RasConfig(flip_interval_cycles=16)
 
 PAGE_TEXT = (b"SmartDIMM serves same-row CAS bursts under faults. " * 90)[:PAGE_SIZE]
 
@@ -258,23 +230,13 @@ def _read_raised(session) -> bool:
 def test_fault_plans_match_the_per_command_path(name):
     specs = PLANS[name]
     ras = DENSE_FLIPS if name == "cell_flip" else None
-    sessions = _twins(specs, seed=0, ras=ras) + (
-        _session(specs, seed=0, ras=ras, fast_path=False),)
-    wsets = {_at_rest(session, pages=2) for session in sessions}
+    twins = _twins(specs, seed=0, ras=ras)
+    wsets = {_at_rest(session, pages=2) for session in twins}
     assert len(wsets) == 1
-    twins, reference = sessions[:2], sessions[2]
-    compared = 0
     for op in _ops(wsets.pop()):
-        expected = _both(twins, op)
-        if compared is not None and _read_raised(twins[0]):
-            compared = None  # a read raised: the LLC paths part ways
-        if compared is not None:
-            assert _outcome(lambda: op(reference)) == expected
-            _assert_same(twins[0], reference)
-            compared += 1
+        _both(twins, op)
     plan = twins[1].config.fault_plan
     assert plan.fire_count(specs[0].site) > 0
-    if name in ("wedge", "cell_flip"):
-        assert _read_raised(twins[1])
-    else:
-        assert compared == len(_ops(0))
+    # The wedge and dense flips make reads raise mid-range, where the
+    # chunked LLC reads must stop exactly where the per-line loop raises.
+    assert _read_raised(twins[1]) == (name in ("wedge", "cell_flip"))

@@ -1,10 +1,10 @@
 """Write-queue semantics: forwarding, watermark draining, and bypass.
 
-The queue is the one piece of controller state both the per-line reference
-path and the batched fast path mutate, so its contract is pinned here for
-both: reads forward the youngest queued copy, the high watermark drains
-down to ``WRITE_QUEUE_DRAIN_TO``, and ``write_line_now`` removes any queued
-copy before issuing.
+The queue is the one piece of controller state both the burst path and
+its per-line oracle (:mod:`tests.micro_oracle`) mutate, so its contract
+is pinned here for both: reads forward the youngest queued copy, the high
+watermark drains down to ``WRITE_QUEUE_DRAIN_TO``, and ``write_line_now``
+removes any queued copy before issuing.
 """
 
 import pytest
@@ -13,18 +13,21 @@ from repro.dram.address import AddressMapping
 from repro.dram.commands import CACHELINE_SIZE
 from repro.dram.memory_controller import MemoryController, PlainDIMM, TimingParams
 from repro.dram.physical_memory import PhysicalMemory
+from tests.micro_oracle import PerCommandDIMM, PerLineController
 
 
-def _system(batch=True):
+def _system(oracle=False):
     mapping = AddressMapping(rows=1 << 8)
     memory = PhysicalMemory(min(mapping.total_capacity, 16 * 1024 * 1024))
-    mc = MemoryController(mapping, {0: PlainDIMM(memory)}, TimingParams(), batch=batch)
+    controller, dimm = ((PerLineController, PerCommandDIMM) if oracle
+                        else (MemoryController, PlainDIMM))
+    mc = controller(mapping, {0: dimm(memory)}, TimingParams())
     return mc, memory
 
 
-@pytest.fixture(params=[False, True], ids=["reference", "batch"])
+@pytest.fixture(params=[True, False], ids=["reference", "batch"])
 def system(request):
-    return _system(batch=request.param)
+    return _system(oracle=request.param)
 
 
 def test_read_forwards_youngest_queued_write(system):
@@ -43,7 +46,8 @@ def test_read_lines_forwards_per_line(system):
     memory.write_line(0x6000, b"\xaa" * 64)
     memory.write_line(0x6040, b"\xbb" * 64)
     mc.write_line(0x6040, b"\xcc" * 64)  # shadows DRAM for the middle line
-    data = mc.read_lines(0x6000, 3)
+    data, error = mc.read_lines(0x6000, 3)
+    assert error is None
     assert data == b"\xaa" * 64 + b"\xcc" * 64 + bytes(64)
     assert mc.stats.forwarded_reads == 1
 
@@ -58,14 +62,6 @@ def test_watermark_drains_to_target(system):
         - MemoryController.WRITE_QUEUE_DRAIN_TO
     )
     assert mc.stats.writes == drained
-
-
-def test_write_lines_drains_at_watermark(system):
-    """The batch insert API hits the same watermark as the per-line loop."""
-    mc, _ = system
-    count = MemoryController.WRITE_QUEUE_HIGH_WATERMARK
-    mc.write_lines(0, b"\x42" * (count * CACHELINE_SIZE))
-    assert len(mc._write_queue) == MemoryController.WRITE_QUEUE_DRAIN_TO
 
 
 def test_write_line_now_removes_queued_copy(system):
@@ -92,18 +88,20 @@ def test_write_lines_now_removes_queued_copies(system):
 
 def test_fence_empties_queue(system):
     mc, memory = system
-    mc.write_lines(0x9000, b"\x55" * (4 * CACHELINE_SIZE))
+    for i in range(4):
+        mc.write_line(0x9000 + i * CACHELINE_SIZE, b"\x55" * CACHELINE_SIZE)
     mc.fence()
     assert not mc._write_queue
     assert memory.read(0x9000, 4 * CACHELINE_SIZE) == b"\x55" * (4 * CACHELINE_SIZE)
 
 
 def test_batch_and_reference_paths_drain_identically():
-    """Same workload on both paths: identical queue contents, stats, cycle,
-    and backing-memory state after a watermark drain plus a fence."""
+    """Same workload on the burst path and its oracle: identical queue
+    contents, stats, cycle, and backing-memory state after a watermark
+    drain plus a fence."""
     results = []
-    for batch in (False, True):
-        mc, memory = _system(batch=batch)
+    for oracle in (True, False):
+        mc, memory = _system(oracle=oracle)
         for i in range(MemoryController.WRITE_QUEUE_HIGH_WATERMARK + 5):
             mc.write_line(i * CACHELINE_SIZE, bytes([(3 * i) % 251]) * 64)
         snapshot_queue = dict(mc._write_queue)

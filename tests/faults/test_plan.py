@@ -1,6 +1,8 @@
 """Unit tests for the deterministic, seed-driven FaultPlan schedule."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import FaultPlan, FaultSite, FaultSpec
 
@@ -102,6 +104,51 @@ class TestDeterminism:
             observed.append(grown.fires("b"))
         assert observed == expected
         assert grown.fire_count("a") == 200
+
+
+_SITE_NAMES = ("a", "b", FaultSite.DRAM_CORRUPT, FaultSite.DSA_WEDGE,
+               FaultSite.DSA_SDC)
+
+_specs = st.builds(
+    lambda probability, skip, max_fires: (probability, skip, max_fires),
+    st.sampled_from((0.0, 0.25, 0.5, 0.9, 1.0)),
+    st.integers(0, 5),
+    st.none() | st.integers(0, 6),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 1 << 20),
+       sites=st.dictionaries(st.sampled_from(_SITE_NAMES), _specs,
+                             min_size=1, max_size=len(_SITE_NAMES)),
+       calls=st.lists(st.tuples(st.integers(0, len(_SITE_NAMES) - 1),
+                                st.sampled_from(("fires", "rng"))),
+                      max_size=80))
+def test_each_site_matches_a_plan_holding_it_alone(seed, sites, calls):
+    """Stream independence over generated site sets: whatever the other
+    sites draw in between, every site's fire decisions and ``rng`` draws,
+    and its report row, equal those of a plan that holds only that site's
+    spec and is called in isolation."""
+    specs = {
+        name: FaultSpec(name, probability=p, skip=skip, max_fires=cap)
+        for name, (p, skip, cap) in sites.items()
+    }
+    names = sorted(specs)
+
+    def call(plan, name, kind):
+        return plan.fires(name) if kind == "fires" else plan.rng(name).random()
+
+    mixed = FaultPlan(seed=seed, specs=specs.values())
+    observed = {name: [] for name in names}
+    kinds = {name: [] for name in names}
+    for index, kind in calls:
+        name = names[index % len(names)]
+        observed[name].append(call(mixed, name, kind))
+        kinds[name].append(kind)
+    for name in names:
+        solo = FaultPlan(seed=seed, specs=(specs[name],))
+        assert observed[name] == [call(solo, name, kind) for kind in kinds[name]]
+        assert mixed.report()["sites"][name] == solo.report()["sites"][name]
 
 
 class TestParamsAndReport:
