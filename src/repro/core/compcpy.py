@@ -235,7 +235,10 @@ class CompCpy:
             self.llc.store(address + full, chunk + current[len(chunk) :])
 
     def read_buffer(self, address: int, size: int) -> bytes:
-        """Application reads a buffer through the LLC (USE of Algorithm 2)."""
+        """Application reads a buffer through the LLC (USE of Algorithm 2).
+        An empty read touches no line."""
+        if size <= 0:
+            return b""
         start = address & ~(CACHELINE_SIZE - 1)
         lines = (address + size - start + CACHELINE_SIZE - 1) // CACHELINE_SIZE
         skew = address - start

@@ -8,8 +8,9 @@ matrix of :class:`~repro.exp.spec.RunSpec` points:
 * :mod:`repro.exp.spec` — the frozen, hashable description of one
   experiment point (target x instance x seed).
 * :mod:`repro.exp.targets` — the target registry, one owner per figure
-  family: each target enumerates its points, runs one point purely
-  (``run_point(spec) -> dict``), rolls the point results up into the
+  family: each target lists its points as a table
+  ``{label: (function, kwargs)}``, runs one point purely by calling the
+  entry a spec's label names, rolls the point results up into the
   exact payload its committed baseline ``BENCH_<target>.json`` stores,
   renders it, and declares its headline metrics and gate thresholds as
   data.

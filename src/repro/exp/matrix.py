@@ -41,11 +41,11 @@ class MatrixResult:
 def build_matrix(only=None, quick: bool = False, seed: int = None) -> list:
     """One RunSpec per grid point, in deterministic registry order.
 
-    ``only`` restricts to the named targets; ``seed`` overrides every
-    target's default seed (None keeps per-target defaults, which match
-    the committed BENCH baselines).
+    ``only`` restricts to the named targets, each once, in first-seen
+    order; ``seed`` overrides every target's default seed (None keeps
+    per-target defaults, which match the committed BENCH baselines).
     """
-    names = target_names() if not only else list(only)
+    names = target_names() if not only else list(dict.fromkeys(only))
     specs = []
     for name in names:
         specs.extend(get_target(name).specs(seed=seed, quick=quick))

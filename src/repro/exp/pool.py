@@ -2,7 +2,9 @@
 
 Workers receive a :class:`~repro.exp.spec.RunSpec` as a plain dict (the
 only thing that crosses the process boundary), look the target up in the
-registry, and execute its pure ``run_point``.  Nothing else is shared:
+registry, and call :meth:`~repro.exp.targets.Target.run_point`, which
+rebuilds the target's point table from the spec's seed and grid size and
+runs the entry the spec's label names.  Nothing else is shared:
 no RNG state, no session objects, no accumulated module caches that
 affect values — every point derives all randomness from its spec's seed,
 which is what makes ``--jobs N`` byte-identical to ``--jobs 1``

@@ -1,12 +1,14 @@
 """The experiment-matrix target registry.
 
 A :class:`Target` is one figure family and the only place that family is
-defined: it enumerates its points (``points``), runs one point purely
-(``run_point``), reassembles point results into the payload its committed
-baseline stores (``rollup``), prints that payload for people (``render``),
-and names the *code-relevant* source prefixes its cache digest covers
-(``code_deps`` — an edit outside them keeps every cached point valid, so
-they include the module that computes the target's points).
+defined: its ``points(seed, quick)`` is an ordered table
+``{label: (function, kwargs)}`` that names every point and what computes
+it, :meth:`Target.run_point` looks a spec's label up in that table and
+calls its entry, ``rollup`` reassembles point results into the payload
+its committed baseline stores, ``render`` prints that payload for people,
+and ``code_deps`` names the *code-relevant* source prefixes its cache
+digest covers (an edit outside them keeps every cached point valid, so
+they include the module of every function its table names).
 Its headline numbers and acceptance gates are data, not code: a
 ``{metric: dotted path}`` map and ``(path, op, bound, why)`` rows, both
 read through :func:`lookup`.
@@ -22,7 +24,7 @@ Seven targets mirror the seven sweeps:
 * ``faults`` — whole-stack chaos (``python -m repro chaos``) across
   several seeds; the rollup requires zero escaped corruption.
 * ``overload`` / ``replication`` / ``qos`` / ``ras`` — the extension
-  sweeps, whose point/rollup/render functions live in their sweep
+  sweeps, whose point table, rollup and render live in their sweep
   modules and are imported only when first called.
 """
 
@@ -36,8 +38,8 @@ from dataclasses import dataclass
 
 from repro.exp.spec import RunSpec
 
-#: The module the inline targets (datapath, cluster, faults) compute
-#: their points in.
+#: The module that holds the inline targets' (datapath, cluster, faults)
+#: point tables and point functions.
 _THIS_MODULE = (__name__,)
 #: Source prefixes nearly every simulation target depends on.
 _MICRO_DEPS = ("repro.core", "repro.ulp", "repro.dram", "repro.cache",
@@ -95,9 +97,8 @@ class Target:
     description: str
     code_deps: tuple          # source prefixes hashed into the cache key
     default_seed: int
-    points: callable          # (seed, quick) -> [instance, ...]
-    run_point: callable       # RunSpec -> result dict
-    rollup: callable          # ({instance: result}, seed, quick) -> payload
+    points: callable          # (seed, quick) -> {label: (function, kwargs)}
+    rollup: callable          # ({label: result}, seed, quick) -> payload
     headlines: dict           # metric -> dotted path into the rollup
     gates: tuple              # (path, op, bound, why) rows
     render: callable = None   # rollup payload -> text (or None)
@@ -105,8 +106,17 @@ class Target:
     def specs(self, seed: int = None, quick: bool = False) -> list:
         """This target's full point grid as RunSpecs (None = default seed)."""
         seed = self.default_seed if seed is None else seed
-        return [RunSpec(self.name, instance, seed, quick=quick)
-                for instance in self.points(seed, quick)]
+        return [RunSpec(self.name, label, seed, quick=quick)
+                for label in self.points(seed, quick)]
+
+    def run_point(self, spec: RunSpec) -> dict:
+        """Run one point purely: the table entry its label names."""
+        table = self.points(spec.seed, spec.quick)
+        if spec.instance not in table:
+            raise ValueError("unknown %s point %r"
+                             % (self.name, spec.instance))
+        function, kwargs = table[spec.instance]
+        return function(**kwargs)
 
     def headline(self, payload: dict) -> dict:
         """The headline metrics of a rollup payload."""
@@ -156,16 +166,6 @@ CORUN_PLACEMENTS = ("cpu", "smartnic", "quickassist", "smartdimm")
 CORUN_BYTES = 4096
 
 
-def _datapath_points(seed: int, quick: bool) -> list:
-    sizes = QUICK_CROSSOVER_SIZES if quick else CROSSOVER_SIZES
-    points = ["crossover/%s/%s/%d" % (ulp, placement, size)
-              for ulp in sorted(CROSSOVER_PLACEMENTS)
-              for placement in CROSSOVER_PLACEMENTS[ulp]
-              for size in sizes]
-    points += ["corun/%s" % placement for placement in CORUN_PLACEMENTS]
-    return points
-
-
 def _server_spec(ulp: str, placement: str, size: int):
     from repro.sim.server import Placement, Ulp, WorkloadSpec
 
@@ -173,29 +173,43 @@ def _server_spec(ulp: str, placement: str, size: int):
                         message_bytes=size)
 
 
-def _datapath_run_point(spec: RunSpec) -> dict:
-    from repro.sim.server import ServerModel, corun
+def _crossover_point(ulp: str, placement: str, size: int) -> dict:
+    from repro.sim.server import ServerModel
 
-    kind, rest = spec.instance.split("/", 1)
-    if kind == "crossover":
-        ulp, placement, size = rest.split("/")
-        metrics = ServerModel(_server_spec(ulp, placement, int(size))).solve()
-        return {
-            "rps": metrics.rps,
-            "cycles_per_request": metrics.cycles_per_request,
-            "membw_bytes_per_request": metrics.membw_bytes_per_request,
-            "miss_probability": metrics.miss_probability,
-            "bottleneck": metrics.bottleneck,
-        }
-    if kind == "corun":
-        result = corun(_server_spec("tls", rest, CORUN_BYTES))
-        return {
-            "nginx_solo_rps": result.nginx_solo.rps,
-            "nginx_corun_rps": result.nginx_corun.rps,
-            "nginx_slowdown": result.nginx_slowdown,
-            "corunner_slowdown": result.corunner_slowdown,
-        }
-    raise ValueError("unknown datapath instance %r" % spec.instance)
+    metrics = ServerModel(_server_spec(ulp, placement, size)).solve()
+    return {
+        "rps": metrics.rps,
+        "cycles_per_request": metrics.cycles_per_request,
+        "membw_bytes_per_request": metrics.membw_bytes_per_request,
+        "miss_probability": metrics.miss_probability,
+        "bottleneck": metrics.bottleneck,
+    }
+
+
+def _corun_point(placement: str) -> dict:
+    from repro.sim.server import corun
+
+    result = corun(_server_spec("tls", placement, CORUN_BYTES))
+    return {
+        "nginx_solo_rps": result.nginx_solo.rps,
+        "nginx_corun_rps": result.nginx_corun.rps,
+        "nginx_slowdown": result.nginx_slowdown,
+        "corunner_slowdown": result.corunner_slowdown,
+    }
+
+
+def _datapath_points(seed: int, quick: bool) -> dict:
+    sizes = QUICK_CROSSOVER_SIZES if quick else CROSSOVER_SIZES
+    table = {"crossover/%s/%s/%d" % (ulp, placement, size): (
+                 _crossover_point,
+                 {"ulp": ulp, "placement": placement, "size": size})
+             for ulp in sorted(CROSSOVER_PLACEMENTS)
+             for placement in CROSSOVER_PLACEMENTS[ulp]
+             for size in sizes}
+    for placement in CORUN_PLACEMENTS:
+        table["corun/%s" % placement] = (_corun_point,
+                                         {"placement": placement})
+    return table
 
 
 def _datapath_rollup(results: dict, seed: int, quick: bool) -> dict:
@@ -265,35 +279,25 @@ def _datapath_render(payload: dict) -> str:
 CLUSTER_PLACEMENTS = ("smartdimm", "cpu", "quickassist")
 
 
-def _cluster_points(seed: int, quick: bool) -> list:
-    return (["closed/%s" % placement for placement in CLUSTER_PLACEMENTS]
-            + ["open/spill"])
-
-
-def _cluster_durations(quick: bool) -> tuple:
-    return (0.008, 0.002) if quick else (0.02, 0.005)
-
-
-def _cluster_run_point(spec: RunSpec) -> dict:
+def _cluster_point(**scenario) -> dict:
     from repro.cluster.scenario import ClusterScenario, run_scenario
 
-    duration_s, warmup_s = _cluster_durations(spec.quick)
-    kind, rest = spec.instance.split("/", 1)
-    if kind == "closed":
-        scenario = ClusterScenario(
-            servers=2, channels=4, threads=8,
-            ulp="tls", placement=rest, message_bytes=16384,
-            mode="closed", connections=256,
-            duration_s=duration_s, warmup_s=warmup_s, seed=spec.seed)
-    elif spec.instance == "open/spill":
-        scenario = ClusterScenario(
-            servers=2, channels=4, threads=8,
-            ulp="tls", placement="smartdimm", message_bytes=16384,
-            mode="open", arrival="poisson", scheduler="adaptive-spill",
-            duration_s=duration_s, warmup_s=warmup_s, seed=spec.seed)
-    else:
-        raise ValueError("unknown cluster instance %r" % spec.instance)
-    return run_scenario(scenario).to_dict()
+    return run_scenario(ClusterScenario(**scenario)).to_dict()
+
+
+def _cluster_points(seed: int, quick: bool) -> dict:
+    rack = dict(servers=2, channels=4, threads=8, ulp="tls",
+                message_bytes=16384, seed=seed,
+                duration_s=0.008 if quick else 0.02,
+                warmup_s=0.002 if quick else 0.005)
+    table = {"closed/%s" % placement: (
+                 _cluster_point, dict(rack, placement=placement,
+                                      mode="closed", connections=256))
+             for placement in CLUSTER_PLACEMENTS}
+    table["open/spill"] = (_cluster_point, dict(
+        rack, placement="smartdimm", mode="open", arrival="poisson",
+        scheduler="adaptive-spill"))
+    return table
 
 
 def _cluster_rollup(results: dict, seed: int, quick: bool) -> dict:
@@ -320,16 +324,13 @@ CHAOS_ARMS = (0, 1, 2)
 QUICK_CHAOS_ARMS = (0,)
 
 
-def _faults_points(seed: int, quick: bool) -> list:
-    arms = QUICK_CHAOS_ARMS if quick else CHAOS_ARMS
-    return ["chaos/seed%d" % (seed + offset) for offset in arms]
-
-
-def _faults_run_point(spec: RunSpec) -> dict:
+def _faults_points(seed: int, quick: bool) -> dict:
     from repro.faults.chaos import run_chaos
 
-    arm_seed = int(spec.instance.split("seed", 1)[1])
-    return run_chaos(seed=arm_seed, ops=12 if spec.quick else 24)
+    arms = QUICK_CHAOS_ARMS if quick else CHAOS_ARMS
+    return {"chaos/seed%d" % (seed + offset): (
+                run_chaos, {"seed": seed + offset, "ops": 12 if quick else 24})
+            for offset in arms}
 
 
 def _faults_rollup(results: dict, seed: int, quick: bool) -> dict:
@@ -368,7 +369,6 @@ def _sweep_target(name, module_path, description, deps, default_seed,
     return Target(name=name, description=description, code_deps=deps,
                   default_seed=default_seed,
                   points=_forward(module_path, "matrix_points"),
-                  run_point=_forward(module_path, "run_point"),
                   rollup=_forward(module_path, "rollup"),
                   render=_forward(module_path, "render"),
                   headlines=headlines, gates=gates)
@@ -385,7 +385,6 @@ TARGETS = {
             code_deps=_THIS_MODULE + ("repro.sim", "repro.cpu"),
             default_seed=1,
             points=_datapath_points,
-            run_point=_datapath_run_point,
             rollup=_datapath_rollup,
             render=_datapath_render,
             headlines={
@@ -409,7 +408,6 @@ TARGETS = {
             code_deps=_THIS_MODULE + _FLEET_DEPS + _MICRO_DEPS,
             default_seed=1,
             points=_cluster_points,
-            run_point=_cluster_run_point,
             rollup=_cluster_rollup,
             headlines={
                 "smartdimm_over_cpu_rps": "summary.smartdimm_over_cpu_rps",
@@ -426,7 +424,6 @@ TARGETS = {
             code_deps=_THIS_MODULE + _MICRO_DEPS + _FLEET_DEPS,
             default_seed=7,
             points=_faults_points,
-            run_point=_faults_run_point,
             rollup=_faults_rollup,
             headlines={
                 "corruption_observed_default_seed":
@@ -439,9 +436,10 @@ TARGETS = {
             # docstring) is pinned at the default seed.  Extra arms are
             # exploratory: they report corruption_observed_total as
             # telemetry but do not gate — the matrix already surfaced one
-            # real finding this way (seed 9 escapes via a 2-bit
-            # source-page flip that deflate's output-only device CRC
-            # cannot see; see the ROADMAP input-integrity item).
+            # real finding this way (seed 9 escapes because a
+            # detected-uncorrectable ECC read is passed on as data; see
+            # the ROADMAP item "Detected-uncorrectable reads become
+            # typed failures").
             gates=(
                 ("summary.corruption_observed_default_seed", "==", 0,
                  "no corrupted output escapes recovery at the default "

@@ -64,29 +64,27 @@ NO_CONTROL = {
 }
 
 
+#: The rack and workload every point shares: open-loop Poisson TLS-16KB
+#: on a 2-server rack.
+RACK = {
+    "servers": 2, "channels": 4, "threads": 8,
+    "ulp": "tls", "placement": "smartdimm", "message_bytes": 16384,
+    "mode": "open", "arrival": "poisson",
+}
+
+
 def overload_scenario(rate_rps: float, control: bool, seed: int,
                       duration_s: float, warmup_s: float) -> ClusterScenario:
-    """One sweep point: open-loop Poisson TLS-16KB on a 2-server rack."""
+    """One sweep point: the shared rack at `rate_rps`, control on or off."""
     knobs = CONTROL if control else NO_CONTROL
-    return ClusterScenario(
-        servers=2, channels=4, threads=8,
-        ulp="tls", placement="smartdimm", message_bytes=16384,
-        mode="open", arrival="poisson", rate_rps=rate_rps,
-        duration_s=duration_s, warmup_s=warmup_s, seed=seed,
-        **knobs,
-    )
+    return ClusterScenario(rate_rps=rate_rps, duration_s=duration_s,
+                           warmup_s=warmup_s, seed=seed, **RACK, **knobs)
 
 
-def fleet_capacity_rps(seed: int = 11) -> float:
+def fleet_capacity_rps() -> float:
     """The analytic fixed-point capacity of the sweep's rack."""
-    probe = overload_scenario(1.0, control=False, seed=seed,
-                              duration_s=0.02, warmup_s=0.005)
+    probe = ClusterScenario(**RACK)
     return probe.build_profile().model_metrics.rps * probe.servers
-
-
-def sweep_durations(quick: bool) -> tuple:
-    """(duration_s, warmup_s) for the full vs quick sweep window."""
-    return (0.008, 0.002) if quick else (0.02, 0.005)
 
 
 def _curve_point(factor: float, report) -> dict:
@@ -114,7 +112,7 @@ def run_sweep_point(factor: float, control: bool, seed: int,
     analytic fixed point — recomputed here (cheaply) so a point needs no
     ambient state and can run in any pool worker.
     """
-    capacity = fleet_capacity_rps(seed)
+    capacity = fleet_capacity_rps()
     rate = factor * capacity
     scenario = overload_scenario(rate, control, seed, duration_s, warmup_s)
     point = _curve_point(factor, run_scenario(scenario))
@@ -190,7 +188,7 @@ def _drive_qat(budget: RetryBudget, seed: int, ops: int,
     }
 
 
-def run_retry_amplification(seed: int = 11, ops: int = 60,
+def run_retry_amplification(seed: int, ops: int = 60,
                             probability: float = 0.5,
                             max_retries: int = 8) -> dict:
     """The same lossy accelerator, retried with and without a real budget.
@@ -219,10 +217,10 @@ def run_retry_amplification(seed: int = 11, ops: int = 60,
 # -- overload + chaos composition ----------------------------------------------------
 
 
-def run_chaos_composition(seed: int = 11, duration_s: float = 0.02,
-                          warmup_s: float = 0.005) -> dict:
+def run_chaos_composition(seed: int, duration_s: float,
+                          warmup_s: float) -> dict:
     """2x overload with the control stack on, plus a node_down window."""
-    capacity = fleet_capacity_rps(seed)
+    capacity = fleet_capacity_rps()
     scenario = overload_scenario(2.0 * capacity, control=True, seed=seed,
                                  duration_s=duration_s, warmup_s=warmup_s)
     injector = FleetFaultInjector([
@@ -244,29 +242,19 @@ def run_chaos_composition(seed: int = 11, duration_s: float = 0.02,
 # -- experiment-matrix points --------------------------------------------------------
 
 
-def matrix_points(seed: int, quick: bool) -> list:
-    """Every instance label of this sweep's matrix target, in rollup order."""
+def matrix_points(seed: int, quick: bool) -> dict:
+    """This sweep's matrix points, ``{label: (function, kwargs)}``."""
     factors = QUICK_LOAD_FACTORS if quick else LOAD_FACTORS
-    instances = ["load/%g/%s" % (factor, arm)
-                 for arm in ("shed", "noshed") for factor in factors]
-    instances.append("retry_amplification")
+    window = {"duration_s": 0.008 if quick else 0.02,
+              "warmup_s": 0.002 if quick else 0.005}
+    table = {"load/%g/%s" % (factor, arm): (run_sweep_point, dict(
+                 window, factor=factor, control=arm == "shed", seed=seed))
+             for arm in ("shed", "noshed") for factor in factors}
+    table["retry_amplification"] = (run_retry_amplification, {"seed": seed})
     if not quick:
-        instances.append("chaos_composition")
-    return instances
-
-
-def run_point(spec) -> dict:
-    """Pure matrix entry: one :class:`~repro.exp.spec.RunSpec` -> result."""
-    duration_s, warmup_s = sweep_durations(spec.quick)
-    if spec.instance.startswith("load/"):
-        _, factor, arm = spec.instance.split("/")
-        return run_sweep_point(float(factor), arm == "shed", spec.seed,
-                               duration_s, warmup_s)
-    if spec.instance == "retry_amplification":
-        return run_retry_amplification(spec.seed)
-    if spec.instance == "chaos_composition":
-        return run_chaos_composition(spec.seed)
-    raise ValueError("unknown overload instance %r" % spec.instance)
+        table["chaos_composition"] = (run_chaos_composition,
+                                      dict(window, seed=seed))
+    return table
 
 
 def rollup(results: dict, seed: int, quick: bool) -> dict:
@@ -279,7 +267,7 @@ def rollup(results: dict, seed: int, quick: bool) -> dict:
     report = {
         "seed": seed,
         "quick": quick,
-        "sweep": sweep_rollup(curves, fleet_capacity_rps(seed)),
+        "sweep": sweep_rollup(curves, fleet_capacity_rps()),
         "retry_amplification": results["retry_amplification"],
     }
     if not quick:

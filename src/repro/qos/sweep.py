@@ -183,11 +183,6 @@ def _section(report) -> dict:
     }
 
 
-def fairness_durations(quick: bool) -> tuple:
-    """(duration_s, warmup_s) for the full vs quick fairness window."""
-    return (0.008, 0.002) if quick else (0.02, 0.005)
-
-
 def run_isolated_point(name: str, seed: int, duration_s: float,
                        warmup_s: float) -> dict:
     """One tenant alone at its shared-run rate: its isolation baseline."""
@@ -199,27 +194,15 @@ def run_isolated_point(name: str, seed: int, duration_s: float,
     return _tenant_point(run_scenario(solo), name)
 
 
-def run_attack_point(seed: int, duration_s: float, warmup_s: float) -> dict:
-    """All tenants together under the full QoS stack."""
+def run_shared_point(seed: int, duration_s: float, warmup_s: float,
+                     mode: str = "drr", isolate: bool = True,
+                     load: float = None, chaos: bool = False) -> dict:
+    """All tenants together at their section rates, or scaled so their
+    aggregate offered load is `load` x fleet capacity; `chaos` adds
+    node_down + channel_wedge windows."""
     capacity = fleet_capacity_rps()
-    tenants = make_tenants(tenant_rates(capacity))
-    return _section(run_scenario(qos_scenario(
-        tenants, seed, duration_s, warmup_s, derive_deadline_s())))
-
-
-def run_fifo_point(seed: int, duration_s: float, warmup_s: float) -> dict:
-    """The contrast arm: FIFO stations, shared overload state."""
-    capacity = fleet_capacity_rps()
-    tenants = make_tenants(tenant_rates(capacity))
-    return _section(run_scenario(qos_scenario(
-        tenants, seed, duration_s, warmup_s, derive_deadline_s(),
-        mode="fifo", isolate=False)))
-
-
-def run_chaos_point(seed: int, duration_s: float, warmup_s: float) -> dict:
-    """The attack plus node_down + channel_wedge windows."""
-    capacity = fleet_capacity_rps()
-    tenants = make_tenants(tenant_rates(capacity))
+    rates = tenant_rates(capacity)
+    scale = 1.0 if load is None else load * capacity / sum(rates.values())
     window = duration_s - warmup_s
     injector = FleetFaultInjector([
         FaultWindow(kind="node_down", server=0,
@@ -228,27 +211,18 @@ def run_chaos_point(seed: int, duration_s: float, warmup_s: float) -> dict:
         FaultWindow(kind="channel_wedge", server=1, channel=0,
                     start_s=warmup_s + 0.6 * window,
                     duration_s=0.2 * window),
-    ])
-    chaos_report = run_scenario(
-        qos_scenario(tenants, seed, duration_s, warmup_s,
-                     derive_deadline_s()),
+    ]) if chaos else None
+    report = run_scenario(qos_scenario(
+        make_tenants(rates, scale=scale), seed, duration_s, warmup_s,
+        derive_deadline_s(), mode=mode, isolate=isolate),
         fault_injector=injector)
-    chaos = _section(chaos_report)
-    chaos["chaos"] = {
-        "availability": chaos_report.chaos["availability"],
-        "windows": len(chaos_report.chaos["windows"]),
-    }
-    return chaos
-
-
-def run_surge_point(seed: int, duration_s: float, warmup_s: float) -> dict:
-    """Everyone scaled so aggregate offered load is 2x fleet capacity."""
-    capacity = fleet_capacity_rps()
-    rates = tenant_rates(capacity)
-    surge_scale = 2.0 * capacity / sum(rates.values())
-    return _section(run_scenario(qos_scenario(
-        make_tenants(rates, scale=surge_scale), seed,
-        duration_s, warmup_s, derive_deadline_s())))
+    section = _section(report)
+    if chaos:
+        section["chaos"] = {
+            "availability": report.chaos["availability"],
+            "windows": len(report.chaos["windows"]),
+        }
+    return section
 
 
 def fairness_rollup(isolated: dict, attack: dict, fifo: dict, chaos: dict,
@@ -337,7 +311,7 @@ def _drive_child(child, seed: int, ops: int, probability: float) -> dict:
             "budget": child.summary()}
 
 
-def run_retry_isolation(seed: int = 11, ops: int = 60) -> dict:
+def run_retry_isolation(seed: int, ops: int = 60) -> dict:
     """An aggressor's 100%-lossy retry storm next to a victim's 10% loss.
 
     Both tenants retry through per-tenant children of one shared
@@ -368,30 +342,21 @@ def run_retry_isolation(seed: int = 11, ops: int = 60) -> dict:
 TENANT_NAMES = ("victim", "steady", "aggressor")
 
 
-def matrix_points(seed: int, quick: bool) -> list:
-    """Every instance label of this sweep's matrix target."""
-    return (["isolated/%s" % name for name in TENANT_NAMES]
-            + ["attack", "attack_fifo", "attack_chaos", "surge",
-               "retry_isolation"])
-
-
-def run_point(spec) -> dict:
-    """Pure matrix entry: one :class:`~repro.exp.spec.RunSpec` -> result."""
-    duration_s, warmup_s = fairness_durations(spec.quick)
-    if spec.instance.startswith("isolated/"):
-        return run_isolated_point(spec.instance.split("/", 1)[1], spec.seed,
-                                  duration_s, warmup_s)
-    section = {
-        "attack": run_attack_point,
-        "attack_fifo": run_fifo_point,
-        "attack_chaos": run_chaos_point,
-        "surge": run_surge_point,
-    }.get(spec.instance)
-    if section is not None:
-        return section(spec.seed, duration_s, warmup_s)
-    if spec.instance == "retry_isolation":
-        return run_retry_isolation(spec.seed)
-    raise ValueError("unknown qos instance %r" % spec.instance)
+def matrix_points(seed: int, quick: bool) -> dict:
+    """This sweep's matrix points, ``{label: (function, kwargs)}``."""
+    run = {"seed": seed, "duration_s": 0.008 if quick else 0.02,
+           "warmup_s": 0.002 if quick else 0.005}
+    table = {"isolated/%s" % name: (run_isolated_point, dict(run, name=name))
+             for name in TENANT_NAMES}
+    table.update({
+        "attack": (run_shared_point, run),
+        "attack_fifo": (run_shared_point,
+                        dict(run, mode="fifo", isolate=False)),
+        "attack_chaos": (run_shared_point, dict(run, chaos=True)),
+        "surge": (run_shared_point, dict(run, load=2.0)),
+        "retry_isolation": (run_retry_isolation, {"seed": seed}),
+    })
+    return table
 
 
 def rollup(results: dict, seed: int, quick: bool) -> dict:

@@ -387,33 +387,18 @@ def run_fleet(seed: int, duration_s: float, warmup_s: float,
 # -- experiment-matrix points --------------------------------------------------------
 
 
-def _grid_ops(quick: bool) -> int:
-    return 16 if quick else 48
-
-
-def matrix_points(seed: int, quick: bool) -> list:
-    """Every instance label of this sweep's matrix target."""
-    return (["grid/%s/%g" % (arm, rate)
-             for arm, _ in SCRUB_ARMS for rate in SDC_RATES]
-            + ["sdc", "fleet"])
-
-
-def run_point(spec) -> dict:
-    """Pure matrix entry: one :class:`~repro.exp.spec.RunSpec` -> result."""
-    if spec.instance.startswith("grid/"):
-        _, arm, rate = spec.instance.split("/")
-        scrub_lines = dict(SCRUB_ARMS)[arm]
-        return _micro_cell(spec.seed, scrub_lines, float(rate),
-                           ops=_grid_ops(spec.quick))
-    if spec.instance == "sdc":
-        return run_sdc(spec.seed, ops=12 if spec.quick else 16)
-    if spec.instance == "fleet":
-        if spec.quick:
-            return run_fleet(spec.seed, duration_s=0.008, warmup_s=0.002,
-                             steps=48)
-        return run_fleet(spec.seed, duration_s=0.02, warmup_s=0.005,
-                         steps=160)
-    raise ValueError("unknown ras instance %r" % spec.instance)
+def matrix_points(seed: int, quick: bool) -> dict:
+    """This sweep's matrix points, ``{label: (function, kwargs)}``."""
+    table = {"grid/%s/%g" % (arm, rate): (_micro_cell, {
+                 "seed": seed, "scrub_lines": scrub_lines, "sdc_rate": rate,
+                 "ops": 16 if quick else 48})
+             for arm, scrub_lines in SCRUB_ARMS for rate in SDC_RATES}
+    table["sdc"] = (run_sdc, {"seed": seed, "ops": 12 if quick else 16})
+    table["fleet"] = (run_fleet, {
+        "seed": seed, "duration_s": 0.008 if quick else 0.02,
+        "warmup_s": 0.002 if quick else 0.005,
+        "steps": 48 if quick else 160})
+    return table
 
 
 def rollup(results: dict, seed: int, quick: bool) -> dict:

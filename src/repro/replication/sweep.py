@@ -34,9 +34,12 @@ PLACEMENTS = ("smartdimm", "cpu", "quickassist")
 #: Protocols swept; the gate reads the ABD rows.
 SWEEP_PROTOCOLS = ("abd", "chain")
 
+#: Value size of every sweep point.
+VALUE_BYTES = 16384
+
 
 def replication_scenario(placement: str, protocol: str, seed: int,
-                         value_bytes: int = 16384,
+                         value_bytes: int = VALUE_BYTES,
                          duration_s: float = 0.03,
                          warmup_s: float = 0.005) -> ReplicationScenario:
     """One sweep point: 3 replicas on a 3-server rack, 8 closed-loop
@@ -85,38 +88,26 @@ def _point(report) -> dict:
     }
 
 
-def sweep_durations(quick: bool) -> tuple:
-    """(duration_s, warmup_s) for the full vs quick sweep window."""
-    return (0.012, 0.002) if quick else (0.03, 0.005)
-
-
 def run_sweep_point(protocol: str, placement: str, seed: int,
-                    chaos: bool = True, value_bytes: int = 16384,
-                    duration_s: float = 0.03,
-                    warmup_s: float = 0.005) -> dict:
-    """One (protocol, placement) row, pure: spec in, result dict out."""
+                    duration_s: float, warmup_s: float) -> dict:
+    """One (protocol, placement) row under the sweep's chaos schedule,
+    pure: arguments in, result dict out."""
     scenario = replication_scenario(placement, protocol, seed,
-                                    value_bytes, duration_s, warmup_s)
-    injector = (FleetFaultInjector(standard_windows(duration_s, warmup_s))
-                if chaos else None)
+                                    duration_s=duration_s, warmup_s=warmup_s)
+    injector = FleetFaultInjector(standard_windows(duration_s, warmup_s))
     return _point(run_replication(scenario, fault_injector=injector))
 
 
 # -- experiment-matrix points --------------------------------------------------------
 
 
-def matrix_points(seed: int, quick: bool) -> list:
-    """Every instance label of this sweep's matrix target."""
-    return ["%s/%s" % (protocol, placement)
-            for protocol in SWEEP_PROTOCOLS for placement in PLACEMENTS]
-
-
-def run_point(spec) -> dict:
-    """Pure matrix entry: one :class:`~repro.exp.spec.RunSpec` -> result."""
-    protocol, placement = spec.instance.split("/")
-    duration_s, warmup_s = sweep_durations(spec.quick)
-    return run_sweep_point(protocol, placement, spec.seed,
-                           duration_s=duration_s, warmup_s=warmup_s)
+def matrix_points(seed: int, quick: bool) -> dict:
+    """This sweep's matrix points, ``{label: (function, kwargs)}``."""
+    window = {"duration_s": 0.012 if quick else 0.03,
+              "warmup_s": 0.002 if quick else 0.005}
+    return {"%s/%s" % (protocol, placement): (run_sweep_point, dict(
+                window, protocol=protocol, placement=placement, seed=seed))
+            for protocol in SWEEP_PROTOCOLS for placement in PLACEMENTS}
 
 
 def rollup(results: dict, seed: int, quick: bool) -> dict:
@@ -132,7 +123,7 @@ def rollup(results: dict, seed: int, quick: bool) -> dict:
         for placements in protocols.values()
         for point in placements.values())
     summary = {
-        "value_bytes": 16384,
+        "value_bytes": VALUE_BYTES,
         "total_violations": total_violations,
         # The acceptance ratio the replication target gates on: SmartDIMM
         # hop acceleration must translate into more completed operations

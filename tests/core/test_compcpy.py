@@ -1,5 +1,7 @@
 """CompCpy (Algorithm 2) and Force-Recycle (Algorithm 1)."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.compcpy import CompCpyError
@@ -130,6 +132,16 @@ def test_read_buffer_unaligned_offsets(session):
     address = session.driver.alloc_pages(1)
     session.write(address, bytes(range(256)))
     assert session.compcpy.read_buffer(address + 10, 20) == bytes(range(10, 30))
+
+
+@pytest.mark.parametrize("offset", [0, 10, CACHELINE_SIZE - 1])
+def test_empty_read_touches_no_line(session, offset):
+    address = session.driver.alloc_pages(1)
+    before = (asdict(session.llc.stats), asdict(session.mc.stats),
+              session.mc.cycle)
+    assert session.read(address + offset, 0) == b""
+    assert (asdict(session.llc.stats), asdict(session.mc.stats),
+            session.mc.cycle) == before
 
 
 def test_multi_page_offload(session):

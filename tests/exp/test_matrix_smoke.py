@@ -97,6 +97,15 @@ class TestCacheIntegration:
 
 
 class TestRegistry:
+    def test_repeated_only_keeps_each_target_once_in_first_seen_order(self):
+        labels = [spec.label for spec in build_matrix(
+            only=["replication", "datapath", "replication"], quick=True)]
+        assert labels == (
+            [spec.label for spec in get_target("replication").specs(
+                quick=True)]
+            + [spec.label for spec in get_target("datapath").specs(
+                quick=True)])
+
     def test_every_target_is_wired(self):
         assert target_names() == sorted(
             ["datapath", "cluster", "faults", "overload", "replication",

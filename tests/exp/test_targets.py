@@ -1,14 +1,14 @@
-"""The target registry's declarative headlines and gates.
+"""The target registry: point tables, headlines and gates.
 
 Every gate threshold lives in one Target's ``gates`` rows; these tests
 run those rows over the committed baselines (no simulation), check that
 each row fails on its own when its value crosses the bound or goes
-missing, and keep the sweep modules out of ``import repro.exp``.  Select
-with ``-m exp``.
+missing, check every target's point table against its cache digest,
+and keep the sweep modules out of ``import repro.exp``.  Select with
+``-m exp``.
 """
 
 import glob
-import importlib.util
 import inspect
 import json
 import os
@@ -18,7 +18,7 @@ import sys
 import pytest
 
 import repro
-from repro.exp import get_target, target_names
+from repro.exp import RunSpec, get_target, target_names
 from repro.exp.cache import _dep_files
 from repro.exp.targets import REPO_ROOT, lookup
 
@@ -97,24 +97,29 @@ def test_lookup_walks_dotted_paths():
     assert lookup(payload, "x.y") is None
 
 
-def _point_source(target):
-    """The file that computes `target`'s points: the module of its own
-    ``run_point``, or the sweep module a forwarded target imports on
-    first call (located without importing it)."""
-    forwarded = inspect.getclosurevars(target.run_point).nonlocals
-    if "module_path" in forwarded:
-        return importlib.util.find_spec(forwarded["module_path"]).origin
-    return inspect.getsourcefile(target.run_point)
-
-
 @pytest.mark.parametrize("name", target_names())
 def test_code_digest_covers_the_point_module(name):
-    # Cached points are keyed by the target's code_deps only, so an edit
-    # to the module that computes them must change the digest.
+    """Each of the target's point tables, quick and full: the module of
+    every function it names is hashed into the cache digest, a rebuild
+    gives an equal table, and an unlisted label raises."""
     target = get_target(name)
+    seed = target.default_seed
+    # Cached points are keyed by the target's code_deps only, so an edit
+    # to the module of any function a table names must change the digest.
     hashed = {os.path.realpath(path) for prefix in target.code_deps
               for path in _dep_files(prefix)}
-    assert os.path.realpath(_point_source(target)) in hashed
+    for quick in (True, False):
+        table = target.points(seed, quick)
+        for label, (function, kwargs) in table.items():
+            source = os.path.realpath(inspect.getsourcefile(function))
+            assert source in hashed, (quick, label, function.__module__)
+            assert isinstance(kwargs, dict), (quick, label)
+        # run_point rebuilds the table in the worker process, so it must
+        # match the one the specs were listed from.
+        assert target.points(seed, quick) == table, quick
+        with pytest.raises(ValueError, match="%s.*'no/such/point'" % name):
+            target.run_point(RunSpec(name, "no/such/point", seed,
+                                     quick=quick))
 
 
 def test_import_leaves_sweep_modules_unloaded():
