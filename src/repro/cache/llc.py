@@ -107,15 +107,20 @@ class LLC:
 
     # -- the one allocation and access path ---------------------------------------
 
+    def _candidates(self, mask: int) -> tuple:
+        """The ways `mask` allows, in way order (built once per mask)."""
+        candidates = self._mask_ways.get(mask)
+        if candidates is None:
+            candidates = tuple(w for w in range(self.ways) if (mask >> w) & 1)
+            self._mask_ways[mask] = candidates
+        return candidates
+
     def _fill(self, number: int, data, mask: int) -> _Line:
         """Allocate line `number` holding `data` in a way `mask` allows:
         an empty way first (in way order), else the least recently used
         one, whose line is evicted and written back if dirty."""
         ways = self._sets[number % self.num_sets]
-        candidates = self._mask_ways.get(mask)
-        if candidates is None:
-            candidates = tuple(w for w in range(self.ways) if (mask >> w) & 1)
-            self._mask_ways[mask] = candidates
+        candidates = self._mask_ways.get(mask) or self._candidates(mask)
         for way in candidates:
             if way not in ways:
                 break
@@ -266,6 +271,95 @@ class LLC:
             if error is not None:
                 self._raise_at(error)
             done += chunk
+
+    def copy_range_ordered(self, src: int, dst: int, count: int) -> None:
+        """Copy `count` lines with a memory barrier after each, the ordered
+        copy of Algorithm 2 (== ``store(dst, load(src)); mc.fence()`` per
+        line).
+
+        Each run :meth:`_fenced_run` allows is read up front as one fenced
+        burst (:meth:`MemoryController.read_lines_fenced`), then accessed
+        in order.  That matches the per-line loop while nothing the run's
+        accesses do reaches the controller: every step ends in a fence, so
+        the write queue is empty at each read, and a writeback queued
+        mid-run would be drained by that line's fence, between two rdCAS.
+        A line outside any run (a resident source, or a fill that might
+        evict a dirty line) takes the per-line step itself.  A read that
+        raises stops the copy as :meth:`copy_range` does."""
+        src >>= 6
+        dst >>= 6
+        distance = (dst - src) % self.num_sets or self.num_sets
+        m = 0
+        while m < count:
+            run = self._fenced_run(src + m, dst + m, count - m, distance)
+            if not run:
+                self._write(dst + m, bytes(self._access(src + m, None).data))
+                self.mc.fence()
+                m += 1
+                continue
+            data, error = self.mc.read_lines_fenced((src + m) << 6, run)
+            view = memoryview(data)
+            for offset in range(0, len(data), CACHELINE_SIZE):
+                line = view[offset : offset + CACHELINE_SIZE]
+                self._access(src + m, line)
+                self._write(dst + m, line)
+                m += 1
+            if error is not None:
+                self._raise_at(error)
+
+    def _fenced_run(self, src: int, dst: int, remaining: int,
+                    distance: int) -> int:
+        """Lines from `src` (copied to `dst`) that one fenced burst may
+        read: non-resident sources none of whose fills can evict a dirty
+        line.
+
+        As in :meth:`_chunk`, a run stays within the src -> dst set
+        `distance` (the set count when src and dst share a set), so no
+        fill lands in the set of a source still to be read or of a
+        destination already stored, and the only lines the run can evict
+        dirty are those resident before it.  A source's fill is the run's
+        first into its set.  From ``num_sets - distance`` lines into the
+        run on, a destination's set has taken one fill before its store,
+        that of the run source whose set it is, which may even evict a
+        resident destination.  So a line joins while each of its two sets
+        holds a free allowed way per fill the run makes there up to it,
+        or no dirty line in an allowed way.  A set with enough free ways
+        costs no scan."""
+        lines = self._lines
+        sets = self._sets
+        num_sets = self.num_sets
+        mask = self.cpu_way_mask
+        allowed = len(self._candidates(mask))
+        limit = min(remaining, distance)
+        shared = num_sets - distance
+        run = 0
+        while run < limit:
+            if src + run in lines:
+                break
+            ways = sets[(src + run) % num_sets]
+            if allowed - len(ways) < 1 and not self._fill_safe(ways, mask, 1):
+                break
+            fills = (run >= shared) + (dst + run not in lines)
+            ways = sets[(dst + run) % num_sets]
+            if fills and allowed - len(ways) < fills and not self._fill_safe(
+                    ways, mask, fills):
+                break
+            run += 1
+        return run
+
+    def _fill_safe(self, ways: dict, mask: int, fills: int) -> bool:
+        """Whether `fills` fills into a set (way -> line) under `mask`
+        can evict no dirty line: it has that many free allowed ways, or
+        no dirty line in an allowed way."""
+        free = 0
+        dirty = False
+        for way in self._candidates(mask):
+            line = ways.get(way)
+            if line is None:
+                free += 1
+            elif line.dirty:
+                dirty = True
+        return free >= fills or not dirty
 
     def _remove(self, number: int):
         """Invalidate line `number`; returns its _Line, or None."""

@@ -13,7 +13,11 @@ Sequence per call, exactly mirroring Algorithm 2:
 3. flush the source buffer to DRAM (cheap when it is already there);
 4. register every sbuf/dbuf page pair plus context via MMIO;
 5. the copy itself — 64-byte chunks with a memory barrier after each when
-   the DSA needs ordered input (deflate), one bulk copy otherwise (TLS);
+   the DSA needs ordered input (deflate, inflate, serde), one bulk copy
+   otherwise (TLS).  Both are LLC range operations: the ordered one reads
+   each run of missing source lines as one fenced same-row burst (rdCAS,
+   then the barrier's cycles, per line) and steps line by line past a
+   resident source or a fill that might evict a dirty line;
 6. flush the destination so later reads observe the transformed data rather
    than the stale plaintext the copy left in the cache.
 """
@@ -143,11 +147,10 @@ class CompCpy:
 
         try:
             if ordered:
+                # A membar between 64-byte segments; the flush and fence
+                # above leave the write queue empty for its fenced bursts.
                 self.stats.ordered_copies += 1
-                for offset in range(0, size, CACHELINE_SIZE):
-                    line = self.llc.load(sbuf + offset)
-                    self.llc.store(dbuf + offset, line)
-                    self.mc.fence()  # membar between 64-byte segments
+                self.llc.copy_range_ordered(sbuf, dbuf, size // CACHELINE_SIZE)
             else:
                 self.llc.copy_range(sbuf, dbuf, size // CACHELINE_SIZE)
 

@@ -78,7 +78,5 @@ class ComputeDMA:
 
     def read_result(self, dbuf: int, size: int) -> bytes:
         """Read the transformed output through the cache."""
-        out = bytearray()
-        for offset in range(0, size, CACHELINE_SIZE):
-            out.extend(self.llc.load(dbuf + offset))
-        return bytes(out[:size])
+        lines = (size + CACHELINE_SIZE - 1) // CACHELINE_SIZE
+        return self.llc.load_range(dbuf, lines)[:size]

@@ -127,7 +127,5 @@ class DirectOffloadEngine:
                 self._retire(entry)
                 self.stats.forced_evictions += 1
         self._table = [entry for entry in self._table if not entry.retired]
-        out = bytearray()
-        for offset in range(0, size, CACHELINE_SIZE):
-            out.extend(self.llc.load(dbuf + offset))
-        return bytes(out[:size])
+        lines = (size + CACHELINE_SIZE - 1) // CACHELINE_SIZE
+        return self.llc.load_range(dbuf, lines)[:size]

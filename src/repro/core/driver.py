@@ -83,6 +83,14 @@ class SmartDIMMDriver:
         — the arbiter replaces each burst with the scratchpad data (S8/S9),
         so the written payload is irrelevant — spinning past the DSA-latency
         window when a write lands too early (S7).  Returns lines recycled.
+
+        The writes go out as runs of consecutive pending lines, one
+        :meth:`MemoryController.write_lines_now` each, which equals writing
+        them one by one as long as no line of a run would make that loop
+        spin.  So a run starts with the spin for its first line, and a
+        later line joins only if it is ready by `cas_cycles` per line
+        after the spin: each earlier write advances the clock at least
+        that much, so the per-line loop would find it ready.
         """
         binding = self.device._page_binding.get(page_number)
         if binding is None:
@@ -91,15 +99,28 @@ class SmartDIMMDriver:
         if is_source:
             return self.reclaim_page(offload.dbuf_pages[position])
         index = offload.scratchpad_indices[position]
-        recycled = 0
-        for line in list(self.device.scratchpad.pending_lines(index)):
-            address = page_number * PAGE_SIZE + line * CACHELINE_SIZE
-            ready = self.device.scratchpad.page(index).ready_cycles[line]
+        pending = self.device.scratchpad.pending_lines(index)
+        # A page can only be released on its last pending line's write,
+        # so its record stays valid for the whole reclaim.
+        ready_cycles = self.device.scratchpad.page(index).ready_cycles
+        cas = self.mc.timing.cas_cycles
+        i = 0
+        while i < len(pending):
+            first = pending[i]
+            ready = ready_cycles[first]
             if ready is not None and self.mc.cycle < ready:
                 self.mc.cycle = ready  # CPU spins until the DSA catches up
-            self.mc.write_line_now(address, bytes(CACHELINE_SIZE))
-            recycled += 1
-        return recycled
+            start = self.mc.cycle
+            j = i + 1
+            while j < len(pending) and pending[j] == first + j - i:
+                ready = ready_cycles[pending[j]]
+                if ready is not None and ready > start + cas * (j - i):
+                    break
+                j += 1
+            self.mc.write_lines_now(page_number * PAGE_SIZE + first * CACHELINE_SIZE,
+                                    [bytes(CACHELINE_SIZE)] * (j - i))
+            i = j
+        return len(pending)
 
     # -- MMIO ------------------------------------------------------------------------
 

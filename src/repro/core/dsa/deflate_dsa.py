@@ -100,6 +100,25 @@ class PageTransformDSA(DSA):
         context.next_line += 1
         context.input_buffer.extend(data)
 
+    def process_run(
+        self,
+        offload: Offload,
+        writer: ScratchpadWriter,
+        first_global_line: int,
+        data: bytes,
+        count: int,
+    ) -> bool:
+        """Accumulate `count` consecutive source lines in one call (==
+        `count` :meth:`process_line` calls).  Returns False, consuming
+        nothing, when the run does not start at the next expected line,
+        so the per-line path raises :class:`OutOfOrderLineError`."""
+        context = offload.context
+        if first_global_line != context.next_line:
+            return False
+        context.next_line += count
+        context.input_buffer.extend(data)
+        return True
+
     def finalize(self, offload: Offload, writer: ScratchpadWriter) -> None:
         """Frame the transform's output (or the overflow marker) into the
         destination pages and validate every line."""

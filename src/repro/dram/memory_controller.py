@@ -126,13 +126,14 @@ class TraceEntry:
 class MemoryController:
     """Schedules line-granular reads/writes onto per-channel DIMM devices.
 
-    The range APIs (:meth:`read_lines`, :meth:`write_lines_now`) and the
-    write-queue drain coalesce same-row CAS bursts into one open-row check
-    and one turnaround check per run whenever the device's ``bulk_ok``
-    allows it; elsewhere each line is its own ``Command``.  The command
-    stream, cycle counts, stats and trace are those of issuing every line
-    on its own, the per-line oracle of ``tests/micro_oracle.py`` that
-    ``tests/core/test_micro_oracle.py`` checks them against.
+    The range APIs (:meth:`read_lines`, :meth:`read_lines_fenced`,
+    :meth:`write_lines_now`) and the write-queue drain coalesce same-row
+    CAS bursts into one open-row check and one turnaround check per run
+    whenever the device's ``bulk_ok`` allows it; elsewhere each line is
+    its own ``Command``.  The command stream, cycle counts, stats and
+    trace are those of issuing every line on its own, the per-line oracle
+    of ``tests/micro_oracle.py`` that ``tests/core/test_micro_oracle.py``
+    checks them against.
     """
 
     WRITE_QUEUE_HIGH_WATERMARK = 48
@@ -241,10 +242,42 @@ class MemoryController:
             return b"".join(parts), error
         return b"".join(parts), None
 
-    def _read_span(self, address: int, count: int, parts: list) -> None:
-        """Issue reads for `count` lines known to miss the write queue."""
+    def read_lines_fenced(self, address: int, count: int) -> tuple:
+        """Read up to `count` consecutive cachelines with a memory barrier
+        after each (== a ``read_line(line); fence()`` loop), returning
+        ``(data, error)`` as :meth:`read_lines` does.
+
+        Only the first read can be forwarded: its fence drains the write
+        queue and nothing refills it, so the rest go out as fenced same-row
+        bursts, with the empty queue's fence (`fence_cycles`) after each
+        line.  The m-th rdCAS of a burst, and the m-th line's DSA readiness
+        on a source page, are stamped at ``first_cycle + (cas_cycles +
+        fence_cycles) * m``, and an offload the burst completes finalises
+        at its last line's cycle.  A read that raises is charged its issue
+        but no fence; an alerted read gets its fence after its ALERT_N
+        retry loop.
+        """
+        self._check_aligned(address)
+        parts = []
+        try:
+            if self._write_queue and count:
+                parts.append(self.read_line(address))
+                self.fence()
+                address += CACHELINE_SIZE
+                count -= 1
+            self._read_span(address, count, parts, self.timing.fence_cycles)
+        except FaultError as error:
+            return b"".join(parts), error
+        return b"".join(parts), None
+
+    def _read_span(self, address: int, count: int, parts: list,
+                   fence: int = 0) -> None:
+        """Issue reads for `count` lines known to miss the write queue,
+        each followed by `fence` cycles of barrier (an empty queue's
+        fence)."""
         timing = self.timing
         cas = timing.cas_cycles
+        step = cas + fence
         while count:
             run = min(count, self.mapping.run_length(address))
             coordinate = self.mapping.line_coordinate(address)
@@ -256,6 +289,7 @@ class MemoryController:
                 result = self._issue_with_alert_retry(address, CommandType.RDCAS)
                 self.stats.reads += 1
                 self.stats.bytes_read += CACHELINE_SIZE
+                self.cycle += fence
                 parts.append(result.data)
                 address += CACHELINE_SIZE
                 count -= 1
@@ -269,15 +303,15 @@ class MemoryController:
                 self._last_direction = "read"
                 first_cycle = self.cycle + cas
                 data, served, alerted, error = device.read_line_run(
-                    address, run, first_cycle, cas
+                    address, run, first_cycle, step
                 )
                 issued = served + (alerted or error is not None)
                 self.stats.row_hits += issued - 1
-                self.cycle += cas * issued
+                self.cycle += cas * issued + fence * served
                 if self.trace is not None:
                     for m in range(issued):
                         self.trace.append(
-                            TraceEntry(first_cycle + cas * m, "rdCAS",
+                            TraceEntry(first_cycle + step * m, "rdCAS",
                                        address + (m << 6))
                         )
                 if served:
@@ -297,6 +331,7 @@ class MemoryController:
                     result = self._alert_retry_continue(address, CommandType.RDCAS)
                     self.stats.reads += 1
                     self.stats.bytes_read += CACHELINE_SIZE
+                    self.cycle += fence
                     parts.append(result.data)
                     address += CACHELINE_SIZE
                     run -= 1

@@ -10,7 +10,9 @@ queued writes must be equal.  The range operations' chunking (write-queue
 headroom, distinct sets, src/dst set distance) is invisible only if every
 chunk matches the per-line loop, so small caches, set-colliding
 addresses, near-collision copies and counts past the write-queue
-watermark are drawn on purpose.
+watermark are drawn on purpose.  The ordered copy (a fence after every
+line) reads in fenced bursts that must stop before a fill that could
+evict a dirty line, which the warm-up stores make common.
 """
 
 import pytest
@@ -198,6 +200,7 @@ def scenarios(draw):
         st.tuples(st.just("load_range"), line, count),
         st.tuples(st.just("store_range"), line, count, fill),
         st.tuples(st.just("copy_range"), line, delta, count),
+        st.tuples(st.just("copy_range_ordered"), line, delta, count),
         st.tuples(st.just("flush_line"), line, offset),
         st.tuples(st.just("flush_range"), line, offset,
                   st.integers(0, MAX_COUNT * CACHELINE_SIZE)),
@@ -222,9 +225,9 @@ def _apply(cache, op):
         return cache.load_range(args[0] << 6, args[1])
     if kind == "store_range":
         return cache.store_range(args[0] << 6, _lines(args[2], args[1]))
-    if kind == "copy_range":
+    if kind in ("copy_range", "copy_range_ordered"):
         src, delta, count = args
-        return cache.copy_range(src << 6, max(src + delta, 0) << 6, count)
+        return getattr(cache, kind)(src << 6, max(src + delta, 0) << 6, count)
     if kind in ("flush_line", "dma_read"):
         return getattr(cache, kind)((args[0] << 6) + args[1])
     if kind == "flush_range":

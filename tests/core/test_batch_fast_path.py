@@ -69,6 +69,21 @@ def test_deflate_ordered_copy_is_bit_identical():
     assert_same(oracle, burst)
 
 
+@pytest.mark.parametrize("llc_bytes, llc_ways", [(16 * 1024, 4), (64 * 1024, 16)])
+def test_ordered_copy_over_a_dirty_llc_is_bit_identical(llc_bytes, llc_ways):
+    """With every LLC set full of dirty lines, the ordered copy's fills
+    evict them, and the per-line loop fences each writeback out between
+    two rdCAS: the fenced bursts must stop before such a fill."""
+    oracle, burst = _twins(llc_bytes=llc_bytes, llc_ways=llc_ways)
+    data = (b"smartdimm deflates html " * 200)[:PAGE_SIZE]
+    for session in (oracle, burst):
+        buffer = session.alloc(2 * llc_bytes)
+        session.write(buffer, _payload(2 * llc_bytes))
+        session.free(buffer)  # the offload's pages reuse the dirty lines'
+    assert burst.deflate_page(data) == oracle.deflate_page(data)
+    assert_same(oracle, burst)
+
+
 def test_multiple_records_per_session_stay_identical():
     """State equality must hold across back-to-back offloads, where the LLC
     and write queue start each record warm, not empty."""
@@ -105,6 +120,21 @@ def test_deferred_flush_and_force_recycle_are_bit_identical():
         session.compcpy.force_recycle(size // PAGE_SIZE)
     assert burst.compcpy.stats == oracle.compcpy.stats
     assert burst.compcpy.stats.force_recycles == 1
+    assert_same(oracle, burst)
+
+
+def test_reclaim_of_unfinished_lines_is_bit_identical():
+    """Freeing a deferred copy's buffers at once reclaims lines the DSA
+    has not finished (the tag line only finalises 320 cycles after the
+    last read): the driver's write runs must stop where the per-line
+    reclaim would spin."""
+    oracle, burst = _twins()
+    for session in (oracle, burst):
+        sbuf, dbuf, _ = _compcpy_offload(session, PAGE_SIZE,
+                                         flush_destination=False)
+        session.driver.free_pages(sbuf)
+        session.driver.free_pages(dbuf)
+    assert burst.device.stats.self_recycles == PAGE_SIZE // CACHELINE_SIZE
     assert_same(oracle, burst)
 
 

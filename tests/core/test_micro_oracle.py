@@ -7,16 +7,22 @@ buffer the oracle module compares.  There are two kinds of stack:
 
 * a session on a SmartDIMM channel, with no fault plan or with one of
   :data:`~tests.micro_oracle.PLANS` (and a RAS engine), driven through
-  TLS both ways, deflate, inflate, deferred-flush CompCpy, Force-Recycle
-  and plain buffer writes, reads, flushes and reads of poisoned lines;
+  TLS both ways, deflate, inflate, deferred-flush CompCpy (its pages left
+  pending or reclaimed at once), Force-Recycle, Compute DMA, a direct
+  offload and its read-back, and plain buffer writes, reads, flushes and
+  reads of poisoned lines;
 * a bare controller on a plain DIMM, driven through its line and range
-  operations, fences and poisoned lines.
+  operations (fenced reads too), fences and poisoned lines.
 
 The draws cross the write-queue watermark (small caches, long stores and
 warm-up writes), DRAM rows (16 columns per row: a 1 KB row, four to a
 page) and same-row runs, and poisoned lines make range reads raise
 mid-run, where the burst path must stop exactly where the per-line loop
-raises.
+raises.  A write of twice the LLC left unflushed fills every set with
+dirty lines, as an op of its own or right before a page transform, whose
+ordered copy's fills then evict them (its bursts must stop there), and a
+reclaim right after a deferred copy finds lines the DSA has not finished
+(its write runs must stop there).
 """
 
 import functools
@@ -72,10 +78,15 @@ _pages = st.integers(1, 3)
 SESSION_OPS = st.one_of(
     st.tuples(st.just("tls_encrypt"), _pages, st.integers(0, 255), _salt),
     st.tuples(st.just("tls_decrypt"), _pages, st.integers(0, 255), _salt),
-    st.tuples(st.just("deflate"), st.integers(0, 255)),
-    st.tuples(st.just("inflate"), st.sampled_from((1500, 3000, 4000))),
+    st.tuples(st.just("deflate"), st.integers(0, 255), st.booleans()),
+    st.tuples(st.just("inflate"), st.sampled_from((1500, 3000, 4000)),
+              st.booleans()),
     st.tuples(st.just("deferred"), st.integers(1, 2), _salt),
+    st.tuples(st.just("reclaim"), st.integers(1, 2), _salt),
     st.tuples(st.just("force_recycle"), st.integers(1, 2)),
+    st.tuples(st.just("dma"), _pages, st.integers(0, 255), _salt),
+    st.tuples(st.just("direct"), _pages, _salt),
+    st.tuples(st.just("dirty"), _salt),
     st.tuples(st.just("write"), _line, _span, _salt),
     st.tuples(st.just("read"), _line, st.integers(0, CACHELINE_SIZE - 1), _span),
     st.tuples(st.just("flush"), _line, st.integers(0, 2 * PAGE_SIZE)),
@@ -114,35 +125,90 @@ def _session_pair(plan, seed, config):
     return sessions
 
 
-def _deferred(session, pages, salt):
+def _tls_context(size, salt):
+    return TLSOffloadContext(key=KEY, nonce=salt.to_bytes(12, "little"),
+                             record_length=size - TAG_SIZE)
+
+
+def _deferred(session, pages, salt, reclaim):
     """One TLS CompCpy that leaves its plaintext copies dirty in the LLC
-    and its scratchpad pages pending."""
+    and its scratchpad pages pending.  With `reclaim` the driver reclaims
+    the destination at once, last page first (its tag line finalises
+    last), so it meets lines the DSA is still computing; then both
+    buffers are freed."""
     size = pages * PAGE_SIZE
     sbuf = session.driver.alloc_pages(pages)
     dbuf = session.driver.alloc_pages(pages)
     session.write(sbuf, _payload(size, salt))
-    context = TLSOffloadContext(key=KEY, nonce=salt.to_bytes(12, "little"),
-                                record_length=size - TAG_SIZE)
-    session.compcpy.compcpy(dbuf, sbuf, size, context, UlpKind.TLS_ENCRYPT,
-                            flush_destination=False)
+    session.compcpy.compcpy(dbuf, sbuf, size, _tls_context(size, salt),
+                            UlpKind.TLS_ENCRYPT, flush_destination=False)
+    if reclaim:
+        first = dbuf // PAGE_SIZE
+        for page in reversed(range(first, first + pages)):
+            session.driver.reclaim_page(page)
+        session.free(sbuf)
+        session.free(dbuf)
+
+
+def _direct(session, pages, salt):
+    """A TLS direct offload (compute reads, no cache traffic) and its
+    read-back through the LLC, cleaned up as the session's own offload
+    body cleans up: abort on a fault, then free both buffers."""
+    size = pages * PAGE_SIZE
+    sbuf = session.driver.alloc_pages(pages)
+    dbuf = session.driver.alloc_pages(pages)
+    offload = None
+    try:
+        session.write(sbuf, _payload(size, salt))
+        offload = session.direct_offload.offload(
+            dbuf, sbuf, size, _tls_context(size, salt), UlpKind.TLS_ENCRYPT)
+        return session.direct_offload.read_result(dbuf, size - TAG_SIZE + 1)
+    except Exception:
+        if offload is not None:
+            session.driver.abort_offload(offload)
+        raise
+    finally:
+        session.free(sbuf)
+        session.free(dbuf)
+
+
+def _dirty(session, salt):
+    """Write twice the LLC's capacity and leave it unflushed: every set
+    ends full of dirty lines, and the buffer's pages go back to the
+    allocator for the next offloads to reuse."""
+    size = 2 * session.config.llc_bytes
+    buffer = session.alloc(size)
+    session.write(buffer, _payload(size, salt & 3))
+    session.free(buffer)
 
 
 def _apply_session(session, base, op):
     kind, *args = op
-    if kind in ("tls_encrypt", "tls_decrypt"):
+    if kind in ("tls_encrypt", "tls_decrypt", "dma"):
         pages, trim, salt = args
         nonce = salt.to_bytes(12, "little")
         payload = _payload(pages * PAGE_SIZE - TAG_SIZE - trim, salt)
         if kind == "tls_encrypt":
             return session.tls_encrypt(KEY, nonce, payload)
+        if kind == "dma":
+            return session.tls_encrypt_dma(KEY, nonce, payload)
         ciphertext, _ = AESGCM(KEY).encrypt(nonce, payload, b"")
         return session.tls_decrypt(KEY, nonce, ciphertext)
-    if kind == "deflate":
-        return session.deflate_page(PAGE_TEXT[args[0]:] + PAGE_TEXT[:args[0]])
-    if kind == "inflate":
-        return session.inflate_page(_stream(args[0]))
-    if kind == "deferred":
-        return _deferred(session, *args)
+    if kind in ("deflate", "inflate"):
+        arg, dirty = args
+        if dirty:
+            # Right before the copy: an op in between would flush lines
+            # and free the ways the ordered copy's fills take.
+            _dirty(session, arg)
+        if kind == "deflate":
+            return session.deflate_page(PAGE_TEXT[arg:] + PAGE_TEXT[:arg])
+        return session.inflate_page(_stream(arg))
+    if kind in ("deferred", "reclaim"):
+        return _deferred(session, *args, reclaim=kind == "reclaim")
+    if kind == "direct":
+        return _direct(session, *args)
+    if kind == "dirty":
+        return _dirty(session, *args)
     if kind == "force_recycle":
         return session.compcpy.force_recycle(args[0])
     if kind == "fence":
@@ -200,6 +266,7 @@ _count = st.integers(1, 64)  # past the write queue's 48-entry watermark
 CONTROLLER_OPS = st.one_of(
     st.tuples(st.just("read_line"), _mc_line),
     st.tuples(st.just("read_lines"), _mc_line, _count),
+    st.tuples(st.just("read_lines_fenced"), _mc_line, _count),
     st.tuples(st.just("write_line"), _mc_line, _salt),
     st.tuples(st.just("write_line_now"), _mc_line, _salt),
     st.tuples(st.just("write_lines_now"), _mc_line, _count, _salt),
@@ -235,8 +302,8 @@ def _apply_controller(mc, ras, op):
     if kind == "poison":
         return ras.inject_flips(address, bits=2) if ras is not None else None
     count = min(args[1], MEMORY_LINES - args[0])
-    if kind == "read_lines":
-        data, error = mc.read_lines(address, count)
+    if kind in ("read_lines", "read_lines_fenced"):
+        data, error = getattr(mc, kind)(address, count)
         return data, type(error)
     return mc.write_lines_now(address, [
         _payload(CACHELINE_SIZE, args[2] + m) for m in range(count)])

@@ -1,17 +1,22 @@
 """Per-line oracles for the micro-simulation's one burst path.
 
 ``src`` has one implementation of every micro-tier access: the LLC's
-range operations fetch miss runs in chunks, the memory controller issues
-same-row CAS bursts for its range operations and its write-queue drain,
-and a plain DIMM takes CAS commands without ``Command`` objects.  The
-oracle is the same stack with each of those swapped for the per-line walk
-it must reproduce:
+range operations fetch miss runs in chunks (the ordered copy in fenced
+bursts), the memory controller issues same-row CAS bursts for its range
+operations and its write-queue drain, the driver reclaims pending lines
+in write runs, and a plain DIMM takes CAS commands without ``Command``
+objects.  The oracle is the same stack with each of those swapped for the
+per-line walk it must reproduce:
 
 * :class:`PerLineLLC` runs every range operation as its loop over
-  ``load``, ``store`` and ``flush_line``;
-* :class:`PerLineController` runs ``read_lines`` and ``write_lines_now``
-  as ``read_line`` and ``write_line_now`` loops, and drains the write
-  queue one oldest entry at a time;
+  ``load``, ``store`` and ``flush_line``, the ordered copy with a
+  ``fence`` after each line;
+* :class:`PerLineController` runs ``read_lines``, ``read_lines_fenced``
+  and ``write_lines_now`` as ``read_line`` (and ``fence``) and
+  ``write_line_now`` loops, and drains the write queue one oldest entry
+  at a time;
+* :class:`PerLineDriver` reclaims a page with one spin check and one
+  ``write_line_now`` per pending line;
 * :class:`PerCommandDIMM` answers ``bulk_ok`` False, and since its type
   is not ``PlainDIMM`` the controller hands it every CAS as a
   ``Command`` through ``handle_command``.
@@ -25,8 +30,9 @@ and :func:`outcome` and :func:`assert_same` compare a session with it.
 import zlib
 
 from repro.cache.llc import LLC
+from repro.core.driver import SmartDIMMDriver
 from repro.core.offload_api import SessionConfig, SmartDIMMSession
-from repro.dram.commands import CACHELINE_SIZE
+from repro.dram.commands import CACHELINE_SIZE, PAGE_SIZE
 from repro.dram.memory_controller import MemoryController, PlainDIMM
 from repro.dram.ras import RasConfig
 from repro.faults.errors import FaultError
@@ -35,7 +41,8 @@ from repro.faults.plan import FaultSite, FaultSpec
 
 class PerLineRanges:
     """Range operations as the per-line loops they stand for (mixin for a
-    cache with ``load``, ``store`` and ``flush_line``)."""
+    cache with ``load``, ``store``, ``flush_line`` and a controller
+    ``mc``)."""
 
     def load_range(self, address, count):
         address &= ~(CACHELINE_SIZE - 1)
@@ -51,6 +58,13 @@ class PerLineRanges:
         dst &= ~(CACHELINE_SIZE - 1)
         for i in range(count):
             self.store(dst + (i << 6), self.load(src + (i << 6)))
+
+    def copy_range_ordered(self, src, dst, count):
+        src &= ~(CACHELINE_SIZE - 1)
+        dst &= ~(CACHELINE_SIZE - 1)
+        for i in range(count):
+            self.store(dst + (i << 6), self.load(src + (i << 6)))
+            self.mc.fence()  # membar between 64-byte segments
 
     def flush_range(self, address, length):
         if length <= 0:
@@ -79,6 +93,16 @@ class PerLineController(MemoryController):
                 return b"".join(parts), error
         return b"".join(parts), None
 
+    def read_lines_fenced(self, address, count):
+        parts = []
+        for i in range(count):
+            try:
+                parts.append(self.read_line(address + (i << 6)))
+            except FaultError as error:
+                return b"".join(parts), error
+            self.fence()
+        return b"".join(parts), None
+
     def write_lines_now(self, address, datas):
         for i, data in enumerate(datas):
             self.write_line_now(address + (i << 6), data)
@@ -90,6 +114,28 @@ class PerLineController(MemoryController):
             self._issue_write(address, queue.pop(address))
 
 
+class PerLineDriver(SmartDIMMDriver):
+    """The driver with its page reclaim run line by line."""
+
+    def reclaim_page(self, page_number):
+        binding = self.device._page_binding.get(page_number)
+        if binding is None:
+            return 0
+        offload, position, is_source = binding
+        if is_source:
+            return self.reclaim_page(offload.dbuf_pages[position])
+        index = offload.scratchpad_indices[position]
+        recycled = 0
+        for line in list(self.device.scratchpad.pending_lines(index)):
+            address = page_number * PAGE_SIZE + line * CACHELINE_SIZE
+            ready = self.device.scratchpad.page(index).ready_cycles[line]
+            if ready is not None and self.mc.cycle < ready:
+                self.mc.cycle = ready  # CPU spins until the DSA catches up
+            self.mc.write_line_now(address, bytes(CACHELINE_SIZE))
+            recycled += 1
+        return recycled
+
+
 class PerCommandDIMM(PlainDIMM):
     """A plain DIMM that takes no bursts: every CAS is one ``Command``."""
 
@@ -98,15 +144,16 @@ class PerCommandDIMM(PlainDIMM):
 
 
 def oracle_session(config: SessionConfig) -> SmartDIMMSession:
-    """A session whose LLC and controller take the per-line paths.
+    """A session whose LLC, controller and driver take the per-line paths.
 
-    The session wires one LLC and one controller into its CompCpy,
-    Compute DMA, direct-offload engine and driver, so the two objects
-    change class in place rather than being rebuilt and re-bound; neither
+    The session wires one LLC, one controller and one driver into its
+    CompCpy, Compute DMA and direct-offload engine, so the three objects
+    change class in place rather than being rebuilt and re-bound; no
     subclass adds state."""
     session = SmartDIMMSession(config)
     session.llc.__class__ = PerLineLLC
     session.mc.__class__ = PerLineController
+    session.driver.__class__ = PerLineDriver
     return session
 
 
