@@ -138,7 +138,10 @@ class ServiceProfile:
         the paper's Observation-2 alternative the adaptive scheduler falls
         back to when a DSA queue saturates.
         """
-        key = (size, kind, spill)
+        # Keyed on the kind's value: hashing the member runs the
+        # Python-level Enum.__hash__, and ``.value`` is a Python-level
+        # property, on every lookup; ``_value_`` is a plain attribute.
+        key = (size, None if kind is None else kind._value_, spill)
         cached = self._routes.get(key)
         if cached is not None:
             return cached
@@ -250,7 +253,11 @@ class Job(Event):
     def __init__(self, fleet: "Fleet", request: Request, server: ServerSim,
                  channel: Channel, route: RouteCosts):
         sim = fleet.sim
-        Event.__init__(self, sim)
+        # Event.__init__, inlined: one job per request.
+        self.sim = sim
+        self.value = None
+        self.triggered = False
+        self._callbacks = []
         self.request = request
         self.server = server
         self.channel = channel
@@ -490,11 +497,13 @@ class Fleet:
     # -- the request's stage chain ---------------------------------------------------
     #
     # Each stage is one kernel callback over the request's Job.  A station
-    # grant is ``Resource.request(stage, job)`` and a service time is a
-    # sleep, ``sim.schedule(d, sim._ready.append, (stage, job))``: one heap
-    # entry whose callback posts the next stage on the ready lane.  A
-    # DSA-routed request thus costs 13 events: its start, four grants and
-    # four two-event sleeps.
+    # grant is ``Resource.request(stage, job)`` and a service time is
+    # ``sim.sleep(d, stage, job)``: one heap entry whose callback posts the
+    # next stage on the ready lane.  A DSA-routed request thus costs 13
+    # events: its start, four grants and four two-event sleeps.  The stages
+    # call the trace hook only with a recorder attached, and the overload
+    # hooks (:meth:`_observe_wait`, :meth:`_shed_expired`) only under an
+    # overload policy.
 
     def _start(self, job: Job) -> None:
         # CPU stage: protocol stack + ULP management (or the whole ULP when
@@ -509,36 +518,35 @@ class Fleet:
         request = job.request
         route = job.route
         wait = request.waits["cpu"] = sim.now - job.enqueued
-        self._observe_wait("cpu", wait, request)
-        if self._shed_expired(request, "cpu"):
-            # Dead on dequeue: don't burn a worker on work the client has
-            # already given up on.  Refund both backlogs — the request
-            # never reaches its DSA queue either.
-            server = job.server
-            server.cpu.release()
-            server.cpu_backlog_seconds -= route.cpu_seconds
-            if route.dsa_seconds > 0.0:
-                job.channel.backlog_seconds -= route.dsa_seconds
-            job.succeed(request)
-            return
+        if self.overload is not None:
+            self._observe_wait("cpu", wait, request)
+            if self._shed_expired(request, "cpu"):
+                # Dead on dequeue: don't burn a worker on work the client
+                # has already given up on.  Refund both backlogs — the
+                # request never reaches its DSA queue either.
+                server = job.server
+                server.cpu.release()
+                server.cpu_backlog_seconds -= route.cpu_seconds
+                if route.dsa_seconds > 0.0:
+                    job.channel.backlog_seconds -= route.dsa_seconds
+                job.succeed(request)
+                return
         job.started = sim.now
-        sim.schedule(route.cpu_seconds, sim._ready.append,
-                     (self._cpu_done, job))
+        sim.sleep(route.cpu_seconds, self._cpu_done, job)
 
     def _cpu_done(self, job: Job) -> None:
         server = job.server
         route = job.route
         server.cpu.release()
         server.cpu_backlog_seconds -= route.cpu_seconds
-        self._trace(job.request, "cpu", job.started, route.cpu_seconds,
-                    TRACE_TID_CPU)
+        if self.trace is not None:
+            self._trace(job.request, "cpu", job.started, route.cpu_seconds,
+                        TRACE_TID_CPU)
         # Memory-bus stage: the request's DDR traffic at aggregate bandwidth.
         server.membus.request(self._membus_granted, job)
 
     def _membus_granted(self, job: Job) -> None:
-        sim = self.sim
-        sim.schedule(job.route.mem_seconds, sim._ready.append,
-                     (self._membus_done, job))
+        self.sim.sleep(job.route.mem_seconds, self._membus_done, job)
 
     def _membus_done(self, job: Job) -> None:
         job.server.membus.release()
@@ -559,12 +567,13 @@ class Fleet:
         channel = job.channel
         route = job.route
         wait = request.waits["dsa"] = sim.now - job.enqueued
-        self._observe_wait("dsa", wait, request)
-        if self._shed_expired(request, "dsa"):
-            channel.resource.release()
-            channel.backlog_seconds -= route.dsa_seconds
-            job.succeed(request)
-            return
+        if self.overload is not None:
+            self._observe_wait("dsa", wait, request)
+            if self._shed_expired(request, "dsa"):
+                channel.resource.release()
+                channel.backlog_seconds -= route.dsa_seconds
+                job.succeed(request)
+                return
         job.started = sim.now
         dsa_seconds = route.dsa_seconds
         if self.fault_injector is not None:
@@ -573,7 +582,7 @@ class Fleet:
             dsa_seconds *= self.fault_injector.dsa_multiplier(
                 job.server.index, channel.index)
         job.dsa_seconds = dsa_seconds
-        sim.schedule(dsa_seconds, sim._ready.append, (self._dsa_done, job))
+        sim.sleep(dsa_seconds, self._dsa_done, job)
 
     def _dsa_done(self, job: Job) -> None:
         channel = job.channel
@@ -587,28 +596,30 @@ class Fleet:
             self.fault_injector.observe_dsa(
                 job.server.index, channel.index,
                 job.request.waits["dsa"] + job.dsa_seconds, route.dsa_seconds)
-        self._trace(job.request, "dsa", job.started, job.dsa_seconds,
-                    TRACE_TID_CHANNEL0 + channel.index)
+        if self.trace is not None:
+            self._trace(job.request, "dsa", job.started, job.dsa_seconds,
+                        TRACE_TID_CHANNEL0 + channel.index)
         # Link stage: the response leaves through the NIC.
         job.server.link.request(self._link_granted, job)
 
     def _link_granted(self, job: Job) -> None:
-        if self._shed_expired(job.request, "link"):
+        request = job.request
+        if self.overload is not None and self._shed_expired(request, "link"):
             job.server.link.release()
-            job.succeed(job.request)
+            job.succeed(request)
             return
         sim = self.sim
         job.started = sim.now
-        sim.schedule(job.route.link_seconds, sim._ready.append,
-                     (self._link_done, job))
+        sim.sleep(job.route.link_seconds, self._link_done, job)
 
     def _link_done(self, job: Job) -> None:
         sim = self.sim
         request = job.request
         route = job.route
         job.server.link.release()
-        self._trace(request, "tx", job.started, route.link_seconds,
-                    TRACE_TID_LINK)
+        if self.trace is not None:
+            self._trace(request, "tx", job.started, route.link_seconds,
+                        TRACE_TID_LINK)
         request.complete_s = sim.now
         if self.fault_injector is not None and self.measuring:
             self.fault_injector.note_completion(sim.now)

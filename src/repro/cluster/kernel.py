@@ -23,11 +23,13 @@ carries a smaller sequence number than anything pushed at ``t`` and runs
 first; the pushes made at ``t`` then run in FIFO order, which is their
 sequence order.
 
-A process sleep (``yield <seconds>``) allocates no :class:`Event`: it is
-one heap entry whose callback posts the process's resume onto the ready
-lane.  It counts as two events (the instant, then the resume), exactly
-like yielding ``timeout(d)``; ``events_processed`` is part of reported
-scenario results.
+A sleep allocates no :class:`Event`.  :meth:`Simulator.sleep` is one
+heap entry whose callback posts a stage onto the ready lane, exactly
+``schedule(d, sim._ready.append, (stage, argument))``; a process's
+``yield <seconds>`` and every timed stage of the fleet and the load
+generators use it.  It counts as two events (the instant, then the
+stage), exactly like waiting on ``timeout(d)``; ``events_processed`` is
+part of reported scenario results.
 
 The fleet's request path runs no process at all: it is a chain of stage
 callbacks over one job record (:class:`repro.cluster.fleet.Job`).  Its
@@ -40,8 +42,8 @@ chain fires in the same order and counts the same events:
   resumes, and a queued ``(wake, argument)`` waiter is posted by the
   :meth:`Resource.release` that hands it the slot, where the grant
   event's waiter is posted;
-* a service time is ``sim.schedule(d, sim._ready.append, (stage, job))``,
-  the heap entry and lane post of a process sleep.
+* a service time is ``sim.sleep(d, stage, job)``, the heap entry and
+  lane post of a process sleep.
 
 A DSA-routed request is thus 13 events: its start, four grants and four
 two-event sleeps.  Processes remain for the replication clients and for
@@ -114,9 +116,10 @@ class Process(Event):
 
     The wrapped generator may ``yield``:
 
-    * a number — sleep that many simulated seconds (one heap entry that
-      posts the resume, no :class:`Event`; any delay not ``>= 0``,
-      NaN included, raises :class:`ValueError`);
+    * a number — sleep that many simulated seconds
+      (:meth:`Simulator.sleep`: one heap entry that posts the resume, no
+      :class:`Event`; any delay not ``>= 0``, NaN included, raises
+      :class:`ValueError`);
     * an :class:`Event` (including another process or a resource grant) —
       resume when it triggers, receiving the event's value.
 
@@ -138,10 +141,7 @@ class Process(Event):
             self.succeed(stop.value)
             return
         if isinstance(target, (int, float)):
-            if not target >= 0:
-                raise ValueError("cannot sleep for %r seconds" % (target,))
-            sim = self.sim
-            sim._push(sim.now + target, sim._ready.append, (self._step, None))
+            self.sim.sleep(target, self._step)
         elif isinstance(target, Event):
             target.wait(self._step)
         else:
@@ -159,7 +159,8 @@ class Resource:
     the fleet's request path).  Both queue the same ``(wake, argument)``
     waiter, and one :meth:`release` hands the slot to the longest-waiting
     requester by calling ``wake(argument)``.  Busy time is integrated
-    continuously so utilisation over any window is exact, not sampled.
+    continuously so utilisation over any window is exact, not sampled;
+    a `timeline` receives the busy fraction after every change of level.
 
     `max_queue` declares a bounded queue: :attr:`full` turns True once
     `max_queue` waiters are queued.  The bound is advisory — callers
@@ -192,10 +193,19 @@ class Resource:
         self._last_change = sim.now
         self.timeline = timeline
 
-    def _account(self) -> None:
+    def _account(self, delta: int) -> None:
+        """Change the number of held slots by `delta` at the current instant.
+
+        One step: integrate the busy level up to now, apply the change, and
+        record the new level on the timeline.  A :class:`~repro.cluster.
+        metrics.Timeline` point holds from its time on, so it carries the
+        level *after* the change.  :meth:`request` and :meth:`release`, the
+        fleet's per-request path, inline these statements.
+        """
         now = self.sim.now
         self._busy_integral += self.busy * (now - self._last_change)
         self._last_change = now
+        self.busy += delta
         if self.timeline is not None:
             self.timeline.add(now, self.busy / self.capacity)
 
@@ -212,8 +222,7 @@ class Resource:
         ignores them.
         """
         if self.busy < self.capacity:
-            self._account()
-            self.busy += 1
+            self._account(1)
             return Event(self.sim).succeed()
         grant = Event(self.sim)
         self._enqueue((grant.succeed, None), tenant, klass, cost_s)
@@ -229,13 +238,20 @@ class Resource:
         would resume, so both forms fire in the same order and each grant
         costs one event.  The tags are as for :meth:`acquire`.
         """
-        post = self.sim._ready.append
-        if self.busy < self.capacity:
-            self._account()
-            self.busy += 1
-            post((callback, argument))
+        sim = self.sim
+        busy = self.busy
+        if busy < self.capacity:
+            # _account(1), inlined.
+            now = sim.now
+            self._busy_integral += busy * (now - self._last_change)
+            self._last_change = now
+            self.busy = busy = busy + 1
+            if self.timeline is not None:
+                self.timeline.add(now, busy / self.capacity)
+            sim._ready.append((callback, argument))
         else:
-            self._enqueue((post, (callback, argument)), tenant, klass, cost_s)
+            self._enqueue((sim._ready.append, (callback, argument)),
+                          tenant, klass, cost_s)
 
     def release(self) -> None:
         """Free a held slot, handing it to the next waiter.
@@ -244,13 +260,20 @@ class Resource:
         unmatched release would drive `busy` negative and with it the
         station's utilisation.
         """
-        if self._waiters:
+        waiters = self._waiters
+        busy = self.busy
+        if waiters:
             # Slot changes hands; occupancy is unchanged.
-            wake, argument = self._waiters.popleft()
+            wake, argument = waiters.popleft()
             wake(argument)
-        elif self.busy > 0:
-            self._account()
-            self.busy -= 1
+        elif busy > 0:
+            # _account(-1), inlined.
+            now = self.sim.now
+            self._busy_integral += busy * (now - self._last_change)
+            self._last_change = now
+            self.busy = busy = busy - 1
+            if self.timeline is not None:
+                self.timeline.add(now, busy / self.capacity)
         else:
             raise RuntimeError(
                 "release of idle station %r: no slot is held" % (self.name,))
@@ -311,6 +334,27 @@ class Simulator:
         if not delay >= 0:  # negative or NaN
             raise ValueError("cannot schedule into the past: %r" % (delay,))
         self._push(self.now + delay, callback, argument)
+
+    def sleep(self, delay: float, stage, argument=None) -> None:
+        """Post `stage(argument)` on the ready lane `delay` seconds from now.
+
+        Exactly ``schedule(delay, self._ready.append, (stage, argument))``,
+        with :meth:`_push` inlined: the same heap entry (or, due now, the
+        same lane post), sequence number and error, and two events, the
+        instant and then the stage.  A process's ``yield <seconds>`` and
+        the timed stages of the fleet and the load generators sleep here.
+        """
+        if not delay >= 0:  # negative or NaN
+            raise ValueError("cannot sleep for %r seconds" % (delay,))
+        now = self.now
+        time = now + delay
+        post = self._ready.append
+        if time == now:
+            post((post, (stage, argument)))
+            return
+        self._sequence += 1
+        heapq.heappush(self._heap,
+                       (time, self._sequence, post, (stage, argument)))
 
     def timeout(self, delay: float, value=None) -> Event:
         """An event that triggers `delay` seconds from now."""

@@ -121,7 +121,7 @@ class RequestMix:
         return np.minimum(indices, len(self.entries) - 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One in-flight request and its measured stage timings."""
 
@@ -292,7 +292,7 @@ class OpenLoopLoad(_LoadBase):
     responses — the generator that can actually overload the fleet.
 
     Two kernel callbacks, no process: :meth:`_next_arrival` draws the gap
-    and sleeps it (``sim.schedule(gap, sim._ready.append, ...)``, two
+    and sleeps it (:meth:`~repro.cluster.kernel.Simulator.sleep`, two
     events like a process sleep), :meth:`_arrive` submits and draws the
     next gap.
     """
@@ -308,8 +308,7 @@ class OpenLoopLoad(_LoadBase):
 
     def _next_arrival(self, _) -> None:
         sim = self.sim
-        sim.schedule(self.arrivals.next_gap(sim.now, self.rng),
-                     sim._ready.append, (self._arrive, None))
+        sim.sleep(self.arrivals.next_gap(sim.now, self.rng), self._arrive)
 
     def _arrive(self, _) -> None:
         self.fleet.submit(self._make_request(connection=-1))
@@ -323,7 +322,9 @@ class ClosedLoopLoad(_LoadBase):
     (deterministically, by connection index) so the opening instant
     doesn't imprint a lockstep pattern on the whole run.  Each connection
     is a chain of kernel callbacks keyed by its index: open, issue a
-    request, and on its completion event think and issue the next.
+    request, and on its completion event think and issue the next.  The
+    stagger, the reject backoff and the think time are each a
+    :meth:`~repro.cluster.kernel.Simulator.sleep`.
     """
 
     #: Seconds the connections' first requests are spread over (the
@@ -349,25 +350,21 @@ class ClosedLoopLoad(_LoadBase):
             post((self._open, connection))
 
     def _open(self, connection: int) -> None:
-        sim = self.sim
-        sim.schedule(self.STAGGER_S * connection / self.connections,
-                     sim._ready.append, (self._issue, connection))
+        self.sim.sleep(self.STAGGER_S * connection / self.connections,
+                       self._issue, connection)
 
     def _issue(self, connection: int) -> None:
         done = self.fleet.submit(self._make_request(connection))
         if done is None:
             # Rejected at admission or by backpressure: back off, retry.
-            sim = self.sim
-            sim.schedule(self.REJECT_BACKOFF_S, sim._ready.append,
-                         (self._issue, connection))
+            self.sim.sleep(self.REJECT_BACKOFF_S, self._issue, connection)
         else:
             done.wait(self._completed)
 
     def _completed(self, done) -> None:
         connection = done.value.connection
         if self.think_s > 0:
-            sim = self.sim
-            sim.schedule(self.rng.expovariate(1.0 / self.think_s),
-                         sim._ready.append, (self._issue, connection))
+            self.sim.sleep(self.rng.expovariate(1.0 / self.think_s),
+                           self._issue, connection)
         else:
             self._issue(connection)

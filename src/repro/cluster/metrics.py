@@ -95,8 +95,15 @@ class LogHistogram:
 
     def record(self, value: float) -> None:
         """Add one sample, updating buckets and exact count/sum/min/max."""
-        index = self.bucket_index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
+        # bucket_index, inlined: the fleet records every completion.
+        if value != value:
+            raise ValueError("cannot bucket a NaN sample")
+        bounds = self._bounds
+        if value > bounds[-1]:
+            self._cover(value)  # extends `bounds` in place
+        index = bisect_left(bounds, value)
+        buckets = self.buckets
+        buckets[index] = buckets.get(index, 0) + 1
         self.count += 1
         self.total += value
         if value < self.min:
@@ -219,25 +226,36 @@ class Timeline:
 
     def window_averages(self, start: float, end: float, windows: int) -> list:
         """Exact time-weighted mean of the signal over each of `windows`
-        equal sub-intervals of [start, end)."""
+        equal sub-intervals of [start, end).
+
+        One sweep over the points.  Each window starts from the value at
+        its start and adds the same products in the same order as a rescan
+        of every point per window would, so the result is identical to
+        that rescan (its oracle in ``tests/cluster/test_metrics.py``).
+        """
         if end <= start or windows < 1:
             raise ValueError("need end > start and windows >= 1")
         width = (end - start) / windows
+        points = self.points
+        count = len(points)
+        index = 0  # the first point not yet folded into `current`
+        current = points[0][1]
         averages = []
         for w in range(windows):
             lo, hi = start + w * width, start + (w + 1) * width
+            while index < count and points[index][0] <= lo:
+                current = points[index][1]
+                index += 1
             integral = 0.0
-            current = self.value_at(lo)
             cursor = lo
-            for point_time, point_value in self.points:
-                if point_time <= lo:
-                    current = point_value
-                    continue
+            while index < count:
+                point_time, point_value = points[index]
                 if point_time >= hi:
                     break
                 integral += current * (point_time - cursor)
                 cursor = point_time
                 current = point_value
+                index += 1
             integral += current * (hi - cursor)
             averages.append(integral / width)
         return averages

@@ -9,11 +9,16 @@ stages became kernel callbacks, one process per request and per load loop.
 builds a :class:`~repro.cluster.fleet.Job`, so patching that name spawns
 the generator instead, and the load generators' ``start`` spawns the old
 loops.  Both paths must fire every callback in the same order: the same
-``to_json()`` bytes and the same ``events_processed`` on generated small
+``to_json()`` bytes, the same ``events_processed`` and, when the draw
+attaches a trace recorder, the same Chrome-trace bytes on generated small
 scenarios (open and closed loops, FIFO and DRR-QoS tenants, overload
-shedding on and off, with and without a fleet fault window).
+shedding on and off, with and without a fleet fault window).  The oracle
+calls the fleet's trace and overload hooks unconditionally, so a hook the
+stage chain skips while it is attached fails the comparison.
 """
 
+import os
+import tempfile
 from dataclasses import replace
 
 import pytest
@@ -219,24 +224,38 @@ def _scenarios(draw):
             start_s=draw(st.sampled_from((2e-4, 5e-4))), duration_s=4e-4,
             channel=(draw(st.integers(0, channels - 1))
                      if kind == "channel_wedge" else None)))
-    return scenario, windows
+    traced = draw(st.booleans())
+    return scenario, windows, traced
 
 
-def _run(scenario, windows):
+def _run(scenario, windows, trace_path=None):
+    """Run `scenario`; return its report and the bytes of its Chrome
+    trace, written to `trace_path` (``None``: untraced)."""
     # A window records what the run observed, so each run gets fresh ones.
     injector = (FleetFaultInjector([replace(w) for w in windows],
                                    breaker_cooldown_s=2e-4)
                 if windows else None)
-    return run_scenario(scenario, fault_injector=injector)
+    report = run_scenario(replace(scenario, trace_path=trace_path),
+                          fault_injector=injector)
+    if trace_path is None:
+        return report, None
+    with open(trace_path, "rb") as handle:
+        return report, handle.read()
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=_scenarios())
 def test_stage_chain_matches_generator_oracle(case):
-    scenario, windows = case
-    chain = _run(scenario, windows)
-    with pytest.MonkeyPatch.context() as patch:
-        install_oracle(patch)
-        oracle = _run(scenario, windows)
+    scenario, windows, traced = case
+    with tempfile.TemporaryDirectory() as directory:
+        paths = [os.path.join(directory, name) if traced else None
+                 for name in ("chain.json", "oracle.json")]
+        chain, chain_trace = _run(scenario, windows, paths[0])
+        with pytest.MonkeyPatch.context() as patch:
+            install_oracle(patch)
+            oracle, oracle_trace = _run(scenario, windows, paths[1])
     assert chain.events_processed == oracle.events_processed
     assert chain.to_json() == oracle.to_json()
+    assert chain_trace == oracle_trace
+    if traced:
+        assert b'"ph": "X"' in chain_trace  # the stages traced spans

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.kernel import Event, Resource, Simulator
+from repro.cluster.metrics import Timeline
 
 
 # -- clock & ordering --------------------------------------------------------------
@@ -53,6 +54,9 @@ def test_cannot_schedule_into_the_past():
             sim.schedule(delay, lambda _: None)
         with pytest.raises(ValueError):
             sim.timeout(delay)
+        with pytest.raises(ValueError):
+            sim.sleep(delay, lambda _: None)
+    assert not sim._heap and not sim._ready
     # A NaN delay admitted among ordinary ones would break the heap order
     # (0.2 fired before 0.1); rejected, it leaves the order intact.
     log = []
@@ -182,6 +186,55 @@ def test_resource_utilisation_integral():
     assert resource.utilisation(4.0) == pytest.approx(0.0)
 
 
+def _hold(sim, resource, form, start, hold):
+    """Hold a slot of `resource` for `hold` seconds from `start`, by event
+    (a process on :meth:`Resource.acquire`) or by callback."""
+    if form == "acquire":
+        def holder():
+            yield start
+            yield resource.acquire()
+            yield hold
+            resource.release()
+
+        sim.spawn(holder())
+    else:
+        sim.schedule(start, lambda _: resource.request(
+            lambda _: sim.sleep(hold, lambda _: resource.release())))
+
+
+@pytest.mark.parametrize("form", ["acquire", "request"])
+def test_station_timeline_records_the_level_after_a_change(form):
+    # A timeline point holds from its time on, so the station records its
+    # new level: a slot held during [0, 1) reads busy in the first window
+    # only, as utilisation() says.
+    sim = Simulator()
+    resource = sim.resource(1, timeline=Timeline())
+    _hold(sim, resource, form, 0.0, 1.0)
+    sim.run(until=4.0)
+    assert resource.utilisation(0.0) == 0.25
+    assert resource.timeline.window_averages(0.0, 4.0, 4) == [1, 0, 0, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    holds=st.lists(st.tuples(st.sampled_from(("acquire", "request")),
+                             st.integers(0, 2),
+                             st.floats(0.0, 3.0), st.floats(0.0, 2.0)),
+                   max_size=12),
+    until=st.sampled_from((1.0, 2.5, 4.0)),
+)
+def test_timeline_window_average_equals_utilisation(holds, until):
+    sim = Simulator()
+    stations = [sim.resource(capacity, timeline=Timeline())
+                for capacity in (1, 2, 3)]
+    for form, station, start, hold in holds:
+        _hold(sim, stations[station], form, start, hold)
+    sim.run(until=until)
+    for station in stations:
+        (average,) = station.timeline.window_averages(0.0, until, 1)
+        assert average == pytest.approx(station.utilisation(0.0), abs=1e-9)
+
+
 def test_queue_depth_tracks_waiters():
     sim = Simulator()
     resource = Resource(sim, capacity=1)
@@ -292,6 +345,14 @@ def test_events_processed_counter():
     sim.run()
     assert sim.events_processed == 7
 
+    # A sleep is two events, as a process sleep is: the instant, then the
+    # stage posted on the lane.  Due now, it is two lane posts.
+    for delay in (0.5, 0.0):
+        sim = Simulator()
+        slept = []
+        sim.sleep(delay, slept.append, "woke")
+        assert sim.run() == 2 and slept == ["woke"]
+
     # A callback hold: granted on a free slot, the callback is one event;
     # queued, it costs nothing until the release posts it, then one.
     sim = Simulator()
@@ -336,6 +397,10 @@ class ReferenceSimulator:
 
     def schedule(self, delay, callback, argument=None):
         self.push(self.now + delay, callback, argument)
+
+    def sleep(self, delay, stage, argument=None):
+        # A sleep is a schedule whose callback posts the stage on the lane.
+        self.schedule(delay, self._ready.append, (stage, argument))
 
     def timeout(self, delay, value=None):
         event = ReferenceEvent(self)
@@ -485,7 +550,7 @@ def _run_program(sim, programs, windows):
 
                 def granted(tag, delay=step[2], released=released):
                     log.append((sim.now, tag, "granted"))
-                    sim.schedule(delay, sim._ready.append, (released, tag))
+                    sim.sleep(delay, released, tag)
 
                 resource.request(granted, tag)
             elif step[0] == "join" and len(programs) > 1:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.metrics import (
     Counter,
@@ -270,6 +272,58 @@ def test_timeline_window_averages_integrate_steps():
     assert timeline.window_averages(0.0, 4.0, 2) == pytest.approx([0.5, 0.5])
     # Finer windows: [0,1)=0, [1,2)=1, [2,3)=1, [3,4)=0.
     assert timeline.window_averages(0.0, 4.0, 4) == pytest.approx([0, 1, 1, 0])
+
+
+def rescan_window_averages(timeline, start, end, windows):
+    """Oracle for :meth:`Timeline.window_averages`: each window rescans
+    every point, starting from :meth:`Timeline.value_at` its start."""
+    width = (end - start) / windows
+    averages = []
+    for w in range(windows):
+        lo, hi = start + w * width, start + (w + 1) * width
+        integral = 0.0
+        current = timeline.value_at(lo)
+        cursor = lo
+        for point_time, point_value in timeline.points:
+            if point_time <= lo:
+                current = point_value
+                continue
+            if point_time >= hi:
+                break
+            integral += current * (point_time - cursor)
+            cursor = point_time
+            current = point_value
+        integral += current * (hi - cursor)
+        averages.append(integral / width)
+    return averages
+
+
+#: Quarter-second grid: window edges and step times drawn from it coincide.
+_GRID = st.sampled_from([i / 4 for i in range(-4, 25)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    initial=st.floats(0.0, 1.0),
+    steps=st.lists(st.tuples(st.one_of(_GRID, st.floats(0.0, 6.0)),
+                             st.one_of(st.sampled_from((0.0, 0.5, 1.0)),
+                                       st.floats(0.0, 1.0))),
+                   max_size=20),
+    start=st.one_of(_GRID, st.floats(-1.0, 6.0)),
+    width=st.one_of(st.sampled_from((0.25, 0.5, 1.0)), st.floats(1e-3, 2.0)),
+    windows=st.integers(1, 12),
+)
+def test_window_averages_match_the_rescan_oracle(initial, steps, start, width,
+                                                 windows):
+    # Sorted times with repeats (a repeat replaces the step); grid windows
+    # put steps on their edges, and a start below 0 or a span past the last
+    # step draws windows before the first point and after the last.
+    timeline = Timeline(initial=initial)
+    for time, value in sorted(steps, key=lambda step: step[0]):
+        timeline.add(max(time, 0.0), value)
+    end = start + windows * width
+    assert timeline.window_averages(start, end, windows) == \
+        rescan_window_averages(timeline, start, end, windows)
 
 
 def test_timeline_rejects_time_travel():

@@ -6,6 +6,7 @@ requests); the fleet-scale speedup claims live in
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,6 +71,18 @@ def test_crosscheck_static_open_is_exact():
     assert verdict["latency_bucket_l1"] == 0
     for entry in verdict["counts"].values():
         assert entry["delta"] == 0
+
+
+@pytest.mark.parametrize("overrides", [{}, {"channels": 4, "seed": 3}])
+def test_static_open_utilisation_timelines_are_equal(overrides):
+    """In the exact regime the tiers report the same per-channel
+    utilisation timeline, window for window."""
+    scenario = _open_scenario(**overrides)
+    vector = run_scenario(scenario)
+    event = run_scenario(replace(scenario, tier="event"))
+    assert any(w > 0 for server in vector.channel_util_timeline
+               for channel in server for w in channel)
+    assert vector.channel_util_timeline == event.channel_util_timeline
 
 
 def test_crosscheck_batch_stream_compares_replay():
