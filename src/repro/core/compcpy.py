@@ -51,6 +51,32 @@ def check_buffers(dbuf: int, sbuf: int, size: int) -> int:
     return size // PAGE_SIZE
 
 
+def write_buffer(llc, address: int, data: bytes) -> None:
+    """Application writes of `data` at a line-aligned `address` through
+    `llc`: the whole lines as one store range, then a partial tail line
+    read-modify-written.  Every session's buffer writes take this path."""
+    if address % CACHELINE_SIZE:
+        raise CompCpyError("buffer writes must be line aligned")
+    full = len(data) - len(data) % CACHELINE_SIZE
+    llc.store_range(address, data[:full])
+    if full < len(data):
+        # Partial tail line: read-modify-write through the cache.
+        chunk = data[full:]
+        current = llc.load(address + full)
+        llc.store(address + full, chunk + current[len(chunk) :])
+
+
+def read_buffer(llc, address: int, size: int) -> bytes:
+    """Application reads of `size` bytes at `address` through `llc`, as one
+    load range over the lines they touch.  An empty read touches no line."""
+    if size <= 0:
+        return b""
+    start = address & ~(CACHELINE_SIZE - 1)
+    lines = (address + size - start + CACHELINE_SIZE - 1) // CACHELINE_SIZE
+    skew = address - start
+    return llc.load_range(start, lines)[skew : skew + size]
+
+
 @dataclass
 class CompCpyStats:
     calls: int = 0
@@ -227,22 +253,8 @@ class CompCpy:
 
     def write_buffer(self, address: int, data: bytes) -> None:
         """Application writes into a (page-aligned) buffer through the LLC."""
-        if address % CACHELINE_SIZE:
-            raise CompCpyError("buffer writes must be line aligned")
-        full = len(data) - len(data) % CACHELINE_SIZE
-        self.llc.store_range(address, data[:full])
-        if full < len(data):
-            # Partial tail line: read-modify-write through the cache.
-            chunk = data[full:]
-            current = self.llc.load(address + full)
-            self.llc.store(address + full, chunk + current[len(chunk) :])
+        write_buffer(self.llc, address, data)
 
     def read_buffer(self, address: int, size: int) -> bytes:
-        """Application reads a buffer through the LLC (USE of Algorithm 2).
-        An empty read touches no line."""
-        if size <= 0:
-            return b""
-        start = address & ~(CACHELINE_SIZE - 1)
-        lines = (address + size - start + CACHELINE_SIZE - 1) // CACHELINE_SIZE
-        skew = address - start
-        return self.llc.load_range(start, lines)[skew : skew + size]
+        """Application reads a buffer through the LLC (USE of Algorithm 2)."""
+        return read_buffer(self.llc, address, size)

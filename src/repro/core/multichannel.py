@@ -27,6 +27,7 @@ from repro.dram.address import AddressMapping, InterleaveMode
 from repro.dram.commands import CACHELINE_SIZE, PAGE_SIZE
 from repro.dram.memory_controller import MemoryController, TimingParams
 from repro.dram.physical_memory import PhysicalMemory
+from repro.core.compcpy import read_buffer, write_buffer
 from repro.core.driver import SmartDIMMDriver
 from repro.core.smartdimm import SmartDIMM, SmartDIMMConfig
 from repro.core.dsa.base import UlpKind
@@ -82,18 +83,11 @@ class MultiChannelSession:
 
     def write(self, address: int, data: bytes) -> None:
         """Application write through the LLC."""
-        for offset in range(0, len(data), CACHELINE_SIZE):
-            chunk = data[offset : offset + CACHELINE_SIZE]
-            if len(chunk) < CACHELINE_SIZE:
-                chunk = chunk + self.llc.load(address + offset)[len(chunk) :]
-            self.llc.store(address + offset, chunk)
+        write_buffer(self.llc, address, data)
 
     def read(self, address: int, length: int) -> bytes:
         """Application read through the LLC."""
-        out = bytearray()
-        for offset in range(0, length, CACHELINE_SIZE):
-            out.extend(self.llc.load(address + offset))
-        return bytes(out[:length])
+        return read_buffer(self.llc, address, length)
 
     # -- the striped TLS offload ----------------------------------------------------------
 
@@ -122,9 +116,7 @@ class MultiChannelSession:
         # The CompCpy copy: every line's rdCAS routes to its channel's DIMM.
         self.llc.flush_range(sbuf, size)
         self.mc.fence()
-        for offset in range(0, size, CACHELINE_SIZE):
-            line = self.llc.load(sbuf + offset)
-            self.llc.store(dbuf + offset, line)
+        self.llc.copy_range(sbuf, dbuf, size // CACHELINE_SIZE)
         self.llc.flush_range(dbuf, size)
         self.mc.fence()
 

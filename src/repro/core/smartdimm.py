@@ -2,8 +2,8 @@
 
 SmartDIMM is controlled *solely* by the DDR command stream; it plugs into
 :class:`repro.dram.memory_controller.MemoryController` exactly like a
-:class:`~repro.dram.memory_controller.PlainDIMM`.  Every CAS command walks
-the arbiter decision tree:
+:class:`~repro.dram.memory_controller.PlainDIMM`.  Every CAS walks the
+arbiter decision tree:
 
 1. Regenerate the physical address (Bank Table + Addr Remap) — the buffer
    device only sees BG/BA/column; the row was named by the earlier ACT.
@@ -16,11 +16,21 @@ the arbiter decision tree:
    S8/S9); if computation is pending, ignore the write (S7).
 6. Destination page + rdCAS → serve from the Scratchpad when ready (S10);
    assert ALERT_N to force a controller retry when pending (S13).
+
+Steps 3-6, the data states, have one implementation: the same-row burst
+interface :meth:`SmartDIMM.read_line_run` / :meth:`SmartDIMM.write_line_run`,
+which serves every rdCAS/wrCAS outside the MMIO page (a single line is a
+burst of one) and counts one address regeneration per CAS.
+:meth:`SmartDIMM.handle_command` serves the rest of the command stream as
+``Command`` objects: ACT/PRE (the Bank Table), the MMIO page (S17) and the
+Sec. IV-E CMP_RDCAS / SPAD_WB commands, each regenerating its address
+from the Bank Table.  The per-command walk of steps 3-6 lives in the
+tests, as the oracle ``PerCommandSmartDIMM`` of ``tests/micro_oracle.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dram.address import AddressMapping, DramCoordinate
 from repro.dram.commands import CACHELINE_SIZE, LINES_PER_PAGE, PAGE_SIZE, Command, CommandType
@@ -31,10 +41,9 @@ from repro.faults.errors import DeviceBusyError, FaultError
 from repro.faults.plan import FaultSite
 from repro.core.bank_table import BankTable
 from repro.core.config_memory import ConfigMemory
-from repro.core.scratchpad import LineState, Scratchpad, ScratchpadFullError
+from repro.core.scratchpad import LineState, Scratchpad
 from repro.core.translation_table import TranslationEntry, TranslationTable
 from repro.core.dsa.base import (
-    DSA,
     Offload,
     OffloadState,
     OffloadTrigger,
@@ -247,7 +256,11 @@ class SmartDIMM:
     # -- DDR command interface -------------------------------------------------------------
 
     def handle_command(self, command: Command) -> CasResult:
-        """Process one DDR command through the Fig. 6 arbiter."""
+        """Process one DDR command through the Fig. 6 arbiter: ACT/PRE,
+        the MMIO page's rdCAS/wrCAS, CMP_RDCAS and SPAD_WB.  Every other
+        data CAS arrives as a burst (:meth:`read_line_run`,
+        :meth:`write_line_run`), so one sent as a ``Command`` raises
+        RuntimeError, a controller bug."""
         if command.kind is CommandType.ACT:
             self.bank_table.activate(command.bank_group, command.bank, command.row)
             return CasResult()
@@ -262,11 +275,9 @@ class SmartDIMM:
             return self._compute_read(command, address, entry)
         if command.kind is CommandType.SPAD_WB:
             return self._scratchpad_writeback(command, address, entry)
-        if entry is None:
-            return self._plain_access(command, address)
-        if entry.is_source:
-            return self._source_access(command, address, entry)
-        return self._destination_access(command, address, entry)
+        raise RuntimeError(
+            "%s Command outside the MMIO page at 0x%x" % (command.kind.value, address)
+        )
 
     # -- Sec. IV-E command extensions --------------------------------------------------
 
@@ -277,7 +288,7 @@ class SmartDIMM:
             raise RuntimeError("CMP_RDCAS to unregistered page 0x%x" % address)
         data = self.memory.read_line(address)
         self.stats.compute_reads += 1
-        self._maybe_feed_dsa(command, address, data, OffloadTrigger.SOURCE_READ)
+        self._feed_dsa_run(address, 1, data, command.cycle, 0, OffloadTrigger.SOURCE_READ)
         return CasResult()
 
     def _scratchpad_writeback(self, command: Command, address: int, entry) -> CasResult:
@@ -322,16 +333,6 @@ class SmartDIMM:
 
     def _in_mmio(self, address: int) -> bool:
         return self.config.mmio_base <= address < self.config.mmio_base + PAGE_SIZE
-
-    # -- plain DIMM behaviour ----------------------------------------------------------------
-
-    def _plain_access(self, command: Command, address: int) -> CasResult:
-        if command.kind is CommandType.RDCAS:
-            self.stats.normal_reads += 1
-            return CasResult(data=self.memory.read_line(address))
-        self.stats.normal_writes += 1
-        self.memory.write_line(address, command.data)
-        return CasResult()
 
     # -- MMIO config space ----------------------------------------------------------------------
 
@@ -452,43 +453,7 @@ class SmartDIMM:
             self.stats.offloads_registered += 1
             self.dsas[offload.kind].begin(offload, ScratchpadWriter(self.scratchpad, offload))
 
-    # -- source-page accesses (S6) ---------------------------------------------------------------------
-
-    def _source_access(self, command: Command, address: int, entry) -> CasResult:
-        if command.kind is CommandType.WRCAS:
-            self.stats.normal_writes += 1
-            self.memory.write_line(address, command.data)
-            # Compute DMA (Sec. IV-E): the DSA taps the *write* stream, so
-            # data is transformed while an I/O device DMAs it into the DIMM.
-            self._maybe_feed_dsa(command, address, command.data, OffloadTrigger.SOURCE_WRITE)
-            return CasResult()
-        data = self.memory.read_line(address)
-        self.stats.normal_reads += 1
-        self._maybe_feed_dsa(command, address, data, OffloadTrigger.SOURCE_READ)
-        return CasResult(data=data)
-
-    def _maybe_feed_dsa(
-        self, command: Command, address: int, data: bytes, trigger: OffloadTrigger
-    ) -> None:
-        binding = self._page_binding.get(address >> 12)
-        if binding is None:
-            return
-        offload, position, _ = binding
-        if offload.state is not OffloadState.IN_PROGRESS or offload.trigger is not trigger:
-            return
-        line_in_page = (address & (PAGE_SIZE - 1)) // CACHELINE_SIZE
-        global_line = offload.global_line(position, line_in_page)
-        if global_line in offload.processed_lines:
-            return
-        writer = ScratchpadWriter(self.scratchpad, offload)
-        self.dsas[offload.kind].process_line(offload, writer, global_line, data)
-        offload.processed_lines.add(global_line)
-        self.stats.dsa_lines_processed += 1
-        self._set_line_ready(
-            offload, global_line, command.cycle + self.config.dsa_line_latency_cycles
-        )
-        if offload.complete():
-            self._finalize_offload(offload, command.cycle)
+    # -- DSA line readiness and finalisation ----------------------------------------------------------
 
     def _set_line_ready(self, offload: Offload, global_line: int, cycle: int) -> None:
         page_position, line = divmod(global_line, LINES_PER_PAGE)
@@ -579,52 +544,20 @@ class SmartDIMM:
                 self._deferred_releases.discard((dbuf_page, index))
                 self._release_destination_page(dbuf_page, index)
 
-    # -- destination-page accesses (S7-S13) --------------------------------------------------------------
-
-    def _destination_access(self, command: Command, address: int, entry) -> CasResult:
-        index = entry.target_offset
-        line = (address & (PAGE_SIZE - 1)) // CACHELINE_SIZE
-        state = self.scratchpad.line_state(index, line)
-        if command.kind is CommandType.WRCAS:
-            if state is LineState.RECYCLED:
-                self.stats.normal_writes += 1
-                self.memory.write_line(address, command.data)
-                return CasResult()
-            if state is LineState.VALID and self.scratchpad.is_ready(index, line, command.cycle):
-                data, page_free = self.scratchpad.recycle_line(index, line)
-                self.memory.write_line(address, data)
-                self.stats.self_recycles += 1
-                if page_free:
-                    self._page_freed(entry.page_number, index)
-                return CasResult()
-            # S7: write arrived before the computation finished — ignore it;
-            # the scratchpad still owns this line.
-            self.stats.ignored_writes += 1
-            return CasResult(ignored=True)
-        # rdCAS
-        if state is LineState.RECYCLED:
-            self.stats.normal_reads += 1
-            return CasResult(data=self.memory.read_line(address))
-        if state is LineState.VALID and self.scratchpad.is_ready(index, line, command.cycle):
-            self.stats.scratchpad_serves += 1  # S10
-            return CasResult(data=self.scratchpad.read_line(index, line))
-        # S13: computation pending — assert ALERT_N so the controller retries.
-        self.stats.alerts += 1
-        return CasResult(alert=True)
-
-    # -- batched fast path (MemoryController.read_lines/write_lines) --------------------
+    # -- data CASes (S6-S13): same-row bursts of any length ------------------------
 
     def bulk_ok(self, address: int) -> bool:
-        """Whether a same-row burst at `address` may skip Command decoding:
-        everywhere but the MMIO page, whose register accesses need the
-        per-command path.  Fault plans and RAS engines take bursts too:
+        """Whether the data CASes at `address` arrive as bursts:
+        everywhere but the MMIO page, whose register accesses are
+        ``Command`` objects.  Fault plans and RAS engines take bursts too:
         each injection site draws from its own stream, and a burst keeps
         every site's draws per line and in line order."""
         return not self._in_mmio(address)
 
     def read_line_run(self, address: int, count: int, first_cycle: int,
                       step: int) -> tuple:
-        """Serve consecutive rdCAS bursts; stats-identical to the per-line
+        """Serve consecutive rdCAS bursts (S6, S10 and S13; a plain or
+        RECYCLED line reads DRAM), stats-identical to the per-command
         arbiter walk.  Returns ``(data, served, alerted, error)``: the run
         stops at the first line that asserts ALERT_N (S13, `alerted`) or
         whose DRAM read raises a :class:`~repro.faults.errors.FaultError`
@@ -688,7 +621,10 @@ class SmartDIMM:
 
     def write_line_run(self, address: int, datas: list, first_cycle: int,
                        step: int) -> None:
-        """Absorb consecutive wrCAS bursts (writes never alert)."""
+        """Absorb consecutive wrCAS bursts (writes never alert): DRAM
+        takes plain, source (Compute DMA's write-fed S6) and RECYCLED
+        lines, a ready destination line self-recycles (S8/S9) and a
+        pending one is ignored (S7)."""
         count = len(datas)
         stats = self.stats
         stats.address_regenerations += count
@@ -761,7 +697,11 @@ class SmartDIMM:
         step: int,
         trigger: OffloadTrigger,
     ) -> None:
-        """Per-line DSA feed for a burst (== _maybe_feed_dsa in a loop)."""
+        """Feed a burst's lines of a source page to the DSA (S6): each
+        fresh line of an in-progress offload with this `trigger` is
+        processed, made ready `dsa_line_latency_cycles` after its CAS at
+        ``first_cycle + step * m``, and the line that completes the
+        offload finalises it at that cycle."""
         binding = self._page_binding.get(address >> 12)
         if binding is None:
             return

@@ -4,8 +4,8 @@ Models the pieces of the memory system SmartDIMM's offload model depends on:
 
 * :mod:`repro.dram.address` — physical-address ↔ DRAM-coordinate mapping
   with configurable channel interleaving (Sec. V-D).
-* :mod:`repro.dram.commands` — ACT/PRE/rdCAS/wrCAS command records and the
-  4-slot-per-buffer-clock encoding AxDIMM uses (Sec. IV-C).
+* :mod:`repro.dram.commands` — ACT/PRE/rdCAS/wrCAS command records
+  (Sec. IV-C; the PHY's 4-slot-per-buffer-clock packing is not modelled).
 * :mod:`repro.dram.physical_memory` — byte-addressable backing store.
 * :mod:`repro.dram.memory_controller` — a command-level memory controller
   with open-page policy, write batching, read priority, and ALERT_N retry.

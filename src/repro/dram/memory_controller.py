@@ -16,11 +16,17 @@ Behaviours the SmartDIMM offload model depends on (Sec. IV-D):
   must observe them.
 * **ALERT_N retry.**  When the DIMM asserts ALERT_N on a rdCAS (S13 in
   Fig. 6: computation not yet finished), the controller waits and reissues.
+
+Every rdCAS/wrCAS that a device's ``bulk_ok`` accepts goes out as a
+same-row burst through its ``read_line_run``/``write_line_run``, a single
+line as a burst of one; only ACT/PRE, the MMIO page, the Sec. IV-E
+commands and devices that decline bursts take the ``Command`` path
+(:meth:`MemoryController._issue_cas` -> ``handle_command``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dram.address import AddressMapping, DramCoordinate
 from repro.dram.commands import CACHELINE_SIZE, Command, CommandType
@@ -34,25 +40,17 @@ class CasResult:
 
     data: bytes = b""
     alert: bool = False  # ALERT_N asserted: retry the rdCAS
-    ignored: bool = False  # wrCAS dropped (S7: write before compute done)
 
 
 class PlainDIMM:
-    """A regular DIMM: CAS commands go straight to the DRAM devices."""
+    """A regular DIMM: CAS bursts go straight to the DRAM devices.
+
+    It keeps no bank state, so the controller sends it no ``Command``:
+    every rdCAS/wrCAS, a single line included, arrives as a same-row
+    burst."""
 
     def __init__(self, memory: PhysicalMemory):
         self.memory = memory
-
-    def handle_command(self, command: Command) -> CasResult:
-        """Serve one DDR command from the DRAM devices."""
-        if command.kind is CommandType.RDCAS:
-            return CasResult(data=self.memory.read_line(command.address))
-        if command.kind is CommandType.WRCAS:
-            self.memory.write_line(command.address, command.data)
-            return CasResult()
-        return CasResult()  # ACT/PRE maintain bank state only
-
-    # -- same-row bursts (MemoryController.read_lines/write_lines_now) ------
 
     def bulk_ok(self, address: int) -> bool:
         """A plain DIMM can always serve a same-row CAS burst."""
@@ -126,13 +124,15 @@ class TraceEntry:
 class MemoryController:
     """Schedules line-granular reads/writes onto per-channel DIMM devices.
 
-    The range APIs (:meth:`read_lines`, :meth:`read_lines_fenced`,
-    :meth:`write_lines_now`) and the write-queue drain coalesce same-row
-    CAS bursts into one open-row check and one turnaround check per run
-    whenever the device's ``bulk_ok`` allows it; elsewhere each line is
-    its own ``Command``.  The command stream, cycle counts, stats and
-    trace are those of issuing every line on its own, the per-line oracle
-    of ``tests/micro_oracle.py`` that ``tests/core/test_micro_oracle.py``
+    Every data access, from :meth:`read_line` and :meth:`write_line_now`
+    to the range APIs (:meth:`read_lines`, :meth:`read_lines_fenced`,
+    :meth:`write_lines_now`) and the write-queue drain, issues same-row
+    CAS bursts with one open-row check and one turnaround check per run
+    whenever the device's ``bulk_ok`` allows it, whatever the run's
+    length; a line it declines (the MMIO page) is one ``Command``.  The
+    command stream, cycle counts, stats and trace are those of issuing
+    every line on its own as a ``Command``, the per-line oracle of
+    ``tests/micro_oracle.py`` that ``tests/core/test_micro_oracle.py``
     checks them against.
     """
 
@@ -169,10 +169,9 @@ class MemoryController:
             # Store-to-load forwarding: the line never travels to DRAM.
             self.stats.forwarded_reads += 1
             return self._write_queue[address]
-        result = self._issue_with_alert_retry(address, CommandType.RDCAS)
-        self.stats.reads += 1
-        self.stats.bytes_read += CACHELINE_SIZE
-        return result.data
+        parts = []
+        self._read_span(address, 1, parts)
+        return parts[0]
 
     def write_line(self, address: int, data: bytes) -> None:
         """Queue one cacheline write; drains lazily."""
@@ -200,9 +199,7 @@ class MemoryController:
 
     def write_line_now(self, address: int, data: bytes) -> None:
         """Write bypassing the queue (used for explicit flush writebacks)."""
-        self._check_aligned(address)
-        self._write_queue.pop(address, None)
-        self._issue_write(address, data)
+        self._write_now(address, [data])
 
     # -- range line interface (same-row bursts; equivalent to per-line loops) --
 
@@ -274,110 +271,113 @@ class MemoryController:
                    fence: int = 0) -> None:
         """Issue reads for `count` lines known to miss the write queue,
         each followed by `fence` cycles of barrier (an empty queue's
-        fence)."""
+        fence).
+
+        A line the device's ``bulk_ok`` accepts starts a same-row burst
+        through its ``read_line_run``, whatever the run's length; any
+        other line (the MMIO page, a device that takes no bursts) is one
+        rdCAS ``Command``.  A line that asserts ALERT_N (S13) is charged,
+        and after :meth:`_back_off`'s wait this loop reissues it the same
+        way (a burst from that line on, or one ``Command``) until it
+        serves or the DSA wedges.
+        """
         timing = self.timing
+        stats = self.stats
         cas = timing.cas_cycles
         step = cas + fence
+        retries = waited = 0  # ALERT_N state of the line at `address`
         while count:
-            run = min(count, self.mapping.run_length(address))
             coordinate = self.mapping.line_coordinate(address)
             device = self.dimms[coordinate.channel]
-            bulk = run > 1 and getattr(device, "bulk_ok", None)
-            if not (bulk and device.bulk_ok(address)):
-                # Single-line issue (a one-line run, the MMIO page or a
-                # device without bursts): read_line minus the forwarding.
-                result = self._issue_with_alert_retry(address, CommandType.RDCAS)
-                self.stats.reads += 1
-                self.stats.bytes_read += CACHELINE_SIZE
-                self.cycle += fence
-                parts.append(result.data)
-                address += CACHELINE_SIZE
-                count -= 1
-                continue
-            direct = type(device) is PlainDIMM
-            while run:
-                coordinate = self.mapping.line_coordinate(address)
-                self._open_row(coordinate, device, direct=direct)
-                if self._last_direction not in (None, "read"):
-                    self.cycle += timing.turnaround_cycles
-                self._last_direction = "read"
+            if device.bulk_ok(address):
+                self._open_row(coordinate, device)
+                self._turn("read")
                 first_cycle = self.cycle + cas
                 data, served, alerted, error = device.read_line_run(
-                    address, run, first_cycle, step
+                    address, min(count, self.mapping.run_length(address)),
+                    first_cycle, step,
                 )
                 issued = served + (alerted or error is not None)
-                self.stats.row_hits += issued - 1
-                self.cycle += cas * issued + fence * served
+                stats.row_hits += issued - 1
+                self.cycle += cas * issued
                 if self.trace is not None:
                     for m in range(issued):
                         self.trace.append(
                             TraceEntry(first_cycle + step * m, "rdCAS",
                                        address + (m << 6))
                         )
-                if served:
-                    parts.append(data)
-                    self.stats.reads += served
-                    self.stats.bytes_read += served * CACHELINE_SIZE
-                    address += served << 6
-                    run -= served
-                    count -= served
-                if error is not None:
-                    # The stopping issue is charged above; the per-line
-                    # path raises here, where its ALERT_N loop would start.
-                    raise error
-                if alerted:
-                    # The alerting issue is already charged above; continue
-                    # the backoff/reissue loop for that line.
-                    result = self._alert_retry_continue(address, CommandType.RDCAS)
-                    self.stats.reads += 1
-                    self.stats.bytes_read += CACHELINE_SIZE
-                    self.cycle += fence
-                    parts.append(result.data)
-                    address += CACHELINE_SIZE
-                    run -= 1
-                    count -= 1
+            else:
+                result = self._issue_cas(address, CommandType.RDCAS, b"")
+                data, alerted, error = result.data, result.alert, None
+                served = 0 if alerted else 1
+            self.cycle += fence * served
+            if served:
+                parts.append(data)
+                stats.reads += served
+                stats.bytes_read += served * CACHELINE_SIZE
+                address += served << 6
+                count -= served
+                retries = waited = 0
+            if error is not None:
+                # The stopping issue is charged above; the per-line path
+                # raises here, where its ALERT_N loop would start.
+                raise error
+            if alerted:
+                retries += 1
+                waited = self._back_off(CommandType.RDCAS, address, retries, waited)
 
     def write_lines_now(self, address: int, datas: list) -> None:
         """Flush writebacks for consecutive lines, bypassing the queue
         (== a write_line_now loop: queued copies are removed first)."""
+        self._write_now(address, datas)
+
+    def _write_now(self, address: int, datas: list) -> None:
+        """Remove the lines' queued copies and issue them.  Raises
+        ValueError, before touching the queue or the channel, unless every
+        line is one full 64-byte burst."""
         self._check_aligned(address)
+        for data in datas:
+            if len(data) != CACHELINE_SIZE:
+                raise ValueError("write must be one %d-byte line" % CACHELINE_SIZE)
         queue = self._write_queue
         for i in range(len(datas)):
             queue.pop(address + (i << 6), None)
         self._write_run(address, datas)
 
     def _write_run(self, address: int, datas: list) -> None:
-        """Issue consecutive wrCAS bursts, coalescing same-row runs."""
+        """Issue consecutive wrCAS bursts: a line the device's ``bulk_ok``
+        accepts starts a same-row burst through its ``write_line_run``,
+        whatever the run's length; any other line is one wrCAS
+        ``Command``."""
         timing = self.timing
+        stats = self.stats
         cas = timing.cas_cycles
         i = 0
         n = len(datas)
         while i < n:
             line_address = address + (i << 6)
-            run = min(n - i, self.mapping.run_length(line_address))
             coordinate = self.mapping.line_coordinate(line_address)
             device = self.dimms[coordinate.channel]
-            bulk = run > 1 and getattr(device, "bulk_ok", None)
-            if not (bulk and device.bulk_ok(line_address)):
-                self._issue_write(line_address, datas[i])
-                i += 1
-                continue
-            self._open_row(coordinate, device, direct=type(device) is PlainDIMM)
-            if self._last_direction not in (None, "write"):
-                self.cycle += timing.turnaround_cycles
-            self._last_direction = "write"
-            first_cycle = self.cycle + cas
-            self.stats.row_hits += run - 1
-            self.cycle += cas * run
-            if self.trace is not None:
-                for m in range(run):
-                    self.trace.append(
-                        TraceEntry(first_cycle + cas * m, "wrCAS",
-                                   line_address + (m << 6))
-                    )
-            device.write_line_run(line_address, datas[i:i + run], first_cycle, cas)
-            self.stats.writes += run
-            self.stats.bytes_written += run * CACHELINE_SIZE
+            if device.bulk_ok(line_address):
+                run = min(n - i, self.mapping.run_length(line_address))
+                self._open_row(coordinate, device)
+                self._turn("write")
+                first_cycle = self.cycle + cas
+                stats.row_hits += run - 1
+                self.cycle += cas * run
+                if self.trace is not None:
+                    for m in range(run):
+                        self.trace.append(
+                            TraceEntry(first_cycle + cas * m, "wrCAS",
+                                       line_address + (m << 6))
+                        )
+                device.write_line_run(line_address, datas[i:i + run],
+                                      first_cycle, cas)
+            else:
+                run = 1
+                self._issue_cas(line_address, CommandType.WRCAS, datas[i])
+            stats.writes += run
+            stats.bytes_written += run * CACHELINE_SIZE
             i += run
 
     # -- Sec. IV-E command extensions (used by DirectOffload, not plain CPUs) ----
@@ -400,58 +400,47 @@ class MemoryController:
         finished that line) or raises :class:`DsaWedgedError` — it never
         reports partial failure to the caller."""
         self._check_aligned(address)
-        self._issue_with_alert_retry(address, CommandType.SPAD_WB)
+        retries = waited = 0
+        while self._issue_cas(address, CommandType.SPAD_WB, b"").alert:
+            retries += 1
+            waited = self._back_off(CommandType.SPAD_WB, address, retries, waited)
         self.stats.scratchpad_writebacks += 1
         return True
 
     # -- internals -------------------------------------------------------------
 
-    def _issue_with_alert_retry(self, address: int, kind: CommandType) -> CasResult:
-        """Issue a CAS, reissuing with exponential backoff on ALERT_N.
+    def _back_off(self, kind: CommandType, address: int, retries: int,
+                  waited: int) -> int:
+        """The ALERT_N backoff, for a data read (in either form) and for
+        SPAD_WB alike: count the alert that answered the `retries`-th
+        issue of the line at `address`, then wait before its reissue.
+        Returns the cycles waited for that line so far (`waited` plus
+        this wait).
 
-        Shared by the rdCAS (S13) and SPAD_WB retry paths: one issue, then
-        :meth:`_alert_retry_continue`'s backoff loop if it alerted.
-        """
-        result = self._issue_cas(address, kind, b"")
-        if result.alert:
-            result = self._alert_retry_continue(address, kind)
-        return result
-
-    def _alert_retry_continue(self, address: int, kind: CommandType) -> CasResult:
-        """The ALERT_N retry loop after an issue that alerted (already
-        charged by the caller): count the alert, back off, reissue — until
-        the line serves or the DSA wedges.
-
-        Backoff doubles per retry up to ``timing.alert_backoff_cap``; when
-        ``timing.max_alert_retries`` reissues all come back asserted, the
-        DSA is treated as wedged (the model's watchdog timeout) and a
+        The wait doubles per retry up to ``timing.alert_backoff_cap``;
+        when ``timing.max_alert_retries`` reissues all come back asserted,
+        the DSA is treated as wedged (the model's watchdog timeout) and a
         :class:`~repro.faults.errors.DsaWedgedError` carrying the address,
         retry count, and backoff cycles consumed is raised.
         """
-        retries = 0
-        backoff = 0
-        while True:
-            self.stats.alerts += 1
-            retries += 1
-            if retries > self.timing.max_alert_retries:
-                self.stats.wedges += 1
-                raise DsaWedgedError(
-                    "%s retry limit (%d) exceeded at 0x%x; DSA wedged"
-                    % (kind.value, self.timing.max_alert_retries, address),
-                    site=kind.value, address=address, retries=retries - 1,
-                    backoff_cycles=backoff,
-                )
-            # Exponential backoff: a stalled computation should not keep the
-            # channel busy with retry traffic.
-            step = self.timing.alert_retry_cycles * min(
-                1 << (retries - 1), self.timing.alert_backoff_cap
+        timing = self.timing
+        self.stats.alerts += 1
+        if retries > timing.max_alert_retries:
+            self.stats.wedges += 1
+            raise DsaWedgedError(
+                "%s retry limit (%d) exceeded at 0x%x; DSA wedged"
+                % (kind.value, timing.max_alert_retries, address),
+                site=kind.value, address=address, retries=retries - 1,
+                backoff_cycles=waited,
             )
-            self.cycle += step
-            backoff += step
-            self.stats.alert_backoff_cycles += step
-            result = self._issue_cas(address, kind, b"")
-            if not result.alert:
-                return result
+        # Exponential backoff: a stalled computation should not keep the
+        # channel busy with retry traffic.
+        wait = timing.alert_retry_cycles * min(
+            1 << (retries - 1), timing.alert_backoff_cap
+        )
+        self.cycle += wait
+        self.stats.alert_backoff_cycles += wait
+        return waited + wait
 
     @staticmethod
     def _check_aligned(address: int) -> None:
@@ -482,50 +471,16 @@ class MemoryController:
                 del queue[address + (i << 6)]
             self._write_run(address, datas)
 
-    def _issue_write(self, address: int, data: bytes) -> None:
-        result = self._issue_cas(address, CommandType.WRCAS, data)
-        self.stats.writes += 1
-        self.stats.bytes_written += CACHELINE_SIZE
-        if result.ignored:
-            # S7: the DIMM dropped a premature writeback; nothing to do —
-            # the scratchpad still owns the line.
-            pass
-
     def _issue_cas(self, address: int, kind: CommandType, data: bytes) -> CasResult:
+        """Issue one CAS as a ``Command`` through the device's
+        ``handle_command``: the MMIO page's rdCAS/wrCAS, CMP_RDCAS,
+        SPAD_WB, and the data CASes of a device whose ``bulk_ok``
+        declines."""
         coordinate = self.mapping.line_coordinate(address)
         device = self.dimms[coordinate.channel]
-        if type(device) is PlainDIMM and kind in (CommandType.RDCAS, CommandType.WRCAS):
-            # Plain-DIMM direct path: no Command objects.  ACT/PRE/CAS at a
-            # plain DIMM carry no device-side state (handle_command only
-            # touches DRAM for CAS), so the burst goes straight to the
-            # backing memory with identical cycle/stats/trace accounting.
-            self._open_row(coordinate, device, direct=True)
-            if kind is CommandType.RDCAS:
-                if self._last_direction not in (None, "read"):
-                    self.cycle += self.timing.turnaround_cycles
-                self._last_direction = "read"
-                self.cycle += self.timing.cas_cycles
-                if self.trace is not None:
-                    self.trace.append(TraceEntry(self.cycle, "rdCAS", address))
-                return CasResult(data=device.memory.read_line(address))
-            if self._last_direction not in (None, "write"):
-                self.cycle += self.timing.turnaround_cycles
-            self._last_direction = "write"
-            self.cycle += self.timing.cas_cycles
-            if self.trace is not None:
-                self.trace.append(TraceEntry(self.cycle, "wrCAS", address))
-            if len(data) != CACHELINE_SIZE:
-                raise ValueError(
-                    "wrCAS data burst must be %d bytes, got %d"
-                    % (CACHELINE_SIZE, len(data))
-                )
-            device.memory.write_line(address, data)
-            return CasResult()
         self._open_row(coordinate, device)
-        direction = "read" if kind in (CommandType.RDCAS, CommandType.CMP_RDCAS) else "write"
-        if self._last_direction not in (None, direction):
-            self.cycle += self.timing.turnaround_cycles
-        self._last_direction = direction
+        self._turn("read" if kind in (CommandType.RDCAS, CommandType.CMP_RDCAS)
+                   else "write")
         # Command-only operations occupy a command slot but no data burst.
         if kind in (CommandType.CMP_RDCAS, CommandType.SPAD_WB):
             self.cycle += self.timing.command_only_cycles
@@ -545,13 +500,22 @@ class MemoryController:
             self.trace.append(TraceEntry(self.cycle, kind.value, address))
         return device.handle_command(command)
 
-    def _open_row(self, coordinate: DramCoordinate, device, direct: bool = False) -> None:
+    def _turn(self, direction: str) -> None:
+        """Charge the bus turnaround when the data direction changes."""
+        if self._last_direction not in (None, direction):
+            self.cycle += self.timing.turnaround_cycles
+        self._last_direction = direction
+
+    def _open_row(self, coordinate: DramCoordinate, device) -> None:
+        """Open the line's row, sending ACT (and PRE) to a device with a
+        bank table; a plain DIMM keeps no bank state and gets none."""
         key = (coordinate.channel, coordinate.bank_index(self.mapping.banks_per_group))
         open_row = self._open_rows.get(key)
         if open_row == coordinate.row:
             self.stats.row_hits += 1
             return
         self.stats.row_misses += 1
+        direct = type(device) is PlainDIMM
         # Bank-level parallelism: re-opening a bank must respect its
         # recovery window; other banks' activity overlaps freely.
         busy_until = self._bank_busy_until.get(key, 0)

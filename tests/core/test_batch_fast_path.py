@@ -18,7 +18,8 @@ from repro.core.smartdimm import SmartDIMMConfig
 from repro.dram.address import AddressMapping, InterleaveMode
 from repro.dram.commands import CACHELINE_SIZE, PAGE_SIZE
 from repro.ulp.ctx_cache import cached_aesgcm
-from tests.micro_oracle import assert_same, oracle_session
+from repro.faults.errors import DsaWedgedError
+from tests.micro_oracle import assert_same, oracle_session, outcome
 
 KEY = bytes(range(16))
 NONCE = bytes(range(12))
@@ -149,6 +150,45 @@ def test_explicit_flush_after_deferred_use_is_bit_identical():
         outputs.append(session.compcpy.read_buffer(dbuf, size))
     assert outputs[0] == outputs[1]
     assert_same(oracle, burst)
+
+
+def test_runs_of_one_walk_every_arbiter_state_bit_identically():
+    """read_line and write_line_now are runs of one: at the lines of a
+    live offload they must walk S6, S7, S13 with its ALERT_N reissues,
+    S10, S8/S9 and a wedge exactly as the per-command oracle does."""
+    size = 2 * PAGE_SIZE
+    twins = _twins()
+    buffers = set()
+    for session in twins:
+        sbuf = session.driver.alloc_pages(2)
+        dbuf = session.driver.alloc_pages(2)
+        session.write(sbuf, _payload(size))
+        session.llc.flush_range(sbuf, size)
+        session.mc.fence()
+        context = TLSOffloadContext(key=KEY, nonce=NONCE, record_length=size - 16)
+        session.driver.register_offload(UlpKind.TLS_ENCRYPT, context, sbuf, dbuf, 2)
+        buffers.add((sbuf, dbuf))
+    (sbuf, dbuf), = buffers
+    line = bytes(CACHELINE_SIZE)
+    steps = (
+        lambda mc: mc.read_line(sbuf),  # S6: feeds line 0
+        lambda mc: mc.write_line_now(dbuf, line),  # S7: line 0 not ready yet
+        lambda mc: mc.read_line(dbuf),  # S13, reissued until S10 serves
+        lambda mc: mc.write_line_now(dbuf, line),  # S8/S9: self-recycle
+        lambda mc: mc.read_line(dbuf),  # RECYCLED: DRAM
+        lambda mc: mc.read_line(dbuf + CACHELINE_SIZE),  # never fed: wedge
+    )
+    oracle, burst = twins
+    outcomes = []
+    for step in steps:
+        outcomes.append(outcome(lambda: step(burst.mc)))
+        assert outcomes[-1] == outcome(lambda: step(oracle.mc))
+        assert_same(oracle, burst)
+    stats = burst.device.stats
+    assert (stats.dsa_lines_processed, stats.ignored_writes,
+            stats.scratchpad_serves, stats.self_recycles) == (1, 1, 1, 1)
+    # The wedge is 65 alerts; the S13 read took at least one more.
+    assert outcomes[-1] is DsaWedgedError and stats.alerts > 65
 
 
 # -- single-path regressions ------------------------------------------------------

@@ -6,11 +6,14 @@ LLC's chunked range reads stop at that line too.  Every test drives twin
 sessions through the same workload: the *oracle* twin
 (:func:`tests.micro_oracle.oracle_session`) runs every range operation
 line by line, so every line is its own ``Command``, address regeneration
-and translation lookup; the *burst* twin takes ``read_line_run`` and
-``write_line_run``.  After every op the twins must agree on the output or
-exception type and on everything :func:`tests.micro_oracle.assert_same`
-compares: controller, LLC, device, CompCpy and resilience stats, cycle,
-trace, write queue, RAS report, plan report, ECC stats and DRAM contents.
+and translation lookup, walked through the Fig. 6 data states by
+:class:`tests.micro_oracle.PerCommandSmartDIMM`; the *burst* twin sends
+every data CAS, single lines and ALERT_N reissues included, through
+``read_line_run`` and ``write_line_run``.  After every op the twins must
+agree on the output or exception type and on everything
+:func:`tests.micro_oracle.assert_same` compares: controller, LLC, device,
+CompCpy and resilience stats, cycle, trace, write queue, RAS report, plan
+report, ECC stats and DRAM contents.
 """
 
 import pytest

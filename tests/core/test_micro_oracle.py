@@ -10,7 +10,11 @@ buffer the oracle module compares.  There are two kinds of stack:
   TLS both ways, deflate, inflate, deferred-flush CompCpy (its pages left
   pending or reclaimed at once), Force-Recycle, Compute DMA, a direct
   offload and its read-back, and plain buffer writes, reads, flushes and
-  reads of poisoned lines;
+  reads of poisoned lines; half the ops are single-line ``read_line`` or
+  ``write_line_now`` CASes at a live offload's source or destination
+  page (a run of one against :class:`~tests.micro_oracle.PerCommandSmartDIMM`'s
+  per-command walk: S6 on either trigger, S7, S8/S9, S10, S13 and its
+  ALERT_N reissues, up to a wedge), with or without a clock advance first;
 * a bare controller on a plain DIMM, driven through its line and range
   operations (fenced reads too), fences and poisoned lines.
 
@@ -30,7 +34,7 @@ import functools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dsa.base import UlpKind
+from repro.core.dsa.base import OffloadTrigger, UlpKind
 from repro.core.dsa.tls_dsa import TLSOffloadContext
 from repro.core.offload_api import TAG_SIZE, SessionConfig, SmartDIMMSession
 from repro.core.smartdimm import SmartDIMMConfig
@@ -95,6 +99,20 @@ SESSION_OPS = st.one_of(
     st.tuples(st.just("pump_ras")),
 )
 
+#: A single-line CAS at a live offload's page: (how far a fresh offload
+#: feeds past the line, or None to use the newest live one; its trigger
+#: is the write stream; source page; line of the two pages; write; cycles
+#: the clock advances first; salt).
+CAS_OP = st.tuples(
+    st.just("cas"), st.sampled_from((None, -1, 0, 4, 32)), st.booleans(),
+    st.booleans(), st.integers(0, 127), st.booleans(),
+    st.sampled_from((0, 100, 1000)), _salt,
+)
+
+#: Half the drawn ops are single-line CASes (``one_of`` would flatten
+#: SESSION_OPS and draw them one time in seventeen).
+OPS = st.sampled_from((SESSION_OPS, CAS_OP)).flatmap(lambda ops: ops)
+
 
 @st.composite
 def session_scenarios(draw):
@@ -108,7 +126,7 @@ def session_scenarios(draw):
         trace=True,
     )
     seed = draw(st.integers(0, 3))
-    ops = draw(st.lists(SESSION_OPS, min_size=1, max_size=8))
+    ops = draw(st.lists(OPS, min_size=1, max_size=8))
     return plan, seed, config, ops
 
 
@@ -172,6 +190,53 @@ def _direct(session, pages, salt):
         session.free(dbuf)
 
 
+def _live_offload(session, fed, dma, salt):
+    """The newest offload live on the device.  When `fed` is not None, or
+    none is live, every live offload is aborted and a fresh two-page TLS
+    offload is registered over a flushed source, with only its first
+    `fed` source lines fed to the DSA (read, or written on the write
+    trigger): later lines are still to feed, and the last fed ones come
+    ready only after the burst."""
+    offloads = session.device._offloads
+    if fed is not None or not offloads:
+        for offload in list(offloads.values()):
+            session.driver.abort_offload(offload)
+        size = 2 * PAGE_SIZE
+        sbuf = session.driver.alloc_pages(2)
+        dbuf = session.driver.alloc_pages(2)
+        plaintext = _payload(size, salt)
+        session.write(sbuf, plaintext)
+        session.llc.flush_range(sbuf, size)
+        session.mc.fence()
+        session.driver.register_offload(
+            UlpKind.TLS_ENCRYPT, _tls_context(size, salt), sbuf, dbuf, 2,
+            OffloadTrigger.SOURCE_WRITE if dma else OffloadTrigger.SOURCE_READ)
+        fed = fed or 0
+        if dma:
+            session.mc.write_lines_now(sbuf, [
+                plaintext[m << 6 : (m + 1) << 6] for m in range(fed)])
+        else:
+            session.mc.read_lines(sbuf, fed)
+    return offloads[max(offloads)]
+
+
+def _single_cas(session, lag, dma, source, line, write, advance, salt):
+    """One ``read_line`` or ``write_line_now`` at `line` of a live
+    offload's two source or destination pages, after moving the clock
+    `advance` cycles on (a CPU doing other work).  With `lag` not None
+    the offload is a fresh one fed up to `lag` lines past `line`: -1
+    leaves the line next to feed, 0 makes it the last one fed."""
+    fed = None if lag is None else min(line + 1 + lag, 128)
+    offload = _live_offload(session, fed, dma, salt)
+    pages = offload.sbuf_pages if source else offload.dbuf_pages
+    page, line = divmod(line, 64)
+    address = pages[page % len(pages)] * PAGE_SIZE + line * CACHELINE_SIZE
+    session.mc.cycle += advance
+    if write:
+        return session.mc.write_line_now(address, _payload(CACHELINE_SIZE, salt))
+    return session.mc.read_line(address)
+
+
 def _dirty(session, salt):
     """Write twice the LLC's capacity and leave it unflushed: every set
     ends full of dirty lines, and the buffer's pages go back to the
@@ -209,6 +274,8 @@ def _apply_session(session, base, op):
         return _direct(session, *args)
     if kind == "dirty":
         return _dirty(session, *args)
+    if kind == "cas":
+        return _single_cas(session, *args)
     if kind == "force_recycle":
         return session.compcpy.force_recycle(args[0])
     if kind == "fence":
@@ -233,7 +300,7 @@ def _apply_session(session, base, op):
     return session.read(start, min(address - start + args[2], end - start))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(session_scenarios())
 def test_sessions_match_their_per_line_oracle(scenario):
     plan, seed, config, ops = scenario

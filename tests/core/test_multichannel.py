@@ -1,5 +1,7 @@
 """Multi-channel interleaved TLS offload (Sec. V-D)."""
 
+import zlib
+
 import pytest
 
 from repro.core.multichannel import MultiChannelConfig, MultiChannelSession
@@ -7,6 +9,7 @@ from repro.core.dsa.tls_dsa import TLSOffloadContext, combine_partial_tags
 from repro.dram.commands import PAGE_SIZE
 from repro.ulp.gcm import AESGCM
 from repro.workloads.corpus import CorpusKind, generate_corpus
+from tests.micro_oracle import PerLineLLC
 
 KEY = bytes(range(16))
 NONCE = bytes(range(12))
@@ -52,6 +55,48 @@ def test_sequential_records_no_leaks(multi):
     for device in multi.devices:
         assert device.translation_table.live_entries == 0
         assert device.scratchpad.free_pages == device.config.scratchpad_pages
+
+
+def _observed(session):
+    return (session.mc.stats, session.mc.cycle, session.mc.trace,
+            list(session.mc._write_queue.items()), session.llc.stats,
+            session.llc.resident_lines,
+            [device.stats for device in session.devices],
+            {page: zlib.crc32(data)
+             for page, data in session.memory._pages.items()})
+
+
+@pytest.mark.parametrize("llc_bytes", (64 * 1024, 2 * 1024 * 1024))
+@pytest.mark.parametrize("channels", (1, 2, 4))
+def test_llc_range_ops_match_the_per_line_loops(channels, llc_bytes):
+    """Buffer writes, reads and the striped copy take the LLC's range
+    operations; a twin on the per-line LLC of the test oracle must see
+    the same outputs, stats, cycle, trace and DRAM after every op."""
+    twins = []
+    for per_line in (True, False):
+        session = MultiChannelSession(
+            MultiChannelConfig(channels=channels, llc_bytes=llc_bytes))
+        session.mc.trace = []
+        if per_line:
+            session.llc.__class__ = PerLineLLC
+        twins.append(session)
+    buffers = [session.alloc(3 * PAGE_SIZE) for session in twins]
+    assert buffers[0] == buffers[1]
+    base = buffers[0]
+    payload = generate_corpus(CorpusKind.HTML, 2 * PAGE_SIZE + 100, seed=3)
+    ops = [
+        lambda s: s.write(base, payload),
+        lambda s: s.read(base + 10, 2 * PAGE_SIZE),
+        lambda s: s.write(base + PAGE_SIZE, payload[:70]),
+        lambda s: s.tls_encrypt(KEY, NONCE, generate_corpus(CorpusKind.TEXT, 6000)),
+        lambda s: s.read(base, 3 * PAGE_SIZE),
+        lambda s: s.tls_encrypt(KEY, NONCE, payload, aad=b"hdr"),
+        lambda s: s.read(base + PAGE_SIZE - 1, 2),
+    ]
+    oracle, session = twins
+    for op in ops:
+        assert op(session) == op(oracle)
+        assert _observed(session) == _observed(oracle)
 
 
 def test_deflate_rejected(multi):

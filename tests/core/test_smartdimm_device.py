@@ -11,7 +11,7 @@ from repro.core.smartdimm import (
 )
 from repro.core.dsa.base import OffloadState, UlpKind
 from repro.core.dsa.tls_dsa import TLSOffloadContext
-from repro.dram.commands import CACHELINE_SIZE, PAGE_SIZE
+from repro.dram.commands import CACHELINE_SIZE, PAGE_SIZE, CommandType
 
 KEY = bytes(range(16))
 NONCE = bytes(12)
@@ -64,11 +64,46 @@ def test_plain_dimm_behaviour_outside_acceleration_range():
 
 
 def test_address_regeneration_checks_every_cas():
+    """Every CAS counts one address regeneration: a run of one
+    (``read_line``, ``write_line_now``) and each line of a longer burst
+    alike, and an MMIO ``Command`` too."""
     session = _session()
     address = session.driver.alloc_pages(1)
-    before = session.device.stats.address_regenerations
+    stats = session.device.stats
+    before = stats.address_regenerations
     session.mc.read_line(address)
-    assert session.device.stats.address_regenerations > before
+    assert stats.address_regenerations == before + 1
+    session.mc.write_line_now(address + CACHELINE_SIZE, bytes(CACHELINE_SIZE))
+    assert stats.address_regenerations == before + 2
+    data, error = session.mc.read_lines(address + 2 * CACHELINE_SIZE, 8)
+    assert error is None and len(data) == 8 * CACHELINE_SIZE
+    assert stats.address_regenerations == before + 10
+    session.mc.read_line(session.device.mmio_status_address)
+    assert stats.address_regenerations == before + 11
+
+
+def test_bank_table_out_of_step_fails_address_regeneration():
+    """A ``Command``-path CAS regenerates its address from the bank
+    table's open row, so a table that disagrees with the controller's
+    open row raises instead of serving the wrong line."""
+    session = _session()
+    status = session.device.mmio_status_address
+    session.mc.read_line(status)  # opens the MMIO row on both sides
+    coordinate = session.mapping.line_coordinate(status)
+    session.device.bank_table.activate(
+        coordinate.bank_group, coordinate.bank, coordinate.row ^ 1)
+    with pytest.raises(RuntimeError, match="address regeneration mismatch"):
+        session.mc.read_line(status)
+
+
+def test_data_cas_command_outside_mmio_is_a_controller_bug():
+    """Data CASes outside the MMIO page arrive as bursts, so the device
+    refuses one sent as a ``Command``."""
+    session = _session()
+    address = session.driver.alloc_pages(1)
+    session.mc.read_line(address)  # opens the row on both sides
+    with pytest.raises(RuntimeError, match="outside the MMIO page"):
+        session.mc._issue_cas(address, CommandType.RDCAS, b"")
 
 
 def test_mmio_status_reports_free_pages():

@@ -1,14 +1,8 @@
-"""DDR command records and slot-frame packing."""
+"""DDR command records."""
 
 import pytest
 
-from repro.dram.commands import (
-    CACHELINE_SIZE,
-    Command,
-    CommandType,
-    SlotFrame,
-    pack_frames,
-)
+from repro.dram.commands import CACHELINE_SIZE, Command, CommandType
 
 
 def test_write_burst_must_be_full_line():
@@ -19,40 +13,4 @@ def test_write_burst_must_be_full_line():
 
 def test_read_needs_no_data():
     command = Command(kind=CommandType.RDCAS, cycle=5, address=0x1000)
-    assert command.is_cas
     assert command.data == b""
-
-
-def test_act_pre_are_not_cas():
-    assert not Command(kind=CommandType.ACT, cycle=0).is_cas
-    assert not Command(kind=CommandType.PRE, cycle=0).is_cas
-
-
-def test_slot_frame_caps_at_four():
-    frame = SlotFrame(buffer_cycle=0)
-    for i in range(4):
-        assert frame.add(Command(kind=CommandType.RDCAS, cycle=i))
-    assert not frame.add(Command(kind=CommandType.RDCAS, cycle=4))
-    assert len(frame) == 4
-
-
-def test_pack_frames_groups_by_buffer_cycle():
-    commands = [Command(kind=CommandType.RDCAS, cycle=c) for c in (0, 1, 2, 3, 4, 9)]
-    frames = pack_frames(commands)
-    assert [f.buffer_cycle for f in frames] == [0, 1, 2]
-    assert [len(f) for f in frames] == [4, 1, 1]
-
-
-def test_pack_frames_slot_order_preserved():
-    commands = [
-        Command(kind=CommandType.RDCAS, cycle=c, address=64 * c) for c in range(4)
-    ]
-    frame = pack_frames(commands)[0]
-    assert [c.address for c in frame] == [0, 64, 128, 192]
-
-
-def test_pack_frames_overflow_within_cycle_spills():
-    # 5 commands in the same DRAM-cycle window: slot 5 starts a new frame.
-    commands = [Command(kind=CommandType.RDCAS, cycle=0) for _ in range(5)]
-    frames = pack_frames(commands)
-    assert [len(f) for f in frames] == [4, 1]

@@ -1,5 +1,7 @@
 """Memory controller: scheduling, write batching, forwarding, ALERT_N."""
 
+import dataclasses
+
 import pytest
 
 from repro.dram.address import AddressMapping
@@ -88,6 +90,40 @@ def test_alignment_enforced():
         mc.write_line(64, b"short")
 
 
+def _smartdimm_system():
+    from repro.core.offload_api import SessionConfig, SmartDIMMSession
+
+    session = SmartDIMMSession(SessionConfig(memory_bytes=16 * 1024 * 1024,
+                                             trace=True))
+    return session.mc, session.memory
+
+
+@pytest.mark.parametrize("build", (lambda: _system(trace=True), _smartdimm_system),
+                         ids=("plain", "smartdimm"))
+@pytest.mark.parametrize("lines", ([b"a" * 10], [b"a" * 10, b"b" * 64],
+                                   [b"b" * 64, b"a" * 65]))
+def test_burst_writes_reject_short_lines(build, lines):
+    """write_line_now and write_lines_now take only whole 64-byte lines,
+    and refuse a short or long one before touching the queue, the
+    channel or DRAM."""
+    mc, memory = build()
+    mc.read_line(0x2000)  # a read, so a write would pay a turnaround
+    mc.write_line(0x1000, b"\x11" * 64)  # queued: a flush would pop it
+
+    def state():
+        return (dataclasses.replace(mc.stats), mc.cycle, len(mc.trace),
+                list(mc._write_queue.items()), mc._last_direction,
+                memory.read(0x1000, 4 * CACHELINE_SIZE))
+
+    before = state()
+    with pytest.raises(ValueError):
+        if len(lines) == 1:
+            mc.write_line_now(0x1000, lines[0])
+        else:
+            mc.write_lines_now(0x1000, lines)
+    assert state() == before
+
+
 def test_unbound_channel_rejected():
     mapping = AddressMapping(channels=2, rows=1 << 8)
     with pytest.raises(ValueError):
@@ -101,6 +137,9 @@ class _AlertingDIMM:
         self.memory = memory
         self.alerts_remaining = alerts
         self.rdcas_seen = 0
+
+    def bulk_ok(self, address):
+        return False  # every CAS a Command, so each reissue reaches it
 
     def handle_command(self, command):
         if command.kind is CommandType.RDCAS:

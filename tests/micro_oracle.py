@@ -2,11 +2,12 @@
 
 ``src`` has one implementation of every micro-tier access: the LLC's
 range operations fetch miss runs in chunks (the ordered copy in fenced
-bursts), the memory controller issues same-row CAS bursts for its range
-operations and its write-queue drain, the driver reclaims pending lines
-in write runs, and a plain DIMM takes CAS commands without ``Command``
-objects.  The oracle is the same stack with each of those swapped for the
-per-line walk it must reproduce:
+bursts), the memory controller sends every data CAS a device accepts as
+a same-row burst (a single line, an ALERT_N reissue and a write-queue
+drain included), the driver reclaims pending lines in write runs, and
+the devices serve the Fig. 6 data states (S6-S13) only in their
+``read_line_run``/``write_line_run``.  The oracle is the same stack with
+each of those swapped for the per-line walk it must reproduce:
 
 * :class:`PerLineLLC` runs every range operation as its loop over
   ``load``, ``store`` and ``flush_line``, the ordered copy with a
@@ -17,9 +18,11 @@ per-line walk it must reproduce:
   at a time;
 * :class:`PerLineDriver` reclaims a page with one spin check and one
   ``write_line_now`` per pending line;
-* :class:`PerCommandDIMM` answers ``bulk_ok`` False, and since its type
-  is not ``PlainDIMM`` the controller hands it every CAS as a
-  ``Command`` through ``handle_command``.
+* :class:`PerCommandSmartDIMM` and :class:`PerCommandDIMM` answer
+  ``bulk_ok`` False, so the controller hands them every CAS as a
+  ``Command`` through ``handle_command``; the SmartDIMM one walks the
+  arbiter's data states one command at a time (the per-command S6-S13
+  that ``src`` no longer holds), the plain one reads and writes DRAM.
 
 None of the oracle's loops reach a burst, so a fault in the burst code
 shows up as a difference between a stack and its oracle.
@@ -31,9 +34,12 @@ import zlib
 
 from repro.cache.llc import LLC
 from repro.core.driver import SmartDIMMDriver
+from repro.core.dsa.base import OffloadState, OffloadTrigger, ScratchpadWriter
 from repro.core.offload_api import SessionConfig, SmartDIMMSession
-from repro.dram.commands import CACHELINE_SIZE, PAGE_SIZE
-from repro.dram.memory_controller import MemoryController, PlainDIMM
+from repro.core.scratchpad import LineState
+from repro.core.smartdimm import SmartDIMM
+from repro.dram.commands import CACHELINE_SIZE, PAGE_SIZE, CommandType
+from repro.dram.memory_controller import CasResult, MemoryController, PlainDIMM
 from repro.dram.ras import RasConfig
 from repro.faults.errors import FaultError
 from repro.faults.plan import FaultSite, FaultSpec
@@ -111,7 +117,7 @@ class PerLineController(MemoryController):
         queue = self._write_queue
         while len(queue) > target:
             address = next(iter(queue))
-            self._issue_write(address, queue.pop(address))
+            self._write_run(address, [queue.pop(address)])
 
 
 class PerLineDriver(SmartDIMMDriver):
@@ -142,18 +148,124 @@ class PerCommandDIMM(PlainDIMM):
     def bulk_ok(self, address):
         return False
 
+    def handle_command(self, command):
+        """Serve one DDR command from the DRAM devices."""
+        if command.kind is CommandType.RDCAS:
+            return CasResult(data=self.memory.read_line(command.address))
+        if command.kind is CommandType.WRCAS:
+            self.memory.write_line(command.address, command.data)
+        return CasResult()  # ACT/PRE maintain bank state only
+
+
+class PerCommandSmartDIMM(SmartDIMM):
+    """A SmartDIMM that takes no bursts: every CAS is one ``Command``, and
+    a data CAS outside the MMIO page walks the Fig. 6 data states one
+    command at a time (S6-S13), which ``read_line_run`` and
+    ``write_line_run`` must reproduce for runs of every length."""
+
+    def bulk_ok(self, address):
+        return False
+
+    def handle_command(self, command):
+        if command.kind not in (CommandType.RDCAS, CommandType.WRCAS) or (
+                self._in_mmio(command.address)):
+            return super().handle_command(command)
+        address = self._regenerate_address(command)
+        entry = self.translation_table.lookup(address >> 12)
+        if entry is None:
+            return self._plain_access(command, address)
+        if entry.is_source:
+            return self._source_access(command, address)
+        return self._destination_access(command, address, entry)
+
+    def _plain_access(self, command, address):
+        if command.kind is CommandType.RDCAS:
+            self.stats.normal_reads += 1
+            return CasResult(data=self.memory.read_line(address))
+        self.stats.normal_writes += 1
+        self.memory.write_line(address, command.data)
+        return CasResult()
+
+    def _source_access(self, command, address):
+        """S6: a source line goes to DRAM and, on its trigger, to the DSA."""
+        if command.kind is CommandType.WRCAS:
+            self.stats.normal_writes += 1
+            self.memory.write_line(address, command.data)
+            # Compute DMA (Sec. IV-E): the DSA taps the *write* stream.
+            self._maybe_feed_dsa(command, address, command.data,
+                                 OffloadTrigger.SOURCE_WRITE)
+            return CasResult()
+        data = self.memory.read_line(address)
+        self.stats.normal_reads += 1
+        self._maybe_feed_dsa(command, address, data, OffloadTrigger.SOURCE_READ)
+        return CasResult(data=data)
+
+    def _maybe_feed_dsa(self, command, address, data, trigger):
+        binding = self._page_binding.get(address >> 12)
+        if binding is None:
+            return
+        offload, position, _ = binding
+        if offload.state is not OffloadState.IN_PROGRESS or offload.trigger is not trigger:
+            return
+        line_in_page = (address & (PAGE_SIZE - 1)) // CACHELINE_SIZE
+        global_line = offload.global_line(position, line_in_page)
+        if global_line in offload.processed_lines:
+            return
+        writer = ScratchpadWriter(self.scratchpad, offload)
+        self.dsas[offload.kind].process_line(offload, writer, global_line, data)
+        offload.processed_lines.add(global_line)
+        self.stats.dsa_lines_processed += 1
+        self._set_line_ready(
+            offload, global_line, command.cycle + self.config.dsa_line_latency_cycles
+        )
+        if offload.complete():
+            self._finalize_offload(offload, command.cycle)
+
+    def _destination_access(self, command, address, entry):
+        """S7-S13: a destination line at its scratchpad state."""
+        index = entry.target_offset
+        line = (address & (PAGE_SIZE - 1)) // CACHELINE_SIZE
+        state = self.scratchpad.line_state(index, line)
+        if command.kind is CommandType.WRCAS:
+            if state is LineState.RECYCLED:
+                self.stats.normal_writes += 1
+                self.memory.write_line(address, command.data)
+                return CasResult()
+            if state is LineState.VALID and self.scratchpad.is_ready(index, line, command.cycle):
+                data, page_free = self.scratchpad.recycle_line(index, line)
+                self.memory.write_line(address, data)
+                self.stats.self_recycles += 1  # S8/S9
+                if page_free:
+                    self._page_freed(entry.page_number, index)
+                return CasResult()
+            # S7: write arrived before the computation finished — ignore it;
+            # the scratchpad still owns this line.
+            self.stats.ignored_writes += 1
+            return CasResult()
+        if state is LineState.RECYCLED:
+            self.stats.normal_reads += 1
+            return CasResult(data=self.memory.read_line(address))
+        if state is LineState.VALID and self.scratchpad.is_ready(index, line, command.cycle):
+            self.stats.scratchpad_serves += 1  # S10
+            return CasResult(data=self.scratchpad.read_line(index, line))
+        # S13: computation pending — assert ALERT_N so the controller retries.
+        self.stats.alerts += 1
+        return CasResult(alert=True)
+
 
 def oracle_session(config: SessionConfig) -> SmartDIMMSession:
-    """A session whose LLC, controller and driver take the per-line paths.
+    """A session whose LLC, controller, driver and device take the
+    per-line paths.
 
-    The session wires one LLC, one controller and one driver into its
-    CompCpy, Compute DMA and direct-offload engine, so the three objects
-    change class in place rather than being rebuilt and re-bound; no
-    subclass adds state."""
+    The session wires one LLC, one controller, one driver and one device
+    into its CompCpy, Compute DMA and direct-offload engine, so the four
+    objects change class in place rather than being rebuilt and re-bound;
+    no subclass adds state."""
     session = SmartDIMMSession(config)
     session.llc.__class__ = PerLineLLC
     session.mc.__class__ = PerLineController
     session.driver.__class__ = PerLineDriver
+    session.device.__class__ = PerCommandSmartDIMM
     return session
 
 
