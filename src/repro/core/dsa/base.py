@@ -3,8 +3,10 @@
 One :class:`Offload` describes one CompCpy call: an ordered set of source
 pages, the matching destination pages, the scratchpad pages staging the
 output, and the ULP context.  The arbiter feeds sbuf cachelines to the DSA
-as their rdCAS commands arrive; the DSA writes results into the scratchpad
-and reports per-line readiness through the scratchpad's line states.
+as their rdCAS commands arrive, one :meth:`DSA.process_run` call per run of
+consecutive not-yet-processed lines in a burst (a single line is a run of
+one); the DSA writes results into the scratchpad and reports per-line
+readiness through the scratchpad's line states.
 """
 
 from __future__ import annotations
@@ -83,26 +85,21 @@ class Offload:
 
 
 class ScratchpadWriter:
-    """Facade letting a DSA address offload output by global byte offset.
+    """Facade letting a DSA address offload output by global line or byte
+    offset.
 
-    Translates (offset, data) writes into the right scratchpad page/line and
-    exposes line-validity marking; keeps the DSAs independent of scratchpad
-    page indices.
+    Translates run and byte writes into the right scratchpad page/line and
+    validates the remaining lines at finalisation; keeps the DSAs
+    independent of scratchpad page indices.
     """
 
     def __init__(self, scratchpad, offload: Offload):
         self._scratchpad = scratchpad
         self._offload = offload
 
-    def write_line(self, global_line: int, data: bytes) -> None:
-        """Deposit one computed 64-byte line and mark it VALID."""
-        page_position, line = divmod(global_line, LINES_PER_PAGE)
-        index = self._offload.scratchpad_indices[page_position]
-        self._scratchpad.write_line(index, line, data)
-
     def write_line_run(self, first_global_line: int, data: bytes, count: int) -> None:
         """Deposit `count` consecutive computed lines (single page) and mark
-        them VALID; equivalent to `count` :meth:`write_line` calls."""
+        them VALID."""
         page_position, line = divmod(first_global_line, LINES_PER_PAGE)
         if line + count > LINES_PER_PAGE:
             raise ValueError("line run crosses a page boundary")
@@ -119,12 +116,6 @@ class ScratchpadWriter:
             data = data[chunk:]
             offset += chunk
 
-    def mark_valid(self, global_line: int) -> None:
-        """Mark one line VALID (result complete, recyclable)."""
-        page_position, line = divmod(global_line, LINES_PER_PAGE)
-        index = self._offload.scratchpad_indices[page_position]
-        self._scratchpad.mark_valid(index, line)
-
     def mark_all_remaining_valid(self) -> None:
         """Mark every still-NOT_COMPUTED line VALID (offload finalisation)."""
         from repro.core.scratchpad import LineState
@@ -139,20 +130,21 @@ class ScratchpadWriter:
 class DSA:
     """Interface every domain-specific accelerator implements."""
 
-    #: modelled cycles from a line's rdCAS to its result being ready in the
-    #: scratchpad; the paper measures >1 us of natural slack, so the default
-    #: of 160 DRAM cycles (~100 ns at DDR4-3200) keeps ALERT_N rare.
-    LINE_LATENCY_CYCLES = 160
-
     def begin(self, offload: Offload, writer: ScratchpadWriter) -> None:
         """Called at registration, before any line arrives."""
 
-    def process_line(
-        self, offload: Offload, writer: ScratchpadWriter, global_line: int, data: bytes
+    def process_run(
+        self,
+        offload: Offload,
+        writer: ScratchpadWriter,
+        first_global_line: int,
+        data: bytes,
+        count: int,
     ) -> None:
-        """Consume one 64-byte sbuf line.  Idempotent per line: the arbiter
-        skips lines already in `offload.processed_lines`, so re-reads of a
-        source line (cache refetches) never double-process."""
+        """Consume `count` consecutive 64-byte sbuf lines of one page,
+        starting at `first_global_line`.  The arbiter passes only lines not
+        yet in `offload.processed_lines`, so re-reads of a source line
+        (cache refetches) never double-process."""
         raise NotImplementedError
 
     def finalize(self, offload: Offload, writer: ScratchpadWriter) -> None:

@@ -87,19 +87,6 @@ class PageTransformDSA(DSA):
     #: ULP name in :class:`OutOfOrderLineError` messages.
     ulp = "page"
 
-    def process_line(
-        self, offload: Offload, writer: ScratchpadWriter, global_line: int, data: bytes
-    ) -> None:
-        """Accumulate one in-order source line."""
-        context = offload.context
-        if global_line != context.next_line:
-            raise OutOfOrderLineError(
-                "%s line %d arrived, expected %d — CompCpy must use ordered=True"
-                % (self.ulp, global_line, context.next_line)
-            )
-        context.next_line += 1
-        context.input_buffer.extend(data)
-
     def process_run(
         self,
         offload: Offload,
@@ -107,17 +94,18 @@ class PageTransformDSA(DSA):
         first_global_line: int,
         data: bytes,
         count: int,
-    ) -> bool:
-        """Accumulate `count` consecutive source lines in one call (==
-        `count` :meth:`process_line` calls).  Returns False, consuming
-        nothing, when the run does not start at the next expected line,
-        so the per-line path raises :class:`OutOfOrderLineError`."""
+    ) -> None:
+        """Accumulate `count` in-order source lines; a run that does not
+        start at the next expected line raises
+        :class:`OutOfOrderLineError` before consuming anything."""
         context = offload.context
         if first_global_line != context.next_line:
-            return False
+            raise OutOfOrderLineError(
+                "%s line %d arrived, expected %d — CompCpy must use ordered=True"
+                % (self.ulp, first_global_line, context.next_line)
+            )
         context.next_line += count
         context.input_buffer.extend(data)
-        return True
 
     def finalize(self, offload: Offload, writer: ScratchpadWriter) -> None:
         """Frame the transform's output (or the overflow marker) into the

@@ -15,16 +15,20 @@ order, and GHASH is serial.  The paper's hardware breaks the dependency by
 precomputing powers of H in strides of 4 so each cacheline's partial product
 commutes; :func:`weighted_tag_reference` implements that commutative
 formulation directly and the test suite proves it equals the serial GHASH
-for every arrival order.  The production path in this model stages each
-ciphertext block at its record offset (the on-DIMM memory already holds the
+for every arrival order.  The production path in this model takes a run of
+lines per call (a single line is a run of one), stages each ciphertext
+block at its record offset (the on-DIMM memory already holds the
 ciphertext, so this is free in hardware) and runs one wide GHASH pass at
 finalisation — functionally identical, and the natural software rendering of
 the same idea (the hardware's H-power multiplier array is what makes the
-arrival order irrelevant).
+arrival order irrelevant).  Positional (multi-channel) contexts weight each
+block by its own power of H instead.
 
 The output layout for a record of ``n`` payload bytes is ``n`` transformed
-bytes at offset 0 followed by the 16-byte tag at offset ``n``; the remainder
-of the registered destination pages is zero-filled at finalisation so every
+bytes at offset 0 followed by the 16-byte tag at offset ``n``.  Lines wholly
+past ``n`` compute nothing; a partial final line is staged byte-wise and
+stays NOT_COMPUTED until the tag completes it; the remainder of the
+registered destination pages is zero-filled at finalisation so every
 scratchpad line becomes recyclable.
 """
 
@@ -112,7 +116,6 @@ class TLSOffloadContext:
         self.gcm = cached_aesgcm(self.key)
         self.eiv = self.gcm.encrypted_iv(self.nonce)
         self.ct_blocks = (self.record_length + 15) // 16
-        self._h_int = int.from_bytes(self.gcm.h, "big")
         self._keystream_chunks = {}
         self._positional_sum = 0
         self._folded_blocks = set()
@@ -132,19 +135,10 @@ class TLSOffloadContext:
         # irrelevant; see module docstring).
         self._ct_buffer = bytearray(16 * self.ct_blocks) if not self.positional else None
 
-    def _h_pow(self, exponent: int) -> int:
-        # Memoised in the shared context, so the H-power ladder is built
-        # once per key rather than once per record.
-        return self.gcm.h_power(exponent)
-
-    def keystream_line(self, global_line: int) -> bytes:
-        """The 64 keystream bytes covering cacheline `global_line`.
-
-        Keystream is generated in :data:`KEYSTREAM_CHUNK_LINES`-line batches
-        through the batched CTR path and sliced per line, so out-of-order and
-        strided line arrival still hits the wide path.
-        """
-        chunk_index, line_in_chunk = divmod(global_line, KEYSTREAM_CHUNK_LINES)
+    def _keystream_chunk(self, chunk_index: int) -> bytes:
+        """Keystream chunk `chunk_index`, generated on first use: one
+        batched CTR call per :data:`KEYSTREAM_CHUNK_LINES` lines, so
+        out-of-order and strided line arrival still hits the wide path."""
         chunk = self._keystream_chunks.get(chunk_index)
         if chunk is None:
             first_line = chunk_index * KEYSTREAM_CHUNK_LINES
@@ -160,62 +154,35 @@ class TLSOffloadContext:
                 start_block=first_line * BLOCKS_PER_LINE,
             )
             self._keystream_chunks[chunk_index] = chunk
-        start = line_in_chunk * CACHELINE_SIZE
-        return chunk[start : start + CACHELINE_SIZE]
+        return chunk
 
     def keystream_run(self, first_line: int, count: int) -> bytes:
-        """Keystream bytes for `count` consecutive full cachelines.
-
-        Byte-identical to concatenating :meth:`keystream_line` per line —
-        both slice the same batch-generated chunks; at most two chunks are
-        touched because a run never exceeds a DRAM page (64 lines).
-        """
+        """Keystream bytes for `count` consecutive cachelines of the record,
+        sliced from the batch-generated chunks; at most two chunks are
+        touched because a run never exceeds a DRAM page (64 lines)."""
         parts = []
         line = first_line
         remaining = count
         while remaining:
             chunk_index, line_in_chunk = divmod(line, KEYSTREAM_CHUNK_LINES)
             take = min(remaining, KEYSTREAM_CHUNK_LINES - line_in_chunk)
-            self.keystream_line(line)  # materialise the chunk on demand
-            chunk = self._keystream_chunks[chunk_index]
+            chunk = self._keystream_chunk(chunk_index)
             start = line_in_chunk * CACHELINE_SIZE
             parts.append(chunk[start : start + take * CACHELINE_SIZE])
             line += take
             remaining -= take
         return parts[0] if len(parts) == 1 else b"".join(parts)
 
-    def fold_ciphertext_block(self, block_index: int, block: bytes) -> None:
-        """Fold ciphertext block `block_index` (0-based) into the tag.
-
-        Serial mode accepts any order, staging each block at its record
-        offset for one wide GHASH pass at finalisation; positional mode
-        weights each block by its power of H so arbitrary (even strided)
-        subsets commute.
-        """
-        if self.positional:
-            if block_index in self._folded_blocks:
-                raise ValueError("ciphertext block %d folded twice" % block_index)
-            self._folded_blocks.add(block_index)
-            weight = self._h_pow(self.ct_blocks + 1 - block_index)
-            self._positional_sum ^= gf128_mul(int.from_bytes(block, "big"), weight)
-            return
-        if not 0 <= block_index < self.ct_blocks:
-            raise ValueError("ciphertext block %d out of range" % block_index)
-        if block_index in self._folded_blocks:
-            raise ValueError("ciphertext block %d folded twice" % block_index)
-        self._folded_blocks.add(block_index)
-        self._ct_buffer[16 * block_index : 16 * block_index + 16] = block
-
     def fold_ciphertext_run(self, first_block: int, data: bytes) -> None:
-        """Fold a run of whole ciphertext blocks (serial mode bulk form).
+        """Fold a run of whole ciphertext blocks starting at block
+        `first_block` (0-based) into the tag, in any order across runs.
 
-        Identical to per-block :meth:`fold_ciphertext_block` calls in
-        ascending order: staging commutes, so one slice assignment plus a
-        range update of the folded set reproduces the same state.
+        Serial mode stages the run at its record offset for one wide GHASH
+        pass at finalisation; positional mode weights each block by its
+        power of H so arbitrary (even strided) subsets commute.  Nothing
+        folds when a block is out of range or already folded.
         """
         count = len(data) // 16
-        if self.positional:
-            raise RuntimeError("bulk folds are a serial-mode path")
         if first_block < 0 or first_block + count > self.ct_blocks:
             raise ValueError("ciphertext run [%d, %d) out of range" % (first_block, first_block + count))
         span = range(first_block, first_block + count)
@@ -224,7 +191,13 @@ class TLSOffloadContext:
                 if block_index in self._folded_blocks:
                     raise ValueError("ciphertext block %d folded twice" % block_index)
         self._folded_blocks.update(span)
-        self._ct_buffer[16 * first_block : 16 * first_block + len(data)] = data
+        if not self.positional:
+            self._ct_buffer[16 * first_block : 16 * first_block + len(data)] = data
+            return
+        for k, block_index in enumerate(span):
+            weight = self.gcm.h_power(self.ct_blocks + 1 - block_index)
+            block = int.from_bytes(data[16 * k : 16 * k + 16], "big")
+            self._positional_sum ^= gf128_mul(block, weight)
 
     @property
     def partial_tag_sum(self) -> int:
@@ -281,42 +254,6 @@ def combine_partial_tags(
 class TLSDSA(DSA):
     """AES-GCM (de/en)cryption engine fed by sbuf rdCAS bursts."""
 
-    def process_line(
-        self, offload: Offload, writer: ScratchpadWriter, global_line: int, data: bytes
-    ) -> None:
-        """XOR one cacheline with its keystream blocks and fold its GHASH
-        contribution."""
-        context = offload.context
-        n = context.record_length
-        byte_offset = global_line * CACHELINE_SIZE
-        if byte_offset >= n:
-            # Line fully in the zero-padded tail; nothing to compute.
-            return
-        # Counter-mode XOR: blocks 4L .. 4L+3 of the record keystream,
-        # sliced from a batch-generated chunk.
-        keystream = context.keystream_line(global_line)
-        output = xor_bytes(data, keystream)
-        usable = min(CACHELINE_SIZE, n - byte_offset)
-        # GHASH folds over *ciphertext*: what we just produced when
-        # encrypting, what arrived on the wire when decrypting.
-        ghash_input = output if not context.decrypt else data
-        for block_in_line in range(BLOCKS_PER_LINE):
-            start = 16 * block_in_line
-            if start >= usable:
-                break
-            block = ghash_input[start : start + 16]
-            if start + 16 > usable:
-                block = block[: usable - start] + bytes(16 - (usable - start))
-            context.fold_ciphertext_block(
-                global_line * BLOCKS_PER_LINE + block_in_line, block
-            )
-        if usable == CACHELINE_SIZE:
-            writer.write_line(global_line, output)
-        else:
-            # Partial final line: stage the bytes now, mark VALID at
-            # finalisation once the tag completes the line.
-            writer.write_bytes(byte_offset, output[:usable])
-
     def process_run(
         self,
         offload: Offload,
@@ -324,26 +261,38 @@ class TLSDSA(DSA):
         first_global_line: int,
         data: bytes,
         count: int,
-    ) -> bool:
-        """Bulk form of :meth:`process_line` for `count` consecutive lines.
+    ) -> None:
+        """XOR `count` consecutive cachelines with their keystream blocks and
+        fold their GHASH contributions.
 
-        Returns False (caller falls back to the per-line path) when the run
-        cannot be processed wholesale: positional contexts fold block by
-        block, and runs touching the zero-padded tail need the partial-line
-        staging logic.  When it returns True the context, scratchpad bytes,
-        and line states are identical to `count` process_line calls.
+        Only the run's lines that start before the record end compute:
+        full lines land VALID, a partial final line is staged byte-wise and
+        stays NOT_COMPUTED until :meth:`finalize`, and lines wholly in the
+        zero-padded tail compute nothing.
         """
         context = offload.context
-        if context.positional:
-            return False
-        if (first_global_line + count) * CACHELINE_SIZE > context.record_length:
-            return False
-        keystream = context.keystream_run(first_global_line, count)
+        n = context.record_length
+        byte_offset = first_global_line * CACHELINE_SIZE
+        usable = min(count * CACHELINE_SIZE, n - byte_offset)
+        if usable <= 0:
+            return
+        keystream = context.keystream_run(first_global_line, -(-usable // CACHELINE_SIZE))
         output = xor_bytes(data, keystream)
-        ghash_input = output if not context.decrypt else data
-        context.fold_ciphertext_run(first_global_line * BLOCKS_PER_LINE, ghash_input)
-        writer.write_line_run(first_global_line, output, count)
-        return True
+        # GHASH folds over *ciphertext*: what we just produced when
+        # encrypting, what arrived on the wire when decrypting; a partial
+        # final block is zero-padded.
+        ghash_input = (output if not context.decrypt else data)[:usable]
+        context.fold_ciphertext_run(
+            first_global_line * BLOCKS_PER_LINE,
+            ghash_input.ljust(-(-usable // 16) * 16, b"\0"),
+        )
+        split = usable - usable % CACHELINE_SIZE  # the full lines' bytes
+        if split:
+            writer.write_line_run(first_global_line, output[:split], split // CACHELINE_SIZE)
+        if usable > split:
+            # Partial final line: stage the bytes now, mark VALID at
+            # finalisation once the tag completes the line.
+            writer.write_bytes(byte_offset + split, output[split:usable])
 
     def finalize(self, offload: Offload, writer: ScratchpadWriter) -> None:
         """Write the tag into the trailer (serial mode) and validate the

@@ -111,21 +111,9 @@ class Scratchpad:
 
     # -- DSA side ---------------------------------------------------------------
 
-    def write_line(self, index: int, line: int, data: bytes) -> None:
-        """DSA deposits a computed 64-byte line and marks it VALID."""
-        if len(data) != CACHELINE_SIZE:
-            raise ValueError("scratchpad line write must be 64 bytes")
-        page = self._pages[index]
-        offset = line * CACHELINE_SIZE
-        page.data[offset : offset + CACHELINE_SIZE] = data
-        if page.states[line] is LineState.RECYCLED:
-            page.recycled_count -= 1
-        page.states[line] = LineState.VALID
-
     def write_line_run(self, index: int, line: int, data: bytes, count: int) -> None:
         """DSA deposits `count` consecutive computed lines and marks them
-        VALID — the bulk form of :meth:`write_line`, state-identical to
-        calling it once per line."""
+        VALID (a single line is a run of one)."""
         if len(data) != count * CACHELINE_SIZE:
             raise ValueError("scratchpad run write must be %d bytes" % (count * CACHELINE_SIZE))
         page = self._pages[index]
@@ -142,13 +130,6 @@ class Scratchpad:
         if offset + len(data) > PAGE_SIZE:
             raise ValueError("scratchpad byte write overruns the page")
         page.data[offset : offset + len(data)] = data
-
-    def mark_valid(self, index: int, line: int) -> None:
-        """Mark a line VALID without changing its bytes."""
-        page = self._pages[index]
-        if page.states[line] is LineState.RECYCLED:
-            page.recycled_count -= 1
-        page.states[line] = LineState.VALID
 
     def mark_foreign_recycled(self, index: int, line: int) -> None:
         """Mark a never-computed line RECYCLED (host overwrote it first)."""
@@ -175,40 +156,17 @@ class Scratchpad:
         """Current lifecycle state of one line."""
         return self._pages[index].states[line]
 
-    def read_line(self, index: int, line: int) -> bytes:
-        """Serve a rdCAS from the scratchpad (S10 in Fig. 6)."""
-        page = self._pages[index]
-        if page.states[line] is not LineState.VALID:
-            raise RuntimeError("reading non-VALID scratchpad line %d" % line)
-        offset = line * CACHELINE_SIZE
-        return bytes(page.data[offset : offset + CACHELINE_SIZE])
-
-    def recycle_line(self, index: int, line: int, forced: bool = False) -> tuple:
-        """Consume a VALID line for writeback replacement (S8/S9).
+    def recycle_line_run(self, index: int, line: int, count: int,
+                         forced: bool = False) -> tuple:
+        """Consume `count` consecutive VALID lines for writeback replacement:
+        a self-recycle (S8/S9), or with `forced` a SPAD_WB retirement.
 
         Returns (data, page_now_free).  The caller writes `data` to DRAM in
-        place of the incoming wrCAS burst and frees the page when signalled.
-        """
-        page = self._pages[index]
-        if page.states[line] is not LineState.VALID:
-            raise RuntimeError("recycling non-VALID scratchpad line %d" % line)
-        offset = line * CACHELINE_SIZE
-        data = bytes(page.data[offset : offset + CACHELINE_SIZE])
-        page.states[line] = LineState.RECYCLED
-        page.recycled_count += 1
-        if forced:
-            self.force_recycled_lines += 1
-        else:
-            self.self_recycled_lines += 1
-        return data, page.all_recycled()
-
-    def recycle_line_run(self, index: int, line: int, count: int) -> tuple:
-        """Consume `count` consecutive VALID lines (bulk :meth:`recycle_line`).
-
-        Returns (data, page_now_free).  State-identical to per-line calls;
-        the page can only become free on the run's last line (every earlier
-        run line is still VALID when its predecessors recycle), so one
-        trailing :meth:`ScratchpadPage.all_recycled` check suffices.
+        place of the incoming wrCAS bursts and frees the page when
+        signalled; the page can only become free on the run's last line
+        (every earlier run line is still VALID when its predecessors
+        recycle), so one trailing :meth:`ScratchpadPage.all_recycled` check
+        suffices.
         """
         page = self._pages[index]
         states = page.states
@@ -218,7 +176,10 @@ class Scratchpad:
         data = bytes(page.data[offset : offset + count * CACHELINE_SIZE])
         states[line : line + count] = [LineState.RECYCLED] * count
         page.recycled_count += count
-        self.self_recycled_lines += count
+        if forced:
+            self.force_recycled_lines += count
+        else:
+            self.self_recycled_lines += count
         return data, page.all_recycled()
 
     # -- pending list (MMIO-readable, Algorithm 1) -------------------------------------

@@ -66,6 +66,9 @@ class SmartDIMMConfig:
     scratchpad_pages: int = 2048  # 8 MB
     config_slots: int = 2048  # 8 MB
     translation_slots: int = 12288  # 3-ary cuckoo at 3x occupancy headroom
+    #: modelled cycles from a line's rdCAS to its result being ready in the
+    #: scratchpad; the paper measures >1 us of natural slack, so the default
+    #: of 160 DRAM cycles (~100 ns at DDR4-3200) keeps ALERT_N rare.
     dsa_line_latency_cycles: int = 160
     finalize_latency_cycles: int = 320
     mmio_base: int = None  # defaults to the top page of the address space
@@ -301,7 +304,7 @@ class SmartDIMM:
         if state is LineState.RECYCLED:
             return CasResult()  # already home: idempotent
         if state is LineState.VALID and self.scratchpad.is_ready(index, line, command.cycle):
-            data, page_free = self.scratchpad.recycle_line(index, line, forced=True)
+            data, page_free = self.scratchpad.recycle_line_run(index, line, 1, forced=True)
             self.memory.write_line(address, data)
             self.stats.spad_writebacks += 1
             if page_free:
@@ -698,61 +701,39 @@ class SmartDIMM:
         trigger: OffloadTrigger,
     ) -> None:
         """Feed a burst's lines of a source page to the DSA (S6): each
-        fresh line of an in-progress offload with this `trigger` is
-        processed, made ready `dsa_line_latency_cycles` after its CAS at
-        ``first_cycle + step * m``, and the line that completes the
-        offload finalises it at that cycle."""
+        maximal run of lines an in-progress offload with this `trigger` has
+        not processed is one ``process_run`` call (a single line is a run of
+        one); then each line of the run, in line order, is made ready
+        `dsa_line_latency_cycles` after its CAS at ``first_cycle + step *
+        m``.  Only a run's last line can complete the offload, which
+        finalises at that line's cycle."""
         binding = self._page_binding.get(address >> 12)
         if binding is None:
             return
         offload, position, _ = binding
         if offload.state is not OffloadState.IN_PROGRESS or offload.trigger is not trigger:
             return
-        line = (address & (PAGE_SIZE - 1)) // CACHELINE_SIZE
         dsa = self.dsas[offload.kind]
         writer = ScratchpadWriter(self.scratchpad, offload)
         processed = offload.processed_lines
         latency = self.config.dsa_line_latency_cycles
-        process_run = getattr(dsa, "process_run", None)
-        if process_run is not None and count > 1:
-            # Bulk feed: valid only when every line of the run is fresh, so
-            # the reference loop would have processed exactly these lines in
-            # order with no mid-run skip, and completion (if any) would have
-            # fired on the run's last line.  global_line is linear, so the
-            # run's global indices are consecutive.
-            first_global = offload.global_line(position, line)
-            span = range(first_global, first_global + count)
-            if processed.isdisjoint(span) and process_run(
-                offload, writer, first_global, data, count
-            ):
-                processed.update(span)
-                self.stats.dsa_lines_processed += count
-                for m in range(count):
-                    self._set_line_ready(
-                        offload, first_global + m, first_cycle + step * m + latency
-                    )
+        # global_line is linear, so the burst's global indices are consecutive.
+        first = offload.global_line(position, (address & (PAGE_SIZE - 1)) >> 6)
+        end = first + count
+        start = first
+        # The burst's already-processed lines cut it into maximal runs.
+        for cut in sorted(processed.intersection(range(first, end))) + [end]:
+            if start < cut:
+                run = data[(start - first) << 6 : (cut - first) << 6]
+                dsa.process_run(offload, writer, start, run, cut - start)
+                processed.update(range(start, cut))
+                self.stats.dsa_lines_processed += cut - start
+                for line in range(start, cut):
+                    self._set_line_ready(offload, line, first_cycle + step * (line - first) + latency)
                 if offload.complete():
-                    self._finalize_offload(offload, first_cycle + step * (count - 1))
-                return
-        view = memoryview(data)
-        for m in range(count):
-            if offload.state is not OffloadState.IN_PROGRESS:
-                return
-            global_line = offload.global_line(position, line + m)
-            if global_line in processed:
-                continue
-            cycle = first_cycle + step * m
-            dsa.process_line(
-                offload,
-                writer,
-                global_line,
-                bytes(view[m * CACHELINE_SIZE : (m + 1) * CACHELINE_SIZE]),
-            )
-            processed.add(global_line)
-            self.stats.dsa_lines_processed += 1
-            self._set_line_ready(offload, global_line, cycle + latency)
-            if offload.complete():
-                self._finalize_offload(offload, cycle)
+                    self._finalize_offload(offload, first_cycle + step * (cut - 1 - first))
+                    return
+            start = cut + 1
 
     # -- abort (wedged-DSA recovery) ------------------------------------------------------------------------
 

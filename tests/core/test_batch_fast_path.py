@@ -152,10 +152,9 @@ def test_explicit_flush_after_deferred_use_is_bit_identical():
     assert_same(oracle, burst)
 
 
-def test_runs_of_one_walk_every_arbiter_state_bit_identically():
-    """read_line and write_line_now are runs of one: at the lines of a
-    live offload they must walk S6, S7, S13 with its ALERT_N reissues,
-    S10, S8/S9 and a wedge exactly as the per-command oracle does."""
+def _live_tls_twins():
+    """(oracle, session), each with a two-page TLS offload registered
+    over a flushed source, and the (sbuf, dbuf) both use."""
     size = 2 * PAGE_SIZE
     twins = _twins()
     buffers = set()
@@ -169,6 +168,14 @@ def test_runs_of_one_walk_every_arbiter_state_bit_identically():
         session.driver.register_offload(UlpKind.TLS_ENCRYPT, context, sbuf, dbuf, 2)
         buffers.add((sbuf, dbuf))
     (sbuf, dbuf), = buffers
+    return twins, sbuf, dbuf
+
+
+def test_runs_of_one_walk_every_arbiter_state_bit_identically():
+    """read_line and write_line_now are runs of one: at the lines of a
+    live offload they must walk S6, S7, S13 with its ALERT_N reissues,
+    S10, S8/S9 and a wedge exactly as the per-command oracle does."""
+    twins, sbuf, dbuf = _live_tls_twins()
     line = bytes(CACHELINE_SIZE)
     steps = (
         lambda mc: mc.read_line(sbuf),  # S6: feeds line 0
@@ -189,6 +196,44 @@ def test_runs_of_one_walk_every_arbiter_state_bit_identically():
             stats.scratchpad_serves, stats.self_recycles) == (1, 1, 1, 1)
     # The wedge is 65 alerts; the S13 read took at least one more.
     assert outcomes[-1] is DsaWedgedError and stats.alerts > 65
+
+
+def _scratchpad_image(session):
+    """Every allocated scratchpad page's bytes, line states and ready
+    cycles, and each live offload's processed lines."""
+    device = session.device
+    pages = {index: (bytes(page.data), list(page.states), list(page.ready_cycles))
+             for index, page in device.scratchpad._pages.items()}
+    processed = {key: sorted(offload.processed_lines)
+                 for key, offload in device._offloads.items()}
+    return pages, processed
+
+
+def test_burst_across_a_fed_line_feeds_two_runs(monkeypatch):
+    """A source burst reaches the DSA as one run per maximal stretch of
+    unprocessed lines: after line 3 is read alone, a burst over lines
+    0-7 feeds lines 0-2 and 4-7 as two runs, and every line counts once,
+    exactly as the per-command oracle feeds them."""
+    (oracle, burst), sbuf, _ = _live_tls_twins()
+    dsa = burst.device.dsas[UlpKind.TLS_ENCRYPT]
+    runs = []
+    process_run = dsa.process_run
+
+    def recording(offload, writer, first_global_line, data, count):
+        runs.append((first_global_line, count))
+        process_run(offload, writer, first_global_line, data, count)
+
+    monkeypatch.setattr(dsa, "process_run", recording)
+    steps = (
+        lambda mc: mc.read_line(sbuf + 3 * CACHELINE_SIZE),
+        lambda mc: mc.read_lines(sbuf, 8),
+    )
+    for step in steps:
+        assert step(burst.mc) == step(oracle.mc)
+        assert_same(oracle, burst)
+        assert _scratchpad_image(burst) == _scratchpad_image(oracle)
+    assert runs == [(3, 1), (0, 3), (4, 4)]
+    assert burst.device.stats.dsa_lines_processed == 8
 
 
 # -- single-path regressions ------------------------------------------------------

@@ -44,8 +44,8 @@ def _compress_page(data):
     dsa = DeflateDSA()
     padded = data + bytes(PAGE_SIZE - len(data))
     for line in range(LINES_PER_PAGE):
-        dsa.process_line(
-            offload, writer, line, padded[line * CACHELINE_SIZE : (line + 1) * CACHELINE_SIZE]
+        dsa.process_run(
+            offload, writer, line, padded[line * CACHELINE_SIZE : (line + 1) * CACHELINE_SIZE], 1
         )
         offload.processed_lines.add(line)
     dsa.finalize(offload, writer)
@@ -87,9 +87,9 @@ def test_corrupt_length_prefix_rejected():
 def test_out_of_order_line_raises():
     offload, writer, _ = _offload()
     dsa = DeflateDSA()
-    dsa.process_line(offload, writer, 0, bytes(64))
+    dsa.process_run(offload, writer, 0, bytes(64), 1)
     with pytest.raises(OutOfOrderLineError):
-        dsa.process_line(offload, writer, 2, bytes(64))
+        dsa.process_run(offload, writer, 2, bytes(64), 1)
 
 
 def test_hardware_ratio_worse_than_software_but_positive():
@@ -111,7 +111,7 @@ def test_all_lines_valid_after_finalize():
     dsa = DeflateDSA()
     data = generate_corpus(CorpusKind.TEXT, PAGE_SIZE)
     for line in range(LINES_PER_PAGE):
-        dsa.process_line(offload, writer, line, data[line * 64 : line * 64 + 64])
+        dsa.process_run(offload, writer, line, data[line * 64 : line * 64 + 64], 1)
         offload.processed_lines.add(line)
     dsa.finalize(offload, writer)
     page = pad.page(offload.scratchpad_indices[0])

@@ -118,7 +118,7 @@ def test_partial_tag_combination_unit():
         block = ct[k : k + 16]
         if len(block) < 16:
             block = block + bytes(16 - len(block))
-        contexts[(k // 16) % 3].fold_ciphertext_block(k // 16, block)
+        contexts[(k // 16) % 3].fold_ciphertext_run(k // 16, block)
     combined = combine_partial_tags(
         KEY, NONCE, len(payload), b"aad",
         [c.partial_tag_sum for c in contexts],
@@ -128,9 +128,9 @@ def test_partial_tag_combination_unit():
 
 def test_positional_double_fold_rejected():
     context = TLSOffloadContext(key=KEY, nonce=NONCE, record_length=64, positional=True)
-    context.fold_ciphertext_block(0, bytes(16))
+    context.fold_ciphertext_run(0, bytes(16))
     with pytest.raises(ValueError):
-        context.fold_ciphertext_block(0, bytes(16))
+        context.fold_ciphertext_run(0, bytes(16))
 
 
 def test_partial_sum_requires_positional_mode():

@@ -93,8 +93,8 @@ def _run(ulp, source):
     dsa = ulp.dsa()
     padded = source + bytes(ulp.pages * PAGE_SIZE - len(source))
     for line in range(ulp.pages * LINES_PER_PAGE):
-        dsa.process_line(offload, writer, line,
-                         padded[line * CACHELINE_SIZE : (line + 1) * CACHELINE_SIZE])
+        dsa.process_run(offload, writer, line,
+                        padded[line * CACHELINE_SIZE : (line + 1) * CACHELINE_SIZE], 1)
     dsa.finalize(offload, writer)
     pages = [pad.page(index) for index in offload.scratchpad_indices]
     assert all(state is LineState.VALID for page in pages for state in page.states)
@@ -103,12 +103,17 @@ def _run(ulp, source):
 
 @pytest.mark.parametrize("ulp", ULPS, ids=lambda ulp: ulp.name)
 def test_out_of_order_line_names_the_ulp(ulp):
+    """A run past the next expected line raises, naming the ULP, before
+    it consumes any of its lines."""
     offload, writer, _ = _offload(ulp, ulp.good[0])
     dsa = ulp.dsa()
-    dsa.process_line(offload, writer, 0, bytes(CACHELINE_SIZE))
-    with pytest.raises(OutOfOrderLineError, match="^%s line 2 arrived, expected 1"
+    dsa.process_run(offload, writer, 0, bytes(range(2 * CACHELINE_SIZE)), 2)
+    with pytest.raises(OutOfOrderLineError, match="^%s line 3 arrived, expected 2"
                        % ulp.name):
-        dsa.process_line(offload, writer, 2, bytes(CACHELINE_SIZE))
+        dsa.process_run(offload, writer, 3, b"\xff" * (4 * CACHELINE_SIZE), 4)
+    context = offload.context
+    assert context.next_line == 2
+    assert context.input_buffer == bytes(range(2 * CACHELINE_SIZE))
 
 
 @pytest.mark.parametrize("ulp", ULPS, ids=lambda ulp: ulp.name)

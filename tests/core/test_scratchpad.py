@@ -36,23 +36,16 @@ def test_line_write_and_read():
     pad = Scratchpad(total_pages=2)
     index = pad.allocate(5)
     data = bytes(range(64))
-    pad.write_line(index, 3, data)
+    pad.write_line_run(index, 3, data, 1)
     assert pad.line_state(index, 3) is LineState.VALID
-    assert pad.read_line(index, 3) == data
+    assert pad.page(index).data[3 * CACHELINE_SIZE : 4 * CACHELINE_SIZE] == data
 
 
 def test_line_write_requires_64_bytes():
     pad = Scratchpad(total_pages=1)
     index = pad.allocate(0)
     with pytest.raises(ValueError):
-        pad.write_line(index, 0, b"short")
-
-
-def test_read_non_valid_line_raises():
-    pad = Scratchpad(total_pages=1)
-    index = pad.allocate(0)
-    with pytest.raises(RuntimeError):
-        pad.read_line(index, 0)
+        pad.write_line_run(index, 0, b"short", 1)
 
 
 def test_byte_writes_do_not_change_state():
@@ -60,9 +53,7 @@ def test_byte_writes_do_not_change_state():
     index = pad.allocate(0)
     pad.write_bytes(index, 100, b"tagtagtag")
     assert pad.line_state(index, 1) is LineState.NOT_COMPUTED
-    pad.mark_valid(index, 1)
-    line = pad.read_line(index, 1)
-    assert line[100 - 64 : 100 - 64 + 9] == b"tagtagtag"
+    assert pad.page(index).data[100 : 100 + 9] == b"tagtagtag"
 
 
 def test_byte_write_overrun_rejected():
@@ -75,8 +66,8 @@ def test_byte_write_overrun_rejected():
 def test_recycle_line_returns_data_and_marks_recycled():
     pad = Scratchpad(total_pages=1)
     index = pad.allocate(7)
-    pad.write_line(index, 0, b"\x0f" * 64)
-    data, page_free = pad.recycle_line(index, 0)
+    pad.write_line_run(index, 0, b"\x0f" * 64, 1)
+    data, page_free = pad.recycle_line_run(index, 0, 1)
     assert data == b"\x0f" * 64
     assert not page_free  # 63 lines still NOT_COMPUTED
     assert pad.line_state(index, 0) is LineState.RECYCLED
@@ -87,17 +78,17 @@ def test_recycle_requires_valid_state():
     pad = Scratchpad(total_pages=1)
     index = pad.allocate(0)
     with pytest.raises(RuntimeError):
-        pad.recycle_line(index, 0)
+        pad.recycle_line_run(index, 0, 1)
 
 
 def test_full_page_recycle_signals_free():
     pad = Scratchpad(total_pages=1)
     index = pad.allocate(9)
     for line in range(LINES_PER_PAGE):
-        pad.write_line(index, line, bytes(64))
+        pad.write_line_run(index, line, bytes(64), 1)
     freed = False
     for line in range(LINES_PER_PAGE):
-        _, freed = pad.recycle_line(index, line)
+        _, freed = pad.recycle_line_run(index, line, 1)
     assert freed
     assert pad.page(index).all_recycled()
 
@@ -105,8 +96,8 @@ def test_full_page_recycle_signals_free():
 def test_forced_recycle_counted_separately():
     pad = Scratchpad(total_pages=1)
     index = pad.allocate(0)
-    pad.write_line(index, 0, bytes(64))
-    pad.recycle_line(index, 0, forced=True)
+    pad.write_line_run(index, 0, bytes(64), 1)
+    pad.recycle_line_run(index, 0, 1, forced=True)
     assert pad.force_recycled_lines == 1
     assert pad.self_recycled_lines == 0
 
@@ -116,10 +107,10 @@ def test_pending_pages_lists_valid_unrecycled():
     a = pad.allocate(100)
     b = pad.allocate(200)
     pad.allocate(300)  # never written: not pending
-    pad.write_line(a, 0, bytes(64))
-    pad.write_line(b, 5, bytes(64))
+    pad.write_line_run(a, 0, bytes(64), 1)
+    pad.write_line_run(b, 5, bytes(64), 1)
     assert sorted(pad.pending_pages()) == [100, 200]
-    pad.recycle_line(a, 0)
+    pad.recycle_line_run(a, 0, 1)
     assert pad.pending_pages() == [200]
     assert pad.pending_lines(b) == [5]
 
@@ -127,12 +118,12 @@ def test_pending_pages_lists_valid_unrecycled():
 def test_ready_cycle_gating():
     pad = Scratchpad(total_pages=1)
     index = pad.allocate(0)
-    pad.write_line(index, 2, bytes(64))
+    pad.write_line_run(index, 2, bytes(64), 1)
     pad.set_ready_cycle(index, 2, 1000)
     assert not pad.is_ready(index, 2, now_cycle=999)
     assert pad.is_ready(index, 2, now_cycle=1000)
     # Lines without a ready cycle are ready as soon as VALID.
-    pad.write_line(index, 3, bytes(64))
+    pad.write_line_run(index, 3, bytes(64), 1)
     assert pad.is_ready(index, 3, now_cycle=0)
     # NOT_COMPUTED lines are never ready.
     assert not pad.is_ready(index, 4, now_cycle=10**9)

@@ -9,10 +9,11 @@ from repro.core.dsa.tls_dsa import (
     BLOCKS_PER_LINE,
     TLSDSA,
     TLSOffloadContext,
+    combine_partial_tags,
     gf128_pow,
     weighted_tag_reference,
 )
-from repro.core.scratchpad import Scratchpad
+from repro.core.scratchpad import LineState, Scratchpad
 from repro.dram.commands import CACHELINE_SIZE, LINES_PER_PAGE, PAGE_SIZE
 from repro.ulp.gcm import AESGCM, gf128_mul
 
@@ -20,11 +21,12 @@ KEY = bytes(range(16))
 NONCE = bytes(range(12))
 
 
-def _offload(record_length, aad=b"", decrypt=False, pages=None):
+def _offload(record_length, aad=b"", decrypt=False, pages=None, positional=False):
     pages = pages or max(1, (record_length + 16 + PAGE_SIZE - 1) // PAGE_SIZE)
     pad = Scratchpad(total_pages=pages + 1)
     context = TLSOffloadContext(
-        key=KEY, nonce=NONCE, record_length=record_length, aad=aad, decrypt=decrypt
+        key=KEY, nonce=NONCE, record_length=record_length, aad=aad, decrypt=decrypt,
+        positional=positional,
     )
     offload = Offload(
         offload_id=1,
@@ -44,7 +46,7 @@ def _run(offload, writer, payload, order=None):
     lines = order if order is not None else range(pages * LINES_PER_PAGE)
     for line in lines:
         data = padded[line * CACHELINE_SIZE : (line + 1) * CACHELINE_SIZE]
-        dsa.process_line(offload, writer, line, data)
+        dsa.process_run(offload, writer, line, data, 1)
         offload.processed_lines.add(line)
     dsa.finalize(offload, writer)
 
@@ -92,6 +94,58 @@ def test_out_of_order_lines_same_tag():
         assert out[n:] == expected_tag
 
 
+def _image(offload, pad):
+    """The offload's scratchpad bytes and line states."""
+    pages = [pad.page(index) for index in offload.scratchpad_indices]
+    return [(bytes(page.data), list(page.states)) for page in pages]
+
+
+@pytest.mark.parametrize("positional", [False, True], ids=["serial", "positional"])
+@pytest.mark.parametrize("decrypt", [False, True], ids=["encrypt", "decrypt"])
+@pytest.mark.parametrize("n", [64, 100, 4096, 4097, 5000, 8192 - 16])
+def test_page_runs_equal_shuffled_runs_of_one(n, decrypt, positional):
+    """Each page fed as one run (its full, partial and tail lines in one
+    call) leaves the same scratchpad bytes, line states and tag or
+    partial sum as runs of one in shuffled order.  Before finalisation
+    only the full lines are VALID: the partial final line waits for the
+    tag, and lines past the record end compute nothing."""
+    plaintext = bytes((5 * i + n) & 0xFF for i in range(n))
+    ciphertext, tag = AESGCM(KEY).encrypt(NONCE, plaintext, b"hdr")
+    source, expected = (ciphertext, plaintext) if decrypt else (plaintext, ciphertext)
+    dsa = TLSDSA()
+    results = []
+    for shuffled in (False, True):
+        offload, writer, pad = _offload(n, aad=b"hdr", decrypt=decrypt,
+                                        positional=positional)
+        pages = len(offload.sbuf_pages)
+        padded = source + bytes(pages * PAGE_SIZE - n)
+        if shuffled:
+            lines = list(range(pages * LINES_PER_PAGE))
+            random.Random(n).shuffle(lines)
+            for line in lines:
+                data = padded[line * CACHELINE_SIZE : (line + 1) * CACHELINE_SIZE]
+                dsa.process_run(offload, writer, line, data, 1)
+        else:
+            for page in range(pages):
+                dsa.process_run(offload, writer, page * LINES_PER_PAGE,
+                                padded[page * PAGE_SIZE : (page + 1) * PAGE_SIZE],
+                                LINES_PER_PAGE)
+        staged = _image(offload, pad)
+        states = [state for _, page_states in staged for state in page_states]
+        full = n // CACHELINE_SIZE
+        assert states == ([LineState.VALID] * full
+                          + [LineState.NOT_COMPUTED] * (len(states) - full))
+        dsa.finalize(offload, writer)
+        tag_or_sum = offload.context.partial_tag_sum if positional else None
+        results.append((staged, _image(offload, pad), tag_or_sum))
+        assert _read_output(offload, pad, n) == expected
+        if positional:
+            assert combine_partial_tags(KEY, NONCE, n, b"hdr", [tag_or_sum]) == tag
+        else:
+            assert _read_output(offload, pad, n + 16)[n:] == tag
+    assert results[0] == results[1]
+
+
 def test_all_lines_valid_after_finalize():
     offload, writer, pad = _offload(1000)
     _run(offload, writer, bytes(1000))
@@ -103,9 +157,9 @@ def test_all_lines_valid_after_finalize():
 
 def test_double_fold_rejected():
     context = TLSOffloadContext(key=KEY, nonce=NONCE, record_length=64)
-    context.fold_ciphertext_block(0, bytes(16))
+    context.fold_ciphertext_run(0, bytes(16))
     with pytest.raises(ValueError):
-        context.fold_ciphertext_block(0, bytes(16))
+        context.fold_ciphertext_run(0, bytes(16))
 
 
 def test_premature_finalize_rejected():

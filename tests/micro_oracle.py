@@ -25,7 +25,12 @@ each of those swapped for the per-line walk it must reproduce:
   that ``src`` no longer holds), the plain one reads and writes DRAM.
 
 None of the oracle's loops reach a burst, so a fault in the burst code
-shows up as a difference between a stack and its oracle.
+shows up as a difference between a stack and its oracle.  The S6 feed of
+:class:`PerCommandSmartDIMM` hands each source CAS to the DSA as
+``process_run(..., 1)``, a run of one.  Device and oracle share the DSA
+code, so the oracle checks how a burst is split into runs, not the DSAs'
+arithmetic; ``tests/core/test_tls_dsa.py`` and the page-transform tests
+check that against software AES-GCM and zlib.
 :func:`oracle_session` builds a :class:`SmartDIMMSession` on the oracle,
 and :func:`outcome` and :func:`assert_same` compare a session with it.
 """
@@ -212,7 +217,7 @@ class PerCommandSmartDIMM(SmartDIMM):
         if global_line in offload.processed_lines:
             return
         writer = ScratchpadWriter(self.scratchpad, offload)
-        self.dsas[offload.kind].process_line(offload, writer, global_line, data)
+        self.dsas[offload.kind].process_run(offload, writer, global_line, data, 1)
         offload.processed_lines.add(global_line)
         self.stats.dsa_lines_processed += 1
         self._set_line_ready(
@@ -232,7 +237,7 @@ class PerCommandSmartDIMM(SmartDIMM):
                 self.memory.write_line(address, command.data)
                 return CasResult()
             if state is LineState.VALID and self.scratchpad.is_ready(index, line, command.cycle):
-                data, page_free = self.scratchpad.recycle_line(index, line)
+                data, page_free = self.scratchpad.recycle_line_run(index, line, 1)
                 self.memory.write_line(address, data)
                 self.stats.self_recycles += 1  # S8/S9
                 if page_free:
@@ -247,7 +252,9 @@ class PerCommandSmartDIMM(SmartDIMM):
             return CasResult(data=self.memory.read_line(address))
         if state is LineState.VALID and self.scratchpad.is_ready(index, line, command.cycle):
             self.stats.scratchpad_serves += 1  # S10
-            return CasResult(data=self.scratchpad.read_line(index, line))
+            offset = line * CACHELINE_SIZE
+            page = self.scratchpad.page(index)
+            return CasResult(data=bytes(page.data[offset : offset + CACHELINE_SIZE]))
         # S13: computation pending — assert ALERT_N so the controller retries.
         self.stats.alerts += 1
         return CasResult(alert=True)

@@ -131,8 +131,8 @@ class _MemoryWriter:
     def __init__(self, size):
         self.buf = bytearray(size)
 
-    def write_line(self, global_line, data):
-        start = global_line * CACHELINE_SIZE
+    def write_line_run(self, first_global_line, data, count):
+        start = first_global_line * CACHELINE_SIZE
         self.buf[start : start + len(data)] = data
 
     def write_bytes(self, offset, data):
@@ -170,8 +170,8 @@ def test_dsa_out_of_order_lines_match_whole_record(record_length):
     rng.shuffle(order)
     padded = plaintext + bytes(nlines * CACHELINE_SIZE - record_length)
     for line in order:
-        dsa.process_line(
-            offload, writer, line, padded[line * CACHELINE_SIZE : (line + 1) * CACHELINE_SIZE]
+        dsa.process_run(
+            offload, writer, line, padded[line * CACHELINE_SIZE : (line + 1) * CACHELINE_SIZE], 1
         )
     dsa.finalize(offload, writer)
     expected_ct, expected_tag = cached_aesgcm(key).encrypt(nonce, plaintext, aad)
@@ -198,7 +198,7 @@ def test_positional_partials_cross_chunk():
     ]
     for block_index in range(record_length // 16):
         block = ciphertext[16 * block_index : 16 * block_index + 16]
-        contexts[block_index % 2].fold_ciphertext_block(block_index, block)
+        contexts[block_index % 2].fold_ciphertext_run(block_index, block)
     tag = combine_partial_tags(
         key, nonce, record_length, b"", [c.partial_tag_sum for c in contexts]
     )
