@@ -1,415 +1,287 @@
-"""Perf-regression gate for the wall-clock benches.
+"""Perf-regression gate: every timed row against the parent commit, same box.
 
-Each gate is one row in the declarative ``GATES`` table below (``--list``
-prints the table).  Six rows:
+    PYTHONPATH=src python benchmarks/perf/check_regression.py [--parent REV]
 
-* ``datapath`` — ``benchmarks/perf/BENCH_datapath.json`` throughput
-  (``datapath_bench``): the ``after``-path MB/s per (section, size) must
-  not drop more than ``--tolerance`` (default 20%).
-* ``cluster`` — ``benchmarks/perf/BENCH_cluster.json`` simulator speed
-  (``cluster_bench``): kernel events/sec must not drop, and end-to-end
-  scenario wall time must not grow, by more than the same tolerance.
-* ``compcpy5x`` (machine-relative, no baseline): the 64 KB
-  ``compcpy_e2e`` point must stay >= ``--compcpy-speedup-floor``
-  (default 5x) above the recorded pre-fast-path seed throughput.
-* ``fleetvec`` (machine-relative, no baseline): the vector fleet tier
-  must stay >= ``--fleetvec-speedup-floor`` (default 20x) faster than the
-  event kernel on the fleet-scale spill scenario, and its replay-stream
-  crosscheck against the kernel must pass.
-* ``faults`` (``faults_bench``, machine-relative, no baseline): the
-  measured cost of the ``plan is not None`` guards on a plan-less session
-  must stay under ``--faults-tolerance`` (default 2%) of one offload —
-  the disabled fault path is required to be essentially free.
-* ``matrix3x`` (machine-relative, no baseline): the experiment-matrix
-  run-pool (``matrix_bench``) must keep the pooled quick matrix >=
-  ``--matrix-speedup-floor`` (default 3x) faster than the serial run
-  with byte-identical payloads; auto-skips below 4 cores.
+The parent is ``HEAD`` when tracked files differ from it, else
+``HEAD~1``; ``--parent`` names any other revision.  Its ``src/`` is
+exported with ``git archive`` into a temporary directory, and this
+checkout's bench code (``datapath_bench``, ``cluster_bench``) runs
+against each tree in fresh processes: ``PAIRS`` pairs, alternating which
+side runs first.  A process times each row's operation with
+``time.process_time``: after two warm-up calls, the least of ``REPEATS``
+samples taken in rounds over all rows, each sample as many calls as
+fill ``SAMPLE_S``.  Each row is judged by ``compare_metric`` of
+``benchmarks/suite/compare.py`` on those per-process readings, with the
+row's bound: ``REGRESSION`` when the change's median CPU time is worse
+than the parent's by more than the bound, ``unresolved`` when the
+parent's own readings spread wider than the bound.  Either fails the
+gate.  A row the parent's tree cannot run (an API it lacks) is printed
+and not compared; a row the working tree cannot run fails.
+
+Three same-run checks read the working tree alone, in this process: the
+vector-vs-event tier crosscheck, the disabled fault-hook overhead and
+the run-pool speed-up of the quick matrix (``matrix3x``, skipped below 4
+cores).
+
+``ROWS`` below is the whole gate, each row with its bound; ``--list``
+prints it and ``--skip-<group>`` drops a group.  Exit codes: 0 pass,
+1 a regressed, unresolved or failing row, 2 no parent tree (git failed).
 
 The simulated results of every figure family are not timed here: they
 are deterministic, so ``python -m repro matrix --check`` compares them
 byte-for-byte against the committed ``BENCH_<target>.json`` baselines at
-the repository root and each matrix target's own gate rows judge them.
-
-``--jobs N`` evaluates gate rows concurrently in N threads (output stays
-in table order); the wall-clock-sensitive rows get noisier as N grows,
-so keep ``--jobs 1`` when a timing row is near its floor.
-
-Any regression fails the gate with exit code 1 — use it in CI or before
-merging changes to any layer::
-
-    PYTHONPATH=src python benchmarks/perf/check_regression.py
-
-Absolute wall times vary across machines; throughput *ratios* between a
-fresh run and a baseline recorded on the same machine are what the gate is
-for.  ``--update`` rewrites the baselines from the fresh run.
+the repository root.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
+import subprocess
 import sys
+import tempfile
+import time
 from dataclasses import dataclass
+from functools import partial
 
-import cluster_bench
-import datapath_bench
-import faults_bench
-import matrix_bench
+HERE = os.path.dirname(os.path.abspath(__file__))
+REPO = os.path.dirname(os.path.dirname(HERE))
+sys.path.insert(0, os.path.join(REPO, "benchmarks", "suite"))
 
-#: Datapath sections whose `after_mbps` is guarded per record size.
-GUARDED_SECTIONS = ("aes_gcm_encrypt", "ghash", "deflate", "compcpy_e2e")
+import cluster_bench  # noqa: E402
+import datapath_bench  # noqa: E402
+import faults_bench  # noqa: E402
+import matrix_bench  # noqa: E402
+from compare import compare_metric  # noqa: E402
 
-#: Cluster sections -> (metric, direction); "min" guards a floor
-#: (throughput must not drop), "max" a ceiling (wall time must not grow).
-CLUSTER_GUARDS = {
-    "kernel_timeout": ("events_per_sec", "min"),
-    "kernel_process": ("events_per_sec", "min"),
-    "scenario_closed_tls": ("wall_s", "max"),
-    "scenario_open_spill": ("wall_s", "max"),
-    "fleet_vector": ("speedup_vs_des", "min"),
-}
+#: Parent/change pairs of fresh processes, and timed samples per row in
+#: each.  A sample repeats the row's operation until it lasts about
+#: SAMPLE_S of CPU: read from single calls, a 1 ms row's fresh processes
+#: ranged over 75% of their median; in 20 ms samples, over 25%.  Load
+#: elsewhere on a shared machine slows whole stretches of a run (a busy
+#: loop's rate swung by 40% from one half-second to the next), so a
+#: side's third quartile needs three slow processes of ten to move,
+#: where two of six moved it past the bound.
+PAIRS = 10
+REPEATS = 5
+SAMPLE_S = 0.02
 
-
-def compare(baseline: dict, fresh: dict, tolerance: float) -> list:
-    """Datapath regressions as human-readable strings (empty = pass)."""
-    regressions = []
-    for section in GUARDED_SECTIONS:
-        for size, base_entry in baseline.get(section, {}).items():
-            fresh_entry = fresh.get(section, {}).get(size)
-            if fresh_entry is None:
-                regressions.append("%s/%s: missing from fresh run" % (section, size))
-                continue
-            base_mbps = base_entry["after_mbps"]
-            fresh_mbps = fresh_entry["after_mbps"]
-            floor = (1.0 - tolerance) * base_mbps
-            if fresh_mbps < floor:
-                regressions.append(
-                    "%s/%s B: %.2f MB/s < %.2f MB/s (baseline %.2f, -%.0f%%)"
-                    % (
-                        section,
-                        size,
-                        fresh_mbps,
-                        floor,
-                        base_mbps,
-                        100.0 * (1.0 - fresh_mbps / base_mbps),
-                    )
-                )
-    return regressions
-
-
-def compare_cluster(baseline: dict, fresh: dict, tolerance: float) -> list:
-    """Cluster-simulator regressions (empty = pass)."""
-    regressions = []
-    for section, (metric, direction) in sorted(CLUSTER_GUARDS.items()):
-        base_entry = baseline.get(section)
-        if base_entry is None:
-            continue  # baseline predates this section; nothing to gate
-        fresh_entry = fresh.get(section)
-        if fresh_entry is None:
-            regressions.append("%s: missing from fresh run" % section)
-            continue
-        base_value = base_entry[metric]
-        fresh_value = fresh_entry[metric]
-        if direction == "min" and fresh_value < (1.0 - tolerance) * base_value:
-            regressions.append(
-                "%s: %s %.0f < floor %.0f (baseline %.0f, -%.0f%%)"
-                % (section, metric, fresh_value,
-                   (1.0 - tolerance) * base_value, base_value,
-                   100.0 * (1.0 - fresh_value / base_value))
-            )
-        elif direction == "max" and fresh_value > (1.0 + tolerance) * base_value:
-            regressions.append(
-                "%s: %s %.3f > ceiling %.3f (baseline %.3f, +%.0f%%)"
-                % (section, metric, fresh_value,
-                   (1.0 + tolerance) * base_value, base_value,
-                   100.0 * (fresh_value / base_value - 1.0))
-            )
-    return regressions
-
-
-def compare_compcpy_speedup(fresh: dict, floor: float) -> list:
-    """Machine-relative 5x gate for the batched line-op fast path.
-
-    ``speedup_vs_seed`` compares a fresh 64 KB compcpy_e2e run against the
-    recorded pre-fast-path throughput (``SEED_COMPCPY_MBPS``), so the gate
-    fails if the batched path's advantage erodes below the required floor.
-    """
-    entry = fresh.get("65536", {})
-    speedup = entry.get("speedup_vs_seed")
-    if speedup is None:
-        return ["compcpy5x: no speedup_vs_seed for the 65536 B point"]
-    if speedup < floor:
-        return [
-            "compcpy5x: 64 KB compcpy_e2e %.2fx vs seed < required %.1fx "
-            "(%.2f MB/s vs seed %.2f MB/s)"
-            % (speedup, floor, entry["after_mbps"], entry["seed_mbps"])
-        ]
-    return []
-
-
-def compare_fleetvec(fresh: dict, floor: float) -> list:
-    """Machine-relative 20x gate for the vector fleet tier.
-
-    Times the event kernel and the vector tier on the same fleet-scale
-    spill scenario in this run (no committed baseline — both walls come
-    from the same machine moments apart), requires the speedup to hold
-    the floor, and requires the replay-stream crosscheck to still pass —
-    a fast tier that no longer matches the kernel is not a speedup.
-    """
-    perf = fresh["fleet_vector"]
-    agree = fresh["vector_crosscheck"]
-    regressions = []
-    speedup = perf["speedup_vs_des"]
-    if speedup < floor:
-        regressions.append(
-            "fleetvec: vector tier %.1fx vs DES < required %.1fx "
-            "(event %.2fs, vector %.3fs)"
-            % (speedup, floor, perf["event_wall_s"], perf["vector_wall_s"])
-        )
-    if not agree["passed"]:
-        regressions.append(
-            "fleetvec: tier crosscheck FAILED (latency L1 %.3f, tol %.2f)"
-            % (agree["latency_bucket_l1_frac"], agree["latency_bucket_tol"])
-        )
-    return regressions
-
-
-def compare_faults(fresh: dict, tolerance: float) -> list:
-    """Machine-relative fault-hook gate: disabled guards must be free."""
-    if fresh["overhead_fraction"] > tolerance:
-        return [
-            "fault hooks: %.2f%% disabled overhead > %.2f%% "
-            "(%d guards/op x %.1f ns)"
-            % (100 * fresh["overhead_fraction"], 100 * tolerance,
-               fresh["hooks_per_op"], fresh["branch_ns"])
-        ]
-    return []
+#: Allowed relative slowdown of a timed row's median CPU time.
+TIMED_BOUND = 0.20
 
 
 @dataclass(frozen=True)
-class Gate:
-    """One row of the regression gate: a bench run plus its verdict.
+class Row:
+    """One row of the gate.  A timed row has `op`, which builds the
+    operation to time (paired against the parent, `bound` the allowed
+    slowdown); a same-run check has `check`, which takes `bound` and
+    returns (passed, detail), passed None when skipped."""
 
-    `baseline_flag` names the CLI override for the committed baseline
-    path; None marks a machine-relative gate (fresh run judged against
-    itself, nothing committed, nothing for ``--update`` to rewrite).
-    `points` receives the loaded baseline (None when machine-relative)
-    and returns how many guarded values the gate covers.
-    """
-
-    name: str            # also spells the --skip-<name> flag
-    describe: str        # one line for --list
-    baseline_flag: str   # e.g. "--baseline"; None = machine-relative
-    bench: object        # module providing write_results() for --update
-    run: callable        # args -> fresh results dict
-    verdict: callable    # (baseline, fresh, args) -> list of regressions
-    points: callable     # baseline -> number of guarded values
-
-    @property
-    def baseline_dest(self):
-        return (self.baseline_flag.lstrip("-").replace("-", "_")
-                if self.baseline_flag else None)
-
-    @property
-    def baseline_name(self):
-        return (os.path.basename(self.bench.RESULTS_PATH)
-                if self.baseline_flag else "(machine-relative)")
+    name: str
+    group: str  # also spells the --skip-<group> flag
+    bound: float
+    op: callable = None
+    check: callable = None
 
 
-#: The whole gate, declaratively.  Adding a bench = adding one row.
-GATES = (
-    Gate("datapath", "datapath throughput: after_mbps floors per section/size",
-         "--baseline", datapath_bench,
-         run=lambda args: datapath_bench.bench_all(repeats=args.repeats),
-         verdict=lambda base, fresh, args: compare(base, fresh, args.tolerance),
-         points=lambda base: sum(len(base.get(s, {})) for s in GUARDED_SECTIONS)),
-    Gate("cluster", "cluster DES speed: events/sec floors, wall-time ceilings",
-         "--cluster-baseline", cluster_bench,
-         run=lambda args: cluster_bench.bench_all(repeats=args.repeats),
-         verdict=lambda base, fresh, args: compare_cluster(base, fresh,
-                                                           args.tolerance),
-         points=lambda base: sum(1 for s in CLUSTER_GUARDS if s in base)),
-    Gate("compcpy5x", "batched fast path keeps 64 KB compcpy_e2e >= 5x seed",
-         None, datapath_bench,
-         # Best-of-3 minimum: this is a ratio against a fixed seed number,
-         # so it needs more noise immunity than the baseline-relative rows.
-         run=lambda args: datapath_bench.bench_compcpy(
-             sizes=(65536,), repeats=max(3, args.repeats)),
-         verdict=lambda base, fresh, args: compare_compcpy_speedup(
-             fresh, args.compcpy_speedup_floor),
-         points=lambda base: 1),
-    Gate("fleetvec", "vector fleet tier stays >= 20x the DES kernel + agrees",
-         None, cluster_bench,
-         run=lambda args: {
-             "fleet_vector": cluster_bench.bench_fleet_vector(
-                 repeats=max(3, args.repeats)),
-             "vector_crosscheck": cluster_bench.bench_vector_crosscheck(),
-         },
-         verdict=lambda base, fresh, args: compare_fleetvec(
-             fresh, args.fleetvec_speedup_floor),
-         points=lambda base: 2),
-    Gate("faults", "disabled fault hooks stay under --faults-tolerance",
-         None, faults_bench,
-         run=lambda args: faults_bench.bench_disabled_overhead(
-             repeats=args.repeats),
-         verdict=lambda base, fresh, args: compare_faults(
-             fresh, args.faults_tolerance),
-         points=lambda base: 1),
-    Gate("matrix3x",
-         "experiment matrix: pooled quick run >= 3x serial wall clock, "
-         "byte-identical payloads (auto-skips below 4 cores)",
-         None, matrix_bench,
-         run=lambda args: matrix_bench.bench_matrix3x(),
-         verdict=lambda base, fresh, args: matrix_bench.compare_matrix3x(
-             fresh, args.matrix_speedup_floor),
-         points=lambda base: 2),
+def _timed(group, name, build, *args):
+    return Row(name, group, TIMED_BOUND, op=partial(build, *args))
+
+
+ROWS = (
+    *(_timed("datapath", "%s/%d" % (build.__name__, size), build, size)
+      for build in (datapath_bench.aes_gcm_encrypt, datapath_bench.ghash,
+                    datapath_bench.deflate, datapath_bench.compcpy_e2e)
+      for size in datapath_bench.SIZES),
+    _timed("datapath", "deflate_dsa", datapath_bench.deflate_dsa),
+    _timed("datapath", "inflate", datapath_bench.inflate),
+    _timed("cluster", "kernel_timeout", cluster_bench.kernel_timeout),
+    _timed("cluster", "kernel_process", cluster_bench.kernel_process),
+    _timed("cluster", "scenario_closed_tls", cluster_bench.scenario_closed_tls),
+    _timed("cluster", "scenario_open_spill", cluster_bench.scenario_open_spill),
+    _timed("cluster", "fleet_vector", cluster_bench.fleet_vector),
+    # The bound is the latency-histogram L1 of the vector tier against the
+    # event tier; their counters must agree within 10%.
+    Row("tier_crosscheck", "cluster", 0.5,
+        check=partial(cluster_bench.tier_crosscheck, count_rel_tol=0.10)),
+    Row("disabled_hook_overhead", "faults", 0.02,
+        check=faults_bench.disabled_hook_overhead),
+    Row("matrix3x", "matrix3x", 3.0, check=matrix_bench.matrix3x),
 )
+GROUPS = tuple(dict.fromkeys(row.group for row in ROWS))
 
 
-def _load(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
+def measure(names, repeats: int = REPEATS) -> dict:
+    """CPU seconds per call of each named timed row, in this process: the
+    least of `repeats` samples.  Each row first runs two warm-up calls,
+    the second of which sizes its samples; then `repeats` rounds take one
+    sample of every row, so a row's samples spread over the whole process
+    and a burst of load elsewhere on the machine spoils at most a few of
+    them.  A row whose set-up or warm-up raises reads as its error
+    message instead."""
+    rows = {row.name: row for row in ROWS}
+    readings, ops = {}, {}
+    for name in names:
+        try:
+            op = rows[name].op()
+            op()  # one-time work: tables, caches
+            start = time.process_time()
+            op()
+            calls = max(1, int(SAMPLE_S / max(time.process_time() - start, 1e-6)))
+            ops[name] = op, calls
+        except Exception as exc:  # reported per row, judged by the caller
+            readings[name] = "%s: %s" % (type(exc).__name__, exc)
+    for _ in range(repeats):
+        for name, (op, calls) in ops.items():
+            gc.collect()
+            start = time.process_time()
+            for _ in range(calls):
+                op()
+            elapsed = (time.process_time() - start) / calls
+            readings[name] = min(readings.get(name, elapsed), elapsed)
+    return readings
 
 
-def _evaluate(gate: Gate, args) -> tuple:
-    """Run one gate row; returns (regressions, points, notes, exit_code).
+def _child() -> None:
+    """Entry of a fresh measuring process: argv is the repeat count, then
+    the rows to measure."""
+    import repro
 
-    Pure with respect to shared state (all output goes through ``notes``)
-    so rows can be evaluated concurrently under ``--jobs N`` and printed
-    back in table order.  ``exit_code`` is None unless the row demands an
-    immediate non-regression exit (a required baseline is missing).
-    """
-    notes = []
-    if getattr(args, "skip_" + gate.name):
-        return [], 0, notes, None
-    if gate.baseline_flag is None:
-        if args.update:
-            return [], 0, notes, None  # nothing committed to rewrite
-        return gate.verdict(None, gate.run(args), args), gate.points(None), \
-            notes, None
-    path = getattr(args, gate.baseline_dest)
-    fresh = gate.run(args)
-    if args.update:
-        notes.append("%s baseline updated: %s"
-                     % (gate.name, gate.bench.write_results(fresh, path)))
-        return [], 0, notes, None
-    try:
-        baseline = _load(path)
-    except FileNotFoundError:
-        notes.append("no %s baseline at %s; run with --update to create one"
-                     % (gate.name, path))
-        return [], 0, notes, 2
-    return gate.verdict(baseline, fresh, args), gate.points(baseline), \
-        notes, None
+    repeats, *names = sys.argv[1:]
+    print(json.dumps({"repro": repro.__file__,
+                      "rows": measure(names, int(repeats))}))
+
+
+def run_side(tree: str, names, repeats: int = REPEATS) -> dict:
+    """Measure `names` in a fresh interpreter importing `tree`'s src.  A
+    process that dies (the bench modules import a name `tree` lacks)
+    reads as its last error line for every row."""
+    src = os.path.join(tree, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, HERE]),
+               PYTHONHASHSEED="0", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import check_regression; check_regression._child()",
+         str(repeats), *names],
+        env=env, cwd=HERE, capture_output=True, text=True)
+    if proc.returncode:
+        lines = proc.stderr.strip().splitlines() or ["exit %d" % proc.returncode]
+        return {name: lines[-1] for name in names}
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if os.path.commonpath([result["repro"], src]) != src:
+        raise RuntimeError("%s imported repro from %s" % (tree, result["repro"]))
+    return result["rows"]
+
+
+def _git(*args) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", REPO, *args], capture_output=True)
+
+
+def default_parent() -> str:
+    """``HEAD`` when tracked files differ from it, else ``HEAD~1``."""
+    return "HEAD" if _git("diff", "--quiet", "HEAD", "--").returncode else "HEAD~1"
+
+
+def export_src(rev: str, dest: str) -> None:
+    """Write `rev`'s ``src/`` tree under `dest` with ``git archive``."""
+    archive = _git("archive", rev, "src")
+    if archive.returncode:
+        raise RuntimeError(archive.stderr.decode().strip())
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+
+
+#: Verdicts that fail the gate; "no parent reading" leaves a row uncompared.
+FAILING = ("REGRESSION", "unresolved", "ERROR")
+
+
+def judge(row: Row, parent: list, change: list) -> tuple:
+    """(verdict, printed columns) of one timed row's readings."""
+    for verdict, readings in (("ERROR", change), ("no parent reading", parent)):
+        errors = [r for r in readings if isinstance(r, str)]
+        if errors:
+            return verdict, errors[0]
+    result = compare_metric(parent, change, row.bound, lower_is_better=True)
+    return result["verdict"], "%26s %26s %5s %+7.1f%%" % (
+        "/".join("%.3f" % (1e3 * v) for v in result["parent"]),
+        "/".join("%.3f" % (1e3 * v) for v in result["change"]),
+        "%d/%d" % (result["won"], result["pairs"]), 100 * result["worse_by"])
 
 
 def main(argv=None) -> int:
     """CLI entry; returns the process exit code."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    for gate in GATES:
-        if gate.baseline_flag:
-            parser.add_argument(
-                gate.baseline_flag,
-                default=gate.bench.RESULTS_PATH,
-                help="%s baseline JSON (default: committed %s)"
-                     % (gate.name, gate.baseline_name),
-            )
-        parser.add_argument(
-            "--skip-" + gate.name, action="store_true",
-            help="skip the %s gate" % gate.name,
-        )
     parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.20,
-        help="allowed fractional regression (default 0.20)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats per point (default 3)"
-    )
-    parser.add_argument(
-        "--compcpy-speedup-floor",
-        type=float,
-        default=5.0,
-        help="required 64 KB compcpy_e2e speedup vs the recorded seed "
-             "throughput (default 5.0)",
-    )
-    parser.add_argument(
-        "--fleetvec-speedup-floor",
-        type=float,
-        default=20.0,
-        help="required vector-tier speedup over the event kernel on the "
-             "fleet spill scenario (default 20.0)",
-    )
-    parser.add_argument(
-        "--faults-tolerance",
-        type=float,
-        default=0.02,
-        help="allowed disabled-hook overhead fraction (default 0.02)",
-    )
-    parser.add_argument(
-        "--matrix-speedup-floor",
-        type=float,
-        default=3.0,
-        help="required pooled-vs-serial speedup for the quick experiment "
-             "matrix (default 3.0; the row auto-skips below 4 cores)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="evaluate gate rows concurrently in N threads (default 1; "
-             "wall-clock-sensitive rows get noisier as N grows, so keep "
-             "--jobs 1 when a timing row is near its floor)",
-    )
-    parser.add_argument(
-        "--update",
-        action="store_true",
-        help="rewrite the baselines from this run instead of gating",
-    )
-    parser.add_argument(
-        "--list",
-        action="store_true",
-        help="print the gate table and exit",
-    )
+        "--parent", metavar="REV",
+        help="revision to compare against (default: HEAD when tracked "
+             "files differ from it, else HEAD~1)")
+    for group in GROUPS:
+        parser.add_argument("--skip-" + group, action="store_true",
+                            help="skip the %s rows" % group)
+    parser.add_argument("--list", action="store_true",
+                        help="print the gate table and exit")
     args = parser.parse_args(argv)
 
     if args.list:
-        print("perf gates (--skip-<name> to skip one):")
-        for gate in GATES:
-            print("  %-9s %-22s %s"
-                  % (gate.name, gate.baseline_name, gate.describe))
+        print("%-24s %-9s %-6s %s" % ("row", "group", "bound", "kind"))
+        for row in ROWS:
+            print("%-24s %-9s %-6g %s" % (
+                row.name, row.group, row.bound,
+                "paired with the parent" if row.op else "same-run check"))
         return 0
 
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    started = time.perf_counter()
+    rows = [row for row in ROWS
+            if not getattr(args, "skip_" + row.group)]
+    timed = [row for row in rows if row.op]
+    names = [row.name for row in timed]
+    rev = args.parent or default_parent()
+    label = _git("rev-parse", "--short", rev).stdout.decode().strip() or rev
+    readings = {"parent": [], "change": []}
+    if timed:
+        with tempfile.TemporaryDirectory(prefix="perf-parent-") as parent_tree:
+            try:
+                export_src(rev, parent_tree)
+            except (OSError, RuntimeError, subprocess.CalledProcessError) as exc:
+                print("cannot export the parent's src (%s): %s" % (rev, exc))
+                return 2
+            trees = {"parent": parent_tree, "change": REPO}
+            for pair in range(PAIRS):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    readings[side].append(run_side(trees[side], names))
 
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(lambda g: _evaluate(g, args), GATES))
-    else:
-        outcomes = [_evaluate(gate, args) for gate in GATES]
-
-    regressions, gated_points = [], 0
-    for gate_regressions, points, notes, exit_code in outcomes:
-        for note in notes:
-            print(note)
-        if exit_code is not None:
-            return exit_code
-        regressions += gate_regressions
-        gated_points += points
-    if args.update:
-        return 0
-
-    if regressions:
-        print("PERF REGRESSION (tolerance %.0f%%):" % (100 * args.tolerance))
-        for line in regressions:
-            print("  " + line)
+    failed, uncompared = [], 0
+    print("parent %s (%s) vs the working tree: %d pairs of fresh processes, "
+          "CPU ms per call (least of %d samples), bound +%.0f%%"
+          % (label, rev, PAIRS, REPEATS, 100 * TIMED_BOUND))
+    print("%-24s %26s %26s %5s %8s  %s" % (
+        "row", "parent q1/median/q3", "change q1/median/q3", "won", "worse",
+        "verdict"))
+    for row in timed:
+        verdict, columns = judge(
+            row, [r[row.name] for r in readings["parent"]],
+            [r[row.name] for r in readings["change"]])
+        print("%-24s %s  %s" % (row.name, columns, verdict))
+        if verdict in FAILING:
+            failed.append(row.name)
+        uncompared += verdict == "no parent reading"
+    for row in rows:
+        if row.check is None:
+            continue
+        passed, detail = row.check(row.bound)
+        verdict = "skipped" if passed is None else "pass" if passed else "FAIL"
+        print("%-24s bound %-5g %s  %s" % (row.name, row.bound, verdict, detail))
+        if passed is False:
+            failed.append(row.name)
+    elapsed = time.perf_counter() - started
+    if failed:
+        print("PERF REGRESSION against %s: %s (%.0f s)"
+              % (label, ", ".join(failed), elapsed))
         return 1
-    print(
-        "perf gate passed: %d points within %.0f%% of baseline"
-        % (gated_points, 100 * args.tolerance)
-    )
+    print("perf gate passed: %d of %d rows compared with %s, %d same-run "
+          "checks (%.0f s)" % (len(timed) - uncompared, len(timed), label,
+                               len(rows) - len(timed), elapsed))
     return 0
 
 

@@ -1,54 +1,43 @@
-"""Datapath micro-benchmarks: reference ("before") vs fast path ("after").
+"""Datapath rows of the perf gate: the ULP kernels and whole CompCpy records.
 
-The fast path introduced for the functional datapath — batched CTR
-keystream, lane-parallel byte-windowed GHASH, wide-word XOR, and the
-session-keyed context cache — must be *bit-identical* to the from-scratch
-reference the seed shipped.  This module times both sides on the paper's
-message sizes (4/16/64 KB, Fig. 11) and emits ``BENCH_datapath.json`` next
-to this file so regressions are caught by ``check_regression.py``.
+Each function builds one timed row's inputs and returns the
+zero-argument operation that ``check_regression.py`` times, in fresh
+processes, against the parent commit's ``src`` and against the change's.
+The rows use only APIs both sides have, so the parent's run of a row is
+its "before" reading.  Record sizes are the paper's (4/16/64 KB, Fig. 11):
 
-Sections:
-
-* ``aes_gcm_encrypt`` — full encrypt (keystream + XOR + tag) per record.
+* ``aes_gcm_encrypt`` — full record encrypt (keystream, XOR and tag);
 * ``ghash`` — authentication only, the serial dependency the paper's
-  stride-4 H-power hardware attacks.
-* ``deflate`` — LZ77 tokenisation with the seed's byte-at-a-time matcher
-  vs the chunked-compare matcher (identical token streams).
-* ``deflate_dsa`` — the deflate DSA's kernels: ``HardwareMatcher().tokenize``
-  plus ``write_fixed_block`` on a 4 KB page of each corpus kind, current
-  path only (report-only, not gated).
-* ``inflate`` — ``deflate_decompress`` on those fixed-Huffman streams and on
-  one 16 KB zlib level-6 (dynamic-Huffman) stream, current path only
-  (report-only, not gated).  Both sections call only APIs that predate the
-  table-driven kernels, so running this file on an older checkout gives
-  the "before" figures.
-* ``compcpy_e2e`` — a whole TLS record pushed through the SmartDIMM
-  CompCpy pipeline (cache + DRAM micro-simulation included), current path
-  only: the seed path at 64 KB takes minutes, so the committed baseline is
-  the regression reference instead.
+  stride-4 H-power hardware attacks;
+* ``deflate`` — LZ77 tokenisation with the level-6 parameters;
+* ``deflate_dsa`` — the deflate DSA's kernels (``HardwareMatcher().tokenize``
+  plus ``write_fixed_block``) on a 4 KB page of each corpus kind;
+* ``inflate`` — ``deflate_decompress`` of those fixed-Huffman streams and
+  of one 16 KB zlib level-6 (dynamic-Huffman) stream;
+* ``compcpy_e2e`` — a whole TLS record through the SmartDIMM CompCpy
+  pipeline, cache and DRAM micro-simulation included.
 
-Timing uses best-of-N wall time: the figures gate a >20% regression, not a
-rigorous statistical claim.
+Bit-identity of these kernels with their oracles is tier-1's job
+(``tests/ulp``, ``tests/core``); a row only times.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
+import zlib
 
+from repro.core.dsa.deflate_dsa import HardwareMatcher
+from repro.core.offload_api import SmartDIMMSession
+from repro.ulp.bitstream import BitWriter
 from repro.ulp.ctx_cache import cached_aesgcm
-from repro.ulp.deflate import deflate_compress
-from repro.ulp.lz77 import HashChainMatcher, MIN_MATCH
+from repro.ulp.deflate import deflate_decompress, write_fixed_block
+from repro.ulp.lz77 import HashChainMatcher
+from repro.workloads.corpus import CorpusKind, generate_corpus
 
 SIZES = (4096, 16384, 65536)
 
 KEY = bytes(range(16))
 NONCE = bytes(range(12))
 AAD = b"\x17\x03\x03\x40\x11"
-
-RESULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                            "BENCH_datapath.json")
 
 
 def _corpus(size: int) -> bytes:
@@ -66,294 +55,46 @@ def _corpus(size: int) -> bytes:
     return bytes(out[:size])
 
 
-def _best_of(fn, repeats: int) -> float:
-    """Minimum wall time of `repeats` runs of `fn` (first run included so
-    one-time table builds are visible in a cold-start column if needed)."""
-    best = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
+def aes_gcm_encrypt(size: int):
+    gcm, plaintext = cached_aesgcm(KEY), _corpus(size)
+    return lambda: gcm.encrypt(NONCE, plaintext, AAD)
 
 
-def _entry(size: int, before_s: float, after_s: float) -> dict:
-    return {
-        "size_bytes": size,
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s if after_s else float("inf"),
-        "before_mbps": size / before_s / 1e6 if before_s else float("inf"),
-        "after_mbps": size / after_s / 1e6 if after_s else float("inf"),
-    }
+def ghash(size: int):
+    gcm, data = cached_aesgcm(KEY), _corpus(size)
+    return lambda: gcm.ghash(data)
 
 
-class _SeedMatcher(HashChainMatcher):
-    """The seed's byte-at-a-time chain walk (no quick reject, no slabs).
-
-    Token streams are identical to :class:`HashChainMatcher`; only the inner
-    loop differs, so timing this subclass against the parent isolates the
-    matcher optimisation.
-    """
-
-    def _longest_match(self, data, pos, head, prev):
-        if pos + MIN_MATCH > len(data):
-            return None
-        from repro.ulp.lz77 import MAX_MATCH, Match
-
-        limit = max(0, pos - self.window_size)
-        candidate = head.get(self._hash(data, pos), -1)
-        best_length = MIN_MATCH - 1
-        best_distance = 0
-        chain_budget = self.max_chain
-        max_length = min(MAX_MATCH, len(data) - pos)
-        while candidate >= limit and chain_budget > 0:
-            chain_budget -= 1
-            length = 0
-            while length < max_length and data[candidate + length] == data[pos + length]:
-                length += 1
-            if length > best_length:
-                best_length = length
-                best_distance = pos - candidate
-                if length >= max_length:
-                    break
-            candidate = prev.get(candidate, -1)
-        if best_length >= MIN_MATCH:
-            return Match(length=best_length, distance=best_distance)
-        return None
+def deflate(size: int):
+    matcher, data = HashChainMatcher(max_chain=128, lazy=True), _corpus(size)
+    return lambda: matcher.tokenize(data)
 
 
-def bench_aes_gcm(sizes=SIZES, repeats=3) -> dict:
-    """Full-record AES-GCM encrypt: reference vs fast path, checked equal."""
-    gcm = cached_aesgcm(KEY)
-    results = {}
-    for size in sizes:
-        plaintext = _corpus(size)
-        reference = gcm.encrypt_reference(NONCE, plaintext, AAD)
-        fast = gcm.encrypt(NONCE, plaintext, AAD)
-        if reference != fast:
-            raise AssertionError("fast path diverged from reference at %d bytes" % size)
-        before = _best_of(lambda: gcm.encrypt_reference(NONCE, plaintext, AAD), repeats)
-        after = _best_of(lambda: gcm.encrypt(NONCE, plaintext, AAD), repeats)
-        results[str(size)] = _entry(size, before, after)
-    return results
-
-
-def bench_ghash(sizes=SIZES, repeats=3) -> dict:
-    """GHASH over the ciphertext: nibble-serial reference vs lane-parallel."""
-    from repro.ulp.gcm import ghash_int
-
-    gcm = cached_aesgcm(KEY)
-    results = {}
-    for size in sizes:
-        data = _corpus(size)
-        if ghash_int(gcm._reference_mul(), data) != gcm._ghash_bulk(data):
-            raise AssertionError("GHASH fast path diverged at %d bytes" % size)
-        before = _best_of(lambda: ghash_int(gcm._reference_mul(), data), repeats)
-        after = _best_of(lambda: gcm._ghash_bulk(data), repeats)
-        results[str(size)] = _entry(size, before, after)
-    return results
-
-
-def bench_deflate(sizes=SIZES, repeats=3) -> dict:
-    """LZ77 tokenisation (level-6 parameters) seed matcher vs current."""
-    results = {}
-    for size in sizes:
-        data = _corpus(size)
-        seed = _SeedMatcher(max_chain=128, lazy=True)
-        current = HashChainMatcher(max_chain=128, lazy=True)
-        if seed.tokenize(data) != current.tokenize(data):
-            raise AssertionError("matcher token stream diverged at %d bytes" % size)
-        before = _best_of(lambda: seed.tokenize(data), repeats)
-        after = _best_of(lambda: current.tokenize(data), repeats)
-        entry = _entry(size, before, after)
-        # End-to-end DEFLATE throughput on the current path for context.
-        stream_time = _best_of(lambda: deflate_compress(data, level=6), repeats)
-        entry["deflate_after_mbps"] = size / stream_time / 1e6
-        results[str(size)] = entry
-    return results
-
-
-def _corpus_pages() -> dict:
-    """One 4 KB page of each corpus kind, by kind name."""
-    from repro.workloads.corpus import CorpusKind, generate_corpus
-
-    return {kind.value: generate_corpus(kind, 4096, seed=1) for kind in CorpusKind}
+def _corpus_pages() -> list:
+    """One 4 KB page of each corpus kind."""
+    return [generate_corpus(kind, 4096, seed=1) for kind in CorpusKind]
 
 
 def _dsa_stream(page: bytes) -> bytes:
     """The deflate DSA's fixed-Huffman stream for one page."""
-    from repro.core.dsa.deflate_dsa import HardwareMatcher
-    from repro.ulp.bitstream import BitWriter
-    from repro.ulp.deflate import write_fixed_block
-
     writer = BitWriter()
     write_fixed_block(writer, HardwareMatcher().tokenize(page), final=True)
     return writer.getvalue()
 
 
-def _after_entry(size: int, elapsed: float) -> dict:
-    return {"size_bytes": size, "after_s": elapsed, "after_mbps": size / elapsed / 1e6}
+def deflate_dsa():
+    pages = _corpus_pages()
+    return lambda: [_dsa_stream(page) for page in pages]
 
 
-def bench_deflate_dsa(repeats=3) -> dict:
-    """Deflate DSA kernels per corpus kind: banked matcher + fixed writer."""
-    from repro.ulp.deflate import deflate_decompress
-
-    results = {}
-    for kind, page in _corpus_pages().items():
-        if deflate_decompress(_dsa_stream(page)) != page:
-            raise AssertionError("DSA stream does not round-trip for %s" % kind)
-        results[kind] = _after_entry(len(page), _best_of(lambda: _dsa_stream(page), repeats))
-    return results
-
-
-def bench_inflate(repeats=3) -> dict:
-    """Inflate per DSA stream (fixed Huffman) plus one 16 KB zlib level-6
-    stream (dynamic Huffman); MB/s counts decompressed bytes."""
-    import zlib
-
-    from repro.ulp.deflate import deflate_decompress
-    from repro.workloads.corpus import CorpusKind, generate_corpus
-
-    cases = {kind: (_dsa_stream(page), page) for kind, page in _corpus_pages().items()}
-    html = generate_corpus(CorpusKind.HTML, 16384, seed=1)
+def inflate():
+    streams = [_dsa_stream(page) for page in _corpus_pages()]
     compressor = zlib.compressobj(6, zlib.DEFLATED, -15)
-    cases["zlib6_16k"] = (compressor.compress(html) + compressor.flush(), html)
-    results = {}
-    for name, (stream, data) in cases.items():
-        if deflate_decompress(stream) != data:
-            raise AssertionError("inflate diverged on %s" % name)
-        results[name] = _after_entry(len(data), _best_of(lambda: deflate_decompress(stream), repeats))
-    return results
+    html = generate_corpus(CorpusKind.HTML, 16384, seed=1)
+    streams.append(compressor.compress(html) + compressor.flush())
+    return lambda: [deflate_decompress(stream) for stream in streams]
 
 
-#: compcpy_e2e throughput recorded before the batched line-op fast path
-#: (per-line LLC/controller/DIMM simulation, per-block GHASH folding).
-#: These figures were measured on the same class of machine as the
-#: committed baselines; ``speedup_vs_seed`` below is gated machine-relative
-#: against them (the batched fast path must stay >= 5x at 64 KB).
-SEED_COMPCPY_MBPS = {
-    "4096": 0.3595809266881396,
-    "16384": 0.5459709797631729,
-    "65536": 0.6118922571059496,
-}
-
-
-def bench_compcpy(sizes=SIZES, repeats=2) -> dict:
-    """A whole TLS record through the CompCpy pipeline (current path)."""
-    from repro.core.offload_api import SmartDIMMSession
-
-    results = {}
-    for size in sizes:
-        payload = _corpus(size)
-        session = SmartDIMMSession()
-        out = session.tls_encrypt(KEY, NONCE, payload, AAD)
-        expected = cached_aesgcm(KEY).encrypt(NONCE, payload, AAD)
-        if out != expected[0] + expected[1]:
-            raise AssertionError("CompCpy TLS output diverged at %d bytes" % size)
-        elapsed = _best_of(lambda: session.tls_encrypt(KEY, NONCE, payload, AAD), repeats)
-        entry = {
-            "size_bytes": size,
-            "after_s": elapsed,
-            "after_mbps": size / elapsed / 1e6,
-        }
-        seed_mbps = SEED_COMPCPY_MBPS.get(str(size))
-        if seed_mbps:
-            entry["seed_mbps"] = seed_mbps
-            entry["speedup_vs_seed"] = entry["after_mbps"] / seed_mbps
-        results[str(size)] = entry
-    return results
-
-
-def bench_slots_alloc(n=100_000, repeats=3) -> dict:
-    """Allocation cost of the hot micro-simulation records.
-
-    ``Command``/``TraceEntry``/``CasResult``/``DramCoordinate`` are created
-    on every simulated DRAM access, so their ``__slots__`` layout shows up
-    directly in datapath wall time; this section records ns/object for the
-    bench report (informational — not a gated section).
-    """
-    from repro.dram.address import DramCoordinate
-    from repro.dram.commands import Command, CommandType
-    from repro.dram.memory_controller import CasResult, TraceEntry
-
-    makers = {
-        "Command": lambda: [
-            Command(kind=CommandType.RDCAS, cycle=i, address=i << 6) for i in range(n)
-        ],
-        "TraceEntry": lambda: [TraceEntry(i, "rdCAS", i << 6) for i in range(n)],
-        "CasResult": lambda: [CasResult(data=b"") for _ in range(n)],
-        "DramCoordinate": lambda: [DramCoordinate(0, 0, 0, i, 0) for i in range(n)],
-    }
-    results = {}
-    for name, maker in makers.items():
-        elapsed = _best_of(maker, repeats)
-        results[name] = {"objects": n, "ns_per_object": 1e9 * elapsed / n}
-    return results
-
-
-def bench_all(sizes=SIZES, repeats=3) -> dict:
-    """Run every section; returns the BENCH_datapath.json payload."""
-    return {
-        "sizes_bytes": list(sizes),
-        "aes_gcm_encrypt": bench_aes_gcm(sizes, repeats),
-        "ghash": bench_ghash(sizes, repeats),
-        "deflate": bench_deflate(sizes, repeats),
-        "deflate_dsa": bench_deflate_dsa(repeats),
-        "inflate": bench_inflate(repeats),
-        "compcpy_e2e": bench_compcpy(sizes, max(1, repeats - 1)),
-        "slots_alloc": bench_slots_alloc(repeats=repeats),
-    }
-
-
-def write_results(results: dict, path: str = RESULTS_PATH) -> str:
-    """Persist `results` as pretty-printed JSON; returns the path."""
-    with open(path, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def main() -> None:
-    """CLI entry: run the full sweep and write BENCH_datapath.json."""
-    results = bench_all()
-    path = write_results(results)
-    for section in ("aes_gcm_encrypt", "ghash", "deflate"):
-        for size, entry in sorted(results[section].items(), key=lambda kv: int(kv[0])):
-            print(
-                "%-16s %6d B  before %8.3f ms  after %8.3f ms  %6.1fx"
-                % (
-                    section,
-                    entry["size_bytes"],
-                    1e3 * entry["before_s"],
-                    1e3 * entry["after_s"],
-                    entry["speedup"],
-                )
-            )
-    for size, entry in sorted(results["compcpy_e2e"].items(), key=lambda kv: int(kv[0])):
-        print(
-            "%-16s %6d B  after %8.3f ms  %8.2f MB/s  %5.1fx vs seed"
-            % (
-                "compcpy_e2e",
-                entry["size_bytes"],
-                1e3 * entry["after_s"],
-                entry["after_mbps"],
-                entry.get("speedup_vs_seed", 0.0),
-            )
-        )
-    for section in ("deflate_dsa", "inflate"):
-        for name, entry in results[section].items():
-            print(
-                "%-16s %-10s %6d B  after %8.3f ms  %8.2f MB/s"
-                % (section, name, entry["size_bytes"], 1e3 * entry["after_s"], entry["after_mbps"])
-            )
-    for name, entry in sorted(results.get("slots_alloc", {}).items()):
-        print("%-16s %6d objs  %8.1f ns/object" % (name, entry["objects"], entry["ns_per_object"]))
-    print("wrote", path)
-
-
-if __name__ == "__main__":
-    main()
+def compcpy_e2e(size: int):
+    session, payload = SmartDIMMSession(), _corpus(size)
+    return lambda: session.tls_encrypt(KEY, NONCE, payload, AAD)

@@ -5,48 +5,34 @@ run explicitly with::
 
     PYTHONPATH=src python -m pytest -m perf benchmarks/perf -q
 
-The disabled-hook assertion mirrors the 2% gate in ``check_regression.py``
-(the counting + branch-timing method has low variance, so the same bound
-holds here); the chaos-mode assertion is loose — attaching a plan buys
-checksum verification and the resilience guard, which are allowed to cost
-real time.
+The disabled-hook assertion is the same-run check of
+``check_regression.py``, at the bound its table gives (the counting +
+branch-timing method has low variance); the chaos-mode assertion is
+loose — attaching a plan buys checksum verification and the resilience
+guard, which are allowed to cost real time.
 """
 
 import pytest
 
+import check_regression
 import faults_bench
 
 pytestmark = pytest.mark.perf
 
 
-@pytest.fixture(scope="module")
-def results():
-    """One full sweep shared by every assertion in this module."""
-    return faults_bench.bench_all()
-
-
-def test_disabled_hooks_under_two_percent(results):
-    """The `plan is None` guards cost <2% of a plan-less offload."""
-    overhead = results["disabled_hook_overhead"]
+def test_disabled_hooks_under_two_percent():
+    """The `plan is None` guards cost under 2% of a plan-less offload."""
+    row = next(r for r in check_regression.ROWS
+               if r.name == "disabled_hook_overhead")
+    overhead = faults_bench.bench_disabled_overhead()
     assert overhead["hooks_per_op"] > 0, "counting plan saw no hook executions"
-    assert overhead["overhead_fraction"] < 0.02, (
+    assert overhead["overhead_fraction"] < row.bound, (
         "disabled fault hooks cost %.2f%% of an op (%d guards x %.1f ns)"
         % (100 * overhead["overhead_fraction"], overhead["hooks_per_op"],
            overhead["branch_ns"])
     )
 
 
-def test_chaos_mode_overhead_bounded(results):
+def test_chaos_mode_overhead_bounded():
     """Inert chaos mode (plan attached, nothing firing) stays under 2x."""
-    assert results["tls_chaos_inert"]["overhead_vs_disabled"] < 1.0
-
-
-def test_write_baseline(results, tmp_path):
-    """The sweep serialises cleanly on demand."""
-    import json
-
-    path = faults_bench.write_results(results, str(tmp_path / "BENCH_faults.json"))
-    with open(path) as handle:
-        loaded = json.load(handle)
-    assert loaded["disabled_hook_overhead"]["hooks_per_op"] == (
-        results["disabled_hook_overhead"]["hooks_per_op"])
+    assert faults_bench.bench_tls()["tls_chaos_inert"]["overhead_vs_disabled"] < 1.0

@@ -56,9 +56,7 @@ class FleetScenario:
     # overload control (all off by default; see repro.overload)
     deadline_s: float = None  # per-request relative deadline
     shed_expired: bool = True  # False: deadlines measured, never enforced
-    admission: str = "none"  # "none" | "codel"
-    codel_target_s: float = None  # None -> deadline_s / 5
-    codel_interval_s: float = None  # None -> 4 x target
+    admission: str = "none"  # "none" | "codel" (target deadline_s / 5)
     dsa_queue_limit: int = None  # bounded DSA queues (per channel)
     cpu_queue_limit: int = None  # bounded worker queues (per server)
     brownout_factor: float = 1.0  # <1: degrade DSA stage under pressure
@@ -81,8 +79,6 @@ class FleetScenario:
             deadline_s=self.deadline_s,
             shed_expired=self.shed_expired,
             admission=self.admission,
-            codel_target_s=self.codel_target_s,
-            codel_interval_s=self.codel_interval_s,
             dsa_queue_limit=self.dsa_queue_limit,
             cpu_queue_limit=self.cpu_queue_limit,
             brownout_factor=self.brownout_factor,

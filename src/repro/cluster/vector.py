@@ -30,7 +30,9 @@ Fidelity contract (crosschecked by :func:`crosscheck_tiers`):
 
 Scale: connection state is a handful of parallel columns, so a
 10^6-connection, 100-server sweep is ~10 MB of arrays and completes in
-seconds (see ``benchmarks/perf/cluster_bench.py``).
+seconds.  The perf gate times this tier's own ``fleet_vector`` row against
+the parent commit and crosschecks it with the event tier
+(``benchmarks/perf/cluster_bench.py``).
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ class SmartDIMMDriver:
         self.device = device
         self.mc = memory_controller
         self.base_address = base_address
-        limit = device.config.mmio_base
+        limit = device.mmio_base
         self._free_pages = list(
             range((base_address + PAGE_SIZE - 1) // PAGE_SIZE, (limit - 1) // PAGE_SIZE + 1)
         )

@@ -13,16 +13,16 @@ Division of labour mirrors Fig. 7:
 **Out-of-order cachelines.**  rdCAS commands can reach the DIMM out of
 order, and GHASH is serial.  The paper's hardware breaks the dependency by
 precomputing powers of H in strides of 4 so each cacheline's partial product
-commutes; :func:`weighted_tag_reference` implements that commutative
-formulation directly and the test suite proves it equals the serial GHASH
-for every arrival order.  The production path in this model takes a run of
-lines per call (a single line is a run of one), stages each ciphertext
-block at its record offset (the on-DIMM memory already holds the
-ciphertext, so this is free in hardware) and runs one wide GHASH pass at
-finalisation — functionally identical, and the natural software rendering of
-the same idea (the hardware's H-power multiplier array is what makes the
-arrival order irrelevant).  Positional (multi-channel) contexts weight each
-block by its own power of H instead.
+commutes; the test oracle ``weighted_tag`` of ``tests/ulp/aes_gcm_oracle.py``
+computes that commutative formulation directly, and the test suite proves
+it equals the serial GHASH for every arrival order.  The production path in
+this model takes a run of lines per call (a single line is a run of one),
+stages each ciphertext block at its record offset (the on-DIMM memory
+already holds the ciphertext, so this is free in hardware) and runs one
+wide GHASH pass at finalisation — functionally identical, and the natural
+software rendering of the same idea (the hardware's H-power multiplier
+array is what makes the arrival order irrelevant).  Positional
+(multi-channel) contexts weight each block by its own power of H instead.
 
 The output layout for a record of ``n`` payload bytes is ``n`` transformed
 bytes at offset 0 followed by the 16-byte tag at offset ``n``.  Lines wholly
@@ -49,39 +49,6 @@ BLOCKS_PER_LINE = CACHELINE_SIZE // 16  # 4: hence the paper's stride-4 H powers
 #: identical for any chunk size (the counter is derived from the absolute
 #: block index), so this is purely a batching knob.
 KEYSTREAM_CHUNK_LINES = 256
-
-
-def gf128_pow(h: int, exponent: int) -> int:
-    """H^exponent in GF(2^128) by square-and-multiply (reference path)."""
-    if exponent < 0:
-        raise ValueError("negative exponent")
-    # The multiplicative identity in GCM bit order is the block 0x80...0.
-    result = 1 << 127
-    base = h
-    while exponent:
-        if exponent & 1:
-            result = gf128_mul(result, base)
-        base = gf128_mul(base, base)
-        exponent >>= 1
-    return result
-
-
-def weighted_tag_reference(h: bytes, contributions: list, total_blocks: int) -> int:
-    """The stride-4 commutative GHASH: sum of block * H^(total - position).
-
-    `contributions` is any-order [(position, 16-byte block)]; `total_blocks`
-    counts every GHASH input block (AAD + ciphertext + length).  Because the
-    weighted products commute, arrival order is irrelevant — this is the
-    property that lets the hardware process cachelines as their rdCAS
-    commands arrive.  ``tests/core/test_tls_dsa.py`` checks it against the
-    serial GHASH over shuffled arrival orders.
-    """
-    h_int = int.from_bytes(h, "big")
-    accumulator = 0
-    for position, block in contributions:
-        weight = gf128_pow(h_int, total_blocks - position)
-        accumulator ^= gf128_mul(int.from_bytes(block, "big"), weight)
-    return accumulator
 
 
 @dataclass

@@ -71,7 +71,6 @@ class SmartDIMMConfig:
     #: of 160 DRAM cycles (~100 ns at DDR4-3200) keeps ALERT_N rare.
     dsa_line_latency_cycles: int = 160
     finalize_latency_cycles: int = 320
-    mmio_base: int = None  # defaults to the top page of the address space
     #: Bounded offload queue: registrations beyond this many concurrently
     #: live offloads raise DeviceBusyError (None: unbounded, the paper's
     #: implicit assumption).  The backpressure half of repro.overload.
@@ -172,8 +171,8 @@ class SmartDIMM:
             UlpKind.INFLATE: InflateDSA(),
             UlpKind.DESERIALIZE: SerdeDSA(),
         }
-        if self.config.mmio_base is None:
-            self.config.mmio_base = memory.size - PAGE_SIZE
+        #: The MMIO config page: the top page of the address space.
+        self.mmio_base = memory.size - PAGE_SIZE
         self.fault_plan = None  # optional FaultPlan probing the DSA sites
         self._offloads = {}  # offload_id -> Offload
         self._page_binding = {}  # page number -> (offload, position, is_source)
@@ -208,16 +207,16 @@ class SmartDIMM:
 
     @property
     def mmio_register_address(self) -> int:
-        return self.config.mmio_base + CACHELINE_SIZE * self.channel
+        return self.mmio_base + CACHELINE_SIZE * self.channel
 
     @property
     def mmio_status_address(self) -> int:
-        return self.config.mmio_base + CACHELINE_SIZE * self.channel
+        return self.mmio_base + CACHELINE_SIZE * self.channel
 
     def pending_list_address(self, chunk: int) -> int:
         """MMIO address of pending-page-list chunk `chunk` for this device."""
         stride = self._channel_stride
-        return self.config.mmio_base + CACHELINE_SIZE * (stride * (1 + chunk) + self.channel)
+        return self.mmio_base + CACHELINE_SIZE * (stride * (1 + chunk) + self.channel)
 
     def create_offload(self, kind: UlpKind, context: object) -> Offload:
         """Stage an offload's context on the device.
@@ -335,7 +334,7 @@ class SmartDIMM:
         return address
 
     def _in_mmio(self, address: int) -> bool:
-        return self.config.mmio_base <= address < self.config.mmio_base + PAGE_SIZE
+        return self.mmio_base <= address < self.mmio_base + PAGE_SIZE
 
     # -- MMIO config space ----------------------------------------------------------------------
 
@@ -343,7 +342,7 @@ class SmartDIMM:
         # Logical register index: with interleaving, this device only sees
         # every Nth line of the MMIO page, so divide the stride back out.
         offset = (
-            (address - self.config.mmio_base)
+            (address - self.mmio_base)
             // CACHELINE_SIZE
             // self._channel_stride
             * CACHELINE_SIZE

@@ -9,9 +9,9 @@ transmission, accelerator completion, fleet nodes).  Design constraints:
   sites — never perturbs another site's fault sequence.  Identical seeds ⇒
   identical fault sequences ⇒ byte-identical chaos reports.
 * **Cheap when absent.**  Call sites guard with ``plan is not None``; an
-  attached plan with no spec for a site costs one dict lookup.  The perf
-  gate (``benchmarks/perf/faults_bench.py``) enforces <2 % overhead for
-  the disabled case.
+  attached plan with no spec for a site costs one dict lookup.  The
+  ``disabled_hook_overhead`` check of ``benchmarks/perf/check_regression.py``
+  holds the disabled case under 2 % of one offload.
 * **Schedulable.**  A :class:`FaultSpec` can fire probabilistically
   (Bernoulli per decision), deterministically (``skip`` N decisions, then
   fire ``max_fires`` times), or both — so chaos scenarios can guarantee

@@ -43,12 +43,9 @@ class OverloadConfig:
     #: Shed expired work at station dequeues (False: deadlines are only
     #: *measured* — the "control off" curve of the sweep).
     shed_expired: bool = True
-    #: Ingress admission controller: "codel" or "none".
+    #: Ingress admission controller: "codel" (needs ``deadline_s``, from
+    #: which its target and interval derive) or "none".
     admission: str = "none"
-    #: CoDel target sojourn; None derives deadline_s / 5.
-    codel_target_s: float = None
-    #: CoDel interval; None derives 4 x target.
-    codel_interval_s: float = None
     #: Per-channel DSA queue depth limit (None: unbounded).
     dsa_queue_limit: int = None
     #: Per-server CPU worker queue depth limit (None: unbounded).
@@ -62,9 +59,8 @@ class OverloadConfig:
             raise ValueError("admission must be 'none' or 'codel'")
         if not 0.0 < self.brownout_factor <= 1.0:
             raise ValueError("brownout_factor must be in (0, 1]")
-        if self.admission == "codel" and self.deadline_s is None \
-                and self.codel_target_s is None:
-            raise ValueError("codel admission needs deadline_s or codel_target_s")
+        if self.admission == "codel" and self.deadline_s is None:
+            raise ValueError("codel admission needs deadline_s")
         for name in ("dsa_queue_limit", "cpu_queue_limit"):
             limit = getattr(self, name)
             if limit is not None and limit < 1:
@@ -83,15 +79,11 @@ class OverloadConfig:
         return self.dsa_queue_limit is not None or self.cpu_queue_limit is not None
 
     def resolved_target_s(self) -> float:
-        """CoDel target sojourn: explicit knob, else deadline_s / 5."""
-        if self.codel_target_s is not None:
-            return self.codel_target_s
+        """CoDel target sojourn: a fifth of the deadline."""
         return self.deadline_s / 5.0
 
     def resolved_interval_s(self) -> float:
-        """CoDel interval: explicit knob, else 4x the resolved target."""
-        if self.codel_interval_s is not None:
-            return self.codel_interval_s
+        """CoDel interval: four targets."""
         return 4.0 * self.resolved_target_s()
 
 

@@ -1,13 +1,15 @@
 """AES block cipher (FIPS-197), implemented from scratch.
 
 This is the software ground truth for both the on-CPU baseline (which the
-paper accelerates with AES-NI) and the SmartDIMM TLS DSA.  Only encryption of
-single 16-byte blocks is needed by the GCM counter mode, but decryption is
-provided for completeness and for test cross-checks.
+paper accelerates with AES-NI) and the SmartDIMM TLS DSA.  GCM's counter
+mode needs only the forward cipher, so that is all this module computes.
 
-The implementation uses the standard byte-oriented table-free formulation:
-SubBytes / ShiftRows / MixColumns over the AES field GF(2^8) with the
-irreducible polynomial x^8 + x^4 + x^3 + x + 1 (0x11B).
+The S-box and the T-tables are derived here from the AES field GF(2^8)
+with the irreducible polynomial x^8 + x^4 + x^3 + x + 1 (0x11B).  One
+block is four T-table lookups per column per round; large CTR batches
+run the same tables as numpy gathers.  The round-primitive formulation
+(SubBytes / ShiftRows / MixColumns) and the inverse cipher are the test
+oracle in ``tests/ulp/aes_gcm_oracle.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 _SBOX = [0] * 256
-_INV_SBOX = [0] * 256
 
 
 def _gf_mul(a: int, b: int) -> int:
@@ -32,8 +33,8 @@ def _gf_mul(a: int, b: int) -> int:
     return result
 
 
-def _build_sboxes() -> None:
-    """Populate the forward and inverse S-boxes from first principles."""
+def _build_sbox() -> None:
+    """Populate the S-box from first principles."""
     # Multiplicative inverses via exponentiation by generator 3.
     pow3 = [1] * 256
     log3 = [0] * 256
@@ -57,10 +58,9 @@ def _build_sboxes() -> None:
             ) & 1
             transformed |= parity << bit
         _SBOX[byte] = transformed
-        _INV_SBOX[transformed] = byte
 
 
-_build_sboxes()
+_build_sbox()
 
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8, 0xAB, 0x4D]
 
@@ -104,9 +104,9 @@ CTR_BATCH_MIN_BLOCKS = 32
 class AES:
     """AES-128/192/256 block cipher operating on 16-byte blocks.
 
-    >>> key = bytes(range(16))
-    >>> AES(key).decrypt_block(AES(key).encrypt_block(b"0123456789abcdef"))
-    b'0123456789abcdef'
+    >>> AES(bytes(range(16))).encrypt_block(bytes.fromhex(
+    ...     "00112233445566778899aabbccddeeff")).hex()
+    '69c4e0d86a7b0430d8cdb78070b4c55a'
     """
 
     BLOCK_SIZE = 16
@@ -149,59 +149,6 @@ class AES:
                 flat.extend(w)
             round_keys.append(flat)
         return round_keys
-
-    # -- round primitives ---------------------------------------------------
-
-    @staticmethod
-    def _add_round_key(state: list, round_key: list) -> list:
-        return [s ^ k for s, k in zip(state, round_key)]
-
-    @staticmethod
-    def _sub_bytes(state: list) -> list:
-        return [_SBOX[b] for b in state]
-
-    @staticmethod
-    def _inv_sub_bytes(state: list) -> list:
-        return [_INV_SBOX[b] for b in state]
-
-    @staticmethod
-    def _shift_rows(state: list) -> list:
-        # State is column-major: state[4*c + r] is row r, column c.
-        out = list(state)
-        for row in range(1, 4):
-            for col in range(4):
-                out[4 * col + row] = state[4 * ((col + row) % 4) + row]
-        return out
-
-    @staticmethod
-    def _inv_shift_rows(state: list) -> list:
-        out = list(state)
-        for row in range(1, 4):
-            for col in range(4):
-                out[4 * ((col + row) % 4) + row] = state[4 * col + row]
-        return out
-
-    @staticmethod
-    def _mix_columns(state: list) -> list:
-        out = [0] * 16
-        for col in range(4):
-            a = state[4 * col : 4 * col + 4]
-            out[4 * col + 0] = _gf_mul(a[0], 2) ^ _gf_mul(a[1], 3) ^ a[2] ^ a[3]
-            out[4 * col + 1] = a[0] ^ _gf_mul(a[1], 2) ^ _gf_mul(a[2], 3) ^ a[3]
-            out[4 * col + 2] = a[0] ^ a[1] ^ _gf_mul(a[2], 2) ^ _gf_mul(a[3], 3)
-            out[4 * col + 3] = _gf_mul(a[0], 3) ^ a[1] ^ a[2] ^ _gf_mul(a[3], 2)
-        return out
-
-    @staticmethod
-    def _inv_mix_columns(state: list) -> list:
-        out = [0] * 16
-        for col in range(4):
-            a = state[4 * col : 4 * col + 4]
-            out[4 * col + 0] = _gf_mul(a[0], 14) ^ _gf_mul(a[1], 11) ^ _gf_mul(a[2], 13) ^ _gf_mul(a[3], 9)
-            out[4 * col + 1] = _gf_mul(a[0], 9) ^ _gf_mul(a[1], 14) ^ _gf_mul(a[2], 11) ^ _gf_mul(a[3], 13)
-            out[4 * col + 2] = _gf_mul(a[0], 13) ^ _gf_mul(a[1], 9) ^ _gf_mul(a[2], 14) ^ _gf_mul(a[3], 11)
-            out[4 * col + 3] = _gf_mul(a[0], 11) ^ _gf_mul(a[1], 13) ^ _gf_mul(a[2], 9) ^ _gf_mul(a[3], 14)
-        return out
 
     # -- block operations ---------------------------------------------------
 
@@ -295,34 +242,3 @@ class AES:
         out[:, 3] = ((_NP_SBOX[x3 >> 24] << 24) | (_NP_SBOX[(x0 >> 16) & 0xFF] << 16)
                      | (_NP_SBOX[(x1 >> 8) & 0xFF] << 8) | _NP_SBOX[x2 & 0xFF]) ^ np.uint32(k[3])
         return out.astype(">u4").tobytes()
-
-    def encrypt_block_reference(self, block: bytes) -> bytes:
-        """Round-primitive reference path: the test oracle that
-        ``tests/ulp/test_aes.py`` checks the T-table path against."""
-        if len(block) != self.BLOCK_SIZE:
-            raise ValueError("AES block must be 16 bytes, got %d" % len(block))
-        state = self._add_round_key(list(block), self._round_keys[0])
-        for r in range(1, self.rounds):
-            state = self._sub_bytes(state)
-            state = self._shift_rows(state)
-            state = self._mix_columns(state)
-            state = self._add_round_key(state, self._round_keys[r])
-        state = self._sub_bytes(state)
-        state = self._shift_rows(state)
-        state = self._add_round_key(state, self._round_keys[self.rounds])
-        return bytes(state)
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt a single 16-byte block."""
-        if len(block) != self.BLOCK_SIZE:
-            raise ValueError("AES block must be 16 bytes, got %d" % len(block))
-        state = self._add_round_key(list(block), self._round_keys[self.rounds])
-        for r in range(self.rounds - 1, 0, -1):
-            state = self._inv_shift_rows(state)
-            state = self._inv_sub_bytes(state)
-            state = self._add_round_key(state, self._round_keys[r])
-            state = self._inv_mix_columns(state)
-        state = self._inv_shift_rows(state)
-        state = self._inv_sub_bytes(state)
-        state = self._add_round_key(state, self._round_keys[0])
-        return bytes(state)

@@ -21,16 +21,17 @@ up with the analytical server model (see README "Performance"):
 * :meth:`AESGCM.keystream` computes J0 once per record and generates all
   counter blocks in one batched call (:meth:`repro.ulp.aes.AES.encrypt_ctr_blocks`,
   numpy-vectorised for large records, scalar otherwise).
-* :class:`GF128Multiplier` optionally widens its 4-bit window tables to
-  byte-wide tables (16 lookups per multiply instead of 32), and large GHASH
-  inputs run through a lane-parallel Horner in H^L (`_VEC_LANES` lanes) whose
-  per-step multiply is a vectorised table gather.
+* :class:`GF128Multiplier` multiplies over byte-wide window tables (16
+  lookups per multiply), and large GHASH inputs run through a lane-parallel
+  Horner in H^L (`_VEC_LANES` lanes) whose per-step multiply is a
+  vectorised gather from the same byte tables of H^L.
 * XOR runs wide-word over whole records (:func:`xor_bytes`) instead of
   per byte.
 
-Every fast path is bit-identical to the scalar reference; the
-``*_reference`` methods preserve the original from-scratch formulation for
-equivalence tests and the perf-regression baseline in ``benchmarks/perf``.
+Every fast path is bit-identical to the from-scratch formulation it
+replaced (per-block J0 and block-cipher calls, per-byte XOR, a serial
+4-bit-window GHASH), which ``tests/ulp/aes_gcm_oracle.py`` keeps as the
+test oracle.
 """
 
 from __future__ import annotations
@@ -110,79 +111,49 @@ def _bit_products(constant: int) -> list:
     return products
 
 
+def _mul_tables(constant: int) -> list:
+    """table[pos][v] = (byte v at byte offset `pos` from the MSB) * constant."""
+    bit_products = _bit_products(constant)
+    tables = []
+    for pos in range(16):
+        row = [0] * 256
+        base = 8 * pos
+        for value in range(1, 256):
+            low = value & (-value)
+            # MSB-first bit index of the lowest set bit of `value`.
+            row[value] = row[value ^ low] ^ bit_products[base + 7 - (low.bit_length() - 1)]
+        tables.append(row)
+    return tables
+
+
 class GF128Multiplier:
     """Precomputed multiply-by-constant in GF(2^128).
 
     Models the GF Multiplier block of the TLS DSA (Fig. 7): the hardware
-    pipelines a fixed-operand multiplier; we precompute a 4-bit windowed
-    table so every `mul` is 32 table lookups + XORs.  The table itself is
+    pipelines a fixed-operand multiplier; we precompute byte-wide window
+    tables so every `mul` is 16 table lookups + XORs.  The tables are
     built from 128 cheap shift-reduce steps, mirroring how the hardware's
-    LFSR-style reduction network is derived.
-
-    With ``byte_tables=True`` the window widens to 8 bits (16 lookups per
-    multiply) — the right trade once the multiplier is cached per session
-    key and reused across records (see :mod:`repro.ulp.ctx_cache`).
+    LFSR-style reduction network is derived, once per key (the multiplier
+    is cached per session key, see :mod:`repro.ulp.ctx_cache`).
     """
 
-    def __init__(self, constant: int, byte_tables: bool = False):
+    def __init__(self, constant: int):
         self.constant = constant
-        bit_products = _bit_products(constant)
-        self._bit_products = bit_products
-        # Nibble tables: table[pos][nibble] for the nibble at bit offset
-        # 4*pos from the MSB.
-        self._tables = []
-        for pos in range(32):
-            row = [0] * 16
-            base = 4 * pos
-            for nibble in range(1, 16):
-                acc = 0
-                for bit in range(4):
-                    if (nibble >> (3 - bit)) & 1:
-                        acc ^= bit_products[base + bit]
-                row[nibble] = acc
-            self._tables.append(row)
-        self._byte_tables = None
-        if byte_tables:
-            self.build_byte_tables()
-
-    def build_byte_tables(self) -> None:
-        """Widen the window tables to 8 bits (amortised once per key)."""
-        if self._byte_tables is not None:
-            return
-        bit_products = self._bit_products
-        tables = []
-        for pos in range(16):
-            row = [0] * 256
-            base = 8 * pos
-            for value in range(1, 256):
-                low = value & (-value)
-                # MSB-first bit index of the lowest set bit of `value`.
-                row[value] = row[value ^ low] ^ bit_products[base + 7 - (low.bit_length() - 1)]
-            tables.append(row)
-        self._byte_tables = tables
+        self._tables = _mul_tables(constant)
 
     def mul(self, x: int) -> int:
         """Return x * constant in GF(2^128)."""
-        t = self._byte_tables
-        if t is not None:
-            t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = t
-            return (
-                t0[(x >> 120) & 0xFF] ^ t1[(x >> 112) & 0xFF]
-                ^ t2[(x >> 104) & 0xFF] ^ t3[(x >> 96) & 0xFF]
-                ^ t4[(x >> 88) & 0xFF] ^ t5[(x >> 80) & 0xFF]
-                ^ t6[(x >> 72) & 0xFF] ^ t7[(x >> 64) & 0xFF]
-                ^ t8[(x >> 56) & 0xFF] ^ t9[(x >> 48) & 0xFF]
-                ^ t10[(x >> 40) & 0xFF] ^ t11[(x >> 32) & 0xFF]
-                ^ t12[(x >> 24) & 0xFF] ^ t13[(x >> 16) & 0xFF]
-                ^ t14[(x >> 8) & 0xFF] ^ t15[x & 0xFF]
-            )
-        result = 0
-        tables = self._tables
-        for pos in range(32):
-            nibble = (x >> (124 - 4 * pos)) & 0xF
-            if nibble:
-                result ^= tables[pos][nibble]
-        return result
+        t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = self._tables
+        return (
+            t0[(x >> 120) & 0xFF] ^ t1[(x >> 112) & 0xFF]
+            ^ t2[(x >> 104) & 0xFF] ^ t3[(x >> 96) & 0xFF]
+            ^ t4[(x >> 88) & 0xFF] ^ t5[(x >> 80) & 0xFF]
+            ^ t6[(x >> 72) & 0xFF] ^ t7[(x >> 64) & 0xFF]
+            ^ t8[(x >> 56) & 0xFF] ^ t9[(x >> 48) & 0xFF]
+            ^ t10[(x >> 40) & 0xFF] ^ t11[(x >> 32) & 0xFF]
+            ^ t12[(x >> 24) & 0xFF] ^ t13[(x >> 16) & 0xFF]
+            ^ t14[(x >> 8) & 0xFF] ^ t15[x & 0xFF]
+        )
 
 
 def ghash(h: bytes, data: bytes) -> bytes:
@@ -243,11 +214,10 @@ class AESGCM:
         # one AES-NI invocation and ships it to the DIMM via MMIO.
         self.h = self._aes.encrypt_block(bytes(16))
         self._h_int = _block_to_int(self.h)
-        self.mul_h = GF128Multiplier(self._h_int, byte_tables=True)
+        self.mul_h = GF128Multiplier(self._h_int)
         self._h_power_list = [self._h_int]  # H^1, H^2, ... grown on demand
         self._j0_cache = {}
-        self._vec_tables = None  # lazy (32, 16, 4) uint32 table for H^_VEC_LANES
-        self._ref_mul = None  # lazy nibble-window multiplier for *_reference
+        self._vec_tables = None  # lazy (16, 256, 4) uint32 table for H^_VEC_LANES
 
     # -- building blocks used by the DSA ------------------------------------
 
@@ -400,17 +370,11 @@ class AESGCM:
     def _vec_mul_tables(self):
         """The (16, 256, 4)-uint32 byte tables of H^_VEC_LANES, built once."""
         if self._vec_tables is None:
-            products = _bit_products(self.h_power(_VEC_LANES))
-            rows = bytearray()
-            for pos in range(16):
-                row = [0] * 256
-                base = 8 * pos
-                for value in range(1, 256):
-                    low = value & (-value)
-                    row[value] = row[value ^ low] ^ products[base + 7 - (low.bit_length() - 1)]
-                rows += b"".join(entry.to_bytes(16, "big") for entry in row)
+            rows = b"".join(entry.to_bytes(16, "big")
+                            for row in _mul_tables(self.h_power(_VEC_LANES))
+                            for entry in row)
             self._vec_tables = (
-                np.frombuffer(bytes(rows), dtype=">u4")
+                np.frombuffer(rows, dtype=">u4")
                 .astype(np.uint32)
                 .reshape(16, 256, 4)
             )
@@ -439,60 +403,6 @@ class AESGCM:
             raise ValueError("GCM authentication tag mismatch")
         stream = self.keystream(iv, len(ciphertext))
         return xor_bytes(ciphertext, stream)
-
-    # -- seed-fidelity reference path ----------------------------------------
-
-    def _reference_mul(self) -> GF128Multiplier:
-        if self._ref_mul is None:
-            self._ref_mul = GF128Multiplier(self._h_int)
-        return self._ref_mul
-
-    def keystream_reference(self, iv: bytes, length: int, start_block: int = 0) -> bytes:
-        """Scalar keystream exactly as the seed computed it: J0 rebuilt and
-        one block-cipher call dispatched per 16-byte block.  Oracle of
-        ``test_keystream_matches_reference`` in ``tests/ulp``."""
-        blocks_needed = (length + 15) // 16
-        out = bytearray()
-        for i in range(blocks_needed):
-            j0 = self._compute_j0(iv)
-            counter = int.from_bytes(j0[12:], "big")
-            counter = (counter + 1 + start_block + i) & 0xFFFFFFFF
-            out.extend(self._aes.encrypt_block(j0[:12] + counter.to_bytes(4, "big")))
-        return bytes(out[:length])
-
-    def tag_reference(self, iv: bytes, ciphertext: bytes, aad: bytes) -> bytes:
-        """Serial nibble-window GHASH over one concatenated padded buffer
-        (the seed formulation), with per-byte EIV masking.  Oracle of the
-        ``tests/ulp`` GCM equivalence tests via the two methods below."""
-        padded = (
-            aad
-            + bytes((16 - len(aad) % 16) % 16)
-            + ciphertext
-            + bytes((16 - len(ciphertext) % 16) % 16)
-            + self._lengths_block(len(aad), len(ciphertext))
-        )
-        s = _int_to_block(ghash_int(self._reference_mul(), padded))
-        eiv = self._aes.encrypt_block(self._compute_j0(iv))
-        return bytes(a ^ b for a, b in zip(s, eiv))
-
-    def encrypt_reference(self, iv: bytes, plaintext: bytes, aad: bytes = b"") -> tuple:
-        """The seed encrypt datapath (per-block J0, per-byte XOR, serial
-        GHASH); the oracle of ``test_encrypt_matches_reference`` in
-        ``tests/ulp`` and the "before" measurement of
-        ``benchmarks/perf/datapath_bench.py``."""
-        stream = self.keystream_reference(iv, len(plaintext))
-        ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
-        return ciphertext, self.tag_reference(iv, ciphertext, aad)
-
-    def decrypt_reference(self, iv: bytes, ciphertext: bytes, aad: bytes, tag: bytes) -> bytes:
-        """The seed decrypt datapath; raises ValueError on tag mismatch.
-        Oracle of ``test_decrypt_round_trip_and_reference`` in
-        ``tests/ulp``."""
-        expected = self.tag_reference(iv, ciphertext, aad)
-        if not _constant_time_eq(expected, tag):
-            raise ValueError("GCM authentication tag mismatch")
-        stream = self.keystream_reference(iv, len(ciphertext))
-        return bytes(c ^ s for c, s in zip(ciphertext, stream))
 
 
 def _constant_time_eq(a: bytes, b: bytes) -> bool:

@@ -1,10 +1,14 @@
 """SmartDIMM driver: page allocation, MMIO plumbing, reclaim."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.driver import OutOfDeviceMemoryError
 from repro.core.dsa.base import UlpKind
 from repro.core.dsa.tls_dsa import TLSOffloadContext
+from repro.core.offload_api import SessionConfig, SmartDIMMSession
+from repro.core.smartdimm import SmartDIMMConfig
 from repro.dram.commands import PAGE_SIZE
 
 KEY = bytes(range(16))
@@ -20,7 +24,7 @@ def test_alloc_pages_are_contiguous_and_aligned(session):
 
 
 def test_alloc_avoids_mmio_page(session):
-    mmio_page = session.device.config.mmio_base // PAGE_SIZE
+    mmio_page = session.device.mmio_base // PAGE_SIZE
     seen = set()
     try:
         while True:
@@ -29,6 +33,21 @@ def test_alloc_avoids_mmio_page(session):
     except OutOfDeviceMemoryError:
         pass
     assert mmio_page not in seen
+
+
+def test_sessions_sharing_a_config_reserve_their_own_mmio_page():
+    """The device keeps its MMIO page to itself: a config reused for a
+    smaller memory leaves that session's top page reserved, as a fresh
+    config does, and the config is not written."""
+    shared = SmartDIMMConfig()
+    before = replace(shared)
+    for memory_bytes in (64 << 20, 32 << 20):
+        reused = SmartDIMMSession(SessionConfig(memory_bytes=memory_bytes, smartdimm=shared))
+        fresh = SmartDIMMSession(SessionConfig(memory_bytes=memory_bytes))
+        assert reused.driver._free_pages == fresh.driver._free_pages
+        assert len(fresh.driver._free_pages) == memory_bytes // PAGE_SIZE - 1
+    assert shared == before
+    assert reused.device.mmio_base == (32 << 20) - PAGE_SIZE
 
 
 def test_free_and_reuse(session):

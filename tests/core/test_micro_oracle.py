@@ -10,11 +10,15 @@ buffer the oracle module compares.  There are two kinds of stack:
   TLS both ways, deflate, inflate, deferred-flush CompCpy (its pages left
   pending or reclaimed at once), Force-Recycle, Compute DMA, a direct
   offload and its read-back, and plain buffer writes, reads, flushes and
-  reads of poisoned lines; half the ops are single-line ``read_line`` or
-  ``write_line_now`` CASes at a live offload's source or destination
-  page (a run of one against :class:`~tests.micro_oracle.PerCommandSmartDIMM`'s
-  per-command walk: S6 on either trigger, S7, S8/S9, S10, S13 and its
-  ALERT_N reissues, up to a wedge), with or without a clock advance first;
+  reads of poisoned lines; half the ops are CASes at a live offload's
+  source or destination page, with or without a clock advance first:
+  a single-line ``read_line`` or ``write_line_now`` (a run of one against
+  :class:`~tests.micro_oracle.PerCommandSmartDIMM`'s per-command walk: S6
+  on either trigger, S7, S8/S9, S10, S13 and its ALERT_N reissues, up to
+  a wedge), or a ``read_lines`` or ``write_lines_now`` burst from the
+  line to the end of the offload's pages, which crosses the lines a
+  fresh offload was fed in order or earlier CASes fed it out of order,
+  so the device must split it around them;
 * a bare controller on a plain DIMM, driven through its line and range
   operations (fenced reads too), fences and poisoned lines.
 
@@ -99,18 +103,18 @@ SESSION_OPS = st.one_of(
     st.tuples(st.just("pump_ras")),
 )
 
-#: A single-line CAS at a live offload's page: (how far a fresh offload
-#: feeds past the line, or None to use the newest live one; its trigger
-#: is the write stream; source page; line of the two pages; write; cycles
-#: the clock advances first; salt).
+#: A CAS at a live offload's page: (how far a fresh offload feeds past
+#: the line, or None to use the newest live one; its trigger is the write
+#: stream; source page; line of the two pages; write; cycles the clock
+#: advances first; salt; a burst to the pages' end instead of one line).
 CAS_OP = st.tuples(
     st.just("cas"), st.sampled_from((None, -1, 0, 4, 32)), st.booleans(),
     st.booleans(), st.integers(0, 127), st.booleans(),
-    st.sampled_from((0, 100, 1000)), _salt,
+    st.sampled_from((0, 100, 1000)), _salt, st.booleans(),
 )
 
-#: Half the drawn ops are single-line CASes (``one_of`` would flatten
-#: SESSION_OPS and draw them one time in seventeen).
+#: Half the drawn ops are CASes (``one_of`` would flatten SESSION_OPS and
+#: draw them one time in seventeen).
 OPS = st.sampled_from((SESSION_OPS, CAS_OP)).flatmap(lambda ops: ops)
 
 
@@ -220,21 +224,35 @@ def _live_offload(session, fed, dma, salt):
     return offloads[max(offloads)]
 
 
-def _single_cas(session, lag, dma, source, line, write, advance, salt):
+def _cas(session, lag, dma, source, line, write, advance, salt, burst):
     """One ``read_line`` or ``write_line_now`` at `line` of a live
     offload's two source or destination pages, after moving the clock
-    `advance` cycles on (a CPU doing other work).  With `lag` not None
-    the offload is a fresh one fed up to `lag` lines past `line`: -1
-    leaves the line next to feed, 0 makes it the last one fed."""
+    `advance` cycles on (a CPU doing other work); with `burst`, a
+    ``read_lines`` or ``write_lines_now`` from `line` to the end of the
+    two pages.  With `lag` not None the offload is a fresh one fed up to
+    `lag` lines past `line`: -1 leaves the line next to feed, 0 makes it
+    the last one fed.  A fresh offload under a burst takes the burst's
+    direction as its trigger, so a source burst crosses the lines fed
+    before it and feeds the rest; the newest live offload (`lag` None)
+    keeps its trigger and the lines earlier CASes fed it out of order."""
     fed = None if lag is None else min(line + 1 + lag, 128)
-    offload = _live_offload(session, fed, dma, salt)
+    offload = _live_offload(session, fed, write if burst else dma, salt)
     pages = offload.sbuf_pages if source else offload.dbuf_pages
     page, line = divmod(line, 64)
     address = pages[page % len(pages)] * PAGE_SIZE + line * CACHELINE_SIZE
     session.mc.cycle += advance
+    if not burst:
+        if write:
+            return session.mc.write_line_now(address, _payload(CACHELINE_SIZE, salt))
+        return session.mc.read_line(address)
+    count = 64 * (len(pages) - page % len(pages)) - line
     if write:
-        return session.mc.write_line_now(address, _payload(CACHELINE_SIZE, salt))
-    return session.mc.read_line(address)
+        return session.mc.write_lines_now(address, [
+            _payload(CACHELINE_SIZE, salt + m) for m in range(count)])
+    data, error = session.mc.read_lines(address, count)
+    if error is not None:
+        raise error
+    return data
 
 
 def _dirty(session, salt):
@@ -275,7 +293,7 @@ def _apply_session(session, base, op):
     if kind == "dirty":
         return _dirty(session, *args)
     if kind == "cas":
-        return _single_cas(session, *args)
+        return _cas(session, *args)
     if kind == "force_recycle":
         return session.compcpy.force_recycle(args[0])
     if kind == "fence":

@@ -15,7 +15,7 @@ class TestConfig:
 
     def test_any_knob_enables(self):
         assert OverloadConfig(deadline_s=1e-3).enabled
-        assert OverloadConfig(admission="codel", codel_target_s=1e-4).enabled
+        assert OverloadConfig(admission="codel", deadline_s=1e-3).enabled
         assert OverloadConfig(dsa_queue_limit=8).enabled
         assert OverloadConfig(cpu_queue_limit=8).enabled
         assert OverloadConfig(brownout_factor=0.5).enabled
@@ -30,12 +30,6 @@ class TestConfig:
         assert config.resolved_target_s() == pytest.approx(2e-4)
         assert config.resolved_interval_s() == pytest.approx(8e-4)
 
-    def test_explicit_codel_knobs_win(self):
-        config = OverloadConfig(deadline_s=1e-3, admission="codel",
-                                codel_target_s=5e-5, codel_interval_s=1e-3)
-        assert config.resolved_target_s() == 5e-5
-        assert config.resolved_interval_s() == 1e-3
-
     def test_validation(self):
         with pytest.raises(ValueError):
             OverloadConfig(admission="lifo")
@@ -44,7 +38,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             OverloadConfig(brownout_factor=1.5)
         with pytest.raises(ValueError):
-            OverloadConfig(admission="codel")  # no deadline, no target
+            OverloadConfig(admission="codel")  # no deadline to derive from
 
 
 class TestPolicy:

@@ -8,6 +8,11 @@ A method ``X_run`` that takes a run of consecutive lines covers a single
 line as a run of one, so no class keeps an ``X`` or ``X_line`` beside
 it: such a twin is a second, lightly tested code path for the same
 computation.
+
+A second implementation kept to check the first is a test oracle, and
+oracles live under ``tests`` (``tests/micro_oracle.py``,
+``tests/ulp/aes_gcm_oracle.py``), so no function in the package is named
+``*_reference``.
 """
 
 import ast
@@ -48,3 +53,15 @@ def test_no_class_keeps_a_line_twin_beside_its_run_form():
                         twins.append("%s.%s beside %s (%s)" % (
                             node.name, twin, name, source.relative_to(package_dir)))
     assert not twins, "line twins of run forms: %s" % "; ".join(twins)
+
+
+def test_no_reference_implementation_lives_in_the_package():
+    package_dir = Path(repro.__file__).parent
+    references = []
+    for source in sorted(package_dir.rglob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.endswith("_reference")):
+                references.append("%s (%s:%d)" % (
+                    node.name, source.relative_to(package_dir), node.lineno))
+    assert not references, "reference paths in src: %s" % "; ".join(references)
